@@ -15,14 +15,22 @@ concurrently running trials; randomness always comes from a caller-owned
 ``numpy.random.Generator``. A draw consumes exactly one variate from the
 generator, which is what makes trial replay and the hand-rolled simulation
 oracles in the test suite possible.
+
+The batched form splits a draw in two: ``draw_base`` fills an array with
+the base variates (standard exponential, standard normal or uniform) that
+successive ``sample`` calls would consume, since a Generator's array draws
+equal its scalar draws in sequence; ``sample_many`` then maps base
+variates to observations and their LLRs elementwise, with the same
+floating-point operations as ``sample`` followed by ``llr``.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -48,11 +56,31 @@ class ModelError(ValueError):
 
 def _require_informative(model: "ObservationModel") -> None:
     d_gf, d_fg = model.kl_divergences()
-    if not (d_gf >= _MIN_KL and d_fg >= _MIN_KL):
+    if not (_MIN_KL <= d_gf < math.inf and _MIN_KL <= d_fg < math.inf):
         raise ModelError(
             f"{model.kind} model is degenerate: D(g||f)={d_gf:.3g}, "
-            f"D(f||g)={d_fg:.3g}; both must be at least {_MIN_KL}"
+            f"D(f||g)={d_fg:.3g}; both must be finite and at least {_MIN_KL}"
         )
+
+
+def _checked(post_init: Callable[[object], None]) -> Callable[[object], None]:
+    """Report arithmetic failures of a model constructor as ModelError.
+
+    Extreme parameters overflow or leave the domain of the closed forms
+    (``(mu_g - mu_f) ** 2``, ``log(p_g / p_f)``); that is a bad model, not
+    a crash.
+    """
+
+    @functools.wraps(post_init)
+    def checked(self) -> None:
+        try:
+            post_init(self)
+        except ModelError:
+            raise
+        except (ArithmeticError, ValueError) as exc:
+            raise ModelError(f"bad {self.kind} parameters: {exc}") from None
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -64,6 +92,7 @@ class Exponential:
 
     kind = "exponential"
 
+    @_checked
     def __post_init__(self) -> None:
         if not (self.lambda_f > 0 and self.lambda_g > 0):
             raise ModelError("exponential rates must be positive")
@@ -75,9 +104,12 @@ class Exponential:
         rate = self.lambda_g if abnormal else self.lambda_f
         return rng.standard_exponential() / rate
 
-    def sample_many(self, abnormal: bool, rng: np.random.Generator, size: int) -> np.ndarray:
-        rate = self.lambda_g if abnormal else self.lambda_f
-        return rng.standard_exponential(size) / rate
+    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_exponential(out=out)
+
+    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = base / np.where(abnormal, self.lambda_g, self.lambda_f)
+        return y, self._log_ratio - self._rate_gap * y
 
     def llr(self, y: float) -> float:
         return self._log_ratio - self._rate_gap * y
@@ -100,6 +132,7 @@ class Gaussian:
 
     kind = "gaussian"
 
+    @_checked
     def __post_init__(self) -> None:
         if not self.sigma > 0:
             raise ModelError("gaussian sigma must be positive")
@@ -107,6 +140,8 @@ class Gaussian:
         var = self.sigma * self.sigma
         a = (self.mu_g - self.mu_f) / var
         b = (self.mu_f * self.mu_f - self.mu_g * self.mu_g) / (2.0 * var)
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ModelError("gaussian means and sigma overflow the log-likelihood ratio")
         object.__setattr__(self, "_slope", a)
         object.__setattr__(self, "_offset", b)
         _require_informative(self)
@@ -115,9 +150,12 @@ class Gaussian:
         mu = self.mu_g if abnormal else self.mu_f
         return mu + self.sigma * rng.standard_normal()
 
-    def sample_many(self, abnormal: bool, rng: np.random.Generator, size: int) -> np.ndarray:
-        mu = self.mu_g if abnormal else self.mu_f
-        return mu + self.sigma * rng.standard_normal(size)
+    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.standard_normal(out=out)
+
+    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = np.where(abnormal, self.mu_g, self.mu_f) + self.sigma * base
+        return y, self._slope * y + self._offset
 
     def llr(self, y: float) -> float:
         return self._slope * y + self._offset
@@ -136,6 +174,7 @@ class Bernoulli:
 
     kind = "bernoulli"
 
+    @_checked
     def __post_init__(self) -> None:
         for p in (self.p_f, self.p_g):
             if not 0.0 < p < 1.0:
@@ -148,9 +187,12 @@ class Bernoulli:
         p = self.p_g if abnormal else self.p_f
         return 1.0 if rng.random() < p else 0.0
 
-    def sample_many(self, abnormal: bool, rng: np.random.Generator, size: int) -> np.ndarray:
-        p = self.p_g if abnormal else self.p_f
-        return (rng.random(size) < p).astype(np.float64)
+    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.random(out=out)
+
+    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        hit = base < np.where(abnormal, self.p_g, self.p_f)
+        return hit.astype(np.float64), np.where(hit, self._llr_one, self._llr_zero)
 
     def llr(self, y: float) -> float:
         if y == 1.0:
@@ -180,6 +222,7 @@ class Tabulated:
 
     kind = "tabulated"
 
+    @_checked
     def __post_init__(self) -> None:
         support = tuple(float(v) for v in self.support)
         pmf_f = tuple(float(p) for p in self.pmf_f)
@@ -207,10 +250,14 @@ class Tabulated:
         cum = self._cum_g if abnormal else self._cum_f
         return self.support[bisect.bisect_right(cum, rng.random())]
 
-    def sample_many(self, abnormal: bool, rng: np.random.Generator, size: int) -> np.ndarray:
-        cum = self._cum_g if abnormal else self._cum_f
-        idx = np.searchsorted(np.asarray(cum), rng.random(size), side="right")
-        return np.asarray(self.support)[idx]
+    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        return rng.random(out=out)
+
+    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        idx = np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),
+                       np.searchsorted(self._cum_f, base, side="right"))
+        llrs = [self._llr_table[v] for v in self.support]
+        return np.asarray(self.support)[idx], np.asarray(llrs)[idx]
 
     def llr(self, y: float) -> float:
         try:

@@ -16,6 +16,22 @@ Trial t of an experiment draws every random variate from
 Nothing else touches the stream, so a trial is bit-reproducible in
 isolation and experiment results cannot depend on scheduling or on how
 trials are chunked across worker processes.
+
+Engines
+-------
+The deterministic policies ("dgf", "dgf_l", "seq_dgf_l", "unknown_l")
+draw no randomness of their own, so after the truth draw a trial's stream
+is nothing but its observations' base variates, one per probed cell. They
+run in one lockstep engine: trials advance together, a chunk at a time,
+as rows of ``(trials, cells)`` arrays, and each trial reads its
+observations from blocks of base variates drawn ahead from its own
+generator (``Generator`` array draws equal the same number of scalar
+draws). A block that runs out is refilled from the same generator. Draws
+past a trial's end are never read and nothing follows them in the stream,
+so they are unobservable: results are bit-identical to drawing one
+observation at a time. The randomized policies ("chernoff",
+"chernoff_generic") interleave their own draws with the observations and
+run one trial at a time in scalar loops.
 """
 
 from __future__ import annotations
@@ -33,19 +49,16 @@ from .models import ObservationModel
 from .oracle import anomaly_hypotheses, hypothesis_action_kl, maximin_action_distribution
 from .policies import (
     POLICY_NAMES,
-    Declare,
     PolicyConfig,
-    Probe,
     Stop,
     chernoff_generic_step,
     chernoff_step,
-    dgf_step,
-    dgfl_step,
     generic_stop_margin,
     ml_hypothesis,
-    seq_dgfl_step,
-    unknownl_step,
 )
+# The scalar rules of the lockstep policies: the engine below vectorises
+# them, and sim keeps their names so layer tracing can wrap every step rule.
+from .policies import dgf_step, dgfl_step, seq_dgfl_step, unknownl_step  # noqa: F401
 from .state import SearchState, update
 
 __all__ = [
@@ -62,6 +75,11 @@ __all__ = [
 
 _SINGLE_TARGET_POLICIES = ("dgf", "chernoff")
 _ONE_PROBE_POLICIES = ("seq_dgf_l", "unknown_l", "chernoff_generic")
+_LOCKSTEP_POLICIES = ("dgf", "dgf_l", "seq_dgf_l", "unknown_l")
+# Trials advanced together; bounds the engine's arrays and live generators.
+_CHUNK = 1024
+# Rounds of base variates drawn per trial at a time.
+_BLOCK_ROUNDS = 32
 _Z_95 = float(norm.ppf(0.975))
 
 
@@ -115,6 +133,9 @@ class ExperimentConfig:
         for t in grid:
             if not (math.isfinite(t) and t > 0.0):
                 raise ValueError(f"-log c values must be positive and finite, got {t}")
+            if not 0.0 < math.exp(-t) < 1.0:
+                raise ValueError(f"-log c = {t} gives a cost exp(-{t}) that rounds to "
+                                 f"{math.exp(-t)}; it must lie strictly inside (0, 1)")
         object.__setattr__(self, "neg_log_c", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
@@ -294,14 +315,16 @@ def run_trial(
     """
     if not 0.0 < cost < 1.0:
         raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
+    if cfg.policy in _LOCKSTEP_POLICIES:
+        return _run_lockstep(cfg, cost, trial_index, trial_index + 1, trace)[0]
     rng = np.random.default_rng([cfg.seed, trial_index])
     truth = _draw_truth(cfg, rng)
     if cfg.policy == "chernoff_generic":
         return _run_generic_trial(cfg, cost, rng, truth, trace)
-    return _run_score_trial(cfg, cost, rng, truth, trace)
+    return _run_chernoff_trial(cfg, cost, rng, truth, trace)
 
 
-def _run_score_trial(
+def _run_chernoff_trial(
     cfg: ExperimentConfig,
     cost: float,
     rng: np.random.Generator,
@@ -312,21 +335,8 @@ def _run_score_trial(
         cfg.model, cfg.num_cells, cfg.probes_per_round, cost, cfg.num_targets
     )
     state = SearchState(cfg.num_cells)
-    policy = cfg.policy
-    if policy == "dgf":
-        step: Callable[[], object] = lambda: dgf_step(state, pcfg)
-    elif policy == "chernoff":
-        step = lambda: chernoff_step(state, pcfg, rng)
-    elif policy == "dgf_l":
-        step = lambda: dgfl_step(state, pcfg)
-    elif policy == "seq_dgf_l":
-        step = lambda: seq_dgfl_step(state, pcfg)
-    else:
-        step = lambda: unknownl_step(state, pcfg)
-
     model = cfg.model
     truth_set = frozenset(truth)
-    track_tau1 = cfg.diagnostics and policy in _SINGLE_TARGET_POLICIES
     true_cell = truth[0]
     last_break = 0
     observations_taken = 0
@@ -334,15 +344,10 @@ def _run_score_trial(
     truncated = False
 
     while True:
-        action = step()
+        action = chernoff_step(state, pcfg, rng)
         if isinstance(action, Stop):
             decision = action.decision
             break
-        if isinstance(action, Declare):
-            # Declarations consume no observations; re-step within the round.
-            state.declare(action.cells, action.kind)
-            continue
-        assert isinstance(action, Probe)
         if state.n >= cfg.max_rounds:
             truncated = True
             break
@@ -353,7 +358,7 @@ def _run_score_trial(
         observations_taken += len(action.cells)
         if trace is not None:
             trace.append((action.cells, observations))
-        if track_tau1:
+        if cfg.diagnostics:
             s = state.s
             top = s[true_cell]
             for j in range(cfg.num_cells):
@@ -361,22 +366,196 @@ def _run_score_trial(
                     last_break = state.n
                     break
 
-    tau = state.n
-    tau_d = max(
-        (d.time for d in state.declared if d.kind == "abnormal"),
-        default=tau,
-    )
-    correct = decision is not None and decision == truth
     return TrialResult(
         true_hypothesis=truth,
         decision=decision,
-        correct=correct,
-        tau=tau,
-        tau_d=tau_d,
+        correct=decision is not None and decision == truth,
+        tau=state.n,
+        tau_d=state.n,
         observations_taken=observations_taken,
-        tau1=(last_break + 1) if track_tau1 else None,
+        tau1=(last_break + 1) if cfg.diagnostics else None,
         truncated=truncated,
     )
+
+
+def _run_lockstep(
+    cfg: ExperimentConfig,
+    cost: float,
+    lo: int,
+    hi: int,
+    trace: list | None = None,
+) -> list[TrialResult]:
+    """Trials lo..hi-1 of a deterministic policy, in lockstep chunks.
+
+    ``trace`` follows :func:`run_trial` and needs a single trial.
+    """
+    pcfg = PolicyConfig.for_model(
+        cfg.model, cfg.num_cells, cfg.probes_per_round, cost, cfg.num_targets
+    )
+    rule = _lockstep_rule(cfg, pcfg)
+    out: list[TrialResult] = []
+    for start in range(lo, hi, _CHUNK):
+        out += _lockstep_chunk(cfg, rule, range(start, min(start + _CHUNK, hi)), trace)
+    return out
+
+
+# A lockstep rule takes the live trials' sums S (trials x cells), their
+# declared-cell mask (updated in place, as are the rounds of their last
+# abnormal declaration) and the round number. It returns which trials
+# stop, the decision mask of those that do, and every trial's probe set in
+# the scalar rule's order.
+_Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, int],
+                 tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _lockstep_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """The vectorised step rule of ``cfg.policy``, one row per trial.
+
+    Each mirrors its scalar rule in ``policies`` exactly: rankings break
+    ties towards the lower cell index (stable sort, first argmax), and
+    stop tests use the same float comparisons.
+    """
+    m, k, l, thr = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, pcfg.threshold
+
+    if cfg.policy in ("dgf", "dgf_l"):
+        # dgf_step is dgfl_step with L=1; the probe set is a fixed window
+        # of the ranking.
+        if pcfg.multi_regime == "g":
+            first = 0 if k >= l else l - k
+        else:
+            first = m - k if k > m - l else l
+
+        def rank(S, declared, last_declared, n):
+            rows = np.arange(len(S))
+            order = np.argsort(-S, axis=1, kind="stable")
+            stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
+            decision = np.zeros((int(stop.sum()), m), dtype=bool)
+            decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
+            return stop, decision, order[:, first:first + k]
+
+        return rank
+
+    if cfg.policy == "seq_dgf_l":
+        # The "f" regime is the "g" regime on negated sums: declare cells
+        # normal from the bottom up and output the survivors.
+        chase_top = pcfg.multi_regime == "g"
+        needed = l if chase_top else m - l
+
+        def sequential(S, declared, last_declared, n):
+            rows = np.arange(len(S))
+            X = S if chase_top else -S
+            while True:
+                best = np.where(declared, -np.inf, X).argmax(axis=1)
+                hit = (declared.sum(axis=1) < needed) & (X[rows, best] >= thr)
+                if not hit.any():
+                    break
+                declared[rows[hit], best[hit]] = True
+                if chase_top:
+                    last_declared[hit] = n
+            stop = declared.sum(axis=1) >= needed
+            decision = declared[stop] if chase_top else ~declared[stop]
+            return stop, decision, best[:, None]
+
+        return sequential
+
+    def unknown(S, declared, last_declared, n):
+        newly = ~declared & (S >= thr)
+        declared |= newly
+        last_declared[newly.any(axis=1)] = n
+        stop = (declared | (np.abs(S) >= thr)).all(axis=1)
+        best = np.where(declared, -np.inf, S).argmax(axis=1)
+        return stop, declared[stop], best[:, None]
+
+    return unknown
+
+
+def _lockstep_chunk(
+    cfg: ExperimentConfig,
+    rule: _Rule,
+    trials: range,
+    trace: list | None,
+) -> list[TrialResult]:
+    model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
+    count = len(trials)
+    rngs, truths = [], []
+    truth = np.zeros((count, m), dtype=bool)
+    for i, t in enumerate(trials):
+        rng = np.random.default_rng([cfg.seed, t])
+        hyp = _draw_truth(cfg, rng)
+        truth[i, list(hyp)] = True
+        rngs.append(rng)
+        truths.append(hyp)
+    track_tau1 = cfg.diagnostics and cfg.policy in _SINGLE_TARGET_POLICIES
+    true_cell = truth.argmax(axis=1)
+
+    # Per chunk trial: outcome. Per live trial (row): running state.
+    tau = np.zeros(count, dtype=np.int64)
+    tau_d = np.zeros(count, dtype=np.int64)
+    decided = np.zeros((count, m), dtype=bool)
+    truncated = np.zeros(count, dtype=bool)
+    last_break = np.zeros(count, dtype=np.int64)
+    live = np.arange(count)
+    S = np.zeros((count, m))
+    declared = np.zeros((count, m), dtype=bool)
+    last_declared = np.full(count, -1, dtype=np.int64)
+    blocks = _base_blocks(model, rngs, live, k)
+    block_row = live
+    n = 0
+    while True:
+        stop, decision, probe = rule(S, declared, last_declared, n)
+        done = stop | (n >= cfg.max_rounds)
+        if done.any():
+            ended = live[done]
+            tau[ended] = n
+            tau_d[ended] = np.where(last_declared[done] >= 0, last_declared[done], n)
+            decided[live[stop]] = decision
+            truncated[ended] = ~stop[done]
+            keep = ~done
+            live, block_row, probe = live[keep], block_row[keep], probe[keep]
+            S, declared, last_declared = S[keep], declared[keep], last_declared[keep]
+            if not live.size:
+                break
+        offset = (n % _BLOCK_ROUNDS) * k
+        if offset == 0 and n:
+            blocks = _base_blocks(model, rngs, live, k)
+            block_row = np.arange(live.size)
+        # Observations are drawn in ascending cell order within a round.
+        cells = np.sort(probe, axis=1)
+        rows = np.arange(live.size)[:, None]
+        y, llr = model.sample_many(truth[live[:, None], cells],
+                                   blocks[block_row, offset:offset + k])
+        S[rows, cells] += llr
+        n += 1
+        if track_tau1:
+            top = S[rows[:, 0], true_cell[live]]
+            last_break[live[((S >= top[:, None]) & ~truth[live]).any(axis=1)]] = n
+        if trace is not None:
+            trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
+
+    decisions = [None if cut else tuple(cell for cell, hit in enumerate(row) if hit)
+                 for row, cut in zip(decided.tolist(), truncated.tolist())]
+    return [
+        TrialResult(
+            true_hypothesis=hyp,
+            decision=dec,
+            correct=dec == hyp,
+            tau=t,
+            tau_d=td,
+            observations_taken=t * k,
+            tau1=lb + 1 if track_tau1 else None,
+            truncated=cut,
+        )
+        for hyp, dec, t, td, lb, cut in zip(truths, decisions, tau.tolist(), tau_d.tolist(),
+                                             last_break.tolist(), truncated.tolist())
+    ]
+
+
+def _base_blocks(model: ObservationModel, rngs: list, live: np.ndarray, k: int) -> np.ndarray:
+    """The next _BLOCK_ROUNDS rounds of base variates of each live trial, one row each."""
+    blocks = np.empty((live.size, _BLOCK_ROUNDS * k))
+    for row, i in enumerate(live.tolist()):
+        model.draw_base(rngs[i], blocks[row])
+    return blocks
 
 
 def _run_generic_trial(
@@ -429,6 +608,8 @@ def _run_generic_trial(
 
 
 def _trial_span(cfg: ExperimentConfig, cost: float, lo: int, hi: int) -> list[TrialResult]:
+    if cfg.policy in _LOCKSTEP_POLICIES:
+        return _run_lockstep(cfg, cost, lo, hi)
     return [run_trial(cfg, cost, t) for t in range(lo, hi)]
 
 

@@ -226,6 +226,17 @@ class TestMainCommand:
         assert main([str(bad)]) == 2
         assert main(["--preset", "fig2", "--workers", "0"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--neg-log-c", "800"],  # c = exp(-800) underflows to 0.0
+        ["--neg-log-c", "1e-17"],  # c = exp(-1e-17) rounds to 1.0
+        ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e200"],  # KL overflows
+    ])
+    def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
     def test_usage_errors_exit_2(self):
         assert main(["--preset", "not-a-preset"]) == 2
         assert main(["--unknown-flag"]) == 2

@@ -1,0 +1,209 @@
+"""The lockstep engine against a one-trial-at-a-time scalar reference.
+
+The reference below is the scalar trial loop written out from the public
+step rules, ``SearchState``, ``update`` and ``model.sample``, drawing every
+variate one at a time in the order the reproducibility contract in
+``anomsearch.sim`` fixes. The engine must reproduce it exactly, trace and
+all, for every deterministic policy, model family and regime, with or
+without a pinned truth or priors, under truncation and the tau1
+diagnostic, and for any chunk and block size.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from anomsearch import (
+    Bernoulli,
+    ExperimentConfig,
+    Exponential,
+    Gaussian,
+    PolicyConfig,
+    SearchState,
+    Stop,
+    Tabulated,
+    TrialResult,
+    dgf_step,
+    dgfl_step,
+    run_trial,
+    run_trials,
+    seq_dgfl_step,
+    unknownl_step,
+)
+from anomsearch import sim
+from anomsearch.policies import Declare
+from anomsearch.state import update
+
+STEPS = {"dgf": dgf_step, "dgf_l": dgfl_step, "seq_dgf_l": seq_dgfl_step,
+         "unknown_l": unknownl_step}
+
+# (f, g) pairs whose KL ratio D(f||g)/D(g||f) exceeds 4, so that for M <= 5
+# every L sits in the "f" regime and the swapped pair in the "g" regime.
+# The Gaussian pair is symmetric: its regime follows from M and L alone.
+MODELS = {
+    "exponential": lambda swap: Exponential(10.0, 0.5) if swap else Exponential(0.5, 10.0),
+    "bernoulli": lambda swap: Bernoulli(0.9999, 0.3) if swap else Bernoulli(0.3, 0.9999),
+    "tabulated": lambda swap: Tabulated(
+        (0.0, 1.0, 2.0),
+        *(((0.0001, 0.4999, 0.5), (0.7, 0.2, 0.1)) if swap
+          else ((0.7, 0.2, 0.1), (0.0001, 0.4999, 0.5)))),
+    "gaussian": lambda swap: Gaussian(1.5, 0.0) if swap else Gaussian(0.0, 1.5),
+}
+
+
+def draw_truth(config, rng):
+    if config.fixed_hypothesis is not None:
+        return config.fixed_hypothesis
+    m = config.num_cells
+    if config.policy == "dgf":
+        u = rng.random()
+        acc = 0.0
+        for cell, p in enumerate(config.priors):
+            acc += p
+            if u < acc:
+                return (cell,)
+        return (m - 1,)
+    pool = list(range(m))
+    for i in range(config.true_target_count):
+        j = i + int(rng.integers(m - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return tuple(sorted(pool[:config.true_target_count]))
+
+
+def scalar_reference(config, cost, trial_index):
+    """One trial, one variate at a time; returns (TrialResult, trace)."""
+    rng = np.random.default_rng([config.seed, trial_index])
+    truth = draw_truth(config, rng)
+    pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
+                                  cost, config.num_targets)
+    state = SearchState(config.num_cells)
+    step = STEPS[config.policy]
+    model = config.model
+    track_tau1 = config.diagnostics and config.policy == "dgf"
+    last_break = 0
+    observations_taken = 0
+    decision = None
+    trace = []
+    while True:
+        action = step(state, pcfg)
+        if isinstance(action, Stop):
+            decision = action.decision
+            break
+        if isinstance(action, Declare):
+            state.declare(action.cells, action.kind)
+            continue
+        if state.n >= config.max_rounds:
+            break
+        observations = {cell: model.sample(cell in truth, rng) for cell in sorted(action.cells)}
+        update(state, action.cells, observations, model)
+        observations_taken += len(action.cells)
+        trace.append((action.cells, observations))
+        if track_tau1 and any(state.s[j] >= state.s[truth[0]]
+                              for j in range(config.num_cells) if j != truth[0]):
+            last_break = state.n
+    abnormal_times = [d.time for d in state.declared if d.kind == "abnormal"]
+    result = TrialResult(
+        true_hypothesis=truth,
+        decision=decision,
+        correct=decision is not None and decision == truth,
+        tau=state.n,
+        tau_d=max(abnormal_times, default=state.n),
+        observations_taken=observations_taken,
+        tau1=last_break + 1 if track_tau1 else None,
+        truncated=decision is None,
+    )
+    return result, trace
+
+
+@st.composite
+def configs(draw, policy, kind, swap):
+    m = draw(st.integers(2, 5))
+    k, l = 1, 1
+    if policy in ("dgf", "dgf_l"):
+        k = draw(st.integers(1, m))
+    if policy != "dgf":
+        l = draw(st.integers(1, m - 1))
+    truth = draw(st.sampled_from(["drawn", "fixed", "priors" if policy == "dgf" else "count"]))
+    extra = {}
+    count = l if policy in ("dgf", "dgf_l", "seq_dgf_l") else draw(st.integers(1, l))
+    if truth == "fixed":
+        extra["fixed_hypothesis"] = tuple(draw(st.permutations(range(m)))[:count])
+    elif truth == "priors":
+        weights = draw(st.lists(st.integers(1, 9), min_size=m, max_size=m))
+        extra["priors"] = tuple(w / sum(weights) for w in weights)
+    elif truth == "count":
+        extra["true_target_count"] = count
+    return ExperimentConfig(
+        num_cells=m,
+        probes_per_round=k,
+        policy=policy,
+        model=MODELS[kind](swap),
+        neg_log_c=(draw(st.floats(0.5, 9.0)),),
+        trials=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32)),
+        num_targets=l,
+        max_rounds=draw(st.sampled_from([1, 2, 5, 1_000_000])),
+        diagnostics=draw(st.booleans()),
+        **extra,
+    )
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["f_regime", "g_regime"])
+@pytest.mark.parametrize("kind", sorted(MODELS))
+@pytest.mark.parametrize("policy", sorted(STEPS))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), chunk=st.sampled_from([1, 3, 1024]), block_rounds=st.sampled_from([1, 2, 32]))
+def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_rounds):
+    config = data.draw(configs(policy, kind, swap))
+    cost = config.costs[0]
+    pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
+                                  cost, config.num_targets)
+    if kind != "gaussian":
+        regime = pcfg.single_regime if policy == "dgf" else pcfg.multi_regime
+        assert regime == ("g" if swap else "f")
+    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
+    with mock.patch.object(sim, "_CHUNK", chunk), \
+            mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
+        results = run_trials(config, cost)
+        assert results == [result for result, _ in expected]
+        for t, (result, trace) in enumerate(expected):
+            replay = []
+            assert run_trial(config, cost, t, trace=replay) == result
+            assert replay == trace
+
+
+@pytest.mark.parametrize("policy, overrides", [
+    ("dgf_l", dict(num_cells=8, probes_per_round=3, num_targets=2,
+                   model=Bernoulli(0.1, 0.4))),
+    ("unknown_l", dict(num_cells=3, num_targets=2, model=Bernoulli(0.1, 0.6),
+                       fixed_hypothesis=(0,))),
+    ("seq_dgf_l", dict(num_cells=4, num_targets=2, model=Bernoulli(0.1, 0.4))),
+    ("dgf", dict(num_cells=5, model=Exponential(2.0, 4.0), diagnostics=True)),
+])
+def test_long_trials_refill_their_blocks(policy, overrides):
+    config = ExperimentConfig(probes_per_round=overrides.pop("probes_per_round", 1),
+                              policy=policy, neg_log_c=(8.0,), trials=40, seed=99, **overrides)
+    cost = config.costs[0]
+    results = run_trials(config, cost)
+    assert max(r.tau for r in results) > sim._BLOCK_ROUNDS
+    assert results == [scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+
+
+@pytest.mark.parametrize("policy", sorted(STEPS))
+def test_engine_output_does_not_depend_on_worker_count(policy):
+    config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
+                              model=Bernoulli(0.2, 0.7), neg_log_c=(4.0,), trials=50, seed=5,
+                              num_targets=1 if policy == "dgf" else 2)
+    cost = config.costs[0]
+    assert run_trials(config, cost, workers=1) == run_trials(config, cost, workers=2)
+
+
+def test_engine_rejects_costs_outside_unit_interval():
+    config = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
+                              model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
+    for cost in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="observation cost"):
+            run_trials(config, cost)

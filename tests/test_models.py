@@ -71,6 +71,23 @@ def test_invalid_parameters_rejected():
         Bernoulli(0.2, 1.0)
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "gaussian", "mu_f": 0.0, "mu_g": 1e200},  # (mu_g - mu_f) ** 2 overflows
+    {"kind": "gaussian", "mu_f": 1e160, "mu_g": 1e160 + 1e145},  # finite KL, infinite LLR
+    {"kind": "gaussian", "mu_f": 0.0, "mu_g": 1.0, "sigma": 1e-200},  # sigma ** 2 underflows
+    {"kind": "exponential", "lambda_f": 1e-300, "lambda_g": 1e300},  # infinite KL
+    {"kind": "exponential", "lambda_f": 1e300, "lambda_g": 1e-300},  # log(0)
+    {"kind": "bernoulli", "p_f": 5e-324, "p_g": 0.5},  # infinite KL
+], ids=lambda spec: spec["kind"])
+def test_extreme_parameters_raise_model_error(spec):
+    with pytest.raises(ModelError):
+        model_from_dict(spec)
+    kwargs = {k: v for k, v in spec.items() if k != "kind"}
+    cls = {"gaussian": Gaussian, "exponential": Exponential, "bernoulli": Bernoulli}[spec["kind"]]
+    with pytest.raises(ModelError):
+        cls(**kwargs)
+
+
 def test_tabulated_validates_pmfs():
     with pytest.raises(ModelError):
         Tabulated(support=(0.0, 1.0), pmf_f=(0.7, 0.2), pmf_g=(0.5, 0.5))
@@ -107,20 +124,43 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"kind": "exponential", "lambda_f": 1.0})  # missing lambda_g
 
 
+def draws(model, abnormal, seed, size):
+    base = model.draw_base(np.random.default_rng(seed), np.empty(size))
+    return model.sample_many(np.full(size, abnormal), base)[0]
+
+
 def test_sampling_is_reproducible():
     m = Exponential(0.5, 10.0)
-    a = m.sample_many(True, np.random.default_rng(7), 100)
-    b = m.sample_many(True, np.random.default_rng(7), 100)
+    a = draws(m, True, 7, 100)
+    b = draws(m, True, 7, 100)
     assert np.array_equal(a, b)
     # abnormal draws come from the faster rate, so they sit well below
-    assert a.mean() < m.sample_many(False, np.random.default_rng(7), 100).mean()
+    assert a.mean() < draws(m, False, 7, 100).mean()
 
 
 def test_bernoulli_samples_are_binary():
     m = Bernoulli(0.1, 0.6)
-    draws = m.sample_many(True, np.random.default_rng(3), 500)
-    assert set(np.unique(draws)) <= {0.0, 1.0}
-    assert 0.4 < draws.mean() < 0.8  # around p_g
+    ys = draws(m, True, 3, 500)
+    assert set(np.unique(ys)) <= {0.0, 1.0}
+    assert 0.4 < ys.mean() < 0.8  # around p_g
+
+
+@pytest.mark.parametrize("model", [
+    Exponential(0.5, 10.0),
+    Gaussian(0.0, 1.5, 0.7),
+    Bernoulli(0.1, 0.6),
+    Tabulated((0.0, 1.0, 2.5), (0.5, 0.3, 0.2), (0.1, 0.3, 0.6)),
+], ids=lambda m: m.kind)
+def test_batched_draws_equal_scalar_draws(model):
+    # draw_base + sample_many must reproduce sample + llr bit for bit,
+    # including the generator state left behind.
+    abnormal = np.random.default_rng(1).random(200) < 0.5
+    scalar_rng, batched_rng = np.random.default_rng(11), np.random.default_rng(11)
+    ys = [model.sample(bool(a), scalar_rng) for a in abnormal]
+    y, llr = model.sample_many(abnormal, model.draw_base(batched_rng, np.empty(200)))
+    assert y.tolist() == ys
+    assert llr.tolist() == [model.llr(v) for v in ys]
+    assert scalar_rng.random() == batched_rng.random()
 
 
 @given(
