@@ -28,7 +28,6 @@ from .oracle import (
     maximin_action_grid,
 )
 from .policies import (
-    POLICY_NAMES,
     Declare,
     PolicyConfig,
     Probe,
@@ -52,6 +51,7 @@ from .rates import (
     unknownl_lower_bound,
 )
 from .sim import (
+    POLICY_NAMES,
     AggregateMetrics,
     DecayReport,
     ExperimentConfig,
@@ -62,7 +62,7 @@ from .sim import (
     run_trials,
     tau1_decay_diagnostic,
 )
-from .state import Declaration, SearchState, gap, ranked_cells, update
+from .state import Declaration, SearchState, ranked_cells, update
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "Declaration",
     "update",
     "ranked_cells",
-    "gap",
     # policies
     "POLICY_NAMES",
     "PolicyConfig",

@@ -11,8 +11,10 @@ into the output directory:
 
 ``summary.json``
     The run manifest (resolved config, package version, timestamp, output
-    names), the per-policy rate constants, and the aggregate rows including
-    fields that do not fit the CSV (risk stderr, empirical quantile ratio).
+    names), the per-policy rate constants, the aggregate rows including
+    fields that do not fit the CSV (risk stderr, empirical quantile ratio),
+    and ``warnings``: one line per row whose trials hit the round budget
+    (also printed to stderr as ``warning:`` lines), empty when none did.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
 preset runs the solver cross-checks instead of a simulation and exits 0
@@ -30,8 +32,9 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
+from . import __version__
 from .models import (
     Bernoulli,
     Exponential,
@@ -47,15 +50,19 @@ from .oracle import (
     maximin_action_distribution,
     maximin_action_grid,
 )
-from .policies import POLICY_NAMES
-from .rates import rate_multi, rate_single, relative_loss, unknownl_lower_bound
-from .sim import ExperimentConfig, run_experiment, tau1_decay_diagnostic
+from .rates import rate_multi, relative_loss, unknownl_lower_bound
+# Unused since rate_multi covers L = 1; kept so layer tracing can wrap it.
+from .rates import rate_single  # noqa: F401
+from .sim import (
+    POLICIES,
+    POLICY_NAMES,
+    ExperimentConfig,
+    run_experiment,
+    run_trials,
+    tau1_decay_diagnostic,
+)
 
 _LN10 = math.log(10.0)
-
-# Policies whose risk is measured against the unknown-count bound
-# -ell * c * log c / D(g||f) rather than -c log c / I*.
-_UNKNOWN_COUNT_POLICIES = frozenset({"unknown_l", "chernoff_generic"})
 
 _CSV_COLUMNS = (
     "policy", "M", "K", "L", "neg_log_c", "c", "trials",
@@ -68,8 +75,32 @@ _CONFIG_KEYS = (
     "priors", "fixed_hypothesis", "true_target_count", "diagnostics",
 )
 
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: isinstance(value, (list, tuple)) and all(test(v) for v in value)
+
+
+_numbers = _list_of(lambda v: _is_int(v) or isinstance(v, float))
+# What each key but "model" (model_from_dict checks that) must hold once
+# merged, and how to say so; only _NULLABLE keys may also be None.
+_KEY_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **{key: (_is_int, "an integer") for key in ("M", "K", "L", "trials", "seed")},
+    "policies": (lambda v: isinstance(v, str) or _list_of(lambda p: isinstance(p, str))(v),
+                 "a comma-separated string or a list of policy names"),
+    "neg_log_c": (_numbers, "a list of numbers"),
+    "priors": (_numbers, "null or a list of numbers"),
+    "fixed_hypothesis": (_list_of(_is_int), "null or a list of cell indices"),
+    "true_target_count": (_is_int, "null or an integer"),
+    "diagnostics": (lambda v: isinstance(v, bool), "true or false"),
+}
+_NULLABLE = ("priors", "fixed_hypothesis", "true_target_count")
+
 _DEFAULTS: dict[str, Any] = {
-    "policies": ("dgf",),
+    "policies": POLICY_NAMES[:1],  # the policy table's first entry
     "M": 5,
     "K": 1,
     "L": 1,
@@ -178,7 +209,7 @@ def _merge(layers: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
         for key, value in layer.items():
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}; expected one of {_CONFIG_KEYS}")
-            if value is not None or key in ("priors", "fixed_hypothesis", "true_target_count"):
+            if value is not None or key in _NULLABLE:
                 merged[key] = value
     return merged
 
@@ -188,9 +219,17 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
 
     Raises ConfigError naming the offending field; geometry checks that the
     simulator also enforces (K <= M and so on) are re-raised in the same way
-    so the caller maps every validation failure to exit code 2.
+    so the caller maps every validation failure to exit code 2. So is a
+    grid point whose trials would need more rounds than the round budget
+    (``ExperimentConfig.max_rounds``): about -log c / I*, or
+    ell (-log c) / D(g||f) under target constraint ``up_to``, which is the
+    risk floor's delay term divided by the cost.
     """
     merged = _merge(layers)
+    for key, (test, what) in _KEY_TYPES.items():
+        value = merged[key]
+        if not (test(value) or (value is None and key in _NULLABLE)):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
 
     policies = merged["policies"]
     if isinstance(policies, str):
@@ -198,9 +237,6 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     policies = tuple(policies)
     if not policies:
         raise ConfigError("policies must name at least one policy")
-    for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigError(f"unknown policy {name!r}; expected one of {POLICY_NAMES}")
     if len(set(policies)) != len(policies):
         raise ConfigError("policies must not repeat")
 
@@ -209,35 +245,42 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
-    def _int(key: str) -> int:
-        value = merged[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{key} must be an integer, got {value!r}")
-        return value
-
     spec = RunSpec(
-        policies=policies,
-        M=_int("M"),
-        K=_int("K"),
-        L=_int("L"),
-        model=model_dict,
+        policies=policies, M=merged["M"], K=merged["K"], L=merged["L"], model=model_dict,
         neg_log_c=tuple(float(t) for t in merged["neg_log_c"]),
-        trials=_int("trials"),
-        seed=_int("seed"),
+        trials=merged["trials"], seed=merged["seed"],
         priors=None if merged["priors"] is None else tuple(float(p) for p in merged["priors"]),
         fixed_hypothesis=None if merged["fixed_hypothesis"] is None
-        else tuple(int(m) for m in merged["fixed_hypothesis"]),
-        true_target_count=None if merged["true_target_count"] is None
-        else int(merged["true_target_count"]),
-        diagnostics=bool(merged["diagnostics"]),
+        else tuple(merged["fixed_hypothesis"]),
+        true_target_count=merged["true_target_count"], diagnostics=merged["diagnostics"],
     )
-    # Surface geometry/threshold violations now rather than mid-run.
+    # Surface geometry/threshold violations and runs that cannot finish
+    # now rather than mid-run.
     for policy in spec.policies:
         try:
-            spec.experiment_config(policy)
+            cfg = spec.experiment_config(policy)
         except (ValueError, ModelError) as exc:
             raise ConfigError(f"policy {policy!r}: {exc}") from None
+        _, lower_bound = _benchmark(cfg)
+        for t, cost in zip(cfg.neg_log_c, cfg.costs):
+            rounds = lower_bound(cost) / cost
+            if rounds > cfg.max_rounds:
+                raise ConfigError(
+                    f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
+                    f"rounds, more than the budget of {cfg.max_rounds}; use a larger cost "
+                    f"or a more informative model")
     return spec
+
+
+def _read_config_file(path: Path) -> dict:
+    """The JSON object in ``path``: OSError if unreadable, ConfigError if not one."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return data
 
 
 def parse_config(source: str | Path | Mapping[str, Any]) -> RunSpec:
@@ -246,15 +289,9 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunSpec:
         return resolve_config(source)
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = _read_config_file(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
     return resolve_config(data)
 
 
@@ -268,12 +305,7 @@ class RunManifest:
     outputs: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "created": self.created,
-            "outputs": list(self.outputs),
-        }
+        return dict(dataclasses.asdict(self), outputs=list(self.outputs))
 
 
 def _fmt(value: Any) -> str:
@@ -282,29 +314,30 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _rate_entry(spec: RunSpec, policy: str) -> dict:
-    model = model_from_dict(spec.model)
-    d_gf, d_fg = model.kl_divergences()
-    if policy in _UNKNOWN_COUNT_POLICIES:
-        cfg = spec.experiment_config(policy)
-        return {"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
-                "true_target_count": cfg.true_target_count}
-    if policy in ("dgf", "chernoff"):
-        report = rate_single(model, spec.M, spec.K)
-    else:
-        report = rate_multi(model, spec.M, spec.K, spec.L)
-    return {"d_gf": report.d_gf, "d_fg": report.d_fg,
-            "i_star": report.i_star, "regime": report.regime, "bound": "rate"}
+def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float]]:
+    """The policy's summary rate entry and its risk floor as a function of the cost.
+
+    Target constraint ``up_to`` is measured against -ell c log c / D(g||f)
+    for the true count ell; every other against -c log c / I* of
+    ``rate_multi``, which at L = 1 equals ``rate_single`` bit for bit.
+    """
+    model = cfg.model
+    if POLICIES[cfg.policy].targets == "up_to":
+        ell = cfg.true_target_count
+        d_gf, d_fg = model.kl_divergences()
+        return ({"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
+                 "true_target_count": ell},
+                lambda cost: unknownl_lower_bound(cost, ell, model))
+    report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
+    return ({"d_gf": report.d_gf, "d_fg": report.d_fg, "i_star": report.i_star,
+             "regime": report.regime, "bound": "rate"},
+            report.lower_bound_at)
 
 
-def _lower_bound(spec: RunSpec, policy: str, cost: float) -> float:
-    model = model_from_dict(spec.model)
-    if policy in _UNKNOWN_COUNT_POLICIES:
-        ell = spec.experiment_config(policy).true_target_count
-        return unknownl_lower_bound(cost, ell, model)
-    if policy in ("dgf", "chernoff"):
-        return rate_single(model, spec.M, spec.K).lower_bound_at(cost)
-    return rate_multi(model, spec.M, spec.K, spec.L).lower_bound_at(cost)
+def _truncation_warnings(rows: Sequence[Mapping[str, Any]]) -> list[str]:
+    return [f"{row['policy']} at -log c = {row['neg_log_c']:g}: {row['truncations']} of "
+            f"{row['trials']} trials hit the round budget and count as errors"
+            for row in rows if row["truncations"]]
 
 
 def run_spec(spec: RunSpec, workers: int = 1,
@@ -324,9 +357,10 @@ def run_spec(spec: RunSpec, workers: int = 1,
 
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
+        _, lower_bound = _benchmark(cfg)
         results = run_experiment(cfg, workers=workers, progress=report)
         for t, (cost, m) in zip(spec.neg_log_c, results):
-            bound = _lower_bound(spec, policy, cost)
+            bound = lower_bound(cost)
             rows.append({
                 "policy": policy, "M": spec.M, "K": spec.K, "L": spec.L,
                 "neg_log_c": t, "c": cost, "trials": m.trial_count,
@@ -358,14 +392,16 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
         outputs.extend(extra.get("outputs", ()))
     manifest = RunManifest(
         config=spec.to_dict(),
-        version=_package_version(),
+        version=__version__,
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(outputs),
     )
     summary = {
         "manifest": manifest.to_dict(),
-        "rates": {policy: _rate_entry(spec, policy) for policy in spec.policies},
+        "rates": {policy: _benchmark(spec.experiment_config(policy))[0]
+                  for policy in spec.policies},
         "results": [dict(row) for row in rows],
+        "warnings": _truncation_warnings(rows),
     }
     if extra:
         summary.update({k: v for k, v in extra.items() if k != "outputs"})
@@ -375,24 +411,14 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     return manifest
 
 
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
-
-
-def _hyp_str(cells: Sequence[int] | int | None) -> str:
+def _hyp_str(cells: Sequence[int] | None) -> str:
     if cells is None:
         return ""
-    if isinstance(cells, int):
-        return str(cells)
     return "|".join(str(c) for c in cells)
 
 
 def _write_trial_csv(path: Path, cfg: ExperimentConfig, cost: float,
                      workers: int) -> None:
-    from .sim import run_trials
-
     results = run_trials(cfg, cost, workers=workers)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -416,7 +442,7 @@ def _run_diagnostics(spec: RunSpec, out: Path, workers: int,
         _write_trial_csv(out / name, cfg, cost, workers)
         extra["outputs"].append(name)
         entry: dict[str, Any] = {"per_trial_csv": name}
-        if policy in ("dgf", "chernoff"):
+        if POLICIES[policy].targets == "one":
             decay = tau1_decay_diagnostic(cfg, cost, workers=workers)
             entry["tau1_decay"] = dataclasses.asdict(decay)
         extra["diagnostics"][policy] = entry
@@ -524,13 +550,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _flags_layer(args: argparse.Namespace) -> dict[str, Any]:
-    layer: dict[str, Any] = {}
-    if args.M is not None:
-        layer["M"] = args.M
-    if args.K is not None:
-        layer["K"] = args.K
-    if args.L is not None:
-        layer["L"] = args.L
+    layer = {key: getattr(args, key) for key in ("M", "K", "L", "trials", "seed", "diagnostics")
+             if getattr(args, key) is not None}
     if args.policy is not None:
         layer["policies"] = args.policy
     if args.model is not None or args.lambda_f is not None or args.lambda_g is not None:
@@ -550,12 +571,6 @@ def _flags_layer(args: argparse.Namespace) -> dict[str, Any]:
         except ValueError:
             raise ConfigError(f"--neg-log-c must be comma-separated numbers, "
                               f"got {args.neg_log_c!r}") from None
-    if args.trials is not None:
-        layer["trials"] = args.trials
-    if args.seed is not None:
-        layer["seed"] = args.seed
-    if args.diagnostics is not None:
-        layer["diagnostics"] = args.diagnostics
     return layer
 
 
@@ -575,17 +590,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.preset is not None:
             layers.append(PRESETS[args.preset])
         if args.config is not None:
-            path = Path(args.config)
             try:
-                data = json.loads(path.read_text(encoding="utf-8"))
+                layers.append(_read_config_file(Path(args.config)))
             except OSError as exc:
-                print(f"error: cannot read config file {path}: {exc}", file=sys.stderr)
+                print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
                 return 3
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-            if not isinstance(data, dict):
-                raise ConfigError(f"config file {path} must hold a JSON object")
-            layers.append(data)
         layers.append(_flags_layer(args))
         spec = resolve_config(*layers)
         if args.workers < 1:
@@ -605,6 +614,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    for line in _truncation_warnings(rows):
+        print(f"warning: {line}", file=sys.stderr)
     for name in manifest.outputs:
         print(out_dir / name)
     return 0

@@ -307,16 +307,17 @@ def model_from_dict(spec: dict) -> ObservationModel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ModelError("model spec must be a mapping with a 'kind' key")
     kind = spec["kind"]
-    try:
-        cls = _KINDS[kind]
-    except KeyError:
-        raise ModelError(f"unknown model kind {kind!r}; expected one of {sorted(_KINDS)}") from None
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ModelError(f"unknown model kind {kind!r}; expected one of {sorted(_KINDS)}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    if cls is Tabulated:
-        for key in ("support", "pmf_f", "pmf_g"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+    if any(isinstance(v, bool) for v in kwargs.values()):
+        raise ModelError(f"{kind!r} model parameters must be numbers, not true/false")
     try:
+        if cls is Tabulated:
+            for key in ("support", "pmf_f", "pmf_g"):
+                if key in kwargs:
+                    kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
     except TypeError as exc:
         raise ModelError(f"bad parameters for {kind!r} model: {exc}") from None

@@ -48,10 +48,7 @@ __all__ = [
     "ml_hypothesis",
     "generic_stop_margin",
     "chernoff_generic_step",
-    "POLICY_NAMES",
 ]
-
-POLICY_NAMES = ("dgf", "chernoff", "dgf_l", "seq_dgf_l", "unknown_l", "chernoff_generic")
 
 
 @dataclass(frozen=True)
@@ -305,24 +302,19 @@ def chernoff_generic_step(
     scores: Sequence[float],
     kl: HypothesisActionKL,
     rng: np.random.Generator,
-    q_cache: Sequence[np.ndarray] | None = None,
+    q_cache: Sequence[np.ndarray],
 ) -> int:
     """One probing decision of the general-hypothesis Chernoff test.
 
     `scores` holds each hypothesis's accumulated log-likelihood (any common
     additive constant may be dropped). The action distribution is the
     maximin KL mixture against the ML hypothesis's rivals; since the KL
-    table is time-invariant, callers normally pass ``q_cache`` with one
-    precomputed mixture per hypothesis, and the linear program never runs
-    inside the probing loop. Returns the sampled action index.
+    table is time-invariant, ``q_cache`` holds one precomputed mixture per
+    hypothesis (``oracle.maximin_action_distribution``), and the linear
+    program never runs inside the probing loop. Returns the sampled action
+    index.
     """
-    i_hat = ml_hypothesis(scores)
-    if q_cache is not None:
-        q = q_cache[i_hat]
-    else:
-        from .oracle import maximin_action_distribution
-
-        q = maximin_action_distribution(kl, i_hat)[0]
+    q = q_cache[ml_hypothesis(scores)]
     u = rng.random()
     acc = 0.0
     last = len(q) - 1

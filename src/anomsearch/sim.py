@@ -6,20 +6,29 @@ Trial t of an experiment draws every random variate from
 ``numpy.random.default_rng([seed, t])``, in a fixed order:
 
 1. ground truth (skipped entirely when ``fixed_hypothesis`` is set): one
-   uniform variate scanned against the prior for single-target policies, or
-   a partial Fisher-Yates shuffle (one ``integers`` call per target) for
-   target subsets;
+   uniform variate scanned against the prior for target constraint
+   ``one``, or a partial Fisher-Yates shuffle (one ``integers`` call per
+   target) for target subsets;
 2. each round, the policy's own randomness first (subset shuffle for
-   "chernoff", one uniform variate for "chernoff_generic"), then exactly
+   ``chernoff``, one uniform variate for ``chernoff_generic``), then exactly
    one variate per observation, probed cells visited in ascending order.
 
 Nothing else touches the stream, so a trial is bit-reproducible in
 isolation and experiment results cannot depend on scheduling or on how
 trials are chunked across worker processes.
 
+Policies
+--------
+``POLICIES`` is the one place where each policy's facts live: its target
+constraint (``one``: L = 1, one true target drawn from ``priors``, tau1
+tracked under diagnostics; ``exact``: the true count is L; ``up_to``: any
+true count in 1..L, measured against the unknown-count bound), whether it
+probes one cell per round, and its engine. ``POLICY_NAMES`` is its key
+order. Every check and dispatch reads the table instead of naming policies.
+
 Engines
 -------
-The deterministic policies ("dgf", "dgf_l", "seq_dgf_l", "unknown_l")
+The deterministic policies (``dgf``, ``dgf_l``, ``seq_dgf_l``, ``unknown_l``)
 draw no randomness of their own, so after the truth draw a trial's stream
 is nothing but its observations' base variates, one per probed cell. They
 run in one lockstep engine: trials advance together, a chunk at a time,
@@ -29,14 +38,19 @@ generator (``Generator`` array draws equal the same number of scalar
 draws). A block that runs out is refilled from the same generator. Draws
 past a trial's end are never read and nothing follows them in the stream,
 so they are unobservable: results are bit-identical to drawing one
-observation at a time. The randomized policies ("chernoff",
-"chernoff_generic") interleave their own draws with the observations and
-run one trial at a time in scalar loops.
+observation at a time. The randomized policies (``chernoff``,
+``chernoff_generic``) interleave their own draws with the observations and
+run one trial at a time in scalar loops. ``chernoff`` steps a
+``SearchState`` with ``update`` and ``chernoff_step``, the scalar
+reference path. ``_run_generic_trial`` is the one special case: it scores
+hypotheses rather than cells, keeps bare per-cell sums and samples from
+per-hypothesis mixtures cached once per scenario.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -48,7 +62,6 @@ from scipy.stats import norm
 from .models import ObservationModel
 from .oracle import anomaly_hypotheses, hypothesis_action_kl, maximin_action_distribution
 from .policies import (
-    POLICY_NAMES,
     PolicyConfig,
     Stop,
     chernoff_generic_step,
@@ -62,6 +75,9 @@ from .policies import dgf_step, dgfl_step, seq_dgfl_step, unknownl_step  # noqa:
 from .state import SearchState, update
 
 __all__ = [
+    "POLICIES",
+    "POLICY_NAMES",
+    "PolicyEntry",
     "ExperimentConfig",
     "TrialResult",
     "AggregateMetrics",
@@ -73,9 +89,6 @@ __all__ = [
     "tau1_decay_diagnostic",
 ]
 
-_SINGLE_TARGET_POLICIES = ("dgf", "chernoff")
-_ONE_PROBE_POLICIES = ("seq_dgf_l", "unknown_l", "chernoff_generic")
-_LOCKSTEP_POLICIES = ("dgf", "dgf_l", "seq_dgf_l", "unknown_l")
 # Trials advanced together; bounds the engine's arrays and live generators.
 _CHUNK = 1024
 # Rounds of base variates drawn per trial at a time.
@@ -90,13 +103,13 @@ class ExperimentConfig:
     ``neg_log_c`` is the grid of -log c values (the natural axis for these
     experiments); each entry maps to an observation cost c = exp(-neg_log_c).
     ``true_target_count`` is the ground-truth number of abnormal cells,
-    defaulting to 1 for single-target policies and to ``num_targets``
-    otherwise; policies that presume a known count require the two to agree,
-    while "unknown_l" and "chernoff_generic" accept any count up to
-    ``num_targets``. ``priors`` (single-target policies only) weights which
-    cell holds the target; None means uniform. ``fixed_hypothesis`` pins the
-    ground truth to one target set instead of sampling it, for conditional
-    error/delay measurements.
+    defaulting to ``num_targets`` (the size of ``fixed_hypothesis`` when
+    that is set); it must equal ``num_targets`` unless the policy's target
+    constraint is "up_to", which accepts any count up to ``num_targets``.
+    ``priors`` (target constraint "one" only) weights which cell holds the
+    target; None means uniform. ``fixed_hypothesis`` pins the ground truth
+    to one target set instead of sampling it, for conditional error/delay
+    measurements.
     """
 
     num_cells: int
@@ -115,7 +128,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         m, k, l = self.num_cells, self.probes_per_round, self.num_targets
-        if self.policy not in POLICY_NAMES:
+        policy = POLICIES.get(self.policy)
+        if policy is None:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {POLICY_NAMES}")
         if m < 2:
             raise ValueError("need at least two cells")
@@ -123,9 +137,9 @@ class ExperimentConfig:
             raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
         if not 1 <= l < m:
             raise ValueError(f"target count must lie in [1, {m}), got {l}")
-        if self.policy in _ONE_PROBE_POLICIES and k != 1:
+        if policy.one_probe and k != 1:
             raise ValueError(f"policy {self.policy!r} probes one cell per round; got K={k}")
-        if self.policy in _SINGLE_TARGET_POLICIES and l != 1:
+        if policy.targets == "one" and l != 1:
             raise ValueError(f"policy {self.policy!r} searches for one target; got L={l}")
         grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
@@ -155,30 +169,17 @@ class ExperimentConfig:
 
         ell = self.true_target_count
         if ell is None:
-            if fixed is not None:
-                ell = len(fixed)
-            elif self.policy in _SINGLE_TARGET_POLICIES:
-                ell = 1
-            else:
-                ell = l
+            ell = l if fixed is None else len(fixed)
             object.__setattr__(self, "true_target_count", ell)
-        if self.policy in _SINGLE_TARGET_POLICIES:
-            if ell != 1:
-                raise ValueError(f"policy {self.policy!r} assumes one true target, got {ell}")
-        elif self.policy in ("dgf_l", "seq_dgf_l"):
-            if ell != l:
-                raise ValueError(
-                    f"policy {self.policy!r} assumes exactly {l} true targets, got {ell}"
-                )
-        elif not 1 <= ell <= l:
+        if policy.targets != "up_to" and ell != l:
+            raise ValueError(f"policy {self.policy!r} assumes L = {l} true targets, got {ell}")
+        if not 1 <= ell <= l:
             raise ValueError(f"true target count must lie in [1, {l}], got {ell}")
         if fixed is not None and len(fixed) != ell:
-            raise ValueError(
-                f"fixed_hypothesis has {len(fixed)} cells but true_target_count is {ell}"
-            )
+            raise ValueError(f"fixed_hypothesis has {len(fixed)} cells but true_target_count is {ell}")
 
         if self.priors is not None:
-            if self.policy not in _SINGLE_TARGET_POLICIES:
+            if policy.targets != "one":
                 raise ValueError("priors apply to single-target policies only")
             priors = tuple(float(p) for p in self.priors)
             if len(priors) != m:
@@ -189,7 +190,7 @@ class ExperimentConfig:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"priors must sum to 1, got {total}")
             object.__setattr__(self, "priors", tuple(p / total for p in priors))
-        elif self.policy in _SINGLE_TARGET_POLICIES:
+        elif policy.targets == "one":
             object.__setattr__(self, "priors", (1.0 / m,) * m)
 
     @property
@@ -224,7 +225,7 @@ class AggregateMetrics:
     """Summary of one (policy, cost) batch of trials.
 
     bayes_risk is p_e + cost * mean_tau_d; detection and termination time
-    coincide except under "unknown_l", so this matches the plain
+    coincide except under ``unknown_l``, so this matches the plain
     p_e + cost * mean_tau for every other policy. risk_stderr is the
     standard error of the per-trial risk sample (error indicator plus
     cost * tau_d), for confidence intervals on bayes_risk. The 95% CI is a
@@ -270,7 +271,7 @@ def _draw_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[int, .
     if cfg.fixed_hypothesis is not None:
         return cfg.fixed_hypothesis
     m = cfg.num_cells
-    if cfg.policy in _SINGLE_TARGET_POLICIES:
+    if POLICIES[cfg.policy].targets == "one":
         u = rng.random()
         acc = 0.0
         for cell, p in enumerate(cfg.priors):
@@ -315,13 +316,11 @@ def run_trial(
     """
     if not 0.0 < cost < 1.0:
         raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
-    if cfg.policy in _LOCKSTEP_POLICIES:
+    policy = POLICIES[cfg.policy]
+    if policy.rule is not None:
         return _run_lockstep(cfg, cost, trial_index, trial_index + 1, trace)[0]
     rng = np.random.default_rng([cfg.seed, trial_index])
-    truth = _draw_truth(cfg, rng)
-    if cfg.policy == "chernoff_generic":
-        return _run_generic_trial(cfg, cost, rng, truth, trace)
-    return _run_chernoff_trial(cfg, cost, rng, truth, trace)
+    return policy.loop(cfg, cost, rng, _draw_truth(cfg, rng), trace)
 
 
 def _run_chernoff_trial(
@@ -339,7 +338,6 @@ def _run_chernoff_trial(
     truth_set = frozenset(truth)
     true_cell = truth[0]
     last_break = 0
-    observations_taken = 0
     decision: tuple[int, ...] | None = None
     truncated = False
 
@@ -355,7 +353,6 @@ def _run_chernoff_trial(
         for cell in sorted(action.cells):
             observations[cell] = model.sample(cell in truth_set, rng)
         update(state, action.cells, observations, model)
-        observations_taken += len(action.cells)
         if trace is not None:
             trace.append((action.cells, observations))
         if cfg.diagnostics:
@@ -366,16 +363,11 @@ def _run_chernoff_trial(
                     last_break = state.n
                     break
 
-    return TrialResult(
-        true_hypothesis=truth,
-        decision=decision,
-        correct=decision is not None and decision == truth,
-        tau=state.n,
-        tau_d=state.n,
-        observations_taken=observations_taken,
-        tau1=(last_break + 1) if cfg.diagnostics else None,
-        truncated=truncated,
-    )
+    # Every chernoff round probes exactly K cells.
+    return TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
+                       tau=state.n, tau_d=state.n,
+                       observations_taken=state.n * cfg.probes_per_round,
+                       tau1=(last_break + 1) if cfg.diagnostics else None, truncated=truncated)
 
 
 def _run_lockstep(
@@ -392,7 +384,7 @@ def _run_lockstep(
     pcfg = PolicyConfig.for_model(
         cfg.model, cfg.num_cells, cfg.probes_per_round, cost, cfg.num_targets
     )
-    rule = _lockstep_rule(cfg, pcfg)
+    rule = POLICIES[cfg.policy].rule(cfg, pcfg)
     out: list[TrialResult] = []
     for start in range(lo, hi, _CHUNK):
         out += _lockstep_chunk(cfg, rule, range(start, min(start + _CHUNK, hi)), trace)
@@ -403,60 +395,60 @@ def _run_lockstep(
 # declared-cell mask (updated in place, as are the rounds of their last
 # abnormal declaration) and the round number. It returns which trials
 # stop, the decision mask of those that do, and every trial's probe set in
-# the scalar rule's order.
+# the scalar rule's order. Each rule below mirrors its scalar rule in
+# ``policies`` exactly: rankings break ties towards the lower cell index
+# (stable sort, first argmax), and stop tests use the same float comparisons.
 _Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, int],
                  tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-def _lockstep_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
-    """The vectorised step rule of ``cfg.policy``, one row per trial.
-
-    Each mirrors its scalar rule in ``policies`` exactly: rankings break
-    ties towards the lower cell index (stable sort, first argmax), and
-    stop tests use the same float comparisons.
-    """
+def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """dgf and dgf_l (dgf_step is dgfl_step with L=1): a fixed window of the ranking."""
     m, k, l, thr = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, pcfg.threshold
+    if pcfg.multi_regime == "g":
+        first = 0 if k >= l else l - k
+    else:
+        first = m - k if k > m - l else l
 
-    if cfg.policy in ("dgf", "dgf_l"):
-        # dgf_step is dgfl_step with L=1; the probe set is a fixed window
-        # of the ranking.
-        if pcfg.multi_regime == "g":
-            first = 0 if k >= l else l - k
-        else:
-            first = m - k if k > m - l else l
+    def rank(S, declared, last_declared, n):
+        rows = np.arange(len(S))
+        order = np.argsort(-S, axis=1, kind="stable")
+        stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
+        decision = np.zeros((int(stop.sum()), m), dtype=bool)
+        decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
+        return stop, decision, order[:, first:first + k]
 
-        def rank(S, declared, last_declared, n):
-            rows = np.arange(len(S))
-            order = np.argsort(-S, axis=1, kind="stable")
-            stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
-            decision = np.zeros((int(stop.sum()), m), dtype=bool)
-            decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
-            return stop, decision, order[:, first:first + k]
+    return rank
 
-        return rank
 
-    if cfg.policy == "seq_dgf_l":
-        # The "f" regime is the "g" regime on negated sums: declare cells
-        # normal from the bottom up and output the survivors.
-        chase_top = pcfg.multi_regime == "g"
-        needed = l if chase_top else m - l
+def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
+    cells normal from the bottom up and output the survivors."""
+    m, l, thr = cfg.num_cells, cfg.num_targets, pcfg.threshold
+    chase_top = pcfg.multi_regime == "g"
+    needed = l if chase_top else m - l
 
-        def sequential(S, declared, last_declared, n):
-            rows = np.arange(len(S))
-            X = S if chase_top else -S
-            while True:
-                best = np.where(declared, -np.inf, X).argmax(axis=1)
-                hit = (declared.sum(axis=1) < needed) & (X[rows, best] >= thr)
-                if not hit.any():
-                    break
-                declared[rows[hit], best[hit]] = True
-                if chase_top:
-                    last_declared[hit] = n
-            stop = declared.sum(axis=1) >= needed
-            decision = declared[stop] if chase_top else ~declared[stop]
-            return stop, decision, best[:, None]
+    def sequential(S, declared, last_declared, n):
+        rows = np.arange(len(S))
+        X = S if chase_top else -S
+        while True:
+            best = np.where(declared, -np.inf, X).argmax(axis=1)
+            hit = (declared.sum(axis=1) < needed) & (X[rows, best] >= thr)
+            if not hit.any():
+                break
+            declared[rows[hit], best[hit]] = True
+            if chase_top:
+                last_declared[hit] = n
+        stop = declared.sum(axis=1) >= needed
+        decision = declared[stop] if chase_top else ~declared[stop]
+        return stop, decision, best[:, None]
 
-        return sequential
+    return sequential
+
+
+def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
+    thr = pcfg.threshold
 
     def unknown(S, declared, last_declared, n):
         newly = ~declared & (S >= thr)
@@ -485,7 +477,7 @@ def _lockstep_chunk(
         truth[i, list(hyp)] = True
         rngs.append(rng)
         truths.append(hyp)
-    track_tau1 = cfg.diagnostics and cfg.policy in _SINGLE_TARGET_POLICIES
+    track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
     true_cell = truth.argmax(axis=1)
 
     # Per chunk trial: outcome. Per live trial (row): running state.
@@ -595,34 +587,49 @@ def _run_generic_trial(
         if trace is not None:
             trace.append(((cell,), {cell: y}))
 
-    return TrialResult(
-        true_hypothesis=truth,
-        decision=decision,
-        correct=decision is not None and decision == truth,
-        tau=n,
-        tau_d=n,
-        observations_taken=n,
-        tau1=None,
-        truncated=truncated,
-    )
+    return TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
+                       tau=n, tau_d=n, observations_taken=n, truncated=truncated)
+
+
+@dataclass(frozen=True)
+class PolicyEntry:
+    """One policy's facts (see "Policies" above). The engine is exactly one
+    of ``rule``, which builds the lockstep rule, and ``loop``, which runs one
+    trial from ``(cfg, cost, rng, truth, trace)``."""
+
+    targets: str
+    one_probe: bool
+    rule: Callable[[ExperimentConfig, PolicyConfig], _Rule] | None = None
+    loop: Callable[..., TrialResult] | None = None
+
+
+POLICIES: dict[str, PolicyEntry] = {
+    "dgf": PolicyEntry("one", False, rule=_ranked_rule),
+    "chernoff": PolicyEntry("one", False, loop=_run_chernoff_trial),
+    "dgf_l": PolicyEntry("exact", False, rule=_ranked_rule),
+    "seq_dgf_l": PolicyEntry("exact", True, rule=_sequential_rule),
+    "unknown_l": PolicyEntry("up_to", True, rule=_unknown_count_rule),
+    "chernoff_generic": PolicyEntry("up_to", True, loop=_run_generic_trial),
+}
+POLICY_NAMES = tuple(POLICIES)
 
 
 def _trial_span(cfg: ExperimentConfig, cost: float, lo: int, hi: int) -> list[TrialResult]:
-    if cfg.policy in _LOCKSTEP_POLICIES:
+    if POLICIES[cfg.policy].rule is not None:
         return _run_lockstep(cfg, cost, lo, hi)
     return [run_trial(cfg, cost, t) for t in range(lo, hi)]
 
 
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    spans = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        spans.append((lo, hi))
-        lo = hi
-    return spans
+    bounds = [total * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
@@ -630,13 +637,15 @@ def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[Tri
 
     With workers > 1 the trials are chunked across processes; per-trial
     seeding makes the output independent of the chunking, so any worker
-    count yields the identical list.
+    count yields the identical list. The pool never holds more processes
+    than there are chunks or CPUs available to this process.
     """
     if workers <= 1:
         return _trial_span(cfg, cost, 0, cfg.trials)
+    workers = min(workers, _available_cpus())
     spans = _spans(cfg.trials, workers * 4)
     out: list[TrialResult] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
         futures = [pool.submit(_trial_span, cfg, cost, lo, hi) for lo, hi in spans]
         for future in futures:
             out.extend(future.result())
@@ -712,7 +721,7 @@ def tau1_decay_diagnostic(
     Only correct, non-truncated trials contribute: tau1 measures when the
     true cell's lead became permanent, which is undefined on error paths.
     """
-    if cfg.policy not in _SINGLE_TARGET_POLICIES:
+    if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
     run_cfg = cfg
     if not run_cfg.diagnostics:

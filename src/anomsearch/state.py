@@ -1,10 +1,10 @@
-"""Per-trial bookkeeping: sum LLRs, probe counts, rankings, and gaps.
+"""Per-trial bookkeeping: sum LLRs, rankings, and declarations.
 
 A :class:`SearchState` tracks, for each of the M cells, the running sum of
-log-likelihood ratios of every observation taken from that cell, plus how
-often the cell was probed and which cells have been declared so far. All
-probing policies are pure functions of this state; the Monte Carlo engine
-owns exactly one state per trial and mutates it in place.
+log-likelihood ratios of every observation taken from that cell, plus which
+cells have been declared so far. All probing policies are pure functions of
+this state; the scalar trial loop owns exactly one state per trial and
+mutates it in place.
 
 Cells are ranked by sum LLR, largest first. Equal sums are ordered by
 ascending cell index: the tie direction is arbitrary in principle, but
@@ -18,7 +18,7 @@ from typing import Iterable, Mapping
 
 from .models import ObservationModel
 
-__all__ = ["Declaration", "SearchState", "update", "ranked_cells", "gap"]
+__all__ = ["Declaration", "SearchState", "update", "ranked_cells"]
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,16 @@ class SearchState:
     ----------
     n: rounds elapsed (each round probes a fixed-size set of cells).
     s: per-cell sum of observation LLRs; zero for never-probed cells.
-    counts: per-cell number of probes.
     declared: append-only list of Declaration events, times non-decreasing.
     """
 
-    __slots__ = ("n", "s", "counts", "declared", "_abnormal", "_normal")
+    __slots__ = ("n", "s", "declared", "_abnormal", "_normal")
 
     def __init__(self, num_cells: int) -> None:
         if num_cells < 2:
             raise ValueError("need at least two cells to search")
         self.n = 0
         self.s = [0.0] * num_cells
-        self.counts = [0] * num_cells
         self.declared: list[Declaration] = []
         self._abnormal: set[int] = set()
         self._normal: set[int] = set()
@@ -91,8 +89,8 @@ def update(
 ) -> SearchState:
     """Fold one round of observations into the state (in place).
 
-    Every probed cell m gets s[m] += llr(y_m) and counts[m] += 1; the round
-    counter advances by one. Probes must be distinct, in range, and carry
+    Every probed cell m gets s[m] += llr(y_m); the round counter advances
+    by one. Probes must be distinct, in range, and carry
     exactly one observation each. Returns the same state object.
     """
     cells = tuple(probes)
@@ -109,7 +107,6 @@ def update(
     llr = model.llr
     for m in cells:
         state.s[m] += llr(observations[m])
-        state.counts[m] += 1
     state.n += 1
     return state
 
@@ -122,16 +119,3 @@ def ranked_cells(state: SearchState) -> list[int]:
     """
     return sorted(range(len(state.s)), key=state.s.__getitem__, reverse=True)
 
-
-def gap(state: SearchState, top: int = 1) -> float:
-    """Sum-LLR margin between the `top`-th and (top+1)-th ranked cells.
-
-    This is the statistic every stopping rule thresholds: with top=1 it is
-    the lead of the best cell over the runner-up; with top=L it is the
-    separation between the candidate target set and the rest. Non-negative
-    by construction. Requires 1 <= top < number of cells.
-    """
-    if not 1 <= top < state.num_cells:
-        raise ValueError(f"gap rank must be in [1, {state.num_cells}), got {top}")
-    order = ranked_cells(state)
-    return state.s[order[top - 1]] - state.s[order[top]]

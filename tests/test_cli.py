@@ -10,6 +10,7 @@ from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
     ConfigError,
+    emit_results,
     main,
     model_from_dict,
     parse_config,
@@ -230,12 +231,61 @@ class TestMainCommand:
         ["--neg-log-c", "800"],  # c = exp(-800) underflows to 0.0
         ["--neg-log-c", "1e-17"],  # c = exp(-1e-17) rounds to 1.0
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e200"],  # KL overflows
+        # KL of 5e-9: a trial would need about 2e8 rounds, over the round budget
+        ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e-4", "--neg-log-c", "1"],
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, argv):
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        {"neg_log_c": 5},
+        {"neg_log_c": "1,2"},
+        {"priors": 3},
+        {"policies": 5},
+        {"policies": ["dgf", 5]},
+        {"true_target_count": "x", "policies": ["unknown_l"], "L": 2},
+        {"model": {"kind": "tabulated", "support": 5,
+                   "pmf_f": [0.5, 0.5], "pmf_g": [0.2, 0.8]}},
+        {"model": {"kind": ["exponential"]}},
+        {"model": {"kind": "exponential", "lambda_f": True, "lambda_g": 10.0}},
+        {"fixed_hypothesis": [0.5]},
+        {"diagnostics": "false"},
+        b"\xff\xfe{}",  # not UTF-8
+    ], ids=["grid-number", "grid-string", "priors-number", "policies-number",
+            "policies-item", "count-string", "support-number", "kind-list",
+            "rate-bool", "cell-float", "flag-string", "not-utf8"])
+    def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        if isinstance(content, bytes):
+            config.write_bytes(content)
+        else:
+            config.write_text(json.dumps(content))
+        assert main([str(config), "--trials", "2", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    def test_truncations_warn(self, tmp_path, capsys, monkeypatch):
+        spec = resolve_config(TINY)
+        (row,) = run_spec(spec)
+        assert row["truncations"] == 0
+        emit_results([row], spec, tmp_path / "clean")
+        assert json.loads((tmp_path / "clean" / "summary.json").read_text())["warnings"] == []
+
+        cut = dict(row, truncations=3)
+        monkeypatch.setattr("anomsearch.cli.run_spec", lambda *args, **kwargs: [cut])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(TINY))
+        code, out = self.run_main(tmp_path, str(config))
+        assert code == 0
+        expected = "dgf at -log c = 2: 3 of 25 trials hit the round budget and count as errors"
+        assert f"warning: {expected}" in capsys.readouterr().err.splitlines()
+        assert json.loads((out / "summary.json").read_text())["warnings"] == [expected]
+        with (out / "results.csv").open() as fh:
+            assert next(csv.DictReader(fh))["truncations"] == "3"
 
     def test_usage_errors_exit_2(self):
         assert main(["--preset", "not-a-preset"]) == 2

@@ -1,17 +1,21 @@
 """Byte-for-byte golden outputs of the shipped presets.
 
-The digests are SHA-256 sums of ``results.csv`` written by
-``anomsearch --preset <name> --trials 300 --seed 271828``, pinned from the
+Each preset runs once as ``anomsearch --preset <name> --trials 300 --seed
+271828``. ``GOLDEN`` pins the SHA-256 of its ``results.csv``, taken from the
 one-trial-at-a-time scalar engine before the lockstep engine replaced it for
-the deterministic policies. Any change to the trial engines, the models'
-float arithmetic or the CSV format that moves a single bit fails here.
+the deterministic policies. ``SUMMARY_GOLDEN`` pins the SHA-256 of the
+canonical JSON (sorted keys, no whitespace) of the ``rates`` and ``results``
+blocks of ``summary.json``; the manifest is left out, as it records a
+timestamp. Any change to the trial engines, the models' float arithmetic,
+the rate helpers or the output formats that moves a single bit fails here.
 
 NumPy's policy (NEP 19) lets ``Generator`` streams change between releases,
 so the digests hold only under the NumPy version that produced them; on any
-other version the test skips with "stream version changed".
+other version the tests skip with "stream version changed".
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,17 +31,36 @@ GOLDEN = {
     "fig4": "fb2f21ad126c2df011998631c8daace6986f60060556469c19045979bed55a9c",
     "table1_example": "d63f5fd5afd706fc38f11c6dd4fcc81f7e0249311aa271834ac15920f641f452",
 }
+SUMMARY_GOLDEN = {
+    "fig2": "7bfc1103dd0e3f388ca40e842747c36acbc272f35b5bf83ce77fb2465d3a33a8",
+    "fig3": "35edae3627acd565903f09b14b79d4f4edb854c44705b031b59f6aee9d997cb4",
+    "fig4": "ae86fa63ff9eb8b9d09059b87fab0772cf46363e2bc9bf3185e32a6fcc111567",
+    "table1_example": "050d7223f25fa41a4c5eb4c24508a4f54d614d666fccc9029d553808e839215f",
+}
 
 
-@pytest.mark.parametrize("preset", sorted(GOLDEN))
-def test_preset_results_match_pinned_digest(preset, tmp_path, capsys):
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def preset(request, tmp_path_factory):
+    """The preset's name and output directory, run once for both digests."""
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"stream version changed: digests pinned under NumPy {PINNED_NUMPY}, "
                     f"running {np.__version__}")
-    out = tmp_path / preset
-    code = main(["--preset", preset, "--trials", str(TRIALS), "--seed", str(SEED),
+    out = tmp_path_factory.mktemp(request.param)
+    code = main(["--preset", request.param, "--trials", str(TRIALS), "--seed", str(SEED),
                  "--out", str(out)])
-    capsys.readouterr()
     assert code == 0
+    return request.param, out
+
+
+def test_preset_results_match_pinned_digest(preset):
+    name, out = preset
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN[preset]
+    assert digest == GOLDEN[name]
+
+
+def test_preset_summary_matches_pinned_digest(preset):
+    name, out = preset
+    summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+    blob = json.dumps({"rates": summary["rates"], "results": summary["results"]},
+                      sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SUMMARY_GOLDEN[name]

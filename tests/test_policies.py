@@ -19,6 +19,7 @@ from anomsearch import (
     dgfl_step,
     generic_stop_margin,
     hypothesis_action_kl,
+    maximin_action_distribution,
     ml_hypothesis,
     seq_dgfl_step,
     unknownl_step,
@@ -285,10 +286,11 @@ def test_chernoff_generic_step_samples_cached_mixture():
     assert 200 < ones < 400  # fair split between the two supported actions
 
 
-def test_chernoff_generic_step_without_cache_solves_lp():
+def test_chernoff_generic_step_samples_lp_mixture():
     model = Bernoulli(0.1, 0.6)
     hyps = anomaly_hypotheses(3, max_targets=2)
     kl = hypothesis_action_kl(model, hyps, 3)
+    q_cache = [maximin_action_distribution(kl, i)[0] for i in range(len(hyps))]
     rng = np.random.default_rng(1)
-    action = chernoff_generic_step([1.0] + [0.0] * 5, kl, rng)
+    action = chernoff_generic_step([1.0] + [0.0] * 5, kl, rng, q_cache)
     assert action in (1, 2)

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from anomsearch import sim
 from anomsearch import (
     AggregateMetrics,
     Bernoulli,
@@ -151,6 +153,25 @@ class TestDeterminism:
         config = cfg(policy="chernoff", trials=30, seed=3)
         cost = config.costs[0]
         assert run_trials(config, cost, workers=1) == run_trials(config, cost, workers=2)
+
+    def test_pool_size_is_clamped(self, monkeypatch):
+        # A thread pool stands in for the process pool, so no process starts
+        # and at most one thread per submitted chunk does.
+        sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 3)
+        few = cfg(trials=2)
+        cost = few.costs[0]
+        assert run_trials(few, cost, workers=64) == run_trials(few, cost)
+        many = cfg(trials=50)
+        assert run_trials(many, cost, workers=64) == run_trials(many, cost)
+        assert sizes == [2, 3]  # fewer chunks than CPUs, then fewer CPUs than workers
 
     def test_trace_replays_observation_stream(self):
         config = cfg(trials=1)

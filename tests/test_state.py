@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from anomsearch import Bernoulli, Exponential, SearchState, gap, ranked_cells, update
+from anomsearch import Bernoulli, Exponential, SearchState, ranked_cells, update
 
 MODEL = Exponential(1.0, 4.0)
 
@@ -10,7 +10,6 @@ def test_fresh_state_is_empty():
     st_ = SearchState(4)
     assert st_.n == 0
     assert list(st_.s) == [0.0] * 4
-    assert list(st_.counts) == [0] * 4
     assert st_.declared == []
 
 
@@ -18,7 +17,6 @@ def test_update_folds_llr_and_counts():
     st_ = SearchState(3)
     update(st_, (0, 2), {0: 0.5, 2: 1.5}, MODEL)
     assert st_.n == 1
-    assert st_.counts == [1, 0, 1]
     assert st_.s[0] == pytest.approx(MODEL.llr(0.5))
     assert st_.s[1] == 0.0
     assert st_.s[2] == pytest.approx(MODEL.llr(1.5))
@@ -26,7 +24,6 @@ def test_update_folds_llr_and_counts():
     # second round accumulates
     update(st_, (0,), {0: 0.25}, MODEL)
     assert st_.n == 2
-    assert st_.counts[0] == 2
     assert st_.s[0] == pytest.approx(MODEL.llr(0.5) + MODEL.llr(0.25))
 
 
@@ -41,7 +38,7 @@ def test_update_rejects_malformed_rounds():
     with pytest.raises(ValueError):
         update(st_, (0,), {0: 1.0, 1: 2.0}, MODEL)
     # nothing was applied
-    assert st_.n == 0 and st_.counts == [0, 0, 0]
+    assert st_.n == 0 and st_.s == [0.0, 0.0, 0.0]
 
 
 def test_ranked_cells_breaks_ties_by_index():
@@ -51,18 +48,6 @@ def test_ranked_cells_breaks_ties_by_index():
 
     st_.s[:] = [0.0, 0.0, 0.0, 0.0]
     assert ranked_cells(st_) == [0, 1, 2, 3]
-
-
-def test_gap_between_ranks():
-    st_ = SearchState(4)
-    st_.s[:] = [5.0, 1.0, -1.0, -6.0]
-    assert gap(st_) == pytest.approx(4.0)
-    assert gap(st_, top=2) == pytest.approx(2.0)
-    assert gap(st_, top=3) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        gap(st_, top=0)
-    with pytest.raises(ValueError):
-        gap(st_, top=4)
 
 
 def test_declare_records_time_and_kind():
@@ -97,16 +82,16 @@ def test_probe_count_bookkeeping(data):
     k = data.draw(st.integers(1, m))
     rounds = data.draw(st.integers(0, 12))
     st_ = SearchState(m)
+    probed = set()
     for _ in range(rounds):
         probes = data.draw(
             st.lists(st.integers(0, m - 1), min_size=k, max_size=k, unique=True))
         obs = {c: data.draw(st.floats(0.01, 10.0)) for c in probes}
         update(st_, probes, obs, MODEL)
-    # every round probes exactly k cells
-    assert sum(st_.counts) == k * rounds
+        probed.update(probes)
     assert st_.n == rounds
     for c in range(m):
-        if st_.counts[c] == 0:
+        if c not in probed:
             assert st_.s[c] == 0.0
 
 
