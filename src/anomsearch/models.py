@@ -19,9 +19,13 @@ oracles in the test suite possible.
 The batched form splits a draw in two: ``draw_base`` fills an array with
 the base variates (standard exponential, standard normal or uniform) that
 successive ``sample`` calls would consume, since a Generator's array draws
-equal its scalar draws in sequence; ``sample_many`` then maps base
-variates to observations and their LLRs elementwise, with the same
-floating-point operations as ``sample`` followed by ``llr``.
+equal its scalar draws in sequence, and ``base_variate(rng)`` (the
+``Generator`` method itself, unbound) draws the one that a single
+``sample`` call would consume (``base_range`` bounds it); ``sample_many``
+then maps base variates to observations and their LLRs elementwise, with
+the same floating-point operations as ``sample`` followed by ``llr``.
+Constructors reject parameters under which an extreme base variate gives
+an infinite observation or LLR.
 """
 
 from __future__ import annotations
@@ -55,12 +59,21 @@ class ModelError(ValueError):
 
 
 def _require_informative(model: "ObservationModel") -> None:
+    """Reject f and g too close to tell apart, infinite KL, and parameters
+    under which the most extreme base variates (``base_range``) give an
+    infinite or NaN observation or LLR."""
     d_gf, d_fg = model.kl_divergences()
     if not (_MIN_KL <= d_gf < math.inf and _MIN_KL <= d_fg < math.inf):
         raise ModelError(
             f"{model.kind} model is degenerate: D(g||f)={d_gf:.3g}, "
             f"D(f||g)={d_fg:.3g}; both must be finite and at least {_MIN_KL}"
         )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for abnormal in (False, True):
+            y, llr = model.sample_many(np.full(2, abnormal), np.array(model.base_range))
+            if not (np.isfinite(y).all() and np.isfinite(llr).all()):
+                raise ModelError(f"{model.kind} parameters overflow an observation or its "
+                                 f"log-likelihood ratio")
 
 
 def _checked(post_init: Callable[[object], None]) -> Callable[[object], None]:
@@ -104,8 +117,12 @@ class Exponential:
         rate = self.lambda_g if abnormal else self.lambda_f
         return rng.standard_exponential() / rate
 
+    base_variate = staticmethod(np.random.Generator.standard_exponential)
+    # Ziggurat tail: at most r - log(2**-53) = 7.697 + 36.737.
+    base_range = (0.0, 44.5)
+
     def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return rng.standard_exponential(out=out)
+        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = base / np.where(abnormal, self.lambda_g, self.lambda_f)
@@ -150,8 +167,12 @@ class Gaussian:
         mu = self.mu_g if abnormal else self.mu_f
         return mu + self.sigma * rng.standard_normal()
 
+    base_variate = staticmethod(np.random.Generator.standard_normal)
+    # Ziggurat tail: |z| < r + sqrt(2 * 36.737) = 3.654 + 8.572.
+    base_range = (-13.7, 13.7)
+
     def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return rng.standard_normal(out=out)
+        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.where(abnormal, self.mu_g, self.mu_f) + self.sigma * base
@@ -187,8 +208,11 @@ class Bernoulli:
         p = self.p_g if abnormal else self.p_f
         return 1.0 if rng.random() < p else 0.0
 
+    base_variate = staticmethod(np.random.Generator.random)
+    base_range = (0.0, 1.0 - 2.0**-53)
+
     def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return rng.random(out=out)
+        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hit = base < np.where(abnormal, self.p_g, self.p_f)
@@ -234,6 +258,8 @@ class Tabulated:
             raise ModelError("tabulated support is empty")
         if len(set(support)) != len(support):
             raise ModelError("tabulated support values must be distinct")
+        if not all(math.isfinite(v) for v in support):
+            raise ModelError("tabulated support values must be finite")
         if len(pmf_f) != len(support) or len(pmf_g) != len(support):
             raise ModelError("pmf lengths must match the support")
         for name, pmf in (("pmf_f", pmf_f), ("pmf_g", pmf_g)):
@@ -250,8 +276,11 @@ class Tabulated:
         cum = self._cum_g if abnormal else self._cum_f
         return self.support[bisect.bisect_right(cum, rng.random())]
 
+    base_variate = staticmethod(np.random.Generator.random)
+    base_range = (0.0, 1.0 - 2.0**-53)
+
     def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return rng.random(out=out)
+        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),

@@ -31,7 +31,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .models import ObservationModel
-from .oracle import HypothesisActionKL
 from .state import SearchState, ranked_cells
 
 __all__ = [
@@ -300,7 +299,6 @@ def generic_stop_margin(scores: Sequence[float], ml_index: int) -> float:
 
 def chernoff_generic_step(
     scores: Sequence[float],
-    kl: HypothesisActionKL,
     rng: np.random.Generator,
     q_cache: Sequence[np.ndarray],
 ) -> int:

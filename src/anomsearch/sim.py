@@ -23,28 +23,37 @@ Policies
 constraint (``one``: L = 1, one true target drawn from ``priors``, tau1
 tracked under diagnostics; ``exact``: the true count is L; ``up_to``: any
 true count in 1..L, measured against the unknown-count bound), whether it
-probes one cell per round, and its engine. ``POLICY_NAMES`` is its key
-order. Every check and dispatch reads the table instead of naming policies.
+probes one cell per round, its lockstep rule, whether it draws randomness
+of its own, and whether it scores every candidate target set. ``POLICY_NAMES``
+is its key order. Every check and dispatch reads the table instead of naming
+policies.
 
-Engines
--------
-The deterministic policies (``dgf``, ``dgf_l``, ``seq_dgf_l``, ``unknown_l``)
-draw no randomness of their own, so after the truth draw a trial's stream
-is nothing but its observations' base variates, one per probed cell. They
-run in one lockstep engine: trials advance together, a chunk at a time,
-as rows of ``(trials, cells)`` arrays, and each trial reads its
-observations from blocks of base variates drawn ahead from its own
-generator (``Generator`` array draws equal the same number of scalar
-draws). A block that runs out is refilled from the same generator. Draws
-past a trial's end are never read and nothing follows them in the stream,
-so they are unobservable: results are bit-identical to drawing one
-observation at a time. The randomized policies (``chernoff``,
-``chernoff_generic``) interleave their own draws with the observations and
-run one trial at a time in scalar loops. ``chernoff`` steps a
-``SearchState`` with ``update`` and ``chernoff_step``, the scalar
-reference path. ``_run_generic_trial`` is the one special case: it scores
-hypotheses rather than cells, keeps bare per-cell sums and samples from
-per-hypothesis mixtures cached once per scenario.
+Engine
+------
+Every policy runs in one lockstep engine. The trials of a chunk advance
+together, one round at a time, as rows of ``(trials, cells)`` arrays, and
+a policy is a vectorised rule over those rows that mirrors its scalar step
+rule in ``policies`` exactly (stable-argsort rankings, first-argmax ties,
+the same float operations in the same order). Each trial still draws from
+its own generator in contract order; when it draws depends on the policy:
+
+* The deterministic policies (``dgf``, ``dgf_l``, ``seq_dgf_l``,
+  ``unknown_l``) draw nothing of their own, so after the truth draw a
+  trial's stream is nothing but its observations' base variates, one per
+  probed cell. The engine draws them ahead in blocks of rounds
+  (``Generator`` array draws equal the same number of scalar draws) and
+  refills a block from the same generator when it runs out. Draws past a
+  trial's end are never read and nothing follows them in the stream, so
+  they are unobservable.
+* The randomized policies (``chernoff``, ``chernoff_generic``) draw
+  between observations, so nothing can be drawn ahead. Every round each
+  live trial first makes its policy draws inside the rule (``integers``
+  for the subset shuffle, one uniform for the mixture), then the engine
+  draws its K base variates, one scalar call each. A trial that stops
+  this round makes its policy draws too; they come after its end.
+
+Either way the results are bit-identical to running one trial at a time
+through the scalar step rules, ``SearchState`` and ``update``.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,18 +71,19 @@ from scipy.stats import norm
 
 from .models import ObservationModel
 from .oracle import anomaly_hypotheses, hypothesis_action_kl, maximin_action_distribution
-from .policies import (
-    PolicyConfig,
-    Stop,
+from .policies import PolicyConfig
+# The scalar step rules and the SearchState ledger they step: the engine
+# below vectorises them and never calls them, and sim keeps their names so
+# that layer tracing can wrap every step rule and state operation.
+from .policies import (  # noqa: F401
     chernoff_generic_step,
     chernoff_step,
-    generic_stop_margin,
-    ml_hypothesis,
+    dgf_step,
+    dgfl_step,
+    seq_dgfl_step,
+    unknownl_step,
 )
-# The scalar rules of the lockstep policies: the engine below vectorises
-# them, and sim keeps their names so layer tracing can wrap every step rule.
-from .policies import dgf_step, dgfl_step, seq_dgfl_step, unknownl_step  # noqa: F401
-from .state import SearchState, update
+from .state import SearchState, update  # noqa: F401
 
 __all__ = [
     "POLICIES",
@@ -93,6 +104,13 @@ __all__ = [
 _CHUNK = 1024
 # Rounds of base variates drawn per trial at a time.
 _BLOCK_ROUNDS = 32
+# Most target sets a policy that scores every set may face. Its set-up
+# builds an (H, H, M) KL table and solves one linear program per set,
+# H = the sum over l <= L of C(M, l), so its time grows about as H^2: on a
+# 2-vCPU Xeon VM, H = 385 (M = 10, L = 4) took 2.6 s and peaked at 127 MB,
+# H = 637 (M = 10, L = 5) 5.7 s and 183 MB, and M = 18, L = 9 (H = 155381)
+# would need a 405 GiB table.
+_MAX_HYPOTHESES = 400
 _Z_95 = float(norm.ppf(0.975))
 
 
@@ -141,6 +159,11 @@ class ExperimentConfig:
             raise ValueError(f"policy {self.policy!r} probes one cell per round; got K={k}")
         if policy.targets == "one" and l != 1:
             raise ValueError(f"policy {self.policy!r} searches for one target; got L={l}")
+        if policy.scores_hypotheses:
+            count = sum(math.comb(m, size) for size in range(1, l + 1))
+            if count > _MAX_HYPOTHESES:
+                raise ValueError(f"policy {self.policy!r} scores every set of 1..{l} of {m} "
+                                 f"cells, {count} sets; at most {_MAX_HYPOTHESES} are supported")
         grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
             raise ValueError("neg_log_c grid must not be empty")
@@ -289,15 +312,27 @@ def _draw_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[int, .
 
 @lru_cache(maxsize=8)
 def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
-    """Hypothesis list, KL table, and per-hypothesis maximin mixtures.
+    """Target sets as members and masks, and cumulative maximin mixtures.
 
     Static per scenario, so the linear program runs once per hypothesis per
-    process instead of once per probing step.
+    process instead of once per probing step. ``members[i, j]`` is the j-th
+    cell of hypothesis i; hypotheses come ordered by size, so those with
+    more than j members are the suffix from ``starts[j]``. ``cum[i]`` is the
+    running sum of hypothesis i's mixture, summed in action order as
+    ``chernoff_generic_step`` sums it, with the last entry raised to
+    infinity because that step returns the last action whatever the sum.
     """
     hyps = anomaly_hypotheses(num_cells, max_targets=max_targets)
     kl = hypothesis_action_kl(model, hyps, num_cells)
-    q_cache = tuple(maximin_action_distribution(kl, i)[0] for i in range(len(hyps)))
-    return hyps, kl, q_cache
+    members = np.zeros((len(hyps), max_targets), dtype=np.int64)
+    masks = np.zeros((len(hyps), num_cells), dtype=bool)
+    for i, h in enumerate(hyps):
+        members[i, :len(h)] = h
+        masks[i, list(h)] = True
+    starts = [sum(1 for h in hyps if len(h) <= j) for j in range(max_targets)]
+    cum = np.array([np.cumsum(maximin_action_distribution(kl, i)[0]) for i in range(len(hyps))])
+    cum[:, -1] = np.inf
+    return members, starts, masks, cum
 
 
 def run_trial(
@@ -310,64 +345,11 @@ def run_trial(
 
     Bit-reproducible from (cfg.seed, trial_index) alone; see the module
     docstring for the exact draw order. When ``trace`` is a list, one
-    (probed_cells, observations) pair is appended per round. Hitting
-    cfg.max_rounds truncates the trial: decision None, correct False,
-    tau = max_rounds.
+    (probed_cells, observations) pair is appended per round, the cells in
+    the order the policy's step rule lists them. Hitting cfg.max_rounds
+    truncates the trial: decision None, correct False, tau = max_rounds.
     """
-    if not 0.0 < cost < 1.0:
-        raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
-    policy = POLICIES[cfg.policy]
-    if policy.rule is not None:
-        return _run_lockstep(cfg, cost, trial_index, trial_index + 1, trace)[0]
-    rng = np.random.default_rng([cfg.seed, trial_index])
-    return policy.loop(cfg, cost, rng, _draw_truth(cfg, rng), trace)
-
-
-def _run_chernoff_trial(
-    cfg: ExperimentConfig,
-    cost: float,
-    rng: np.random.Generator,
-    truth: tuple[int, ...],
-    trace: list | None,
-) -> TrialResult:
-    pcfg = PolicyConfig.for_model(
-        cfg.model, cfg.num_cells, cfg.probes_per_round, cost, cfg.num_targets
-    )
-    state = SearchState(cfg.num_cells)
-    model = cfg.model
-    truth_set = frozenset(truth)
-    true_cell = truth[0]
-    last_break = 0
-    decision: tuple[int, ...] | None = None
-    truncated = False
-
-    while True:
-        action = chernoff_step(state, pcfg, rng)
-        if isinstance(action, Stop):
-            decision = action.decision
-            break
-        if state.n >= cfg.max_rounds:
-            truncated = True
-            break
-        observations = {}
-        for cell in sorted(action.cells):
-            observations[cell] = model.sample(cell in truth_set, rng)
-        update(state, action.cells, observations, model)
-        if trace is not None:
-            trace.append((action.cells, observations))
-        if cfg.diagnostics:
-            s = state.s
-            top = s[true_cell]
-            for j in range(cfg.num_cells):
-                if j != true_cell and s[j] >= top:
-                    last_break = state.n
-                    break
-
-    # Every chernoff round probes exactly K cells.
-    return TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
-                       tau=state.n, tau_d=state.n,
-                       observations_taken=state.n * cfg.probes_per_round,
-                       tau1=(last_break + 1) if cfg.diagnostics else None, truncated=truncated)
+    return _run_lockstep(cfg, cost, trial_index, trial_index + 1, trace)[0]
 
 
 def _run_lockstep(
@@ -377,7 +359,7 @@ def _run_lockstep(
     hi: int,
     trace: list | None = None,
 ) -> list[TrialResult]:
-    """Trials lo..hi-1 of a deterministic policy, in lockstep chunks.
+    """Trials lo..hi-1, in lockstep chunks.
 
     ``trace`` follows :func:`run_trial` and needs a single trial.
     """
@@ -393,12 +375,16 @@ def _run_lockstep(
 
 # A lockstep rule takes the live trials' sums S (trials x cells), their
 # declared-cell mask (updated in place, as are the rounds of their last
-# abnormal declaration) and the round number. It returns which trials
-# stop, the decision mask of those that do, and every trial's probe set in
-# the scalar rule's order. Each rule below mirrors its scalar rule in
+# abnormal declaration), the round number and, for a policy that draws its
+# own randomness, the live trials' generators (else None). It returns which
+# trials stop, the decision mask of those that do, and every trial's probe
+# set in the scalar rule's order. Each rule below mirrors its scalar rule in
 # ``policies`` exactly: rankings break ties towards the lower cell index
-# (stable sort, first argmax), and stop tests use the same float comparisons.
-_Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, int],
+# (stable sort, first argmax), stop tests use the same float comparisons,
+# and a randomized rule makes the scalar rule's draws, in its order, from
+# every live trial. For a trial that stops this round they come after its
+# end, where nothing reads them.
+_Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, int, list | None],
                  tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
@@ -410,7 +396,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
     else:
         first = m - k if k > m - l else l
 
-    def rank(S, declared, last_declared, n):
+    def rank(S, declared, last_declared, n, rngs):
         rows = np.arange(len(S))
         order = np.argsort(-S, axis=1, kind="stable")
         stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
@@ -421,6 +407,36 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
     return rank
 
 
+def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """chernoff: dgf's stop test; probe everything when K = M, else the
+    leader (in the "g" regime) plus a uniform subset of ranks 2..M drawn by
+    partial Fisher-Yates, one ``integers`` call per drawn cell."""
+    m, k, thr = cfg.num_cells, cfg.probes_per_round, pcfg.threshold
+    lead = int(pcfg.single_regime == "g")
+    first = 0 if k == m else 1 - lead
+    bounds = [] if k == m else [m - 1 - i for i in range(k - lead)]
+    cell_index = np.arange(m)
+
+    def chernoff(S, declared, last_declared, n, rngs):
+        rows = np.arange(len(S))
+        order = np.argsort(-S, axis=1, kind="stable")
+        stop = S[rows, order[:, 0]] - S[rows, order[:, 1]] >= thr
+        decision = order[stop, :1] == cell_index
+        if bounds:
+            picks = np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
+                                len(rngs) * len(bounds)).reshape(-1, len(bounds))
+            # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the first i picks.
+            pool = order[:, 1:]
+            for i in range(len(bounds)):
+                j = i + picks[:, i]
+                head = pool[:, i].copy()
+                pool[:, i] = pool[rows, j]
+                pool[rows, j] = head
+        return stop, decision, order[:, first:first + k]
+
+    return chernoff
+
+
 def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
     cells normal from the bottom up and output the survivors."""
@@ -428,7 +444,7 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
     chase_top = pcfg.multi_regime == "g"
     needed = l if chase_top else m - l
 
-    def sequential(S, declared, last_declared, n):
+    def sequential(S, declared, last_declared, n, rngs):
         rows = np.arange(len(S))
         X = S if chase_top else -S
         while True:
@@ -450,7 +466,7 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
     thr = pcfg.threshold
 
-    def unknown(S, declared, last_declared, n):
+    def unknown(S, declared, last_declared, n, rngs):
         newly = ~declared & (S >= thr)
         declared |= newly
         last_declared[newly.any(axis=1)] = n
@@ -459,6 +475,30 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
         return stop, declared[stop], best[:, None]
 
     return unknown
+
+
+def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+    """chernoff_generic: score every target set of 1..L cells by adding its
+    members' sums in order, stop once the ML set leads its closest rival by
+    the threshold, else probe one cell drawn from the ML set's mixture."""
+    members, starts, masks, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
+    thr = pcfg.threshold
+    uniform = np.random.Generator.random
+
+    def generic(S, declared, last_declared, n, rngs):
+        rows = np.arange(len(S))
+        scores = S[:, members[:, 0]]
+        for j in range(1, len(starts)):
+            scores[:, starts[j]:] += S[:, members[starts[j]:, j]]
+        best = scores.argmax(axis=1)
+        top = scores[rows, best]
+        scores[rows, best] = -np.inf
+        stop = top - scores.max(axis=1) >= thr
+        u = np.fromiter(map(uniform, rngs), float, len(rngs))
+        cell = (u[:, None] < cum[best]).argmax(axis=1)
+        return stop, masks[best[stop]], cell[:, None]
+
+    return generic
 
 
 def _lockstep_chunk(
@@ -477,45 +517,60 @@ def _lockstep_chunk(
         truth[i, list(hyp)] = True
         rngs.append(rng)
         truths.append(hyp)
-    track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
+    policy = POLICIES[cfg.policy]
+    track_tau1 = cfg.diagnostics and policy.targets == "one"
     true_cell = truth.argmax(axis=1)
 
     # Per chunk trial: outcome. Per live trial (row): running state.
     tau = np.zeros(count, dtype=np.int64)
-    tau_d = np.zeros(count, dtype=np.int64)
+    declared_at = np.zeros(count, dtype=np.int64)
     decided = np.zeros((count, m), dtype=bool)
-    truncated = np.zeros(count, dtype=bool)
+    stopped = np.zeros(count, dtype=bool)
     last_break = np.zeros(count, dtype=np.int64)
     live = np.arange(count)
     S = np.zeros((count, m))
     declared = np.zeros((count, m), dtype=bool)
     last_declared = np.full(count, -1, dtype=np.int64)
-    blocks = _base_blocks(model, rngs, live, k)
-    block_row = live
+    if policy.draws:
+        live_rngs = rngs
+    else:
+        live_rngs = None
+        blocks = _base_blocks(model, rngs, live, k)
+        block_row = live
     n = 0
     while True:
-        stop, decision, probe = rule(S, declared, last_declared, n)
-        done = stop | (n >= cfg.max_rounds)
+        stop, decision, probe = rule(S, declared, last_declared, n, live_rngs)
+        done = stop if n < cfg.max_rounds else np.ones_like(stop)
         if done.any():
             ended = live[done]
             tau[ended] = n
-            tau_d[ended] = np.where(last_declared[done] >= 0, last_declared[done], n)
-            decided[live[stop]] = decision
-            truncated[ended] = ~stop[done]
+            declared_at[ended] = last_declared[done]
+            finished = live[stop]
+            decided[finished] = decision
+            stopped[finished] = True
             keep = ~done
-            live, block_row, probe = live[keep], block_row[keep], probe[keep]
+            live, probe = live[keep], probe[keep]
             S, declared, last_declared = S[keep], declared[keep], last_declared[keep]
             if not live.size:
                 break
-        offset = (n % _BLOCK_ROUNDS) * k
-        if offset == 0 and n:
-            blocks = _base_blocks(model, rngs, live, k)
-            block_row = np.arange(live.size)
+            if policy.draws:
+                live_rngs = list(compress(live_rngs, keep.tolist()))
+            else:
+                block_row = block_row[keep]
+        if policy.draws:
+            # K base variates per trial, after the rule's own draws.
+            gens = live_rngs if k == 1 else [g for g in live_rngs for _ in range(k)]
+            base = np.fromiter(map(model.base_variate, gens), float, len(gens)).reshape(-1, k)
+        else:
+            offset = (n % _BLOCK_ROUNDS) * k
+            if offset == 0 and n:
+                blocks = _base_blocks(model, rngs, live, k)
+                block_row = np.arange(live.size)
+            base = blocks[block_row, offset:offset + k]
         # Observations are drawn in ascending cell order within a round.
-        cells = np.sort(probe, axis=1)
+        cells = probe if k == 1 else np.sort(probe, axis=1)
         rows = np.arange(live.size)[:, None]
-        y, llr = model.sample_many(truth[live[:, None], cells],
-                                   blocks[block_row, offset:offset + k])
+        y, llr = model.sample_many(truth[live[:, None], cells], base)
         S[rows, cells] += llr
         n += 1
         if track_tau1:
@@ -524,6 +579,8 @@ def _lockstep_chunk(
         if trace is not None:
             trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
 
+    truncated = ~stopped
+    tau_d = np.where(declared_at >= 0, declared_at, tau)
     decisions = [None if cut else tuple(cell for cell, hit in enumerate(row) if hit)
                  for row, cut in zip(decided.tolist(), truncated.tolist())]
     return [
@@ -550,74 +607,30 @@ def _base_blocks(model: ObservationModel, rngs: list, live: np.ndarray, k: int) 
     return blocks
 
 
-def _run_generic_trial(
-    cfg: ExperimentConfig,
-    cost: float,
-    rng: np.random.Generator,
-    truth: tuple[int, ...],
-    trace: list | None,
-) -> TrialResult:
-    hyps, kl, q_cache = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
-    threshold = -math.log(cost)
-    model = cfg.model
-    truth_set = frozenset(truth)
-    s = [0.0] * cfg.num_cells
-    scores = [0.0] * len(hyps)
-    n = 0
-    decision: tuple[int, ...] | None = None
-    truncated = False
-
-    while True:
-        for idx, h in enumerate(hyps):
-            total = 0.0
-            for cell in h:
-                total += s[cell]
-            scores[idx] = total
-        i_hat = ml_hypothesis(scores)
-        if generic_stop_margin(scores, i_hat) >= threshold:
-            decision = hyps[i_hat]
-            break
-        if n >= cfg.max_rounds:
-            truncated = True
-            break
-        cell = chernoff_generic_step(scores, kl, rng, q_cache)
-        y = model.sample(cell in truth_set, rng)
-        s[cell] += model.llr(y)
-        n += 1
-        if trace is not None:
-            trace.append(((cell,), {cell: y}))
-
-    return TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
-                       tau=n, tau_d=n, observations_taken=n, truncated=truncated)
-
-
 @dataclass(frozen=True)
 class PolicyEntry:
-    """One policy's facts (see "Policies" above). The engine is exactly one
-    of ``rule``, which builds the lockstep rule, and ``loop``, which runs one
-    trial from ``(cfg, cost, rng, truth, trace)``."""
+    """One policy's facts (see "Policies" above): ``rule`` builds its
+    lockstep rule from ``(cfg, pcfg)``; ``draws`` marks a policy that draws
+    randomness of its own between observations; ``scores_hypotheses`` one
+    that scores every candidate target set, whose count is capped."""
 
     targets: str
     one_probe: bool
-    rule: Callable[[ExperimentConfig, PolicyConfig], _Rule] | None = None
-    loop: Callable[..., TrialResult] | None = None
+    rule: Callable[[ExperimentConfig, PolicyConfig], _Rule]
+    draws: bool = False
+    scores_hypotheses: bool = False
 
 
 POLICIES: dict[str, PolicyEntry] = {
-    "dgf": PolicyEntry("one", False, rule=_ranked_rule),
-    "chernoff": PolicyEntry("one", False, loop=_run_chernoff_trial),
-    "dgf_l": PolicyEntry("exact", False, rule=_ranked_rule),
-    "seq_dgf_l": PolicyEntry("exact", True, rule=_sequential_rule),
-    "unknown_l": PolicyEntry("up_to", True, rule=_unknown_count_rule),
-    "chernoff_generic": PolicyEntry("up_to", True, loop=_run_generic_trial),
+    "dgf": PolicyEntry("one", False, _ranked_rule),
+    "chernoff": PolicyEntry("one", False, _chernoff_rule, draws=True),
+    "dgf_l": PolicyEntry("exact", False, _ranked_rule),
+    "seq_dgf_l": PolicyEntry("exact", True, _sequential_rule),
+    "unknown_l": PolicyEntry("up_to", True, _unknown_count_rule),
+    "chernoff_generic": PolicyEntry("up_to", True, _generic_rule, draws=True,
+                                    scores_hypotheses=True),
 }
 POLICY_NAMES = tuple(POLICIES)
-
-
-def _trial_span(cfg: ExperimentConfig, cost: float, lo: int, hi: int) -> list[TrialResult]:
-    if POLICIES[cfg.policy].rule is not None:
-        return _run_lockstep(cfg, cost, lo, hi)
-    return [run_trial(cfg, cost, t) for t in range(lo, hi)]
 
 
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
@@ -641,12 +654,12 @@ def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[Tri
     than there are chunks or CPUs available to this process.
     """
     if workers <= 1:
-        return _trial_span(cfg, cost, 0, cfg.trials)
+        return _run_lockstep(cfg, cost, 0, cfg.trials)
     workers = min(workers, _available_cpus())
     spans = _spans(cfg.trials, workers * 4)
     out: list[TrialResult] = []
     with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-        futures = [pool.submit(_trial_span, cfg, cost, lo, hi) for lo, hi in spans]
+        futures = [pool.submit(_run_lockstep, cfg, cost, lo, hi) for lo, hi in spans]
         for future in futures:
             out.extend(future.result())
     return out

@@ -2,9 +2,10 @@
 
 A :class:`SearchState` tracks, for each of the M cells, the running sum of
 log-likelihood ratios of every observation taken from that cell, plus which
-cells have been declared so far. All probing policies are pure functions of
-this state; the scalar trial loop owns exactly one state per trial and
-mutates it in place.
+cells have been declared so far. The scalar step rules in ``policies`` are
+pure functions of this state; a caller stepping one trial owns exactly one
+state and mutates it in place. The lockstep engine in ``sim`` keeps the
+same sums for many trials at once as arrays.
 
 Cells are ranked by sum LLR, largest first. Equal sums are ordered by
 ascending cell index: the tie direction is arbitrary in principle, but

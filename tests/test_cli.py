@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from anomsearch import rate_single, unknownl_lower_bound
+from anomsearch import rate_single, sim, unknownl_lower_bound
 from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
@@ -233,8 +233,14 @@ class TestMainCommand:
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e200"],  # KL overflows
         # KL of 5e-9: a trial would need about 2e8 rounds, over the round budget
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e-4", "--neg-log-c", "1"],
+        # 155381 target sets: the (H, H, M) KL table alone would take 405 GiB
+        ["--policy", "chernoff_generic", "--M", "18", "--L", "9", "--neg-log-c", "1"],
     ])
-    def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, argv):
+    def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
+        def no_tables(*args):
+            raise AssertionError("a rejected config must not build the hypothesis tables")
+
+        monkeypatch.setattr(sim, "hypothesis_action_kl", no_tables)
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")

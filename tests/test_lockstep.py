@@ -1,14 +1,17 @@
-"""The lockstep engine against a one-trial-at-a-time scalar reference.
+"""The lockstep engine against one-trial-at-a-time scalar references.
 
-The reference below is the scalar trial loop written out from the public
-step rules, ``SearchState``, ``update`` and ``model.sample``, drawing every
-variate one at a time in the order the reproducibility contract in
-``anomsearch.sim`` fixes. The engine must reproduce it exactly, trace and
-all, for every deterministic policy, model family and regime, with or
-without a pinned truth or priors, under truncation and the tau1
-diagnostic, and for any chunk and block size.
+The references below are the scalar trial loops written out from the
+public step rules, ``SearchState``, ``update`` and ``model.sample`` (for
+``chernoff_generic``: per-cell sums, hypothesis scores and
+``chernoff_generic_step``), drawing every variate one at a time in the
+order the reproducibility contract in ``anomsearch.sim`` fixes, policy
+draws included. The engine must reproduce them exactly, trace and all,
+for every policy, model family and regime, with or without a pinned truth
+or priors, under truncation and the tau1 diagnostic, and for any chunk and
+block size.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -26,8 +29,15 @@ from anomsearch import (
     Stop,
     Tabulated,
     TrialResult,
+    anomaly_hypotheses,
+    chernoff_generic_step,
+    chernoff_step,
     dgf_step,
     dgfl_step,
+    generic_stop_margin,
+    hypothesis_action_kl,
+    maximin_action_distribution,
+    ml_hypothesis,
     run_trial,
     run_trials,
     seq_dgfl_step,
@@ -37,8 +47,11 @@ from anomsearch import sim
 from anomsearch.policies import Declare
 from anomsearch.state import update
 
-STEPS = {"dgf": dgf_step, "dgf_l": dgfl_step, "seq_dgf_l": seq_dgfl_step,
-         "unknown_l": unknownl_step}
+STEPS = {"dgf": dgf_step, "chernoff": chernoff_step, "dgf_l": dgfl_step,
+         "seq_dgf_l": seq_dgfl_step, "unknown_l": unknownl_step}
+POLICIES = sorted([*STEPS, "chernoff_generic"])
+SINGLE_TARGET = ("dgf", "chernoff")
+UNKNOWN_COUNT = ("unknown_l", "chernoff_generic")
 
 # (f, g) pairs whose KL ratio D(f||g)/D(g||f) exceeds 4, so that for M <= 5
 # every L sits in the "f" regime and the swapped pair in the "g" regime.
@@ -58,7 +71,7 @@ def draw_truth(config, rng):
     if config.fixed_hypothesis is not None:
         return config.fixed_hypothesis
     m = config.num_cells
-    if config.policy == "dgf":
+    if config.policy in SINGLE_TARGET:
         u = rng.random()
         acc = 0.0
         for cell, p in enumerate(config.priors):
@@ -75,6 +88,8 @@ def draw_truth(config, rng):
 
 def scalar_reference(config, cost, trial_index):
     """One trial, one variate at a time; returns (TrialResult, trace)."""
+    if config.policy == "chernoff_generic":
+        return generic_reference(config, cost, trial_index)
     rng = np.random.default_rng([config.seed, trial_index])
     truth = draw_truth(config, rng)
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
@@ -82,13 +97,13 @@ def scalar_reference(config, cost, trial_index):
     state = SearchState(config.num_cells)
     step = STEPS[config.policy]
     model = config.model
-    track_tau1 = config.diagnostics and config.policy == "dgf"
+    track_tau1 = config.diagnostics and config.policy in SINGLE_TARGET
     last_break = 0
     observations_taken = 0
     decision = None
     trace = []
     while True:
-        action = step(state, pcfg)
+        action = step(state, pcfg, rng) if config.policy == "chernoff" else step(state, pcfg)
         if isinstance(action, Stop):
             decision = action.decision
             break
@@ -118,17 +133,60 @@ def scalar_reference(config, cost, trial_index):
     return result, trace
 
 
+@functools.lru_cache(maxsize=None)
+def generic_mixtures(model, num_cells, max_targets):
+    hyps = anomaly_hypotheses(num_cells, max_targets=max_targets)
+    kl = hypothesis_action_kl(model, hyps, num_cells)
+    return hyps, tuple(maximin_action_distribution(kl, i)[0] for i in range(len(hyps)))
+
+
+def generic_reference(config, cost, trial_index):
+    """chernoff_generic one trial at a time: bare per-cell sums, every
+    hypothesis scored each round, one mixture draw before each observation."""
+    rng = np.random.default_rng([config.seed, trial_index])
+    truth = draw_truth(config, rng)
+    hyps, q_cache = generic_mixtures(config.model, config.num_cells, config.num_targets)
+    threshold = -math.log(cost)
+    model = config.model
+    s = [0.0] * config.num_cells
+    scores = [0.0] * len(hyps)
+    n = 0
+    decision = None
+    trace = []
+    while True:
+        for idx, h in enumerate(hyps):
+            total = 0.0
+            for cell in h:
+                total += s[cell]
+            scores[idx] = total
+        i_hat = ml_hypothesis(scores)
+        if generic_stop_margin(scores, i_hat) >= threshold:
+            decision = hyps[i_hat]
+            break
+        if n >= config.max_rounds:
+            break
+        cell = chernoff_generic_step(scores, rng, q_cache)
+        y = model.sample(cell in truth, rng)
+        s[cell] += model.llr(y)
+        n += 1
+        trace.append(((cell,), {cell: y}))
+    result = TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
+                         tau=n, tau_d=n, observations_taken=n, truncated=decision is None)
+    return result, trace
+
+
 @st.composite
 def configs(draw, policy, kind, swap):
     m = draw(st.integers(2, 5))
     k, l = 1, 1
-    if policy in ("dgf", "dgf_l"):
+    if policy in ("dgf", "chernoff", "dgf_l"):
         k = draw(st.integers(1, m))
-    if policy != "dgf":
+    if policy not in SINGLE_TARGET:
         l = draw(st.integers(1, m - 1))
-    truth = draw(st.sampled_from(["drawn", "fixed", "priors" if policy == "dgf" else "count"]))
+    truth = draw(st.sampled_from(["drawn", "fixed",
+                                  "priors" if policy in SINGLE_TARGET else "count"]))
     extra = {}
-    count = l if policy in ("dgf", "dgf_l", "seq_dgf_l") else draw(st.integers(1, l))
+    count = draw(st.integers(1, l)) if policy in UNKNOWN_COUNT else l
     if truth == "fixed":
         extra["fixed_hypothesis"] = tuple(draw(st.permutations(range(m)))[:count])
     elif truth == "priors":
@@ -153,7 +211,7 @@ def configs(draw, policy, kind, swap):
 
 @pytest.mark.parametrize("swap", [False, True], ids=["f_regime", "g_regime"])
 @pytest.mark.parametrize("kind", sorted(MODELS))
-@pytest.mark.parametrize("policy", sorted(STEPS))
+@pytest.mark.parametrize("policy", POLICIES)
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), chunk=st.sampled_from([1, 3, 1024]), block_rounds=st.sampled_from([1, 2, 32]))
 def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_rounds):
@@ -161,8 +219,8 @@ def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_
     cost = config.costs[0]
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
                                   cost, config.num_targets)
-    if kind != "gaussian":
-        regime = pcfg.single_regime if policy == "dgf" else pcfg.multi_regime
+    if kind != "gaussian" and policy != "chernoff_generic":
+        regime = pcfg.single_regime if policy in SINGLE_TARGET else pcfg.multi_regime
         assert regime == ("g" if swap else "f")
     expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
     with mock.patch.object(sim, "_CHUNK", chunk), \
@@ -192,11 +250,38 @@ def test_long_trials_refill_their_blocks(policy, overrides):
     assert results == [scalar_reference(config, cost, t)[0] for t in range(config.trials)]
 
 
-@pytest.mark.parametrize("policy", sorted(STEPS))
+@pytest.mark.parametrize("policy, regime, overrides", [
+    ("chernoff", "f", dict(num_cells=4, probes_per_round=4, model=Exponential(0.5, 10.0))),
+    ("chernoff", "g", dict(num_cells=5, probes_per_round=3, model=Exponential(10.0, 0.5))),
+    ("chernoff", "f", dict(num_cells=5, probes_per_round=2, model=Exponential(0.5, 10.0))),
+    ("chernoff", "g", dict(num_cells=5, probes_per_round=1, model=Exponential(10.0, 0.5))),
+    ("chernoff_generic", None, dict(num_cells=3, num_targets=2, model=Bernoulli(0.1, 0.6),
+                                    fixed_hypothesis=(0,))),
+    ("chernoff_generic", None, dict(num_cells=5, num_targets=3, model=Bernoulli(0.2, 0.7),
+                                    true_target_count=2)),
+], ids=["K=M", "g-leader-plus-two", "f-two-drawn", "g-leader-only", "table1", "M5-L3"])
+def test_randomized_policies_match_reference(policy, regime, overrides):
+    config = ExperimentConfig(probes_per_round=overrides.pop("probes_per_round", 1),
+                              policy=policy, neg_log_c=(8.0,), trials=40, seed=17,
+                              diagnostics=policy == "chernoff", **overrides)
+    cost = config.costs[0]
+    if regime is not None:
+        pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
+                                      cost)
+        assert pcfg.single_regime == regime
+    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
+    assert run_trials(config, cost) == [result for result, _ in expected]
+    longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
+    replay = []
+    assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
+    assert replay == expected[longest][1]
+
+
+@pytest.mark.parametrize("policy", POLICIES)
 def test_engine_output_does_not_depend_on_worker_count(policy):
     config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
                               model=Bernoulli(0.2, 0.7), neg_log_c=(4.0,), trials=50, seed=5,
-                              num_targets=1 if policy == "dgf" else 2)
+                              num_targets=1 if policy in SINGLE_TARGET else 2)
     cost = config.costs[0]
     assert run_trials(config, cost, workers=1) == run_trials(config, cost, workers=2)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anomsearch import (
     Bernoulli,
@@ -186,3 +186,80 @@ def test_bernoulli_llr_consistent_with_pmf(pf, pg, y):
     p_g = pg if y == 1.0 else 1.0 - pg
     p_f = pf if y == 1.0 else 1.0 - pf
     assert m.llr(y) == pytest.approx(math.log(p_g / p_f), rel=1e-12)
+
+
+PARAMETERS = {
+    "exponential": ("lambda_f", "lambda_g"),
+    "gaussian": ("mu_f", "mu_g", "sigma"),
+    "bernoulli": ("p_f", "p_g"),
+    "tabulated": ("support", "pmf_f", "pmf_g"),
+}
+# The extreme base variates NumPy's ziggurat samplers can return: a
+# standard exponential lies in [0, 44.5) and a standard normal in
+# (-13.7, 13.7); uniforms lie in [0, 1).
+EXTREME_BASE = {"exponential": (0.0, 44.5), "gaussian": (-13.7, 13.7),
+                "bernoulli": (0.0, 1.0 - 2.0**-53), "tabulated": (0.0, 1.0 - 2.0**-53)}
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.floats(-10.0, 10.0),
+    st.floats(5e-324, 1e-306),
+    st.floats(1e306, 1.7e308),
+)
+VALUES = st.one_of(
+    NUMBERS,
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=4),
+    st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+
+
+@st.composite
+def pmfs(draw, size):
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+    return [w / math.fsum(weights) for w in weights]
+
+
+@st.composite
+def model_specs(draw):
+    kind = draw(st.sampled_from([*PARAMETERS, "weibull", 3, None]))
+    if kind == "tabulated" and draw(st.booleans()):
+        size = draw(st.integers(1, 4))
+        return {"kind": kind,
+                "support": draw(st.lists(st.floats(allow_nan=False), min_size=size,
+                                         max_size=size, unique=True)),
+                "pmf_f": draw(pmfs(size)), "pmf_g": draw(pmfs(size))}
+    spec = {"kind": kind}
+    for name in PARAMETERS.get(kind, ("a",)):
+        if draw(st.integers(0, 9)):
+            spec[name] = draw(NUMBERS if draw(st.integers(0, 3)) else VALUES)
+    if not draw(st.integers(0, 9)):
+        spec["extra"] = draw(VALUES)
+    return spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=model_specs())
+# An observation overflows at the tail of the base draws: 44.5 / 1e-308.
+@example(spec={"kind": "exponential", "lambda_f": 1e-308, "lambda_g": 1.0})
+# An infinite support value is an observation no results file can carry.
+@example(spec={"kind": "tabulated", "support": [0.0, math.inf],
+               "pmf_f": [0.5, 0.5], "pmf_g": [0.2, 0.8]})
+def test_any_spec_builds_a_model_or_raises_model_error(spec):
+    try:
+        model = model_from_dict(spec)
+    except ModelError:
+        return
+    d_gf, d_fg = model.kl_divergences()
+    assert math.isfinite(d_gf) and math.isfinite(d_fg)
+    # Finite LLRs on the model's own draws, the most extreme ones included.
+    base = np.concatenate([model.draw_base(np.random.default_rng(0), np.empty(64)),
+                           EXTREME_BASE[model.kind]])
+    for abnormal in (False, True):
+        y, llr = model.sample_many(np.full(base.size, abnormal), base)
+        assert np.isfinite(y).all() and np.isfinite(llr).all(), (abnormal, y, llr)
+        scalar = model.sample(abnormal, np.random.default_rng(1))
+        assert math.isfinite(model.llr(scalar))

@@ -274,12 +274,10 @@ def test_generic_stop_margin():
 
 
 def test_chernoff_generic_step_samples_cached_mixture():
-    model = Bernoulli(0.1, 0.6)
     hyps = anomaly_hypotheses(3, max_targets=2)
-    kl = hypothesis_action_kl(model, hyps, 3)
     q_cache = [np.array([0.0, 0.5, 0.5])] * len(hyps)
     rng = np.random.default_rng(99)
-    picks = [chernoff_generic_step([1.0] + [0.0] * 5, kl, rng, q_cache)
+    picks = [chernoff_generic_step([1.0] + [0.0] * 5, rng, q_cache)
              for _ in range(600)]
     assert 0 not in picks  # zero-weight action never sampled
     ones = picks.count(1)
@@ -292,5 +290,5 @@ def test_chernoff_generic_step_samples_lp_mixture():
     kl = hypothesis_action_kl(model, hyps, 3)
     q_cache = [maximin_action_distribution(kl, i)[0] for i in range(len(hyps))]
     rng = np.random.default_rng(1)
-    action = chernoff_generic_step([1.0] + [0.0] * 5, kl, rng, q_cache)
+    action = chernoff_generic_step([1.0] + [0.0] * 5, rng, q_cache)
     assert action in (1, 2)

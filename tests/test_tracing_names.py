@@ -1,0 +1,54 @@
+"""The benchmark's layer tracer still finds every name it wraps.
+
+``perfbench/tracing.py`` times the package from outside ``src/`` by
+replacing module attributes by name, and ``sim`` keeps some of those names
+only for it: the scalar step rules and ``SearchState``/``update``, which
+the lockstep engine vectorises and never calls. Installing the tracer
+fails as soon as ``src/`` drops one of them, so this test does that and
+checks that ``restore`` puts every original back.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Names the tracer wraps in sim; the first eight are kept there only for it.
+SIM_NAMES = (
+    "SearchState",
+    "update",
+    "chernoff_step",
+    "chernoff_generic_step",
+    "dgf_step",
+    "dgfl_step",
+    "seq_dgfl_step",
+    "unknownl_step",
+    "hypothesis_action_kl",
+    "maximin_action_distribution",
+)
+
+
+def load_bench_runner(monkeypatch):
+    """perfbench/run.py as a module; it puts perfbench/ on sys.path, undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_on_the_package(monkeypatch):
+    runner = load_bench_runner(monkeypatch)
+    modules = runner.program_modules()
+    sim = modules["sim"]
+    originals = {name: getattr(sim, name) for name in SIM_NAMES}
+    tracer = runner.tracing.Tracer()
+    try:
+        tracer.install(modules)
+        wrapped = [name for name in SIM_NAMES if getattr(sim, name) is not originals[name]]
+        assert wrapped == list(SIM_NAMES)
+    finally:
+        tracer.restore()
+    assert all(getattr(sim, name) is originals[name] for name in SIM_NAMES)
