@@ -11,9 +11,10 @@ into the output directory:
 
 ``summary.json``
     The run manifest (resolved config, package version, timestamp, output
-    names), the per-policy rate constants, the aggregate rows including
-    fields that do not fit the CSV (risk stderr, empirical quantile ratio),
-    and ``warnings``: one line per row whose trials hit the round budget
+    names, Python/NumPy/SciPy/platform versions, worker count), the
+    per-policy rate constants, the aggregate rows including fields that do
+    not fit the CSV (risk stderr, empirical quantile ratio), and
+    ``warnings``: one line per row whose trials hit the round budget
     (also printed to stderr as ``warning:`` lines), empty when none did.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
@@ -26,13 +27,18 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .models import (
@@ -57,9 +63,10 @@ from .sim import (
     POLICIES,
     POLICY_NAMES,
     ExperimentConfig,
+    TrialResult,
+    _fit_tau1_decay,
     run_experiment,
     run_trials,
-    tau1_decay_diagnostic,
 )
 
 _LN10 = math.log(10.0)
@@ -255,12 +262,13 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
         true_target_count=merged["true_target_count"], diagnostics=merged["diagnostics"],
     )
     # Surface geometry/threshold violations and runs that cannot finish
-    # now rather than mid-run.
+    # now rather than mid-run. ExperimentConfig names the policy in every
+    # error that depends on it.
     for policy in spec.policies:
         try:
             cfg = spec.experiment_config(policy)
-        except (ValueError, ModelError) as exc:
-            raise ConfigError(f"policy {policy!r}: {exc}") from None
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         _, lower_bound = _benchmark(cfg)
         for t, cost in zip(cfg.neg_log_c, cfg.costs):
             rounds = lower_bound(cost) / cost
@@ -297,15 +305,30 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunSpec:
 
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
-    """What was run, with what build, when, and which files came out."""
+    """What was run, with what build, when, which files came out, and where it ran.
+
+    ``environment`` holds the Python, NumPy, SciPy and platform versions:
+    NumPy may change its ``Generator`` streams between releases (NEP 19),
+    so a run replays bit for bit only under the recorded NumPy.
+    ``workers`` is the worker count the run was asked for.
+    """
 
     config: dict
     version: str
     created: str
     outputs: tuple[str, ...]
+    environment: dict
+    workers: int
 
     def to_dict(self) -> dict:
         return dict(dataclasses.asdict(self), outputs=list(self.outputs))
+
+
+@functools.cache
+def _environment() -> dict[str, str]:
+    """The run environment; read once per process, on first use."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform()}
 
 
 def _fmt(value: Any) -> str:
@@ -375,8 +398,11 @@ def run_spec(spec: RunSpec, workers: int = 1,
 
 
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
-                 extra: Mapping[str, Any] | None = None) -> RunManifest:
-    """Write results.csv and summary.json under out_dir; returns the manifest."""
+                 extra: Mapping[str, Any] | None = None, workers: int = 1) -> RunManifest:
+    """Write results.csv and summary.json under out_dir; returns the manifest.
+
+    ``workers`` is recorded in the manifest as the worker count of the run.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -395,6 +421,8 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
         version=__version__,
         created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(outputs),
+        environment=dict(_environment()),
+        workers=workers,
     )
     summary = {
         "manifest": manifest.to_dict(),
@@ -417,9 +445,7 @@ def _hyp_str(cells: Sequence[int] | None) -> str:
     return "|".join(str(c) for c in cells)
 
 
-def _write_trial_csv(path: Path, cfg: ExperimentConfig, cost: float,
-                     workers: int) -> None:
-    results = run_trials(cfg, cost, workers=workers)
+def _write_trial_csv(path: Path, results: Sequence[TrialResult]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -433,18 +459,18 @@ def _write_trial_csv(path: Path, cfg: ExperimentConfig, cost: float,
 
 def _run_diagnostics(spec: RunSpec, out: Path, workers: int,
                      progress: TextIO | None) -> dict:
-    """Per-trial CSVs for the last threshold plus the tail-decay fit."""
+    """Per-trial CSVs for the last threshold plus the tail-decay fit over the same trials."""
     extra: dict[str, Any] = {"outputs": [], "diagnostics": {}}
     cost = math.exp(-spec.neg_log_c[-1])
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
+        results = run_trials(cfg, cost, workers=workers)
         name = f"trials_{policy}.csv"
-        _write_trial_csv(out / name, cfg, cost, workers)
+        _write_trial_csv(out / name, results)
         extra["outputs"].append(name)
         entry: dict[str, Any] = {"per_trial_csv": name}
         if POLICIES[policy].targets == "one":
-            decay = tau1_decay_diagnostic(cfg, cost, workers=workers)
-            entry["tau1_decay"] = dataclasses.asdict(decay)
+            entry["tau1_decay"] = dataclasses.asdict(_fit_tau1_decay(results))
         extra["diagnostics"][policy] = entry
         if progress is not None:
             print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)
@@ -610,7 +636,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if spec.diagnostics:
             out_dir.mkdir(parents=True, exist_ok=True)
             extra = _run_diagnostics(spec, out_dir, args.workers, sys.stderr)
-        manifest = emit_results(rows, spec, out_dir, extra=extra)
+        manifest = emit_results(rows, spec, out_dir, extra=extra, workers=args.workers)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

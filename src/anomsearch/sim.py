@@ -9,13 +9,19 @@ Trial t of an experiment draws every random variate from
    uniform variate scanned against the prior for target constraint
    ``one``, or a partial Fisher-Yates shuffle (one ``integers`` call per
    target) for target subsets;
-2. each round, the policy's own randomness first (subset shuffle for
-   ``chernoff``, one uniform variate for ``chernoff_generic``), then exactly
-   one variate per observation, probed cells visited in ascending order.
+2. each round, the policy's own draws first, then exactly one base variate
+   per observation, probed cells visited in ascending order. The round's
+   draws follow a recipe fixed by the config alone: K base variates,
+   preceded for ``chernoff`` by one ``integers`` call per cell of its
+   random subset (bounds M - 1, M - 2, ...: K calls in the "f" regime,
+   K - 1 in the "g" regime, none when K = M) and for ``chernoff_generic``
+   by one uniform variate. The state decides only how the draws are used.
 
 Nothing else touches the stream, so a trial is bit-reproducible in
 isolation and experiment results cannot depend on scheduling or on how
-trials are chunked across worker processes.
+trials are chunked across worker processes. Nor does the stream depend on
+the cost: trial t reads the same variates at every point of the grid, so
+one generator serves every cost.
 
 Policies
 --------
@@ -23,37 +29,40 @@ Policies
 constraint (``one``: L = 1, one true target drawn from ``priors``, tau1
 tracked under diagnostics; ``exact``: the true count is L; ``up_to``: any
 true count in 1..L, measured against the unknown-count bound), whether it
-probes one cell per round, its lockstep rule, whether it draws randomness
-of its own, and whether it scores every candidate target set. ``POLICY_NAMES``
-is its key order. Every check and dispatch reads the table instead of naming
-policies.
+probes one cell per round, its lockstep rule and draw recipe, and whether
+it scores every candidate target set. ``POLICY_NAMES`` is its key order.
+Every check and dispatch reads the table instead of naming policies.
 
 Engine
 ------
-Every policy runs in one lockstep engine. The trials of a chunk advance
-together, one round at a time, as rows of ``(trials, cells)`` arrays, and
-a policy is a vectorised rule over those rows that mirrors its scalar step
-rule in ``policies`` exactly (stable-argsort rankings, first-argmax ties,
-the same float operations in the same order). Each trial still draws from
-its own generator in contract order; when it draws depends on the policy:
+Every policy runs in one lockstep engine, over a whole cost grid at once.
+A chunk holds one row per (trial, cost), and its rows advance together,
+one round at a time, as rows of ``(rows, cells)`` arrays, each with the
+threshold of its cost. A policy is a vectorised rule over those rows that
+mirrors its scalar step rule in ``policies`` exactly (stable-argsort
+rankings, first-argmax ties, the same float operations in the same order).
+Each trial has one generator, one truth draw and one stream of variates,
+and all of its rows read them; ``run_trials`` and ``run_trial`` are the
+same engine on a grid of one cost. A trial draws in contract order for as
+long as any of its rows is live; when it draws depends on the policy:
 
-* The deterministic policies (``dgf``, ``dgf_l``, ``seq_dgf_l``,
-  ``unknown_l``) draw nothing of their own, so after the truth draw a
-  trial's stream is nothing but its observations' base variates, one per
-  probed cell. The engine draws them ahead in blocks of rounds
-  (``Generator`` array draws equal the same number of scalar draws) and
-  refills a block from the same generator when it runs out. Draws past a
-  trial's end are never read and nothing follows them in the stream, so
-  they are unobservable.
+* A policy whose recipe has no draws of its own (``dgf``, ``dgf_l``,
+  ``seq_dgf_l``, ``unknown_l``, and ``chernoff`` when it draws no subset)
+  leaves a trial's stream, after the truth draw, nothing but its
+  observations' base variates, one per probed cell. The engine draws them
+  ahead in blocks of rounds per trial (``Generator`` array draws equal the
+  same number of scalar draws) and refills a block from the same generator
+  when it runs out. Draws past a trial's end are never read and nothing
+  follows them in the stream, so they are unobservable.
 * The randomized policies (``chernoff``, ``chernoff_generic``) draw
   between observations, so nothing can be drawn ahead. Every round each
-  live trial first makes its policy draws inside the rule (``integers``
-  for the subset shuffle, one uniform for the mixture), then the engine
-  draws its K base variates, one scalar call each. A trial that stops
-  this round makes its policy draws too; they come after its end.
+  live trial first makes its policy draws, then its K base variates, one
+  scalar call each, and all of its live rows share them. A trial whose
+  rows stop this round makes its policy draws too; they come after its end.
 
-Either way the results are bit-identical to running one trial at a time
-through the scalar step rules, ``SearchState`` and ``update``.
+Either way the results are bit-identical to running one trial at a time,
+one cost at a time, through the scalar step rules, ``SearchState`` and
+``update``.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -100,7 +108,7 @@ __all__ = [
     "tau1_decay_diagnostic",
 ]
 
-# Trials advanced together; bounds the engine's arrays and live generators.
+# (trial, cost) rows advanced together; bounds the engine's arrays and live generators.
 _CHUNK = 1024
 # Rounds of base variates drawn per trial at a time.
 _BLOCK_ROUNDS = 32
@@ -203,7 +211,8 @@ class ExperimentConfig:
 
         if self.priors is not None:
             if policy.targets != "one":
-                raise ValueError("priors apply to single-target policies only")
+                raise ValueError(f"priors apply to single-target policies only, "
+                                 f"not to policy {self.policy!r}")
             priors = tuple(float(p) for p in self.priors)
             if len(priors) != m:
                 raise ValueError(f"priors must have one entry per cell ({m}), got {len(priors)}")
@@ -349,54 +358,66 @@ def run_trial(
     the order the policy's step rule lists them. Hitting cfg.max_rounds
     truncates the trial: decision None, correct False, tau = max_rounds.
     """
-    return _run_lockstep(cfg, cost, trial_index, trial_index + 1, trace)[0]
+    return _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)[0][0]
 
 
 def _run_lockstep(
     cfg: ExperimentConfig,
-    cost: float,
+    costs: Sequence[float],
     lo: int,
     hi: int,
     trace: list | None = None,
-) -> list[TrialResult]:
-    """Trials lo..hi-1, in lockstep chunks.
+) -> list[list[TrialResult]]:
+    """Trials lo..hi-1 at every cost in ``costs``, in lockstep chunks.
 
-    ``trace`` follows :func:`run_trial` and needs a single trial.
+    Returns one list of results per cost, in trial order. A chunk holds one
+    row per (trial, cost), and at most _CHUNK rows unless one trial has
+    more costs. ``trace`` follows :func:`run_trial` and needs a single
+    trial at a single cost.
     """
-    pcfg = PolicyConfig.for_model(
-        cfg.model, cfg.num_cells, cfg.probes_per_round, cost, cfg.num_targets
-    )
-    rule = POLICIES[cfg.policy].rule(cfg, pcfg)
-    out: list[TrialResult] = []
-    for start in range(lo, hi, _CHUNK):
-        out += _lockstep_chunk(cfg, rule, range(start, min(start + _CHUNK, hi)), trace)
+    pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
+                                    cfg.num_targets) for cost in costs]
+    # The regimes do not depend on the cost; only the threshold does.
+    rule, draw = POLICIES[cfg.policy].rule(cfg, pcfgs[0])
+    thresholds = [pcfg.threshold for pcfg in pcfgs]
+    width = len(costs)
+    step = max(1, _CHUNK // width)
+    out: list[list[TrialResult]] = [[] for _ in costs]
+    for start in range(lo, hi, step):
+        rows = _lockstep_chunk(cfg, rule, draw, thresholds,
+                               range(start, min(start + step, hi)), trace)
+        for j, results in enumerate(out):
+            results += rows[j::width]
     return out
 
 
-# A lockstep rule takes the live trials' sums S (trials x cells), their
-# declared-cell mask (updated in place, as are the rounds of their last
-# abnormal declaration), the round number and, for a policy that draws its
-# own randomness, the live trials' generators (else None). It returns which
-# trials stop, the decision mask of those that do, and every trial's probe
+# A lockstep rule takes the live rows' sums S (rows x cells), their
+# thresholds (one float, or one per row), their declared-cell mask (updated
+# in place, as are the rounds of their last abnormal declaration), the round
+# number and the round's policy draws (one row each, else None). It returns
+# which rows stop, the decision mask of those that do, and every row's probe
 # set in the scalar rule's order. Each rule below mirrors its scalar rule in
 # ``policies`` exactly: rankings break ties towards the lower cell index
 # (stable sort, first argmax), stop tests use the same float comparisons,
-# and a randomized rule makes the scalar rule's draws, in its order, from
-# every live trial. For a trial that stops this round they come after its
-# end, where nothing reads them.
-_Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, int, list | None],
+# and a randomized rule consumes the scalar rule's draws in its order.
+_Rule = Callable[[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None],
                  tuple[np.ndarray, np.ndarray, np.ndarray]]
+# A policy's draw recipe: given the live trials' generators, it makes each
+# trial's policy draws for one round (the same calls every round, fixed by
+# the config) and returns them as one row per trial. None when the policy
+# draws nothing of its own.
+_Draw = Callable[[list], np.ndarray]
 
 
-def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
     """dgf and dgf_l (dgf_step is dgfl_step with L=1): a fixed window of the ranking."""
-    m, k, l, thr = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, pcfg.threshold
+    m, k, l = cfg.num_cells, cfg.probes_per_round, cfg.num_targets
     if pcfg.multi_regime == "g":
         first = 0 if k >= l else l - k
     else:
         first = m - k if k > m - l else l
 
-    def rank(S, declared, last_declared, n, rngs):
+    def rank(S, thr, declared, last_declared, n, drawn):
         rows = np.arange(len(S))
         order = np.argsort(-S, axis=1, kind="stable")
         stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
@@ -404,27 +425,29 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
         decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
         return stop, decision, order[:, first:first + k]
 
-    return rank
+    return rank, None
 
 
-def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw | None]:
     """chernoff: dgf's stop test; probe everything when K = M, else the
     leader (in the "g" regime) plus a uniform subset of ranks 2..M drawn by
     partial Fisher-Yates, one ``integers`` call per drawn cell."""
-    m, k, thr = cfg.num_cells, cfg.probes_per_round, pcfg.threshold
+    m, k = cfg.num_cells, cfg.probes_per_round
     lead = int(pcfg.single_regime == "g")
     first = 0 if k == m else 1 - lead
     bounds = [] if k == m else [m - 1 - i for i in range(k - lead)]
     cell_index = np.arange(m)
 
-    def chernoff(S, declared, last_declared, n, rngs):
+    def draw(rngs):
+        return np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
+                           len(rngs) * len(bounds)).reshape(-1, len(bounds))
+
+    def chernoff(S, thr, declared, last_declared, n, picks):
         rows = np.arange(len(S))
         order = np.argsort(-S, axis=1, kind="stable")
         stop = S[rows, order[:, 0]] - S[rows, order[:, 1]] >= thr
         decision = order[stop, :1] == cell_index
         if bounds:
-            picks = np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
-                                len(rngs) * len(bounds)).reshape(-1, len(bounds))
             # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the first i picks.
             pool = order[:, 1:]
             for i in range(len(bounds)):
@@ -434,17 +457,17 @@ def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
                 pool[rows, j] = head
         return stop, decision, order[:, first:first + k]
 
-    return chernoff
+    return chernoff, draw if bounds else None
 
 
-def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
     cells normal from the bottom up and output the survivors."""
-    m, l, thr = cfg.num_cells, cfg.num_targets, pcfg.threshold
+    m, l = cfg.num_cells, cfg.num_targets
     chase_top = pcfg.multi_regime == "g"
     needed = l if chase_top else m - l
 
-    def sequential(S, declared, last_declared, n, rngs):
+    def sequential(S, thr, declared, last_declared, n, drawn):
         rows = np.arange(len(S))
         X = S if chase_top else -S
         while True:
@@ -459,14 +482,15 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
         decision = declared[stop] if chase_top else ~declared[stop]
         return stop, decision, best[:, None]
 
-    return sequential
+    return sequential, None
 
 
-def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
-    thr = pcfg.threshold
 
-    def unknown(S, declared, last_declared, n, rngs):
+    def unknown(S, thr, declared, last_declared, n, drawn):
+        if isinstance(thr, np.ndarray):
+            thr = thr[:, None]
         newly = ~declared & (S >= thr)
         declared |= newly
         last_declared[newly.any(axis=1)] = n
@@ -474,18 +498,21 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
         best = np.where(declared, -np.inf, S).argmax(axis=1)
         return stop, declared[stop], best[:, None]
 
-    return unknown
+    return unknown, None
 
 
-def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
+def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
     """chernoff_generic: score every target set of 1..L cells by adding its
     members' sums in order, stop once the ML set leads its closest rival by
-    the threshold, else probe one cell drawn from the ML set's mixture."""
+    the threshold, else probe one cell drawn from the ML set's mixture with
+    one uniform variate."""
     members, starts, masks, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
-    thr = pcfg.threshold
     uniform = np.random.Generator.random
 
-    def generic(S, declared, last_declared, n, rngs):
+    def draw(rngs):
+        return np.fromiter(map(uniform, rngs), float, len(rngs))
+
+    def generic(S, thr, declared, last_declared, n, u):
         rows = np.arange(len(S))
         scores = S[:, members[:, 0]]
         for j in range(1, len(starts)):
@@ -494,34 +521,42 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> _Rule:
         top = scores[rows, best]
         scores[rows, best] = -np.inf
         stop = top - scores.max(axis=1) >= thr
-        u = np.fromiter(map(uniform, rngs), float, len(rngs))
         cell = (u[:, None] < cum[best]).argmax(axis=1)
         return stop, masks[best[stop]], cell[:, None]
 
-    return generic
+    return generic, draw
 
 
 def _lockstep_chunk(
     cfg: ExperimentConfig,
     rule: _Rule,
+    draw: _Draw | None,
+    thresholds: list[float],
     trials: range,
     trace: list | None,
 ) -> list[TrialResult]:
+    """The chunk's rows, trial-major: row r is trial r // width at cost r % width."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
-    count = len(trials)
+    width = len(thresholds)
     rngs, truths = [], []
-    truth = np.zeros((count, m), dtype=bool)
+    truth = np.zeros((len(trials), m), dtype=bool)
     for i, t in enumerate(trials):
         rng = np.random.default_rng([cfg.seed, t])
         hyp = _draw_truth(cfg, rng)
         truth[i, list(hyp)] = True
         rngs.append(rng)
         truths.append(hyp)
-    policy = POLICIES[cfg.policy]
-    track_tau1 = cfg.diagnostics and policy.targets == "one"
+    if width == 1:
+        thr = thresholds[0]
+    else:
+        truths = [hyp for hyp in truths for _ in thresholds]
+        truth = np.repeat(truth, width, axis=0)
+        thr = np.tile(thresholds, len(trials))
+    track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
     true_cell = truth.argmax(axis=1)
 
-    # Per chunk trial: outcome. Per live trial (row): running state.
+    # Per chunk row: outcome. Per live row: running state.
+    count = len(truth)
     tau = np.zeros(count, dtype=np.int64)
     declared_at = np.zeros(count, dtype=np.int64)
     decided = np.zeros((count, m), dtype=bool)
@@ -531,15 +566,21 @@ def _lockstep_chunk(
     S = np.zeros((count, m))
     declared = np.zeros((count, m), dtype=bool)
     last_declared = np.full(count, -1, dtype=np.int64)
-    if policy.draws:
-        live_rngs = rngs
+    # The trials that own live rows, and each live row's index among them:
+    # a trial's rows share its generator, its base variates and its draws.
+    owners, owner_row = _owners(live, width)
+    if draw is None:
+        blocks = _base_blocks(model, rngs, owners, k)
     else:
-        live_rngs = None
-        blocks = _base_blocks(model, rngs, live, k)
-        block_row = live
+        live_rngs = rngs
+    drawn = None
     n = 0
     while True:
-        stop, decision, probe = rule(S, declared, last_declared, n, live_rngs)
+        if draw is not None:
+            drawn = draw(live_rngs)
+            if width > 1:
+                drawn = drawn[owner_row]
+        stop, decision, probe = rule(S, thr, declared, last_declared, n, drawn)
         done = stop if n < cfg.max_rounds else np.ones_like(stop)
         if done.any():
             ended = live[done]
@@ -553,20 +594,26 @@ def _lockstep_chunk(
             S, declared, last_declared = S[keep], declared[keep], last_declared[keep]
             if not live.size:
                 break
-            if policy.draws:
-                live_rngs = list(compress(live_rngs, keep.tolist()))
+            if width > 1:
+                thr = thr[keep]
+            if draw is None:
+                owner_row = owner_row[keep]
             else:
-                block_row = block_row[keep]
-        if policy.draws:
-            # K base variates per trial, after the rule's own draws.
-            gens = live_rngs if k == 1 else [g for g in live_rngs for _ in range(k)]
-            base = np.fromiter(map(model.base_variate, gens), float, len(gens)).reshape(-1, k)
-        else:
+                # A trial whose rows have all ended draws no more.
+                owners, owner_row = _owners(live, width)
+                live_rngs = [rngs[i] for i in owners.tolist()]
+        if draw is None:
             offset = (n % _BLOCK_ROUNDS) * k
             if offset == 0 and n:
-                blocks = _base_blocks(model, rngs, live, k)
-                block_row = np.arange(live.size)
-            base = blocks[block_row, offset:offset + k]
+                owners, owner_row = _owners(live, width)
+                blocks = _base_blocks(model, rngs, owners, k)
+            base = blocks[owner_row, offset:offset + k]
+        else:
+            # K base variates per trial, after its policy draws.
+            gens = live_rngs if k == 1 else [g for g in live_rngs for _ in range(k)]
+            base = np.fromiter(map(model.base_variate, gens), float, len(gens)).reshape(-1, k)
+            if width > 1:
+                base = base[owner_row]
         # Observations are drawn in ascending cell order within a round.
         cells = probe if k == 1 else np.sort(probe, axis=1)
         rows = np.arange(live.size)[:, None]
@@ -599,10 +646,20 @@ def _lockstep_chunk(
     ]
 
 
-def _base_blocks(model: ObservationModel, rngs: list, live: np.ndarray, k: int) -> np.ndarray:
-    """The next _BLOCK_ROUNDS rounds of base variates of each live trial, one row each."""
-    blocks = np.empty((live.size, _BLOCK_ROUNDS * k))
-    for row, i in enumerate(live.tolist()):
+def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk trials owning the live rows, in order, and each row's index among them."""
+    if width == 1:
+        return live, np.arange(live.size)
+    trial = live // width
+    first = np.ones(trial.size, dtype=bool)
+    np.not_equal(trial[1:], trial[:-1], out=first[1:])
+    return trial[first], np.cumsum(first) - 1
+
+
+def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray, k: int) -> np.ndarray:
+    """The next _BLOCK_ROUNDS rounds of base variates of each owner trial, one row each."""
+    blocks = np.empty((owners.size, _BLOCK_ROUNDS * k))
+    for row, i in enumerate(owners.tolist()):
         model.draw_base(rngs[i], blocks[row])
     return blocks
 
@@ -610,25 +667,23 @@ def _base_blocks(model: ObservationModel, rngs: list, live: np.ndarray, k: int) 
 @dataclass(frozen=True)
 class PolicyEntry:
     """One policy's facts (see "Policies" above): ``rule`` builds its
-    lockstep rule from ``(cfg, pcfg)``; ``draws`` marks a policy that draws
-    randomness of its own between observations; ``scores_hypotheses`` one
-    that scores every candidate target set, whose count is capped."""
+    lockstep rule and its draw recipe from ``(cfg, pcfg)``;
+    ``scores_hypotheses`` marks a policy that scores every candidate target
+    set, whose count is capped."""
 
     targets: str
     one_probe: bool
-    rule: Callable[[ExperimentConfig, PolicyConfig], _Rule]
-    draws: bool = False
+    rule: Callable[[ExperimentConfig, PolicyConfig], tuple[_Rule, _Draw | None]]
     scores_hypotheses: bool = False
 
 
 POLICIES: dict[str, PolicyEntry] = {
     "dgf": PolicyEntry("one", False, _ranked_rule),
-    "chernoff": PolicyEntry("one", False, _chernoff_rule, draws=True),
+    "chernoff": PolicyEntry("one", False, _chernoff_rule),
     "dgf_l": PolicyEntry("exact", False, _ranked_rule),
     "seq_dgf_l": PolicyEntry("exact", True, _sequential_rule),
     "unknown_l": PolicyEntry("up_to", True, _unknown_count_rule),
-    "chernoff_generic": PolicyEntry("up_to", True, _generic_rule, draws=True,
-                                    scores_hypotheses=True),
+    "chernoff_generic": PolicyEntry("up_to", True, _generic_rule, scores_hypotheses=True),
 }
 POLICY_NAMES = tuple(POLICIES)
 
@@ -645,24 +700,33 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
-    """All trials for one cost, in trial-index order.
+def _run_grid(cfg: ExperimentConfig, costs: Sequence[float],
+              workers: int = 1) -> list[list[TrialResult]]:
+    """All trials at every cost in ``costs``; one list per cost, in trial-index order.
 
-    With workers > 1 the trials are chunked across processes; per-trial
-    seeding makes the output independent of the chunking, so any worker
-    count yields the identical list. The pool never holds more processes
-    than there are chunks or CPUs available to this process.
+    With workers > 1 one process pool runs spans of trials, each span at
+    every cost; per-trial seeding makes the output independent of the
+    spans, so any worker count yields the identical lists. The pool never
+    holds more processes than there are spans or CPUs available to this
+    process.
     """
     if workers <= 1:
-        return _run_lockstep(cfg, cost, 0, cfg.trials)
+        return _run_lockstep(cfg, costs, 0, cfg.trials)
     workers = min(workers, _available_cpus())
     spans = _spans(cfg.trials, workers * 4)
-    out: list[TrialResult] = []
+    out: list[list[TrialResult]] = [[] for _ in costs]
     with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-        futures = [pool.submit(_run_lockstep, cfg, cost, lo, hi) for lo, hi in spans]
+        futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
         for future in futures:
-            out.extend(future.result())
+            for results, part in zip(out, future.result()):
+                results += part
     return out
+
+
+def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
+    """All trials for one cost, in trial-index order; any worker count
+    yields the identical list (see :func:`_run_grid`)."""
+    return _run_grid(cfg, (cost,), workers)[0]
 
 
 def aggregate(results: Sequence[TrialResult], cost: float) -> AggregateMetrics:
@@ -709,11 +773,10 @@ def run_experiment(
     workers: int = 1,
     progress: Callable[[str], None] | None = None,
 ) -> list[tuple[float, AggregateMetrics]]:
-    """Run the full neg_log_c grid; one (cost, AggregateMetrics) per point."""
+    """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
     out = []
-    for t in cfg.neg_log_c:
-        cost = math.exp(-t)
-        metrics = aggregate(run_trials(cfg, cost, workers), cost)
+    for t, cost, results in zip(cfg.neg_log_c, cfg.costs, _run_grid(cfg, cfg.costs, workers)):
+        metrics = aggregate(results, cost)
         out.append((cost, metrics))
         if progress is not None:
             progress(
@@ -741,7 +804,11 @@ def tau1_decay_diagnostic(
         run_cfg = replace(run_cfg, diagnostics=True)
     if trials is not None and trials != run_cfg.trials:
         run_cfg = replace(run_cfg, trials=trials)
-    results = run_trials(run_cfg, cost, workers=workers)
+    return _fit_tau1_decay(run_trials(run_cfg, cost, workers=workers))
+
+
+def _fit_tau1_decay(results: Sequence[TrialResult]) -> DecayReport:
+    """The tail fit of :func:`tau1_decay_diagnostic` over trials run with diagnostics on."""
     tau1s = [r.tau1 for r in results if r.correct and not r.truncated]
     used = len(tau1s)
     if used < 20:

@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from anomsearch import rate_single, sim, unknownl_lower_bound
 from anomsearch.cli import (
@@ -245,6 +248,29 @@ class TestMainCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--policy", "seq_dgf_l", "--M", "5", "--K", "2", "--L", "2"],
+         "policy 'seq_dgf_l' probes one cell per round; got K=2"),
+        (["--policy", "dgf,chernoff", "--L", "2"],
+         "policy 'dgf' searches for one target; got L=2"),
+        (["--policy", "chernoff_generic", "--M", "18", "--L", "9", "--neg-log-c", "1"],
+         "policy 'chernoff_generic' scores every set of 1..9 of 18 cells, 155381 sets; "
+         "at most 400 are supported"),
+    ], ids=["one-probe", "one-target", "hypothesis-cap"])
+    def test_policy_errors_name_the_policy_once(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_manifest_records_environment_and_workers(self, tmp_path):
+        code, out = self.run_main(tmp_path, "--M", "3", "--neg-log-c", "2", "--trials", "4",
+                                  "--workers", "2")
+        assert code == 0
+        manifest = json.loads((out / "summary.json").read_text())["manifest"]
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "platform": platform.platform()}
+        assert manifest["workers"] == 2
 
     @pytest.mark.parametrize("content", [
         {"neg_log_c": 5},

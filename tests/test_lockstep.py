@@ -11,6 +11,7 @@ or priors, under truncation and the tau1 diagnostic, and for any chunk and
 block size.
 """
 
+import dataclasses
 import functools
 import math
 from unittest import mock
@@ -29,6 +30,7 @@ from anomsearch import (
     Stop,
     Tabulated,
     TrialResult,
+    aggregate,
     anomaly_hypotheses,
     chernoff_generic_step,
     chernoff_step,
@@ -38,6 +40,7 @@ from anomsearch import (
     hypothesis_action_kl,
     maximin_action_distribution,
     ml_hypothesis,
+    run_experiment,
     run_trial,
     run_trials,
     seq_dgfl_step,
@@ -231,6 +234,29 @@ def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_
             replay = []
             assert run_trial(config, cost, t, trace=replay) == result
             assert replay == trace
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["f_regime", "g_regime"])
+@pytest.mark.parametrize("policy", POLICIES)
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), kind=st.sampled_from(sorted(MODELS)),
+       grid=st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0, 6.0, 9.0]) | st.floats(0.5, 9.0),
+                     min_size=1, max_size=4),
+       chunk=st.sampled_from([1, 3, 1024]), block_rounds=st.sampled_from([1, 2, 32]),
+       workers=st.sampled_from([1, 2]))
+def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block_rounds,
+                                    workers):
+    # One pass over a whole grid, repeated and unsorted costs included,
+    # must give each cost exactly the results of a run at that cost alone.
+    config = dataclasses.replace(data.draw(configs(policy, kind, swap)), neg_log_c=tuple(grid))
+    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+                for cost in config.costs]
+    with mock.patch.object(sim, "_CHUNK", chunk), \
+            mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
+        assert sim._run_grid(config, config.costs, workers) == expected
+        assert [run_trials(config, cost) for cost in config.costs] == expected
+        assert run_experiment(config, workers) == [
+            (cost, aggregate(results, cost)) for cost, results in zip(config.costs, expected)]
 
 
 @pytest.mark.parametrize("policy, overrides", [

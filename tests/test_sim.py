@@ -143,6 +143,19 @@ def test_two_cell_full_probe_matches_sprt_replay(model):
         assert got.observations_taken == 2 * n
 
 
+def recording_pool(sizes):
+    """A thread pool class to stand in for the process pool: no process
+    starts, at most one thread per submitted chunk does, and each pool's
+    size is appended to ``sizes``."""
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    return RecordingPool
+
+
 class TestDeterminism:
     def test_same_seed_same_results(self):
         config = cfg(trials=40)
@@ -155,16 +168,8 @@ class TestDeterminism:
         assert run_trials(config, cost, workers=1) == run_trials(config, cost, workers=2)
 
     def test_pool_size_is_clamped(self, monkeypatch):
-        # A thread pool stands in for the process pool, so no process starts
-        # and at most one thread per submitted chunk does.
         sizes = []
-
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(sizes))
         monkeypatch.setattr(sim, "_available_cpus", lambda: 3)
         few = cfg(trials=2)
         cost = few.costs[0]
@@ -172,6 +177,28 @@ class TestDeterminism:
         many = cfg(trials=50)
         assert run_trials(many, cost, workers=64) == run_trials(many, cost)
         assert sizes == [2, 3]  # fewer chunks than CPUs, then fewer CPUs than workers
+
+    @pytest.mark.parametrize("policy", sorted(sim.POLICIES))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_grid_builds_one_generator_per_trial_and_at_most_one_pool(
+            self, monkeypatch, policy, workers):
+        # With the thread pool every generator is built in this process and counted.
+        seeds, pools = [], []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            seeds.append(tuple(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(sim.np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(pools))
+        monkeypatch.setattr(sim, "_CHUNK", 8)  # several chunks of (trial, cost) rows
+        one_target = sim.POLICIES[policy].targets == "one"
+        config = cfg(policy=policy, model=Bernoulli(0.2, 0.7), num_targets=1 if one_target else 2,
+                     neg_log_c=(1.0, 4.0, 2.0, 3.0), trials=30)
+        run_experiment(config, workers=workers)
+        assert sorted(seeds) == [(config.seed, t) for t in range(config.trials)]
+        assert len(pools) == (workers > 1)
 
     def test_trace_replays_observation_stream(self):
         config = cfg(trials=1)
