@@ -55,6 +55,7 @@ from .sim import (
     AggregateMetrics,
     DecayReport,
     ExperimentConfig,
+    TrialColumns,
     TrialResult,
     aggregate,
     run_experiment,
@@ -107,6 +108,7 @@ __all__ = [
     # sim
     "ExperimentConfig",
     "TrialResult",
+    "TrialColumns",
     "AggregateMetrics",
     "DecayReport",
     "run_trial",

@@ -63,10 +63,9 @@ from .sim import (
     POLICIES,
     POLICY_NAMES,
     ExperimentConfig,
-    TrialResult,
+    TrialColumns,
     _fit_tau1_decay,
-    run_experiment,
-    run_trials,
+    _points,
 )
 
 _LN10 = math.log(10.0)
@@ -366,7 +365,14 @@ def _truncation_warnings(rows: Sequence[Mapping[str, Any]]) -> list[str]:
 def run_spec(spec: RunSpec, workers: int = 1,
              progress: TextIO | None = None) -> list[dict]:
     """Execute every (policy, threshold) pair; returns plot-ready row dicts."""
+    return _run_spec(spec, workers, progress)[0]
+
+
+def _run_spec(spec: RunSpec, workers: int,
+              progress: TextIO | None) -> tuple[list[dict], dict[str, TrialColumns]]:
+    """:func:`run_spec`'s rows, and each policy's trials at the last threshold."""
     rows: list[dict] = []
+    last: dict[str, TrialColumns] = {}
     total = len(spec.policies) * len(spec.neg_log_c)
     emitted = [0]
     start = time.monotonic()
@@ -381,8 +387,8 @@ def run_spec(spec: RunSpec, workers: int = 1,
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
         _, lower_bound = _benchmark(cfg)
-        results = run_experiment(cfg, workers=workers, progress=report)
-        for t, (cost, m) in zip(spec.neg_log_c, results):
+        for t, (cost, m, trials) in zip(spec.neg_log_c, _points(cfg, workers, report)):
+            last[policy] = trials
             bound = lower_bound(cost)
             rows.append({
                 "policy": policy, "M": spec.M, "K": spec.K, "L": spec.L,
@@ -394,7 +400,7 @@ def run_spec(spec: RunSpec, workers: int = 1,
                 "truncations": m.truncations,
                 "risk_stderr": m.risk_stderr, "r_empirical": m.r_empirical,
             })
-    return rows
+    return rows, last
 
 
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
@@ -439,38 +445,34 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     return manifest
 
 
-def _hyp_str(cells: Sequence[int] | None) -> str:
-    if cells is None:
-        return ""
-    return "|".join(str(c) for c in cells)
+def _cells(mask: Sequence[bool]) -> str:
+    return "|".join(str(cell) for cell, hit in enumerate(mask) if hit)
 
 
-def _write_trial_csv(path: Path, results: Sequence[TrialResult]) -> None:
+def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
+    """One row per trial; a truncated trial's decision is empty, as is tau1 untracked."""
+    n = len(trials.tau)
+    tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct"))
-        for i, r in enumerate(results):
-            writer.writerow((
-                i, _hyp_str(r.true_hypothesis), _hyp_str(r.decision),
-                r.tau, r.tau_d, "" if r.tau1 is None else r.tau1, int(r.correct),
-            ))
+        writer.writerow(("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct"))
+        writer.writerows(zip(
+            range(n), map(_cells, trials.truth.tolist()), map(_cells, trials.decided.tolist()),
+            trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist()))
 
 
-def _run_diagnostics(spec: RunSpec, out: Path, workers: int,
+def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],
                      progress: TextIO | None) -> dict:
-    """Per-trial CSVs for the last threshold plus the tail-decay fit over the same trials."""
+    """Per-trial CSVs of the last threshold's trials plus the tail-decay fit over them."""
+    out.mkdir(parents=True, exist_ok=True)
     extra: dict[str, Any] = {"outputs": [], "diagnostics": {}}
-    cost = math.exp(-spec.neg_log_c[-1])
-    for policy in spec.policies:
-        cfg = spec.experiment_config(policy)
-        results = run_trials(cfg, cost, workers=workers)
+    for policy, trials in last.items():
         name = f"trials_{policy}.csv"
-        _write_trial_csv(out / name, results)
+        _write_trial_csv(out / name, trials)
         extra["outputs"].append(name)
         entry: dict[str, Any] = {"per_trial_csv": name}
         if POLICIES[policy].targets == "one":
-            entry["tau1_decay"] = dataclasses.asdict(_fit_tau1_decay(results))
+            entry["tau1_decay"] = dataclasses.asdict(_fit_tau1_decay(trials))
         extra["diagnostics"][policy] = entry
         if progress is not None:
             print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)
@@ -631,11 +633,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     out_dir = Path(args.out) if args.out else Path("anomsearch-out")
     try:
-        rows = run_spec(spec, workers=args.workers, progress=sys.stderr)
-        extra = None
-        if spec.diagnostics:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            extra = _run_diagnostics(spec, out_dir, args.workers, sys.stderr)
+        rows, last = _run_spec(spec, args.workers, sys.stderr)
+        extra = _run_diagnostics(out_dir, last, sys.stderr) if spec.diagnostics else None
         manifest = emit_results(rows, spec, out_dir, extra=extra, workers=args.workers)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

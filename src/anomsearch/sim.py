@@ -62,7 +62,9 @@ long as any of its rows is live; when it draws depends on the policy:
 
 Either way the results are bit-identical to running one trial at a time,
 one cost at a time, through the scalar step rules, ``SearchState`` and
-``update``.
+``update``. They leave the engine as columns, one ``TrialColumns`` per
+cost in trial order, which ``aggregate`` reduces as they are; only
+``run_trials`` and ``run_trial`` build ``TrialResult`` objects.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.stats import norm
@@ -99,6 +101,7 @@ __all__ = [
     "PolicyEntry",
     "ExperimentConfig",
     "TrialResult",
+    "TrialColumns",
     "AggregateMetrics",
     "DecayReport",
     "run_trial",
@@ -252,6 +255,23 @@ class TrialResult:
     truncated: bool = False
 
 
+class TrialColumns(NamedTuple):
+    """A batch of trials as columns, one entry per trial in trial order.
+
+    ``truth`` and ``decided`` are (trials, cells) masks of the true and the
+    decided target cells, ``decided`` all False for a truncated trial; the
+    other fields follow :class:`TrialResult`, ``tau1`` None if untracked.
+    """
+
+    truth: np.ndarray
+    decided: np.ndarray
+    correct: np.ndarray
+    tau: np.ndarray
+    tau_d: np.ndarray
+    truncated: np.ndarray
+    tau1: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class AggregateMetrics:
     """Summary of one (policy, cost) batch of trials.
@@ -358,7 +378,18 @@ def run_trial(
     the order the policy's step rule lists them. Hitting cfg.max_rounds
     truncates the trial: decision None, correct False, tau = max_rounds.
     """
-    return _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)[0][0]
+    chunk, = _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)
+    return _trial_results(chunk, cfg.probes_per_round)[0]
+
+
+def _trial_results(trials: TrialColumns, k: int) -> list[TrialResult]:
+    """One TrialResult per row of ``trials``, run with ``k`` probes per round."""
+    def cells(mask):
+        return tuple(cell for cell, hit in enumerate(mask) if hit)
+
+    tau1s = [None] * len(trials.tau) if trials.tau1 is None else trials.tau1.tolist()
+    return [TrialResult(cells(hyp), None if cut else cells(dec), ok, t, td, t * k, t1, cut)
+            for hyp, dec, ok, t, td, cut, t1 in zip(*(col.tolist() for col in trials[:6]), tau1s)]
 
 
 def _run_lockstep(
@@ -367,28 +398,21 @@ def _run_lockstep(
     lo: int,
     hi: int,
     trace: list | None = None,
-) -> list[list[TrialResult]]:
-    """Trials lo..hi-1 at every cost in ``costs``, in lockstep chunks.
+) -> list[TrialColumns]:
+    """Trials lo..hi-1 at every cost in ``costs``, one TrialColumns per lockstep chunk.
 
-    Returns one list of results per cost, in trial order. A chunk holds one
-    row per (trial, cost), and at most _CHUNK rows unless one trial has
-    more costs. ``trace`` follows :func:`run_trial` and needs a single
-    trial at a single cost.
+    A chunk holds one row per (trial, cost), trial-major, and at most
+    _CHUNK rows unless one trial has more costs. ``trace`` follows
+    :func:`run_trial` and needs a single trial at a single cost.
     """
     pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
                                     cfg.num_targets) for cost in costs]
     # The regimes do not depend on the cost; only the threshold does.
     rule, draw = POLICIES[cfg.policy].rule(cfg, pcfgs[0])
     thresholds = [pcfg.threshold for pcfg in pcfgs]
-    width = len(costs)
-    step = max(1, _CHUNK // width)
-    out: list[list[TrialResult]] = [[] for _ in costs]
-    for start in range(lo, hi, step):
-        rows = _lockstep_chunk(cfg, rule, draw, thresholds,
-                               range(start, min(start + step, hi)), trace)
-        for j, results in enumerate(out):
-            results += rows[j::width]
-    return out
+    step = max(1, _CHUNK // len(costs))
+    return [_lockstep_chunk(cfg, rule, draw, thresholds, range(start, min(start + step, hi)),
+                            trace) for start in range(lo, hi, step)]
 
 
 # A lockstep rule takes the live rows' sums S (rows x cells), their
@@ -534,22 +558,17 @@ def _lockstep_chunk(
     thresholds: list[float],
     trials: range,
     trace: list | None,
-) -> list[TrialResult]:
+) -> TrialColumns:
     """The chunk's rows, trial-major: row r is trial r // width at cost r % width."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
     width = len(thresholds)
-    rngs, truths = [], []
+    rngs = [np.random.default_rng([cfg.seed, t]) for t in trials]
     truth = np.zeros((len(trials), m), dtype=bool)
-    for i, t in enumerate(trials):
-        rng = np.random.default_rng([cfg.seed, t])
-        hyp = _draw_truth(cfg, rng)
-        truth[i, list(hyp)] = True
-        rngs.append(rng)
-        truths.append(hyp)
+    for i, rng in enumerate(rngs):
+        truth[i, list(_draw_truth(cfg, rng))] = True
     if width == 1:
         thr = thresholds[0]
     else:
-        truths = [hyp for hyp in truths for _ in thresholds]
         truth = np.repeat(truth, width, axis=0)
         thr = np.tile(thresholds, len(trials))
     track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
@@ -626,24 +645,9 @@ def _lockstep_chunk(
         if trace is not None:
             trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
 
-    truncated = ~stopped
-    tau_d = np.where(declared_at >= 0, declared_at, tau)
-    decisions = [None if cut else tuple(cell for cell, hit in enumerate(row) if hit)
-                 for row, cut in zip(decided.tolist(), truncated.tolist())]
-    return [
-        TrialResult(
-            true_hypothesis=hyp,
-            decision=dec,
-            correct=dec == hyp,
-            tau=t,
-            tau_d=td,
-            observations_taken=t * k,
-            tau1=lb + 1 if track_tau1 else None,
-            truncated=cut,
-        )
-        for hyp, dec, t, td, lb, cut in zip(truths, decisions, tau.tolist(), tau_d.tolist(),
-                                             last_break.tolist(), truncated.tolist())
-    ]
+    return TrialColumns(truth, decided, stopped & (decided == truth).all(axis=1), tau,
+                        np.where(declared_at >= 0, declared_at, tau), ~stopped,
+                        last_break + 1 if track_tau1 else None)
 
 
 def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -701,58 +705,59 @@ def _available_cpus() -> int:
 
 
 def _run_grid(cfg: ExperimentConfig, costs: Sequence[float],
-              workers: int = 1) -> list[list[TrialResult]]:
-    """All trials at every cost in ``costs``; one list per cost, in trial-index order.
+              workers: int = 1) -> list[TrialColumns]:
+    """All trials at every cost in ``costs``; one TrialColumns per cost, in trial order.
 
     With workers > 1 one process pool runs spans of trials, each span at
     every cost; per-trial seeding makes the output independent of the
-    spans, so any worker count yields the identical lists. The pool never
+    spans, so any worker count yields identical columns. The pool never
     holds more processes than there are spans or CPUs available to this
     process.
     """
     if workers <= 1:
-        return _run_lockstep(cfg, costs, 0, cfg.trials)
-    workers = min(workers, _available_cpus())
-    spans = _spans(cfg.trials, workers * 4)
-    out: list[list[TrialResult]] = [[] for _ in costs]
-    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
-        futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
-        for future in futures:
-            for results, part in zip(out, future.result()):
-                results += part
-    return out
+        chunks = _run_lockstep(cfg, costs, 0, cfg.trials)
+    else:
+        workers = min(workers, _available_cpus())
+        spans = _spans(cfg.trials, workers * 4)
+        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+            futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
+            chunks = [chunk for future in futures for chunk in future.result()]
+    # Chunks and their rows come in trial order, each trial's rows in cost order. Each
+    # cost gets a copy of its rows: a view would keep the whole grid's rows alive.
+    rows = [None if cols[0] is None else np.concatenate(cols) for cols in zip(*chunks)]
+    return [TrialColumns(*(None if col is None else col[j::len(costs)].copy() for col in rows))
+            for j in range(len(costs))]
 
 
 def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
     """All trials for one cost, in trial-index order; any worker count
     yields the identical list (see :func:`_run_grid`)."""
-    return _run_grid(cfg, (cost,), workers)[0]
+    return _trial_results(_run_grid(cfg, (cost,), workers)[0], cfg.probes_per_round)
 
 
-def aggregate(results: Sequence[TrialResult], cost: float) -> AggregateMetrics:
-    """Reduce one batch of trials to AggregateMetrics; order-insensitive."""
-    n = len(results)
+def aggregate(trials: TrialColumns, cost: float) -> AggregateMetrics:
+    """Reduce one batch of trials to AggregateMetrics.
+
+    The reductions run over contiguous float copies of the columns in trial
+    order; that order fixes every bit of the result.
+    """
+    n = len(trials.tau)
     if n == 0:
         raise ValueError("no trial results to aggregate")
-    taus = np.fromiter((r.tau for r in results), dtype=float, count=n)
-    tau_ds = np.fromiter((r.tau_d for r in results), dtype=float, count=n)
-    errors = np.fromiter((0.0 if r.correct else 1.0 for r in results), dtype=float, count=n)
+    taus = trials.tau.astype(float)
+    tau_ds = trials.tau_d.astype(float)
+    errors = np.where(trials.correct, 0.0, 1.0)
     p_e = float(errors.mean())
     mean_tau = float(taus.mean())
     mean_tau_d = float(tau_ds.mean())
     risk_samples = errors + cost * tau_ds
-    if n >= 2:
-        sigma = float(taus.std(ddof=1))
-        risk_stderr = float(risk_samples.std(ddof=1)) / math.sqrt(n)
-    else:
-        sigma = 0.0
-        risk_stderr = 0.0
+    sigma = float(taus.std(ddof=1)) if n >= 2 else 0.0
+    risk_stderr = float(risk_samples.std(ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
     half = _Z_95 * sigma / math.sqrt(n)
+    r_empirical = 0.0
     if sigma > 0.0:
         q_low, q_high = np.quantile(taus, [0.025, 0.975])
         r_empirical = float(q_high - q_low) / (2.0 * sigma)
-    else:
-        r_empirical = 0.0
     return AggregateMetrics(
         trial_count=n,
         p_e=p_e,
@@ -764,7 +769,7 @@ def aggregate(results: Sequence[TrialResult], cost: float) -> AggregateMetrics:
         ci_low=mean_tau - half,
         ci_high=mean_tau + half,
         r_empirical=r_empirical,
-        truncations=sum(1 for r in results if r.truncated),
+        truncations=int(trials.truncated.sum()),
     )
 
 
@@ -774,24 +779,22 @@ def run_experiment(
     progress: Callable[[str], None] | None = None,
 ) -> list[tuple[float, AggregateMetrics]]:
     """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
-    out = []
-    for t, cost, results in zip(cfg.neg_log_c, cfg.costs, _run_grid(cfg, cfg.costs, workers)):
-        metrics = aggregate(results, cost)
-        out.append((cost, metrics))
+    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers, progress)]
+
+
+def _points(cfg: ExperimentConfig, workers: int, progress: Callable[[str], None] | None
+            ) -> Iterator[tuple[float, AggregateMetrics, TrialColumns]]:
+    """:func:`run_experiment`'s points in grid order, each with the trials it reduces."""
+    for t, cost, trials in zip(cfg.neg_log_c, cfg.costs, _run_grid(cfg, cfg.costs, workers)):
+        metrics = aggregate(trials, cost)
         if progress is not None:
-            progress(
-                f"{cfg.policy} -log c={t:g}: mean_tau={metrics.mean_tau:.4g} "
-                f"p_e={metrics.p_e:.3g} trials={metrics.trial_count}"
-            )
-    return out
+            progress(f"{cfg.policy} -log c={t:g}: mean_tau={metrics.mean_tau:.4g} "
+                     f"p_e={metrics.p_e:.3g} trials={metrics.trial_count}")
+        yield cost, metrics, trials
 
 
-def tau1_decay_diagnostic(
-    cfg: ExperimentConfig,
-    cost: float,
-    trials: int | None = None,
-    workers: int = 1,
-) -> DecayReport:
+def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float, trials: int | None = None,
+                          workers: int = 1) -> DecayReport:
     """Fit the tail decay rate of the last-passage time over fresh trials.
 
     Only correct, non-truncated trials contribute: tau1 measures when the
@@ -799,22 +802,18 @@ def tau1_decay_diagnostic(
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
-    run_cfg = cfg
-    if not run_cfg.diagnostics:
-        run_cfg = replace(run_cfg, diagnostics=True)
-    if trials is not None and trials != run_cfg.trials:
-        run_cfg = replace(run_cfg, trials=trials)
-    return _fit_tau1_decay(run_trials(run_cfg, cost, workers=workers))
+    run_cfg = replace(cfg, diagnostics=True, trials=cfg.trials if trials is None else trials)
+    return _fit_tau1_decay(_run_grid(run_cfg, (cost,), workers)[0])
 
 
-def _fit_tau1_decay(results: Sequence[TrialResult]) -> DecayReport:
+def _fit_tau1_decay(trials: TrialColumns) -> DecayReport:
     """The tail fit of :func:`tau1_decay_diagnostic` over trials run with diagnostics on."""
-    tau1s = [r.tau1 for r in results if r.correct and not r.truncated]
-    used = len(tau1s)
+    tau1s = trials.tau1[trials.correct]  # a correct trial is never truncated
+    used = tau1s.size
     if used < 20:
         return DecayReport(used, None, None, 0, None, None, True)
 
-    counts = np.bincount(np.asarray(tau1s, dtype=np.int64))
+    counts = np.bincount(tau1s)
     # survivors[n] = number of trials with tau1 > n
     survivors = used - np.cumsum(counts)
     survival = survivors / used

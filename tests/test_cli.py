@@ -221,6 +221,39 @@ class TestMainCommand:
         assert len(trial_rows) == 40
         assert trial_rows[0]["trial_index"] == "0"
 
+    def test_diagnostics_reuse_the_grid_trials(self, tmp_path, monkeypatch):
+        # The per-trial CSVs and the tail fit read the last threshold's trials
+        # from the grid run, so each trial builds its generator once per policy.
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            seeds.append(tuple(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(sim.np.random, "default_rng", counting_rng)
+        code, out = self.run_main(tmp_path, "--policy", "dgf,chernoff", "--M", "3",
+                                  "--neg-log-c", "3,2,1", "--trials", "30", "--seed", "6",
+                                  "--diagnostics")
+        assert code == 0
+        assert sorted(seeds) == sorted([(6, t) for t in range(30)] * 2)
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["diagnostics"]) == {"dgf", "chernoff"}
+        # Each CSV holds the last threshold's trials, as run_trials gives them;
+        # at -log c = 1 some of them decide wrongly.
+        spec = resolve_config({"policies": ["dgf", "chernoff"], "M": 3, "neg_log_c": [3, 2, 1],
+                               "trials": 30, "seed": 6, "diagnostics": True})
+        for policy in spec.policies:
+            with (out / f"trials_{policy}.csv").open() as fh:
+                written = [tuple(row.values()) for row in csv.DictReader(fh)]
+            results = sim.run_trials(spec.experiment_config(policy), math.exp(-1.0))
+            assert not all(r.correct for r in results)
+            assert written == [
+                (str(t), "|".join(map(str, r.true_hypothesis)),
+                 "|".join(map(str, r.decision or ())), str(r.tau), str(r.tau_d), str(r.tau1),
+                 str(int(r.correct)))
+                for t, r in enumerate(results)]
+
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["--K", "9", "--out", str(tmp_path)]) == 2
         assert main(["--policy", "nope", "--out", str(tmp_path)]) == 2
@@ -308,7 +341,7 @@ class TestMainCommand:
         assert json.loads((tmp_path / "clean" / "summary.json").read_text())["warnings"] == []
 
         cut = dict(row, truncations=3)
-        monkeypatch.setattr("anomsearch.cli.run_spec", lambda *args, **kwargs: [cut])
+        monkeypatch.setattr("anomsearch.cli._run_spec", lambda *args, **kwargs: ([cut], {}))
         config = tmp_path / "run.json"
         config.write_text(json.dumps(TINY))
         code, out = self.run_main(tmp_path, str(config))

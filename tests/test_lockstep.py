@@ -8,7 +8,8 @@ order the reproducibility contract in ``anomsearch.sim`` fixes, policy
 draws included. The engine must reproduce them exactly, trace and all,
 for every policy, model family and regime, with or without a pinned truth
 or priors, under truncation and the tau1 diagnostic, and for any chunk and
-block size.
+block size. ``reference_aggregate`` is the per-object reduction that
+``aggregate`` replaced; the engine's aggregates must equal it bit for bit.
 """
 
 import dataclasses
@@ -19,8 +20,10 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from scipy.stats import norm
 
 from anomsearch import (
+    AggregateMetrics,
     Bernoulli,
     ExperimentConfig,
     Exponential,
@@ -30,7 +33,6 @@ from anomsearch import (
     Stop,
     Tabulated,
     TrialResult,
-    aggregate,
     anomaly_hypotheses,
     chernoff_generic_step,
     chernoff_step,
@@ -178,6 +180,35 @@ def generic_reference(config, cost, trial_index):
     return result, trace
 
 
+def reference_aggregate(results, cost):
+    """AggregateMetrics of a list of TrialResults, read back one object at a time."""
+    n = len(results)
+    taus = np.fromiter((r.tau for r in results), dtype=float, count=n)
+    tau_ds = np.fromiter((r.tau_d for r in results), dtype=float, count=n)
+    errors = np.fromiter((0.0 if r.correct else 1.0 for r in results), dtype=float, count=n)
+    p_e = float(errors.mean())
+    mean_tau = float(taus.mean())
+    mean_tau_d = float(tau_ds.mean())
+    risk_samples = errors + cost * tau_ds
+    if n >= 2:
+        sigma = float(taus.std(ddof=1))
+        risk_stderr = float(risk_samples.std(ddof=1)) / math.sqrt(n)
+    else:
+        sigma = 0.0
+        risk_stderr = 0.0
+    half = float(norm.ppf(0.975)) * sigma / math.sqrt(n)
+    if sigma > 0.0:
+        q_low, q_high = np.quantile(taus, [0.025, 0.975])
+        r_empirical = float(q_high - q_low) / (2.0 * sigma)
+    else:
+        r_empirical = 0.0
+    return AggregateMetrics(
+        trial_count=n, p_e=p_e, mean_tau=mean_tau, mean_tau_d=mean_tau_d,
+        bayes_risk=p_e + cost * mean_tau_d, risk_stderr=risk_stderr, sigma=sigma,
+        ci_low=mean_tau - half, ci_high=mean_tau + half, r_empirical=r_empirical,
+        truncations=sum(1 for r in results if r.truncated))
+
+
 @st.composite
 def configs(draw, policy, kind, swap):
     m = draw(st.integers(2, 5))
@@ -253,10 +284,33 @@ def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block
                 for cost in config.costs]
     with mock.patch.object(sim, "_CHUNK", chunk), \
             mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
-        assert sim._run_grid(config, config.costs, workers) == expected
+        assert [sim._trial_results(trials, config.probes_per_round)
+                for trials in sim._run_grid(config, config.costs, workers)] == expected
         assert [run_trials(config, cost) for cost in config.costs] == expected
         assert run_experiment(config, workers) == [
-            (cost, aggregate(results, cost)) for cost, results in zip(config.costs, expected)]
+            (cost, reference_aggregate(results, cost))
+            for cost, results in zip(config.costs, expected)]
+
+
+@pytest.fixture(scope="module", params=SINGLE_TARGET)
+def large_grid(request):
+    """A fig2-shaped 10^4-trial grid of five costs and its per-object reference aggregates."""
+    config = ExperimentConfig(num_cells=5, probes_per_round=1, policy=request.param,
+                              model=Exponential(0.5, 10.0), neg_log_c=(0.5, 1.0, 1.5, 2.0, 3.0),
+                              trials=10_000, seed=2024)
+    return config, [(cost, reference_aggregate(run_trials(config, cost), cost))
+                    for cost in config.costs]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aggregates_match_per_object_reduction_at_scale(large_grid, workers):
+    # The goldens' 300 trials are too few to show a change in reduction order.
+    config, expected = large_grid
+    got = run_experiment(config, workers)
+    assert [cost for cost, _ in got] == [cost for cost, _ in expected]
+    for (_, metrics), (_, reference) in zip(got, expected):
+        for field in dataclasses.fields(AggregateMetrics):
+            assert getattr(metrics, field.name) == getattr(reference, field.name), field.name
 
 
 @pytest.mark.parametrize("policy, overrides", [

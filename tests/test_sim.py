@@ -10,7 +10,7 @@ from anomsearch import (
     Bernoulli,
     ExperimentConfig,
     Exponential,
-    TrialResult,
+    TrialColumns,
     aggregate,
     run_experiment,
     run_trial,
@@ -214,19 +214,24 @@ class TestDeterminism:
 class TestAggregate:
     @staticmethod
     def trial(tau, correct=True, tau_d=None, truncated=False):
-        return TrialResult(
-            true_hypothesis=(0,),
-            decision=(0,) if correct else (1,),
-            correct=correct,
-            tau=tau,
-            tau_d=tau if tau_d is None else tau_d,
-            observations_taken=tau,
-            truncated=truncated,
-        )
+        return tau, correct, tau if tau_d is None else tau_d, truncated
+
+    @staticmethod
+    def columns(*trials):
+        """Two-cell trials, the target in cell 0, as columns; a wrong trial decides cell 1."""
+        n = len(trials)
+        tau, correct, tau_d, truncated = (
+            np.array([trial[i] for trial in trials], dtype=dtype)
+            for i, dtype in enumerate((np.int64, bool, np.int64, bool)))
+        truth = np.zeros((n, 2), dtype=bool)
+        truth[:, 0] = True
+        decided = np.zeros((n, 2), dtype=bool)
+        decided[np.arange(n), (~correct).astype(int)] = ~truncated
+        return TrialColumns(truth, decided, correct, tau, tau_d, truncated)
 
     def test_two_point_hand_values(self):
         cost = 0.01
-        m = aggregate([self.trial(8), self.trial(12)], cost)
+        m = aggregate(self.columns(self.trial(8), self.trial(12)), cost)
         assert m.trial_count == 2
         assert m.p_e == 0.0
         assert m.mean_tau == pytest.approx(10.0)
@@ -240,30 +245,30 @@ class TestAggregate:
 
     def test_error_indicator_feeds_risk(self):
         cost = 0.1
-        m = aggregate([self.trial(10), self.trial(10, correct=False)], cost)
+        m = aggregate(self.columns(self.trial(10), self.trial(10, correct=False)), cost)
         assert m.p_e == 0.5
         assert m.bayes_risk == pytest.approx(0.5 + 0.1 * 10)
 
     def test_detection_time_separate_from_stop_time(self):
-        m = aggregate([self.trial(20, tau_d=5)], 0.01)
+        m = aggregate(self.columns(self.trial(20, tau_d=5)), 0.01)
         assert m.mean_tau == 20.0
         assert m.mean_tau_d == 5.0
         assert m.bayes_risk == pytest.approx(0.05)
 
     def test_degenerate_spread(self):
-        m = aggregate([self.trial(10)], 0.01)
+        m = aggregate(self.columns(self.trial(10)), 0.01)
         assert m.sigma == 0.0
         assert m.risk_stderr == 0.0
         assert m.r_empirical == 0.0
         assert (m.ci_low, m.ci_high) == (10.0, 10.0)
 
     def test_truncations_counted(self):
-        m = aggregate([self.trial(10), self.trial(10, truncated=True)], 0.01)
+        m = aggregate(self.columns(self.trial(10), self.trial(10, truncated=True)), 0.01)
         assert m.truncations == 1
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([], 0.01)
+            aggregate(self.columns(), 0.01)
 
 
 def test_error_probability_tracks_cost_bound():
