@@ -450,15 +450,18 @@ def _cells(mask: Sequence[bool]) -> str:
 
 
 def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
-    """One row per trial; a truncated trial's decision is empty, as is tau1 untracked."""
+    """One row per trial; tau1 is empty when untracked, and so is the decision of a
+    truncated trial (``truncated`` 1) or of one that stopped declaring no cell."""
     n = len(trials.tau)
     tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct"))
+        writer.writerow(("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct",
+                         "truncated"))
         writer.writerows(zip(
             range(n), map(_cells, trials.truth.tolist()), map(_cells, trials.decided.tolist()),
-            trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist()))
+            trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist(),
+            trials.truncated.astype(int).tolist()))
 
 
 def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],

@@ -3,7 +3,10 @@
 Reproducibility contract
 ------------------------
 Trial t of an experiment draws every random variate from
-``numpy.random.default_rng([seed, t])``, in a fixed order:
+``numpy.random.default_rng([seed, t])``, in a fixed order. The engine
+builds that generator bit for bit in ``_trial_generators``, which hashes
+a chunk's seeds at once and checks itself against ``default_rng`` on first
+use in each process. The draws come in this order:
 
 1. ground truth (skipped entirely when ``fixed_hypothesis`` is set): one
    uniform variate scanned against the prior for target constraint
@@ -70,6 +73,7 @@ cost in trial order, which ``aggregate`` reduces as they are; only
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -77,6 +81,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.stats import norm
 
 from .models import ObservationModel
@@ -319,24 +324,130 @@ class DecayReport:
     inconclusive: bool
 
 
-def _draw_truth(cfg: ExperimentConfig, rng: np.random.Generator) -> tuple[int, ...]:
-    if cfg.fixed_hypothesis is not None:
-        return cfg.fixed_hypothesis
+# numpy.random.SeedSequence's hash, M. O'Neill's seed_seq, with its pool of
+# four uint32 words; NumPy's tests pin these constants to the C++ reference.
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+# (seed, trial) pairs the seeding self-check builds both ways: seed 0, a
+# one-word seed, a seed of 2^64 or more, and a seed of 2^96 or more, whose
+# five entropy words run SeedSequence's loop over entropy beyond the pool.
+_SEEDING_CHECKS = ((0, 0), (271_828, 1), (2**64 + 1, 2**32 - 1), (2**128 - 1, 12_345))
+# Whether _seed_words reproduces SeedSequence under this NumPy; None until checked.
+_seeding_verified: bool | None = None
+# One pass of _seed_words costs about as much as five default_rng calls, so
+# smaller chunks, such as run_trial's one trial, call default_rng.
+_MIN_HASHED = 8
+
+
+class _Words(ISeedSequence):
+    """A seed sequence that hands its bit generator four precomputed uint64 words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _trial_generators(seed: int, trials: range) -> list[np.random.Generator]:
+    """``default_rng([seed, t])`` for each t in ``trials``, a range of consecutive indices.
+
+    The only place that builds a trial's generator. Trials below 2^32 get
+    PCG64 seeded with :func:`_seed_words`, bit for bit the state
+    ``default_rng`` gives them; the first call in each process checks that
+    on ``_SEEDING_CHECKS`` and, if any pair disagrees (NEP 19 lets a NumPy
+    release change SeedSequence), every generator is built by
+    ``default_rng`` from then on, as are those of trials from 2^32 on and
+    of ranges shorter than ``_MIN_HASHED``.
+    """
+    global _seeding_verified
+
+    def seeded(words):
+        return np.random.Generator(np.random.PCG64(_Words(words)))
+
+    if _seeding_verified is None:
+        _seeding_verified = all(
+            seeded(_seed_words(s, range(t, t + 1))[0]).bit_generator.state
+            == np.random.default_rng([s, t]).bit_generator.state for s, t in _SEEDING_CHECKS)
+    cut, generators = trials.start, []
+    if _seeding_verified and len(trials) >= _MIN_HASHED:
+        cut = max(cut, min(trials.stop, 2**32))
+        generators = [seeded(words) for words in _seed_words(seed, range(trials.start, cut))]
+    return generators + [np.random.default_rng([seed, t]) for t in range(cut, trials.stop)]
+
+
+def _seed_words(seed: int, trials: range) -> np.ndarray:
+    """``SeedSequence([seed, t]).generate_state(4, np.uint64)``, one row per t in ``trials``.
+
+    Runs SeedSequence's mix_entropy and generate_state once for all the
+    trials, on (words, trials) uint32 arrays: the seed's words are the same
+    in every column and each t, below 2^32, is one word. The hash constants
+    advance once per hashmix whatever the data, so every step that reads a
+    run of them runs at once.
+    """
+    seed = operator.index(seed)
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    # Entropy shorter than the pool is padded with zero words, as SeedSequence does.
+    entropy = np.zeros((max(len(words) + 1, 4), len(trials)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials.start, trials.stop)
+    a = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], a[:5])
+    # Mix every pool word into the others, then fold in entropy beyond the pool.
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], a[4 + 3 * src:8 + 3 * src]))
+    for i, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(word, a[16 + 4 * i:21 + 4 * i]))
+    state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    # Little-endian pairs of uint32 words make the uint64 words; PCG64 reads each row raw.
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before each of ``count`` hashmix steps, and after the last."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix, one step per row of the result, the i-th under consts[i:i + 2]."""
+    value = value ^ consts[:-1, None]
+    value *= consts[1:, None]
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ value >> 16
+
+
+def _draw_truths(cfg: ExperimentConfig, rngs: list) -> np.ndarray:
+    """Each trial's true target cells as one mask row, its generator's first draws."""
     m = cfg.num_cells
-    if POLICIES[cfg.policy].targets == "one":
-        u = rng.random()
-        acc = 0.0
-        for cell, p in enumerate(cfg.priors):
-            acc += p
-            if u < acc:
-                return (cell,)
-        return (m - 1,)
-    ell = cfg.true_target_count
-    pool = list(range(m))
-    for i in range(ell):
-        j = i + int(rng.integers(m - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return tuple(sorted(pool[:ell]))
+    truth = np.zeros((len(rngs), m), dtype=bool)
+    if cfg.fixed_hypothesis is not None:
+        truth[:, list(cfg.fixed_hypothesis)] = True
+    elif POLICIES[cfg.policy].targets == "one":
+        # The first cell whose running prior sum exceeds one uniform variate;
+        # cumsum adds in the scalar scan's order.
+        u = np.fromiter(map(np.random.Generator.random, rngs), float, len(rngs))
+        cells = np.minimum(np.searchsorted(np.cumsum(cfg.priors), u, side="right"), m - 1)
+        truth[np.arange(len(rngs)), cells] = True
+    else:
+        ell = cfg.true_target_count
+        for row, rng in zip(truth, rngs):
+            pool = list(range(m))
+            for i in range(ell):
+                j = i + int(rng.integers(m - i))
+                pool[i], pool[j] = pool[j], pool[i]
+            row[pool[:ell]] = True
+    return truth
 
 
 @lru_cache(maxsize=8)
@@ -562,10 +673,8 @@ def _lockstep_chunk(
     """The chunk's rows, trial-major: row r is trial r // width at cost r % width."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
     width = len(thresholds)
-    rngs = [np.random.default_rng([cfg.seed, t]) for t in trials]
-    truth = np.zeros((len(trials), m), dtype=bool)
-    for i, rng in enumerate(rngs):
-        truth[i, list(_draw_truth(cfg, rng))] = True
+    rngs = _trial_generators(cfg.seed, trials)
+    truth = _draw_truths(cfg, rngs)
     if width == 1:
         thr = thresholds[0]
     else:
@@ -793,17 +902,15 @@ def _points(cfg: ExperimentConfig, workers: int, progress: Callable[[str], None]
         yield cost, metrics, trials
 
 
-def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float, trials: int | None = None,
-                          workers: int = 1) -> DecayReport:
-    """Fit the tail decay rate of the last-passage time over fresh trials.
+def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
+    """Fit the tail decay rate of the last-passage time over cfg's trials at ``cost``.
 
     Only correct, non-truncated trials contribute: tau1 measures when the
     true cell's lead became permanent, which is undefined on error paths.
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
-    run_cfg = replace(cfg, diagnostics=True, trials=cfg.trials if trials is None else trials)
-    return _fit_tau1_decay(_run_grid(run_cfg, (cost,), workers)[0])
+    return _fit_tau1_decay(_run_grid(replace(cfg, diagnostics=True), (cost,))[0])
 
 
 def _fit_tau1_decay(trials: TrialColumns) -> DecayReport:

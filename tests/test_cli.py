@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
     ConfigError,
+    _write_trial_csv,
     emit_results,
     main,
     model_from_dict,
@@ -225,13 +227,13 @@ class TestMainCommand:
         # The per-trial CSVs and the tail fit read the last threshold's trials
         # from the grid run, so each trial builds its generator once per policy.
         seeds = []
-        default_rng = np.random.default_rng
+        trial_generators = sim._trial_generators
 
-        def counting_rng(seed):
-            seeds.append(tuple(seed))
-            return default_rng(seed)
+        def counting_generators(seed, trials):
+            seeds.extend((seed, t) for t in trials)
+            return trial_generators(seed, trials)
 
-        monkeypatch.setattr(sim.np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(sim, "_trial_generators", counting_generators)
         code, out = self.run_main(tmp_path, "--policy", "dgf,chernoff", "--M", "3",
                                   "--neg-log-c", "3,2,1", "--trials", "30", "--seed", "6",
                                   "--diagnostics")
@@ -251,8 +253,36 @@ class TestMainCommand:
             assert written == [
                 (str(t), "|".join(map(str, r.true_hypothesis)),
                  "|".join(map(str, r.decision or ())), str(r.tau), str(r.tau_d), str(r.tau1),
-                 str(int(r.correct)))
+                 str(int(r.correct)), str(int(r.truncated)))
                 for t, r in enumerate(results)]
+
+    def test_trial_csv_tells_truncated_from_undeclared(self, tmp_path):
+        # unknown_l may stop declaring no cell, and a truncated trial declares
+        # none either; both leave `decision` empty and only `truncated` differs.
+        config = {"policies": ["unknown_l"], "M": 3, "L": 2, "true_target_count": 1,
+                  "model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6},
+                  "neg_log_c": [0.7], "trials": 400, "seed": 1, "diagnostics": True}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        code, out = self.run_main(tmp_path, str(path))
+        assert code == 0
+
+        def rows(csv_path):
+            with csv_path.open() as fh:
+                return list(csv.DictReader(fh))
+
+        written = rows(out / "trials_unknown_l.csv")
+        undeclared = [row for row in written if row["decision"] == ""]
+        assert len(undeclared) == 113
+        assert {row["truncated"] for row in written} == {"0"}
+        assert {row["correct"] for row in undeclared} == {"0"}
+
+        cut_config = dataclasses.replace(
+            resolve_config(config).experiment_config("unknown_l"), max_rounds=2)
+        _write_trial_csv(tmp_path / "cut.csv", sim._run_grid(cut_config, (math.exp(-0.7),))[0])
+        cut = [row for row in rows(tmp_path / "cut.csv") if row["truncated"] == "1"]
+        assert cut
+        assert all(row["decision"] == "" and row["correct"] == "0" for row in cut)
 
     def test_config_errors_exit_2(self, tmp_path):
         assert main(["--K", "9", "--out", str(tmp_path)]) == 2

@@ -184,13 +184,13 @@ class TestDeterminism:
             self, monkeypatch, policy, workers):
         # With the thread pool every generator is built in this process and counted.
         seeds, pools = [], []
-        default_rng = np.random.default_rng
+        trial_generators = sim._trial_generators
 
-        def counting_rng(seed):
-            seeds.append(tuple(seed))
-            return default_rng(seed)
+        def counting_generators(seed, trials):
+            seeds.extend((seed, t) for t in trials)
+            return trial_generators(seed, trials)
 
-        monkeypatch.setattr(sim.np.random, "default_rng", counting_rng)
+        monkeypatch.setattr(sim, "_trial_generators", counting_generators)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(pools))
         monkeypatch.setattr(sim, "_CHUNK", 8)  # several chunks of (trial, cost) rows
         one_target = sim.POLICIES[policy].targets == "one"
