@@ -76,11 +76,6 @@ _CSV_COLUMNS = (
     "relative_loss", "sigma", "ci_low", "ci_high", "truncations",
 )
 
-_CONFIG_KEYS = (
-    "policies", "M", "K", "L", "model", "neg_log_c", "trials", "seed",
-    "priors", "fixed_hypothesis", "true_target_count", "diagnostics",
-)
-
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -119,6 +114,7 @@ _DEFAULTS: dict[str, Any] = {
     "true_target_count": None,
     "diagnostics": False,
 }
+_CONFIG_KEYS = tuple(_DEFAULTS)
 
 PRESETS: dict[str, dict[str, Any]] = {
     # Five-cell search, one probe per round, strongly informative exponentials.

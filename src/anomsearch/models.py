@@ -16,14 +16,15 @@ concurrently running trials; randomness always comes from a caller-owned
 generator, which is what makes trial replay and the hand-rolled simulation
 oracles in the test suite possible.
 
-The batched form splits a draw in two: ``draw_base`` fills an array with
-the base variates (standard exponential, standard normal or uniform) that
-successive ``sample`` calls would consume, since a Generator's array draws
-equal its scalar draws in sequence, and ``base_variate(rng)`` (the
-``Generator`` method itself, unbound) draws the one that a single
-``sample`` call would consume (``base_range`` bounds it); ``sample_many``
-then maps base variates to observations and their LLRs elementwise, with
-the same floating-point operations as ``sample`` followed by ``llr``.
+The batched form splits a draw in two: ``base_variate`` (the
+``Generator`` method itself, unbound: standard exponential, standard
+normal or uniform) draws the base variate that one ``sample`` call would
+consume, and ``base_variate(rng, out=array)`` fills an array with those
+that successive ``sample`` calls would consume, since a Generator's array
+draws equal its scalar draws in sequence (``base_range`` bounds them);
+``sample_many`` then maps base variates to observations and their LLRs
+elementwise, with the same floating-point operations as ``sample``
+followed by ``llr``.
 Constructors reject parameters under which an extreme base variate gives
 an infinite observation or LLR.
 """
@@ -121,9 +122,6 @@ class Exponential:
     # Ziggurat tail: at most r - log(2**-53) = 7.697 + 36.737.
     base_range = (0.0, 44.5)
 
-    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return self.base_variate(rng, out=out)
-
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = base / np.where(abnormal, self.lambda_g, self.lambda_f)
         return y, self._log_ratio - self._rate_gap * y
@@ -171,9 +169,6 @@ class Gaussian:
     # Ziggurat tail: |z| < r + sqrt(2 * 36.737) = 3.654 + 8.572.
     base_range = (-13.7, 13.7)
 
-    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return self.base_variate(rng, out=out)
-
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = np.where(abnormal, self.mu_g, self.mu_f) + self.sigma * base
         return y, self._slope * y + self._offset
@@ -210,9 +205,6 @@ class Bernoulli:
 
     base_variate = staticmethod(np.random.Generator.random)
     base_range = (0.0, 1.0 - 2.0**-53)
-
-    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hit = base < np.where(abnormal, self.p_g, self.p_f)
@@ -278,9 +270,6 @@ class Tabulated:
 
     base_variate = staticmethod(np.random.Generator.random)
     base_range = (0.0, 1.0 - 2.0**-53)
-
-    def draw_base(self, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        return self.base_variate(rng, out=out)
 
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),

@@ -65,16 +65,16 @@ class HypothesisActionKL:
         return self.entries.shape[2]
 
 
-def anomaly_hypotheses(num_cells: int, max_targets: int = 1, min_targets: int = 1) -> tuple[tuple[int, ...], ...]:
-    """All candidate target sets with min_targets..max_targets members.
+def anomaly_hypotheses(num_cells: int, max_targets: int = 1) -> tuple[tuple[int, ...], ...]:
+    """All candidate target sets with 1..max_targets members.
 
     Ordered by size then lexicographically, so for 3 cells and up to 2
     targets: (0,), (1,), (2,), (0,1), (0,2), (1,2).
     """
-    if not 1 <= min_targets <= max_targets < num_cells + 1:
-        raise ValueError("need 1 <= min_targets <= max_targets <= num_cells")
+    if not 1 <= max_targets <= num_cells:
+        raise ValueError("need 1 <= max_targets <= num_cells")
     out: list[tuple[int, ...]] = []
-    for size in range(min_targets, max_targets + 1):
+    for size in range(1, max_targets + 1):
         out.extend(itertools.combinations(range(num_cells), size))
     return tuple(out)
 

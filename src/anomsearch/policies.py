@@ -19,7 +19,8 @@ against a probed abnormal cell accrues at rate d_gf, and evidence clearing a
 probed normal cell accrues at rate d_fg. When d_gf >= d_fg/(M-1) it pays to
 probe the leading cells directly (the "g" regime); otherwise it is faster to
 eliminate the runners-up (the "f" regime). That comparison names the dgf
-policy, and the multi-target analog compares d_gf/L against d_fg/(M-L).
+policy, and the multi-target analog compares d_gf/L against d_fg/(M-L),
+which is the same comparison at L = 1.
 """
 
 from __future__ import annotations
@@ -71,23 +72,20 @@ PolicyAction = Union[Probe, Declare, Stop]
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Dimensions, cost, and cached regime comparisons for one scenario.
+    """Dimensions, threshold, and cached regime comparison for one scenario.
 
     num_cells/probes_per_round/num_targets are M, K, L of the config schema.
     ``threshold`` is -log c, the evidence margin every stopping rule needs.
-    ``single_regime`` caches the sign of d_gf - d_fg/(M-1) and
-    ``multi_regime`` the sign of d_gf/L - d_fg/(M-L); ties take "g".
+    ``multi_regime`` caches the sign of d_gf/L - d_fg/(M-L); ties take "g".
+    It serves the single-target rules too: at L = 1 it is the sign of
+    d_gf - d_fg/(M-1). Build one with :meth:`for_model`.
     """
 
     num_cells: int
     probes_per_round: int
-    cost: float
-    num_targets: int = 1
-    d_gf: float = 0.0
-    d_fg: float = 0.0
-    threshold: float = 0.0
-    single_regime: str = "g"
-    multi_regime: str = "g"
+    num_targets: int
+    threshold: float
+    multi_regime: str
 
     @classmethod
     def for_model(
@@ -111,12 +109,8 @@ class PolicyConfig:
         return cls(
             num_cells=m,
             probes_per_round=k,
-            cost=cost,
             num_targets=l,
-            d_gf=d_gf,
-            d_fg=d_fg,
             threshold=-math.log(cost),
-            single_regime="g" if d_gf >= d_fg / (m - 1) else "f",
             multi_regime="g" if d_gf / l >= d_fg / (m - l) else "f",
         )
 
@@ -145,7 +139,7 @@ def dgf_step(state: SearchState, cfg: PolicyConfig) -> PolicyAction:
     if s[order[0]] - s[order[1]] >= cfg.threshold:
         return Stop((order[0],))
     k = cfg.probes_per_round
-    if cfg.single_regime == "g" or k == cfg.num_cells:
+    if cfg.multi_regime == "g" or k == cfg.num_cells:
         return Probe(tuple(order[:k]))
     return Probe(tuple(order[1 : k + 1]))
 
@@ -166,7 +160,7 @@ def chernoff_step(state: SearchState, cfg: PolicyConfig, rng: np.random.Generato
     k = cfg.probes_per_round
     if k == cfg.num_cells:
         return Probe(tuple(order))
-    if cfg.single_regime == "g":
+    if cfg.multi_regime == "g":
         rest = _uniform_subset(order[1:], k - 1, rng)
         return Probe((order[0], *rest))
     return Probe(tuple(_uniform_subset(order[1:], k, rng)))

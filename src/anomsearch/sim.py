@@ -44,6 +44,9 @@ one round at a time, as rows of ``(rows, cells)`` arrays, each with the
 threshold of its cost. A policy is a vectorised rule over those rows that
 mirrors its scalar step rule in ``policies`` exactly (stable-argsort
 rankings, first-argmax ties, the same float operations in the same order).
+``dgf``, ``dgf_l`` and ``chernoff`` share one rule, ``_ranked_rule``: one
+stop test and decision, and a window of the ranking to probe, which
+``chernoff`` fills with a random subset of ranks 2..M.
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A trial draws in contract order for as
@@ -77,7 +80,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -531,10 +534,11 @@ def _run_lockstep(
 # in place, as are the rounds of their last abnormal declaration), the round
 # number and the round's policy draws (one row each, else None). It returns
 # which rows stop, the decision mask of those that do, and every row's probe
-# set in the scalar rule's order. Each rule below mirrors its scalar rule in
-# ``policies`` exactly: rankings break ties towards the lower cell index
-# (stable sort, first argmax), stop tests use the same float comparisons,
-# and a randomized rule consumes the scalar rule's draws in its order.
+# set in the scalar rule's order. Each rule below mirrors its scalar rules in
+# ``policies`` exactly (``_ranked_rule`` serves dgf, dgf_l and chernoff):
+# rankings break ties towards the lower cell index (stable sort, first
+# argmax), stop tests use the same float comparisons, and a randomized rule
+# consumes the scalar rule's draws in its order.
 _Rule = Callable[[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None],
                  tuple[np.ndarray, np.ndarray, np.ndarray]]
 # A policy's draw recipe: given the live trials' generators, it makes each
@@ -544,44 +548,31 @@ _Rule = Callable[[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray, int, n
 _Draw = Callable[[list], np.ndarray]
 
 
-def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
-    """dgf and dgf_l (dgf_step is dgfl_step with L=1): a fixed window of the ranking."""
+def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
+                 shuffle: bool = False) -> tuple[_Rule, _Draw | None]:
+    """dgf, dgf_l (dgf_step is dgfl_step with L=1) and, with ``shuffle``,
+    chernoff: stop once the L-th ranked cell leads the next by the
+    threshold, else probe a fixed window of the ranking. With ``shuffle``
+    and K < M, ranks 2..M are first shuffled by partial Fisher-Yates, one
+    ``integers`` call per cell that reaches the window, so the window holds
+    the leader (in the "g" regime) plus a uniform subset of the others."""
     m, k, l = cfg.num_cells, cfg.probes_per_round, cfg.num_targets
     if pcfg.multi_regime == "g":
         first = 0 if k >= l else l - k
     else:
         first = m - k if k > m - l else l
-
-    def rank(S, thr, declared, last_declared, n, drawn):
-        rows = np.arange(len(S))
-        order = np.argsort(-S, axis=1, kind="stable")
-        stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
-        decision = np.zeros((int(stop.sum()), m), dtype=bool)
-        decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
-        return stop, decision, order[:, first:first + k]
-
-    return rank, None
-
-
-def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw | None]:
-    """chernoff: dgf's stop test; probe everything when K = M, else the
-    leader (in the "g" regime) plus a uniform subset of ranks 2..M drawn by
-    partial Fisher-Yates, one ``integers`` call per drawn cell."""
-    m, k = cfg.num_cells, cfg.probes_per_round
-    lead = int(pcfg.single_regime == "g")
-    first = 0 if k == m else 1 - lead
-    bounds = [] if k == m else [m - 1 - i for i in range(k - lead)]
-    cell_index = np.arange(m)
+    bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
     def draw(rngs):
         return np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
                            len(rngs) * len(bounds)).reshape(-1, len(bounds))
 
-    def chernoff(S, thr, declared, last_declared, n, picks):
+    def rank(S, thr, declared, last_declared, n, picks):
         rows = np.arange(len(S))
         order = np.argsort(-S, axis=1, kind="stable")
-        stop = S[rows, order[:, 0]] - S[rows, order[:, 1]] >= thr
-        decision = order[stop, :1] == cell_index
+        stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
+        decision = np.zeros((int(stop.sum()), m), dtype=bool)
+        decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
         if bounds:
             # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the first i picks.
             pool = order[:, 1:]
@@ -592,7 +583,7 @@ def _chernoff_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _D
                 pool[rows, j] = head
         return stop, decision, order[:, first:first + k]
 
-    return chernoff, draw if bounds else None
+    return rank, draw if bounds else None
 
 
 def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
@@ -773,7 +764,7 @@ def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray, k: int
     """The next _BLOCK_ROUNDS rounds of base variates of each owner trial, one row each."""
     blocks = np.empty((owners.size, _BLOCK_ROUNDS * k))
     for row, i in enumerate(owners.tolist()):
-        model.draw_base(rngs[i], blocks[row])
+        model.base_variate(rngs[i], out=blocks[row])
     return blocks
 
 
@@ -792,7 +783,7 @@ class PolicyEntry:
 
 POLICIES: dict[str, PolicyEntry] = {
     "dgf": PolicyEntry("one", False, _ranked_rule),
-    "chernoff": PolicyEntry("one", False, _chernoff_rule),
+    "chernoff": PolicyEntry("one", False, partial(_ranked_rule, shuffle=True)),
     "dgf_l": PolicyEntry("exact", False, _ranked_rule),
     "seq_dgf_l": PolicyEntry("exact", True, _sequential_rule),
     "unknown_l": PolicyEntry("up_to", True, _unknown_count_rule),
@@ -882,13 +873,9 @@ def aggregate(trials: TrialColumns, cost: float) -> AggregateMetrics:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    progress: Callable[[str], None] | None = None,
-) -> list[tuple[float, AggregateMetrics]]:
+def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:
     """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
-    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers, progress)]
+    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers, None)]
 
 
 def _points(cfg: ExperimentConfig, workers: int, progress: Callable[[str], None] | None

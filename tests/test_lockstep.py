@@ -254,8 +254,7 @@ def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
                                   cost, config.num_targets)
     if kind != "gaussian" and policy != "chernoff_generic":
-        regime = pcfg.single_regime if policy in SINGLE_TARGET else pcfg.multi_regime
-        assert regime == ("g" if swap else "f")
+        assert pcfg.multi_regime == ("g" if swap else "f")
     expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
     with mock.patch.object(sim, "_CHUNK", chunk), \
             mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
@@ -348,7 +347,11 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
     if regime is not None:
         pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
                                       cost)
-        assert pcfg.single_regime == regime
+        assert pcfg.multi_regime == regime
+        # Chernoff reads base variates in blocks exactly when it draws no subset.
+        drawless = config.probes_per_round == config.num_cells or (
+            regime == "g" and config.probes_per_round == 1)
+        assert (sim.POLICIES["chernoff"].rule(config, pcfg)[1] is None) == drawless
     expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
     assert run_trials(config, cost) == [result for result, _ in expected]
     longest = max(range(config.trials), key=lambda t: expected[t][0].tau)

@@ -125,7 +125,7 @@ def test_model_from_dict_rejects_garbage():
 
 
 def draws(model, abnormal, seed, size):
-    base = model.draw_base(np.random.default_rng(seed), np.empty(size))
+    base = model.base_variate(np.random.default_rng(seed), out=np.empty(size))
     return model.sample_many(np.full(size, abnormal), base)[0]
 
 
@@ -152,12 +152,12 @@ def test_bernoulli_samples_are_binary():
     Tabulated((0.0, 1.0, 2.5), (0.5, 0.3, 0.2), (0.1, 0.3, 0.6)),
 ], ids=lambda m: m.kind)
 def test_batched_draws_equal_scalar_draws(model):
-    # draw_base + sample_many must reproduce sample + llr bit for bit,
+    # base_variate + sample_many must reproduce sample + llr bit for bit,
     # including the generator state left behind.
     abnormal = np.random.default_rng(1).random(200) < 0.5
     scalar_rng, batched_rng = np.random.default_rng(11), np.random.default_rng(11)
     ys = [model.sample(bool(a), scalar_rng) for a in abnormal]
-    y, llr = model.sample_many(abnormal, model.draw_base(batched_rng, np.empty(200)))
+    y, llr = model.sample_many(abnormal, model.base_variate(batched_rng, out=np.empty(200)))
     assert y.tolist() == ys
     assert llr.tolist() == [model.llr(v) for v in ys]
     assert scalar_rng.random() == batched_rng.random()
@@ -256,7 +256,7 @@ def test_any_spec_builds_a_model_or_raises_model_error(spec):
     d_gf, d_fg = model.kl_divergences()
     assert math.isfinite(d_gf) and math.isfinite(d_fg)
     # Finite LLRs on the model's own draws, the most extreme ones included.
-    base = np.concatenate([model.draw_base(np.random.default_rng(0), np.empty(64)),
+    base = np.concatenate([model.base_variate(np.random.default_rng(0), out=np.empty(64)),
                            EXTREME_BASE[model.kind]])
     for abnormal in (False, True):
         y, llr = model.sample_many(np.full(base.size, abnormal), base)

@@ -24,11 +24,6 @@ class TestAnomalyHypotheses:
             (0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
         )
 
-    def test_min_targets_filters_small_sets(self):
-        assert anomaly_hypotheses(3, max_targets=2, min_targets=2) == (
-            (0, 1), (0, 2), (1, 2),
-        )
-
     def test_counts(self):
         assert len(anomaly_hypotheses(4, max_targets=2)) == 4 + 6
         assert len(anomaly_hypotheses(5, max_targets=5)) == 2**5 - 1
@@ -37,9 +32,7 @@ class TestAnomalyHypotheses:
         with pytest.raises(ValueError):
             anomaly_hypotheses(3, max_targets=4)
         with pytest.raises(ValueError):
-            anomaly_hypotheses(3, max_targets=1, min_targets=2)
-        with pytest.raises(ValueError):
-            anomaly_hypotheses(3, max_targets=2, min_targets=0)
+            anomaly_hypotheses(3, max_targets=0)
 
 
 class TestHypothesisActionKL:

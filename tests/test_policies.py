@@ -44,10 +44,10 @@ def cfg_for(model, m, k, cost=math.exp(-5.0), l=1):
 
 class TestPolicyConfig:
     def test_regime_flags(self):
-        assert cfg_for(F_SIDE, 5, 1).single_regime == "f"
-        assert cfg_for(G_SIDE, 5, 1).single_regime == "g"
+        assert cfg_for(F_SIDE, 5, 1).multi_regime == "f"
+        assert cfg_for(G_SIDE, 5, 1).multi_regime == "g"
         # ties go to "g": gaussian KLs are symmetric, M=2 makes them equal
-        assert cfg_for(Exponential(1.0, 2.0), 2, 1).single_regime in ("g", "f")
+        assert cfg_for(Exponential(1.0, 2.0), 2, 1).multi_regime in ("g", "f")
         assert cfg_for(Bernoulli(0.5, 0.9), 2, 1).threshold == pytest.approx(5.0)
 
     def test_validation(self):
