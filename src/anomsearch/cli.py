@@ -182,11 +182,7 @@ class RunSpec:
     diagnostics: bool
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        for key in ("policies", "neg_log_c", "priors", "fixed_hypothesis"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
+        return dataclasses.asdict(self)
 
     def experiment_config(self, policy: str) -> ExperimentConfig:
         return ExperimentConfig(
@@ -298,30 +294,13 @@ def parse_config(source: str | Path | Mapping[str, Any]) -> RunSpec:
     return resolve_config(data)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """What was run, with what build, when, which files came out, and where it ran.
-
-    ``environment`` holds the Python, NumPy, SciPy and platform versions:
-    NumPy may change its ``Generator`` streams between releases (NEP 19),
-    so a run replays bit for bit only under the recorded NumPy.
-    ``workers`` is the worker count the run was asked for.
-    """
-
-    config: dict
-    version: str
-    created: str
-    outputs: tuple[str, ...]
-    environment: dict
-    workers: int
-
-    def to_dict(self) -> dict:
-        return dict(dataclasses.asdict(self), outputs=list(self.outputs))
-
-
 @functools.cache
 def _environment() -> dict[str, str]:
-    """The run environment; read once per process, on first use."""
+    """The Python, NumPy, SciPy and platform versions; read once per process.
+
+    NumPy may change its ``Generator`` streams between releases (NEP 19),
+    so a run replays bit for bit only under the recorded NumPy.
+    """
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "platform": platform.platform()}
 
@@ -370,20 +349,15 @@ def _run_spec(spec: RunSpec, workers: int,
     rows: list[dict] = []
     last: dict[str, TrialColumns] = {}
     total = len(spec.policies) * len(spec.neg_log_c)
-    emitted = [0]
     start = time.monotonic()
-
-    def report(line: str) -> None:
-        emitted[0] += 1
-        if progress is not None:
-            elapsed = time.monotonic() - start
-            print(f"[{emitted[0]}/{total}] {line} ({elapsed:.1f}s)",
-                  file=progress, flush=True)
-
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
         _, lower_bound = _benchmark(cfg)
-        for t, (cost, m, trials) in zip(spec.neg_log_c, _points(cfg, workers, report)):
+        for t, (cost, m, trials) in zip(spec.neg_log_c, _points(cfg, workers)):
+            if progress is not None:
+                print(f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau={m.mean_tau:.4g} "
+                      f"p_e={m.p_e:.3g} trials={m.trial_count} ({time.monotonic() - start:.1f}s)",
+                      file=progress, flush=True)
             last[policy] = trials
             bound = lower_bound(cost)
             rows.append({
@@ -400,10 +374,11 @@ def _run_spec(spec: RunSpec, workers: int,
 
 
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
-                 extra: Mapping[str, Any] | None = None, workers: int = 1) -> RunManifest:
+                 extra: Mapping[str, Any] | None = None, workers: int = 1) -> dict:
     """Write results.csv and summary.json under out_dir; returns the manifest.
 
-    ``workers`` is recorded in the manifest as the worker count of the run.
+    The manifest records what was run (``config``), with what build, when,
+    which files came out, where (``environment``) and with how many workers.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -418,16 +393,16 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     outputs = ["results.csv", "summary.json"]
     if extra:
         outputs.extend(extra.get("outputs", ()))
-    manifest = RunManifest(
-        config=spec.to_dict(),
-        version=__version__,
-        created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        outputs=tuple(outputs),
-        environment=dict(_environment()),
-        workers=workers,
-    )
+    manifest = {
+        "config": spec.to_dict(),
+        "version": __version__,
+        "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "outputs": outputs,
+        "environment": dict(_environment()),
+        "workers": workers,
+    }
     summary = {
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
         "rates": {policy: _benchmark(spec.experiment_config(policy))[0]
                   for policy in spec.policies},
         "results": [dict(row) for row in rows],
@@ -640,7 +615,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     for line in _truncation_warnings(rows):
         print(f"warning: {line}", file=sys.stderr)
-    for name in manifest.outputs:
+    for name in manifest["outputs"]:
         print(out_dir / name)
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -46,6 +46,7 @@ __all__ = [
     "Bernoulli",
     "Tabulated",
     "ObservationModel",
+    "check_geometry",
     "model_from_dict",
     "model_to_dict",
 ]
@@ -57,6 +58,16 @@ _MIN_KL = 1e-9
 
 class ModelError(ValueError):
     """A model specification is malformed or degenerate (f and g too close)."""
+
+
+def check_geometry(m: int, k: int, l: int) -> None:
+    """Require M >= 2 cells, 1 <= K <= M probes per round and 1 <= L < M targets."""
+    if m < 2:
+        raise ValueError("need at least two cells")
+    if not 1 <= k <= m:
+        raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
+    if not 1 <= l < m:
+        raise ValueError(f"target count must lie in [1, {m}), got {l}")
 
 
 def _require_informative(model: "ObservationModel") -> None:
@@ -307,16 +318,12 @@ _KINDS = {cls.kind: cls for cls in (Exponential, Gaussian, Bernoulli, Tabulated)
 
 
 def model_to_dict(model: ObservationModel) -> dict:
-    """Kind-tagged plain-dict form of a model, as stored in config files."""
+    """Kind-tagged plain-dict form of a model, as stored in config files:
+    its fields in declaration order, tuples written as lists."""
     out: dict = {"kind": model.kind}
-    if isinstance(model, Exponential):
-        out.update(lambda_f=model.lambda_f, lambda_g=model.lambda_g)
-    elif isinstance(model, Gaussian):
-        out.update(mu_f=model.mu_f, mu_g=model.mu_g, sigma=model.sigma)
-    elif isinstance(model, Bernoulli):
-        out.update(p_f=model.p_f, p_g=model.p_g)
-    else:
-        out.update(support=list(model.support), pmf_f=list(model.pmf_f), pmf_g=list(model.pmf_g))
+    for field in fields(model):
+        value = getattr(model, field.name)
+        out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -332,10 +339,6 @@ def model_from_dict(spec: dict) -> ObservationModel:
     if any(isinstance(v, bool) for v in kwargs.values()):
         raise ModelError(f"{kind!r} model parameters must be numbers, not true/false")
     try:
-        if cls is Tabulated:
-            for key in ("support", "pmf_f", "pmf_g"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
     except TypeError as exc:
         raise ModelError(f"bad parameters for {kind!r} model: {exc}") from None

@@ -31,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .models import ObservationModel
+from .models import ObservationModel, check_geometry
 from .state import SearchState, ranked_cells
 
 __all__ = [
@@ -97,12 +97,7 @@ class PolicyConfig:
         num_targets: int = 1,
     ) -> "PolicyConfig":
         m, k, l = num_cells, probes_per_round, num_targets
-        if m < 2:
-            raise ValueError("need at least two cells")
-        if not 1 <= k <= m:
-            raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
-        if not 1 <= l < m:
-            raise ValueError(f"target count must lie in [1, {m}), got {l}")
+        check_geometry(m, k, l)
         if not 0.0 < cost < 1.0:
             raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
         d_gf, d_fg = model.kl_divergences()

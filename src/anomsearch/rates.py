@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import ObservationModel
+from .models import ObservationModel, check_geometry
 
 __all__ = [
     "RateReport",
@@ -57,10 +57,7 @@ def rate_single(model: ObservationModel, num_cells: int, probes_per_round: int) 
     (d_gf + (K-1) d_fg / (M-1)).
     """
     m, k = num_cells, probes_per_round
-    if m < 2:
-        raise ValueError("need at least two cells")
-    if not 1 <= k <= m:
-        raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
+    check_geometry(m, k, 1)
     d_gf, d_fg = model.kl_divergences()
     if k == m:
         return RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf >= d_fg / (m - 1) else "f")
@@ -83,12 +80,7 @@ def rate_multi(
     (K <= M-L), else d_fg + (K-M+L) d_gf / L.
     """
     m, k, l = num_cells, probes_per_round, num_targets
-    if m < 2:
-        raise ValueError("need at least two cells")
-    if not 1 <= k <= m:
-        raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
-    if not 1 <= l < m:
-        raise ValueError(f"target count must lie in [1, {m}), got {l}")
+    check_geometry(m, k, l)
     d_gf, d_fg = model.kl_divergences()
     if k == m:
         return RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf / l >= d_fg / (m - l) else "f")
@@ -124,10 +116,7 @@ def supports_unknown_count(model: ObservationModel, num_cells: int, max_targets:
     of the up-to-L declarations costs about -log c / d_gf rounds.
     """
     m, l = num_cells, max_targets
-    if m < 2:
-        raise ValueError("need at least two cells")
-    if not 1 <= l < m:
-        raise ValueError(f"target count must lie in [1, {m}), got {l}")
+    check_geometry(m, 1, l)
     d_gf, d_fg = model.kl_divergences()
     return m >= l * (d_gf + d_fg) / d_gf
 

@@ -85,9 +85,8 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.stats import norm
 
-from .models import ObservationModel
+from .models import ObservationModel, check_geometry
 from .oracle import anomaly_hypotheses, hypothesis_action_kl, maximin_action_distribution
 from .policies import PolicyConfig
 # The scalar step rules and the SearchState ledger they step: the engine
@@ -130,7 +129,7 @@ _BLOCK_ROUNDS = 32
 # H = 637 (M = 10, L = 5) 5.7 s and 183 MB, and M = 18, L = 9 (H = 155381)
 # would need a 405 GiB table.
 _MAX_HYPOTHESES = 400
-_Z_95 = float(norm.ppf(0.975))
+_Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
 
 @dataclass(frozen=True)
@@ -168,12 +167,7 @@ class ExperimentConfig:
         policy = POLICIES.get(self.policy)
         if policy is None:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {POLICY_NAMES}")
-        if m < 2:
-            raise ValueError("need at least two cells")
-        if not 1 <= k <= m:
-            raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
-        if not 1 <= l < m:
-            raise ValueError(f"target count must lie in [1, {m}), got {l}")
+        check_geometry(m, k, l)
         if policy.one_probe and k != 1:
             raise ValueError(f"policy {self.policy!r} probes one cell per round; got K={k}")
         if policy.targets == "one" and l != 1:
@@ -875,18 +869,14 @@ def aggregate(trials: TrialColumns, cost: float) -> AggregateMetrics:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:
     """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
-    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers, None)]
+    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers)]
 
 
-def _points(cfg: ExperimentConfig, workers: int, progress: Callable[[str], None] | None
+def _points(cfg: ExperimentConfig, workers: int
             ) -> Iterator[tuple[float, AggregateMetrics, TrialColumns]]:
     """:func:`run_experiment`'s points in grid order, each with the trials it reduces."""
-    for t, cost, trials in zip(cfg.neg_log_c, cfg.costs, _run_grid(cfg, cfg.costs, workers)):
-        metrics = aggregate(trials, cost)
-        if progress is not None:
-            progress(f"{cfg.policy} -log c={t:g}: mean_tau={metrics.mean_tau:.4g} "
-                     f"p_e={metrics.p_e:.3g} trials={metrics.trial_count}")
-        yield cost, metrics, trials
+    for cost, trials in zip(cfg.costs, _run_grid(cfg, cfg.costs, workers)):
+        yield cost, aggregate(trials, cost), trials
 
 
 def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:

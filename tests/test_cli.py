@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,6 +397,16 @@ class TestMainCommand:
         config = tmp_path / "run.json"
         config.write_text(json.dumps(TINY))
         assert main([str(config), "--out", str(blocker / "sub")]) == 3
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone is about half a second of start-up; nothing needs it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, anomsearch.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verification_suite_passes():

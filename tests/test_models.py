@@ -103,14 +103,26 @@ def test_tabulated_matches_bernoulli():
     assert tab.llr(0.0) == pytest.approx(bern.llr(0.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("model", [
-    Exponential(0.5, 10.0),
-    Gaussian(-0.5, 0.75, 2.0),
-    Bernoulli(0.15, 0.55),
-    Tabulated(support=(1.0, 2.0, 5.0), pmf_f=(0.6, 0.3, 0.1), pmf_g=(0.1, 0.3, 0.6)),
-])
+# Each model's exact dict form: kind, then its fields in declaration order,
+# tuples as lists.
+DICT_FORMS = {
+    Exponential(0.5, 10.0): {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0},
+    Gaussian(-0.5, 0.75, 2.0): {"kind": "gaussian", "mu_f": -0.5, "mu_g": 0.75, "sigma": 2.0},
+    Bernoulli(0.15, 0.55): {"kind": "bernoulli", "p_f": 0.15, "p_g": 0.55},
+    Tabulated(support=(1.0, 2.0, 5.0), pmf_f=(0.6, 0.3, 0.1), pmf_g=(0.1, 0.3, 0.6)):
+        {"kind": "tabulated", "support": [1.0, 2.0, 5.0], "pmf_f": [0.6, 0.3, 0.1],
+         "pmf_g": [0.1, 0.3, 0.6]},
+    Gaussian(-0.5, 0.75): {"kind": "gaussian", "mu_f": -0.5, "mu_g": 0.75, "sigma": 1.0},
+}
+
+
+@pytest.mark.parametrize("model", list(DICT_FORMS))
 def test_dict_round_trip(model):
-    clone = model_from_dict(model_to_dict(model))
+    spec = model_to_dict(model)
+    assert spec == DICT_FORMS[model]
+    assert list(spec) == list(DICT_FORMS[model])
+    assert all(type(spec[key]) is type(value) for key, value in DICT_FORMS[model].items())
+    clone = model_from_dict(spec)
     assert clone == model
     assert clone.kl_divergences() == model.kl_divergences()
 
@@ -122,6 +134,8 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"lambda_f": 1.0})
     with pytest.raises(ModelError):
         model_from_dict({"kind": "exponential", "lambda_f": 1.0})  # missing lambda_g
+    with pytest.raises(ModelError, match="bad parameters for 'tabulated' model: .*not iterable"):
+        model_from_dict({"kind": "tabulated", "support": 5, "pmf_f": [1.0], "pmf_g": [1.0]})
 
 
 def draws(model, abnormal, seed, size):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from anomsearch import (
     Bernoulli,
     Declare,
     Exponential,
+    Gaussian,
     PolicyConfig,
     Probe,
     SearchState,
@@ -21,6 +23,7 @@ from anomsearch import (
     hypothesis_action_kl,
     maximin_action_distribution,
     ml_hypothesis,
+    rate_multi,
     seq_dgfl_step,
     unknownl_step,
 )
@@ -47,17 +50,18 @@ class TestPolicyConfig:
         assert cfg_for(F_SIDE, 5, 1).multi_regime == "f"
         assert cfg_for(G_SIDE, 5, 1).multi_regime == "g"
         # ties go to "g": gaussian KLs are symmetric, M=2 makes them equal
-        assert cfg_for(Exponential(1.0, 2.0), 2, 1).multi_regime in ("g", "f")
+        assert cfg_for(Gaussian(0.0, 1.5), 2, 1).multi_regime == "g"
+        assert rate_multi(Gaussian(0.0, 1.5), 2, 2, 1).regime == "g"
         assert cfg_for(Bernoulli(0.5, 0.9), 2, 1).threshold == pytest.approx(5.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least two cells$"):
             cfg_for(F_SIDE, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 5], got 6")):
             cfg_for(F_SIDE, 5, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 5], got 0")):
             cfg_for(F_SIDE, 5, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 5), got 5")):
             cfg_for(F_SIDE, 5, 1, l=5)
         with pytest.raises(ValueError):
             PolicyConfig.for_model(F_SIDE, 5, 1, 0.0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -53,11 +54,11 @@ class TestRateSingle:
         assert r.regime == "g"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least two cells$"):
             rate_single(EXP_SLOW_FAST, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 5], got 6")):
             rate_single(EXP_SLOW_FAST, 5, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 5], got 0")):
             rate_single(EXP_SLOW_FAST, 5, 0)
 
 
@@ -102,9 +103,9 @@ class TestRateMulti:
         assert r.i_star == pytest.approx(max(d_gf + 2 * d_fg / 3, d_fg + d_gf / 2))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 5), got 0")):
             rate_multi(EXP_SLOW_FAST, 5, 1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 5), got 5")):
             rate_multi(EXP_SLOW_FAST, 5, 1, 5)
 
 
@@ -149,9 +150,9 @@ class TestSupportsUnknownCount:
         assert supports_unknown_count(Bernoulli(0.1, 0.6), 4, 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least two cells$"):
             supports_unknown_count(EXP_SLOW_FAST, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 3), got 3")):
             supports_unknown_count(EXP_SLOW_FAST, 3, 3)
 
     @given(

@@ -1,4 +1,5 @@
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,12 +40,14 @@ class TestConfigValidation:
             cfg(policy="greedy")
 
     def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least two cells$"):
             cfg(num_cells=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 4], got 5")):
             cfg(probes_per_round=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("probes per round must lie in [1, 4], got 0")):
             cfg(probes_per_round=0)
+        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 4), got 4")):
+            cfg(policy="dgf_l", num_targets=4)
 
     def test_one_probe_policies_pin_k(self):
         for policy in ("seq_dgf_l", "unknown_l"):
