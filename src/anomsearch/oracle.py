@@ -1,6 +1,6 @@
-"""Independent brute-force references used by the test suite and `verify`.
+"""SciPy-backed solvers: the `chernoff_generic` LP and the `verify` references.
 
-Two jobs live here, deliberately away from the simulation hot path:
+Two jobs live here:
 
 * ``kl_quadrature`` recomputes both KL divergences of a model by adaptive
   numerical integration (or exact summation for discrete kinds), as a check
@@ -13,8 +13,15 @@ Two jobs live here, deliberately away from the simulation hot path:
   a second, dumber solver (dense simplex scan) kept purely to cross-check
   the LP on small fixtures.
 
-The per-step policies never call the LP; the simulation engine caches one
-solution per ML hypothesis, since the KL matrix does not change over time.
+The per-step policies never call the LP; the simulation engine's
+``chernoff_generic`` set-up (``sim._generic_tables``) caches one solution
+per ML hypothesis, since the KL matrix does not change over time.
+
+``sim`` and ``cli`` import this module at start-up, so it imports no SciPy
+solver at module level: ``maximin_action_distribution`` loads
+``scipy.optimize`` and ``kl_quadrature`` loads ``scipy.integrate`` on first
+call. Only ``chernoff_generic``'s set-up and ``--preset verify`` make those
+calls; every other run loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .models import Bernoulli, Exponential, Gaussian, ObservationModel, Tabulated
 
@@ -114,6 +120,8 @@ def maximin_action_distribution(kl: HypothesisActionKL, ml_hypothesis: int) -> t
     observationally indistinguishable from the ML one; callers are expected
     to treat that as a degeneracy report, not an exception.
     """
+    from scipy import optimize
+
     rows = _rival_rows(kl, ml_hypothesis)
     n_rival, n_act = rows.shape
     if n_act < 1:
@@ -186,6 +194,8 @@ def kl_quadrature(model: ObservationModel) -> tuple[float, float]:
 
     Test-only reference: slower but independent of the closed forms.
     """
+    from scipy import integrate
+
     if isinstance(model, (Bernoulli, Tabulated)):
         if isinstance(model, Bernoulli):
             support: Sequence[float] = (0.0, 1.0)

@@ -129,6 +129,11 @@ _BLOCK_ROUNDS = 32
 # H = 637 (M = 10, L = 5) 5.7 s and 183 MB, and M = 18, L = 9 (H = 155381)
 # would need a 405 GiB table.
 _MAX_HYPOTHESES = 400
+# Most cells a run may have. The engine holds (_CHUNK, M) arrays, about 40
+# bytes per row and cell: on a 2-vCPU Xeon VM M = 10 000 peaked at 475 MB
+# (1024 trials, five costs), and M = 2^31 would need a 17 GB priors tuple
+# before the first trial.
+_MAX_CELLS = 10_000
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
 
@@ -168,6 +173,8 @@ class ExperimentConfig:
         if policy is None:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {POLICY_NAMES}")
         check_geometry(m, k, l)
+        if m > _MAX_CELLS:
+            raise ValueError(f"M = {m} cells; at most {_MAX_CELLS} are supported")
         if policy.one_probe and k != 1:
             raise ValueError(f"policy {self.policy!r} probes one cell per round; got K={k}")
         if policy.targets == "one" and l != 1:

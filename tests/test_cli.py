@@ -305,6 +305,8 @@ class TestMainCommand:
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e-4", "--neg-log-c", "1"],
         # 155381 target sets: the (H, H, M) KL table alone would take 405 GiB
         ["--policy", "chernoff_generic", "--M", "18", "--L", "9", "--neg-log-c", "1"],
+        # 2^31 cells: the priors tuple alone would take 17 GB
+        ["--M", "2147483648", "--neg-log-c", "1"],
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         def no_tables(*args):
@@ -407,6 +409,46 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+_SOLVER_LOADS = """
+import io, sys
+from pathlib import Path
+from anomsearch.cli import (PRESETS, _run_diagnostics, _run_spec, emit_results,
+                            resolve_config, run_verification)
+
+def loaded():
+    return sorted({m.split(".")[1] for m in sys.modules
+                   if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"],
+                                           ["scipy", "stats"])})
+
+def run(name, *layers):
+    # What main() does with a resolved config, minus the printing.
+    spec = resolve_config({"neg_log_c": [2.0], "trials": 2, "seed": 3}, *layers)
+    out = Path(sys.argv[1]) / name
+    rows, last = _run_spec(spec, 1, None)
+    extra = _run_diagnostics(out, last, None) if spec.diagnostics else None
+    emit_results(rows, spec, out, extra=extra)
+
+run("single", {"policies": ["dgf", "chernoff"], "M": 3, "diagnostics": True})
+run("multi", {"policies": ["dgf_l", "seq_dgf_l"], "M": 4, "L": 2})
+run("unknown", {"policies": ["unknown_l"], "M": 3, "L": 2, "true_target_count": 1})
+print(loaded())
+run("generic", PRESETS["table1_example"], {"policies": ["chernoff_generic"]})
+print(loaded())
+print(run_verification(io.StringIO()))
+print(loaded())
+"""
+
+
+def test_scipy_solvers_load_only_for_chernoff_generic_and_verify(tmp_path):
+    # scipy.optimize and scipy.integrate are about two thirds of start-up
+    # and half the peak memory of a run that needs no LP.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _SOLVER_LOADS, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "['optimize']", "0", "['integrate', 'optimize']"]
 
 
 def test_verification_suite_passes():
