@@ -411,8 +411,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     if extra:
         summary.update({k: v for k, v in extra.items() if k != "outputs"})
     with (out / "summary.json").open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=False) + "\n")
     return manifest
 
 

@@ -47,6 +47,10 @@ rankings, first-argmax ties, the same float operations in the same order).
 ``dgf``, ``dgf_l`` and ``chernoff`` share one rule, ``_ranked_rule``: one
 stop test and decision, and a window of the ranking to probe, which
 ``chernoff`` fills with a random subset of ranks 2..M.
+A rule returns its stop mask, its probes and a function that builds the
+stopping rows' decisions, called only when some row stops; only then is the
+live rows' state (``_LiveRows``) compacted. Each round reads and writes it,
+and the trials' base-variate blocks, through flat indices.
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A trial draws in contract order for as
@@ -444,13 +448,14 @@ def _draw_truths(cfg: ExperimentConfig, rngs: list) -> np.ndarray:
         cells = np.minimum(np.searchsorted(np.cumsum(cfg.priors), u, side="right"), m - 1)
         truth[np.arange(len(rngs)), cells] = True
     else:
-        ell = cfg.true_target_count
-        for row, rng in zip(truth, rngs):
-            pool = list(range(m))
-            for i in range(ell):
-                j = i + int(rng.integers(m - i))
-                pool[i], pool[j] = pool[j], pool[i]
-            row[pool[:ell]] = True
+        # Each trial's partial Fisher-Yates shuffle, one integers call per
+        # target, taken for all trials at once in each generator's own order.
+        rows = np.arange(len(rngs))
+        pool = np.tile(np.arange(m), (len(rngs), 1))
+        for i in range(cfg.true_target_count):
+            j = i + np.fromiter((g.integers(m - i) for g in rngs), np.int64, len(rngs))
+            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+        truth[rows[:, None], pool[:, :cfg.true_target_count]] = True
     return truth
 
 
@@ -530,18 +535,46 @@ def _run_lockstep(
                             trace) for start in range(lo, hi, step)]
 
 
-# A lockstep rule takes the live rows' sums S (rows x cells), their
-# thresholds (one float, or one per row), their declared-cell mask (updated
-# in place, as are the rounds of their last abnormal declaration), the round
-# number and the round's policy draws (one row each, else None). It returns
-# which rows stop, the decision mask of those that do, and every row's probe
-# set in the scalar rule's order. Each rule below mirrors its scalar rules in
-# ``policies`` exactly (``_ranked_rule`` serves dgf, dgf_l and chernoff):
-# rankings break ties towards the lower cell index (stable sort, first
-# argmax), stop tests use the same float comparisons, and a randomized rule
-# consumes the scalar rule's draws in its order.
-_Rule = Callable[[np.ndarray, float | np.ndarray, np.ndarray, np.ndarray, int, np.ndarray | None],
-                 tuple[np.ndarray, np.ndarray, np.ndarray]]
+class _LiveRows:
+    """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
+    so adding into ``S.ravel()`` writes through; ``last_declared`` is per
+    chunk row, not per live row."""
+
+    __slots__ = ("index", "rows", "offsets", "S", "truth", "declared", "thr", "last_declared")
+
+    def __init__(self, truth: np.ndarray, thr: float | np.ndarray) -> None:
+        count, m = truth.shape
+        self.index = self.rows = np.arange(count)
+        self.offsets = self.rows[:, None] * m
+        self.S = np.zeros((count, m))
+        self.truth = truth
+        self.declared = np.zeros((count, m), dtype=bool)
+        self.thr = thr
+        self.last_declared = np.full(count, -1, dtype=np.int64)
+
+    def keep(self, kept: np.ndarray) -> None:
+        """Keep only the live rows at positions ``kept``, in order."""
+        self.index = self.index[kept]
+        self.rows, self.offsets = self.rows[:kept.size], self.offsets[:kept.size]
+        self.S = self.S.take(kept, axis=0)
+        self.truth = self.truth.take(kept, axis=0)
+        self.declared = self.declared.take(kept, axis=0)
+        if isinstance(self.thr, np.ndarray):
+            self.thr = self.thr[kept]
+
+
+# A lockstep rule takes the live rows (``_LiveRows``), the round number and
+# the round's policy draws (one row each, else None). It updates their
+# declared cells and ``last_declared`` in place and returns which rows stop,
+# a function from the stopping rows' positions to their decision masks (the
+# engine calls it only when some row stops, before anything changes), and
+# every row's probe set in the scalar rule's order. Each rule mirrors its
+# scalar rules in ``policies`` exactly (``_ranked_rule`` serves dgf, dgf_l
+# and chernoff): ties rank the lower cell first (stable sort, first argmax),
+# stop tests use the same float comparisons, and a randomized rule consumes
+# the scalar rule's draws in its order.
+_Rule = Callable[[_LiveRows, int, np.ndarray | None],
+                 tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
 # A policy's draw recipe: given the live trials' generators, it makes each
 # trial's policy draws for one round (the same calls every round, fixed by
 # the config) and returns them as one row per trial. None when the policy
@@ -568,21 +601,20 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         return np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
                            len(rngs) * len(bounds)).reshape(-1, len(bounds))
 
-    def rank(S, thr, declared, last_declared, n, picks):
-        rows = np.arange(len(S))
-        order = np.argsort(-S, axis=1, kind="stable")
-        stop = S[rows, order[:, l - 1]] - S[rows, order[:, l]] >= thr
-        decision = np.zeros((int(stop.sum()), m), dtype=bool)
-        decision[np.arange(len(decision))[:, None], order[stop, :l]] = True
+    def rank(live, n, picks):
+        order = (-live.S).argsort(kind="stable")
+        pair = live.S.ravel()[order[:, l - 1:l + 1] + live.offsets]
+        stop = pair[:, 0] - pair[:, 1] >= live.thr
         if bounds:
-            # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the first i picks.
-            pool = order[:, 1:]
+            # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the
+            # first i picks. Rank 1, chernoff's decision, stays in place.
+            flat, start = order.ravel(), live.offsets[:, 0] + 1
             for i in range(len(bounds)):
-                j = i + picks[:, i]
-                head = pool[:, i].copy()
-                pool[:, i] = pool[rows, j]
-                pool[rows, j] = head
-        return stop, decision, order[:, first:first + k]
+                at = start + i
+                to = at + picks[:, i]
+                flat[at], flat[to] = flat[to], flat[at]
+        return (stop, lambda ended: (order[ended, :l, None] == np.arange(m)).any(axis=1),
+                order[:, first:first + k])
 
     return rank, draw if bounds else None
 
@@ -594,20 +626,21 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, 
     chase_top = pcfg.multi_regime == "g"
     needed = l if chase_top else m - l
 
-    def sequential(S, thr, declared, last_declared, n, drawn):
-        rows = np.arange(len(S))
-        X = S if chase_top else -S
+    def sequential(live, n, drawn):
+        declared, rows = live.declared, live.rows
+        X = live.S if chase_top else -live.S
+        count = declared.sum(axis=1)
         while True:
             best = np.where(declared, -np.inf, X).argmax(axis=1)
-            hit = (declared.sum(axis=1) < needed) & (X[rows, best] >= thr)
-            if not hit.any():
+            hit = (count < needed) & (X.ravel()[best + live.offsets[:, 0]] >= live.thr)
+            if not np.count_nonzero(hit):
                 break
             declared[rows[hit], best[hit]] = True
+            count += hit
             if chase_top:
-                last_declared[hit] = n
-        stop = declared.sum(axis=1) >= needed
-        decision = declared[stop] if chase_top else ~declared[stop]
-        return stop, decision, best[:, None]
+                live.last_declared[live.index[hit]] = n
+        return (count >= needed, lambda ended: declared[ended] if chase_top else ~declared[ended],
+                best[:, None])
 
     return sequential, None
 
@@ -615,15 +648,19 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, 
 def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
 
-    def unknown(S, thr, declared, last_declared, n, drawn):
+    def unknown(live, n, drawn):
+        S, declared, thr = live.S, live.declared, live.thr
         if isinstance(thr, np.ndarray):
             thr = thr[:, None]
         newly = ~declared & (S >= thr)
-        declared |= newly
-        last_declared[newly.any(axis=1)] = n
-        stop = (declared | (np.abs(S) >= thr)).all(axis=1)
+        if np.count_nonzero(newly):
+            declared |= newly
+            live.last_declared[live.index[newly.any(axis=1)]] = n
+        # Every cell at or above the threshold is declared by now, so only
+        # the cells at or below -thr can complete a row's |S| >= thr test.
+        stop = (declared | (S <= -thr)).all(axis=1)
         best = np.where(declared, -np.inf, S).argmax(axis=1)
-        return stop, declared[stop], best[:, None]
+        return stop, lambda ended: declared[ended], best[:, None]
 
     return unknown, None
 
@@ -639,17 +676,17 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
     def draw(rngs):
         return np.fromiter(map(uniform, rngs), float, len(rngs))
 
-    def generic(S, thr, declared, last_declared, n, u):
-        rows = np.arange(len(S))
-        scores = S[:, members[:, 0]]
+    def generic(live, n, u):
+        S, rows = live.S, live.rows
+        scores = S.take(members[:, 0], axis=1)
         for j in range(1, len(starts)):
-            scores[:, starts[j]:] += S[:, members[starts[j]:, j]]
+            scores[:, starts[j]:] += S.take(members[starts[j]:, j], axis=1)
         best = scores.argmax(axis=1)
         top = scores[rows, best]
         scores[rows, best] = -np.inf
-        stop = top - scores.max(axis=1) >= thr
+        stop = top - scores.max(axis=1) >= live.thr
         cell = (u[:, None] < cum[best]).argmax(axis=1)
-        return stop, masks[best[stop]], cell[:, None]
+        return stop, lambda ended: masks[best[ended]], cell[:, None]
 
     return generic, draw
 
@@ -673,100 +710,95 @@ def _lockstep_chunk(
         truth = np.repeat(truth, width, axis=0)
         thr = np.tile(thresholds, len(trials))
     track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
-    true_cell = truth.argmax(axis=1)
 
     # Per chunk row: outcome. Per live row: running state.
     count = len(truth)
     tau = np.zeros(count, dtype=np.int64)
-    declared_at = np.zeros(count, dtype=np.int64)
     decided = np.zeros((count, m), dtype=bool)
     stopped = np.zeros(count, dtype=bool)
     last_break = np.zeros(count, dtype=np.int64)
-    live = np.arange(count)
-    S = np.zeros((count, m))
-    declared = np.zeros((count, m), dtype=bool)
-    last_declared = np.full(count, -1, dtype=np.int64)
+    live = _LiveRows(truth, thr)
     # The trials that own live rows, and each live row's index among them:
     # a trial's rows share its generator, its base variates and its draws.
-    owners, owner_row = _owners(live, width)
+    owners, owner_row = _owners(live.index, width)
     if draw is None:
-        blocks = _base_blocks(model, rngs, owners, k)
+        blocks, block_at = _base_blocks(model, rngs, owners, owner_row, k)
     else:
         live_rngs = rngs
     drawn = None
     n = 0
     while True:
         if draw is not None:
-            drawn = draw(live_rngs)
-            if width > 1:
-                drawn = drawn[owner_row]
-        stop, decision, probe = rule(S, thr, declared, last_declared, n, drawn)
-        done = stop if n < cfg.max_rounds else np.ones_like(stop)
-        if done.any():
-            ended = live[done]
-            tau[ended] = n
-            declared_at[ended] = last_declared[done]
-            finished = live[stop]
-            decided[finished] = decision
+            drawn = draw(live_rngs)[owner_row]
+        stop, decision, probe = rule(live, n, drawn)
+        ended = stop.nonzero()[0]
+        if ended.size or n >= cfg.max_rounds:
+            finished = live.index[ended]
+            decided[finished] = decision(ended)
             stopped[finished] = True
-            keep = ~done
-            live, probe = live[keep], probe[keep]
-            S, declared, last_declared = S[keep], declared[keep], last_declared[keep]
-            if not live.size:
+            if ended.size == stop.size or n >= cfg.max_rounds:
+                tau[live.index] = n
                 break
-            if width > 1:
-                thr = thr[keep]
+            tau[finished] = n
+            kept = (~stop).nonzero()[0]
+            live.keep(kept)
+            probe = probe[kept]
             if draw is None:
-                owner_row = owner_row[keep]
+                block_at = block_at[kept]
             else:
                 # A trial whose rows have all ended draws no more.
-                owners, owner_row = _owners(live, width)
+                owners, owner_row = _owners(live.index, width)
                 live_rngs = [rngs[i] for i in owners.tolist()]
         if draw is None:
             offset = (n % _BLOCK_ROUNDS) * k
             if offset == 0 and n:
-                owners, owner_row = _owners(live, width)
-                blocks = _base_blocks(model, rngs, owners, k)
-            base = blocks[owner_row, offset:offset + k]
+                owners, owner_row = _owners(live.index, width)
+                blocks, block_at = _base_blocks(model, rngs, owners, owner_row, k)
+            base = blocks[block_at + offset]
         else:
             # K base variates per trial, after its policy draws.
             gens = live_rngs if k == 1 else [g for g in live_rngs for _ in range(k)]
             base = np.fromiter(map(model.base_variate, gens), float, len(gens)).reshape(-1, k)
-            if width > 1:
-                base = base[owner_row]
+            base = base[owner_row]
         # Observations are drawn in ascending cell order within a round.
-        cells = probe if k == 1 else np.sort(probe, axis=1)
-        rows = np.arange(live.size)[:, None]
-        y, llr = model.sample_many(truth[live[:, None], cells], base)
-        S[rows, cells] += llr
+        cells = probe
+        if k > 1:
+            cells = probe.copy()
+            cells.sort()
+        flat = cells + live.offsets
+        y, llr = model.sample_many(live.truth.ravel()[flat], base)
+        live.S.ravel()[flat] += llr
         n += 1
         if track_tau1:
-            top = S[rows[:, 0], true_cell[live]]
-            last_break[live[((S >= top[:, None]) & ~truth[live]).any(axis=1)]] = n
+            S, true_cells = live.S, live.truth
+            last_break[live.index[((S >= S[true_cells][:, None]) & ~true_cells).any(axis=1)]] = n
         if trace is not None:
             trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
 
     return TrialColumns(truth, decided, stopped & (decided == truth).all(axis=1), tau,
-                        np.where(declared_at >= 0, declared_at, tau), ~stopped,
+                        np.where(live.last_declared >= 0, live.last_declared, tau), ~stopped,
                         last_break + 1 if track_tau1 else None)
 
 
-def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | slice]:
     """The chunk trials owning the live rows, in order, and each row's index among them."""
     if width == 1:
-        return live, np.arange(live.size)
+        return live, slice(None)
     trial = live // width
     first = np.ones(trial.size, dtype=bool)
     np.not_equal(trial[1:], trial[:-1], out=first[1:])
     return trial[first], np.cumsum(first) - 1
 
 
-def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray, k: int) -> np.ndarray:
-    """The next _BLOCK_ROUNDS rounds of base variates of each owner trial, one row each."""
+def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray,
+                 owner_row: np.ndarray | slice, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next _BLOCK_ROUNDS rounds of base variates of each owner trial,
+    flattened, and where each live row's trial's first K of them lie."""
     blocks = np.empty((owners.size, _BLOCK_ROUNDS * k))
     for row, i in enumerate(owners.tolist()):
         model.base_variate(rngs[i], out=blocks[row])
-    return blocks
+    starts = np.arange(0, blocks.size, _BLOCK_ROUNDS * k)[owner_row]
+    return blocks.ravel(), starts[:, None] + np.arange(k)
 
 
 @dataclass(frozen=True)

@@ -329,6 +329,52 @@ def test_long_trials_refill_their_blocks(policy, overrides):
     assert results == [scalar_reference(config, cost, t)[0] for t in range(config.trials)]
 
 
+# The long-trials benchmark shapes: dgf_l on eight Bernoulli cells, and
+# unknown_l on the table1_example preset.
+BENCH_SHAPES = {
+    "dgf_l": dict(num_cells=8, probes_per_round=3, num_targets=2, model=Bernoulli(0.1, 0.4)),
+    "unknown_l": dict(num_cells=3, probes_per_round=1, num_targets=2,
+                      model=Bernoulli(0.1, 0.6), fixed_hypothesis=(0,)),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(BENCH_SHAPES))
+def test_benchmark_shapes_match_reference(policy):
+    # 150 trials at the default chunk and block sizes: rows end in many
+    # rounds, one or several at a time, and the longer trials refill their
+    # blocks.
+    config = ExperimentConfig(policy=policy, neg_log_c=(8.0,), trials=150, seed=271_828,
+                              **BENCH_SHAPES[policy])
+    cost = config.costs[0]
+    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
+    assert run_trials(config, cost) == [result for result, _ in expected]
+    assert max(result.tau for result, _ in expected) > sim._BLOCK_ROUNDS
+    by_tau = sorted(range(config.trials), key=lambda t: expected[t][0].tau)
+    for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
+        replay = []
+        assert run_trial(config, cost, t, trace=replay) == expected[t][0]
+        assert replay == expected[t][1]
+
+
+@pytest.mark.parametrize("max_rounds", [32, 33])
+@pytest.mark.parametrize("policy", sorted(BENCH_SHAPES))
+def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
+    # Two rows per trial, so live rows read their trial's block through its
+    # owner; the budget ends the grid as a block runs out (32) or one round
+    # into the refilled block (33), after many rows of both costs stopped.
+    config = ExperimentConfig(policy=policy, neg_log_c=(8.0, 4.0), trials=150, seed=7,
+                              max_rounds=max_rounds, **BENCH_SHAPES[policy])
+    assert sim._BLOCK_ROUNDS == 32
+    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+                for cost in config.costs]
+    got = [sim._trial_results(trials, config.probes_per_round)
+           for trials in sim._run_grid(config, config.costs)]
+    assert got == expected
+    for results in expected:
+        truncated = sum(result.truncated for result in results)
+        assert 0 < truncated < len(results)
+
+
 @pytest.mark.parametrize("policy, regime, overrides", [
     ("chernoff", "f", dict(num_cells=4, probes_per_round=4, model=Exponential(0.5, 10.0))),
     ("chernoff", "g", dict(num_cells=5, probes_per_round=3, model=Exponential(10.0, 0.5))),

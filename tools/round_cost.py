@@ -1,0 +1,167 @@
+"""Microbenchmark: the lockstep engine's cost per round.
+
+Runs the two configurations of the ``long_trials`` benchmark workload
+(``dgf_l``: M=8, K=3, L=2, Bernoulli(0.1, 0.4); ``unknown_l`` on the
+``table1_example`` scenario), each at -log c = 8, through the engine at 1,
+100 and 1000 trials, and prints one row per (config, trials):
+
+* ``rounds``: engine rounds of one pass at seed 0, one per call of the
+  policy's lockstep rule (the longest trial's tau plus the round that ends
+  it);
+* ``us_per_round``: wall time of a pass over its rounds, the mean of the
+  faster half of seeds 0-19 (each seed the best of ``REPEATS`` passes).
+  A pass includes the chunk's set-up (generators, truth draw, policy
+  config), so at 1 trial it is a few percent above the bare round;
+* ``numpy_calls_per_round``: calls into NumPy per round at seed 0, counted
+  with ``sys.setprofile``: NumPy functions and array or generator methods
+  called from the package's code;
+* ``operators_per_round``: operator and subscript instructions (indexing,
+  arithmetic, comparisons) the package's code runs per round at seed 0,
+  counted with ``sys.settrace``. Nearly all of them act on arrays, so the
+  two columns together count the round's NumPy operations, give or take a
+  few on Python integers.
+
+Run from the repository root: ``python3 tools/round_cost.py [--json]``.
+It reads the package from ``src/`` next to this file, so a copy of this
+script in another checkout measures that checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dis
+import json
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+import numpy as np  # noqa: E402
+
+from anomsearch import Bernoulli, ExperimentConfig  # noqa: E402
+from anomsearch import sim  # noqa: E402
+
+CONFIGS = {
+    "dgf_l": dict(num_cells=8, probes_per_round=3, num_targets=2, policy="dgf_l",
+                  model=Bernoulli(0.1, 0.4)),
+    "unknown_l": dict(num_cells=3, probes_per_round=1, num_targets=2, policy="unknown_l",
+                      model=Bernoulli(0.1, 0.6), fixed_hypothesis=(0,)),
+}
+TRIALS = (1, 100, 1000)
+SEEDS = range(20)
+REPEATS = 3
+
+
+def config(name: str, trials: int, seed: int) -> ExperimentConfig:
+    return ExperimentConfig(neg_log_c=(8.0,), trials=trials, seed=seed, **CONFIGS[name])
+
+
+def one_pass(cfg: ExperimentConfig) -> tuple[float, int]:
+    """Seconds for one engine pass over cfg's trials, and its rounds."""
+    start = time.perf_counter()
+    chunks = sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    elapsed = time.perf_counter() - start
+    return elapsed, sum(int(chunk.tau.max()) + 1 for chunk in chunks)
+
+
+def numpy_calls(cfg: ExperimentConfig) -> int:
+    """Calls into NumPy made from the package's code during one pass."""
+    src, numpy_dir = str(SRC), str(Path(np.__file__).parent)
+    count = 0
+
+    def from_package(frame) -> bool:
+        return frame is not None and frame.f_code.co_filename.startswith(src)
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "c_call" and from_package(frame):
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or type(owner).__module__
+            count += module.startswith("numpy")
+        elif event == "call" and from_package(frame.f_back):
+            code = frame.f_code
+            count += (code.co_filename.startswith(numpy_dir)
+                      and not code.co_name.endswith("_dispatcher"))
+
+    sys.setprofile(profile)
+    try:
+        sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+OPERATORS = {dis.opmap[name] for name in ("BINARY_SUBSCR", "STORE_SUBSCR", "BINARY_OP",
+                                          "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT")}
+
+
+def operators(cfg: ExperimentConfig) -> int:
+    """Operator and subscript instructions run in the package's code during one pass."""
+    src = str(SRC)
+    count = 0
+
+    def per_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += frame.f_code.co_code[frame.f_lasti] in OPERATORS
+        return per_opcode
+
+    def per_call(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(src):
+            return None
+        frame.f_trace_opcodes = True
+        return per_opcode
+
+    sys.settrace(per_call)
+    try:
+        sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def measure() -> list[dict]:
+    rows = []
+    for name in CONFIGS:
+        for trials in TRIALS:
+            per_seed = []
+            for seed in SEEDS:
+                cfg = config(name, trials, seed)
+                one_pass(cfg)  # warm caches (policy config, seeding check)
+                best, rounds = min(one_pass(cfg) for _ in range(REPEATS))
+                per_seed.append(best / rounds * 1e6)
+            fastest = sorted(per_seed)[:len(per_seed) // 2]
+            cfg = config(name, trials, 0)
+            rounds = one_pass(cfg)[1]
+            rows.append({
+                "config": name,
+                "trials": trials,
+                "rounds": rounds,
+                "us_per_round": round(sum(fastest) / len(fastest), 2),
+                "numpy_calls_per_round": round(numpy_calls(cfg) / rounds, 1),
+                "operators_per_round": round(operators(cfg) / rounds, 1),
+            })
+    return rows
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--json", action="store_true", help="print one JSON list instead")
+    args = parser.parse_args(argv)
+    rows = measure()
+    if args.json:
+        print(json.dumps(rows))
+        return 0
+    print(f"{'config':<10} {'trials':>6} {'rounds':>6} {'us/round':>9} "
+          f"{'numpy calls/round':>18} {'operators/round':>16}")
+    for row in rows:
+        print(f"{row['config']:<10} {row['trials']:>6} {row['rounds']:>6} "
+              f"{row['us_per_round']:>9.2f} {row['numpy_calls_per_round']:>18.1f} "
+              f"{row['operators_per_round']:>16.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
