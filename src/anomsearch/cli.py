@@ -98,24 +98,6 @@ _KEY_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "true_target_count": (_is_int, "null or an integer"),
     "diagnostics": (lambda v: isinstance(v, bool), "true or false"),
 }
-_NULLABLE = ("priors", "fixed_hypothesis", "true_target_count")
-
-_DEFAULTS: dict[str, Any] = {
-    "policies": POLICY_NAMES[:1],  # the policy table's first entry
-    "M": 5,
-    "K": 1,
-    "L": 1,
-    "model": {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0},
-    "neg_log_c": (1.0, 2.0, 3.0, 4.0, 5.0),
-    "trials": 10_000,
-    "seed": 271_828,
-    "priors": None,
-    "fixed_hypothesis": None,
-    "true_target_count": None,
-    "diagnostics": False,
-}
-_CONFIG_KEYS = tuple(_DEFAULTS)
-
 PRESETS: dict[str, dict[str, Any]] = {
     # Five-cell search, one probe per round, strongly informative exponentials.
     "fig2": {
@@ -166,20 +148,26 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
-    """Resolved run-level configuration: one model/geometry, many policies."""
+    """Resolved run-level configuration: one model/geometry, many policies.
 
-    policies: tuple[str, ...]
-    M: int
-    K: int
-    L: int
-    model: dict
-    neg_log_c: tuple[float, ...]
-    trials: int
-    seed: int
-    priors: tuple[float, ...] | None
-    fixed_hypothesis: tuple[int, ...] | None
-    true_target_count: int | None
-    diagnostics: bool
+    The fields are the config keys, in the order the manifest writes them,
+    and their defaults fill every key no layer sets. A key whose default is
+    None accepts null; null for any other key keeps its default.
+    """
+
+    policies: tuple[str, ...] = POLICY_NAMES[:1]  # the policy table's first entry
+    M: int = 5
+    K: int = 1
+    L: int = ExperimentConfig.num_targets
+    model: dict = dataclasses.field(default_factory=lambda: {
+        "kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0})
+    neg_log_c: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
+    trials: int = ExperimentConfig.trials
+    seed: int = ExperimentConfig.seed
+    priors: tuple[float, ...] | None = None
+    fixed_hypothesis: tuple[int, ...] | None = None
+    true_target_count: int | None = None
+    diagnostics: bool = ExperimentConfig.diagnostics
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -199,6 +187,11 @@ class RunSpec:
             fixed_hypothesis=self.fixed_hypothesis,
             diagnostics=self.diagnostics,
         )
+
+
+_DEFAULTS = RunSpec().to_dict()
+_CONFIG_KEYS = tuple(_DEFAULTS)
+_NULLABLE = tuple(key for key, value in _DEFAULTS.items() if value is None)
 
 
 def _merge(layers: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
@@ -243,15 +236,11 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
-    spec = RunSpec(
-        policies=policies, M=merged["M"], K=merged["K"], L=merged["L"], model=model_dict,
-        neg_log_c=tuple(float(t) for t in merged["neg_log_c"]),
-        trials=merged["trials"], seed=merged["seed"],
-        priors=None if merged["priors"] is None else tuple(float(p) for p in merged["priors"]),
-        fixed_hypothesis=None if merged["fixed_hypothesis"] is None
-        else tuple(merged["fixed_hypothesis"]),
-        true_target_count=merged["true_target_count"], diagnostics=merged["diagnostics"],
-    )
+    merged.update(policies=policies, model=model_dict)
+    for key, cast in (("neg_log_c", float), ("priors", float), ("fixed_hypothesis", int)):
+        if merged[key] is not None:
+            merged[key] = tuple(cast(v) for v in merged[key])
+    spec = RunSpec(**merged)
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every
     # error that depends on it.
@@ -519,6 +508,14 @@ def run_verification(out: TextIO = sys.stdout) -> int:
     return 0 if not failures else 1
 
 
+# The families --model offers, and the parameters --lambda-f/--lambda-g set.
+_FLAG_FAMILIES = {
+    "exponential": ("lambda_f", "lambda_g"),
+    "gaussian": ("mu_f", "mu_g"),
+    "bernoulli": ("p_f", "p_g"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anomsearch",
@@ -532,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--L", type=int, dest="L", help="maximum number of targets")
     parser.add_argument("--policy", help="comma-separated policy names "
                                          f"(choices: {', '.join(POLICY_NAMES)})")
-    parser.add_argument("--model", choices=("exponential", "gaussian", "bernoulli"),
+    parser.add_argument("--model", choices=tuple(_FLAG_FAMILIES),
                         help="observation family; parameters via --lambda-f/--lambda-g")
     parser.add_argument("--lambda-f", type=float, dest="lambda_f",
                         help="normal-cell parameter (rate / mean / success prob.)")
@@ -559,11 +556,7 @@ def _flags_layer(args: argparse.Namespace) -> dict[str, Any]:
         family = args.model or "exponential"
         if args.lambda_f is None or args.lambda_g is None:
             raise ConfigError("--model requires both --lambda-f and --lambda-g")
-        key_f, key_g = {
-            "exponential": ("lambda_f", "lambda_g"),
-            "gaussian": ("mu_f", "mu_g"),
-            "bernoulli": ("p_f", "p_g"),
-        }[family]
+        key_f, key_g = _FLAG_FAMILIES[family]
         layer["model"] = {"kind": family, key_f: args.lambda_f, key_g: args.lambda_g}
     if args.neg_log_c is not None:
         try:

@@ -46,7 +46,6 @@ __all__ = [
     "Bernoulli",
     "Tabulated",
     "ObservationModel",
-    "check_geometry",
     "model_from_dict",
     "model_to_dict",
 ]

@@ -66,10 +66,6 @@ class HypothesisActionKL:
         if np.any(self.entries[np.arange(h), np.arange(h), :] != 0):
             raise ValueError("diagonal KL entries must be zero")
 
-    @property
-    def num_actions(self) -> int:
-        return self.entries.shape[2]
-
 
 def anomaly_hypotheses(num_cells: int, max_targets: int = 1) -> tuple[tuple[int, ...], ...]:
     """All candidate target sets with 1..max_targets members.

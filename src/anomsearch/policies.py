@@ -38,7 +38,6 @@ __all__ = [
     "Probe",
     "Declare",
     "Stop",
-    "PolicyAction",
     "PolicyConfig",
     "dgf_step",
     "chernoff_step",

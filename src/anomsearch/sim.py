@@ -107,9 +107,7 @@ from .policies import (  # noqa: F401
 from .state import SearchState, update  # noqa: F401
 
 __all__ = [
-    "POLICIES",
     "POLICY_NAMES",
-    "PolicyEntry",
     "ExperimentConfig",
     "TrialResult",
     "TrialColumns",

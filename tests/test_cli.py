@@ -45,20 +45,42 @@ class TestResolveConfig:
         assert spec.M == 5 and spec.K == 1 and spec.L == 1
         assert spec.trials == 10_000
         assert spec.model["kind"] == "exponential"
+        # every default, in the key order of the manifest's config block
+        assert list(spec.to_dict().items()) == [
+            ("policies", ("dgf",)), ("M", 5), ("K", 1), ("L", 1),
+            ("model", {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}),
+            ("neg_log_c", (1.0, 2.0, 3.0, 4.0, 5.0)), ("trials", 10_000), ("seed", 271_828),
+            ("priors", None), ("fixed_hypothesis", None), ("true_target_count", None),
+            ("diagnostics", False),
+        ]
+        # null for a key whose default is not None keeps that default
+        for key, value in spec.to_dict().items():
+            if value is not None:
+                assert getattr(resolve_config({key: None}), key) == value
 
     def test_later_layers_win(self):
         spec = resolve_config(PRESETS["fig2"], {"trials": 50}, {"seed": 1, "trials": 60})
         assert spec.trials == 60
         assert spec.seed == 1
         assert spec.policies == ("dgf", "chernoff")  # untouched layer survives
+        # null is kept, over earlier layers, for the keys whose default is None
+        table1 = PRESETS["table1_example"]
+        assert resolve_config(table1, {"fixed_hypothesis": None}).fixed_hypothesis is None
+        assert resolve_config(table1, {"true_target_count": 1},
+                              {"true_target_count": None}).true_target_count is None
+        assert resolve_config({"priors": [0.2] * 5}, {"priors": None}).priors is None
 
     def test_policies_accept_comma_string(self):
         spec = resolve_config({"policies": "dgf, chernoff"})
         assert spec.policies == ("dgf", "chernoff")
 
     def test_rejections(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ConfigError) as unknown:
             resolve_config({"cells": 5})
+        assert str(unknown.value) == (
+            "unknown config key 'cells'; expected one of ('policies', 'M', 'K', 'L', "
+            "'model', 'neg_log_c', 'trials', 'seed', 'priors', 'fixed_hypothesis', "
+            "'true_target_count', 'diagnostics')")
         with pytest.raises(ConfigError, match="unknown policy"):
             resolve_config({"policies": ["sprt"]})
         with pytest.raises(ConfigError, match="repeat"):

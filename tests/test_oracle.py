@@ -41,7 +41,7 @@ class TestHypothesisActionKL:
     def test_single_target_entries(self):
         d_gf, d_fg = self.MODEL.kl_divergences()
         kl = hypothesis_action_kl(self.MODEL, anomaly_hypotheses(3), 3)
-        assert kl.num_actions == 3
+        assert kl.entries.shape == (3, 3, 3)
         # probing my target while the rival calls it normal earns d_gf,
         # probing the rival's target earns d_fg, anywhere else nothing
         assert kl.entries[0, 1, 0] == pytest.approx(d_gf)
