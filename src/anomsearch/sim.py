@@ -54,21 +54,26 @@ and the trials' base-variate blocks, through flat indices.
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A trial draws in contract order for as
-long as any of its rows is live; when it draws depends on the policy:
+long as any of its rows is live; when it draws depends on the recipe:
 
-* A policy whose recipe has no draws of its own (``dgf``, ``dgf_l``,
-  ``seq_dgf_l``, ``unknown_l``, and ``chernoff`` when it draws no subset)
-  leaves a trial's stream, after the truth draw, nothing but its
-  observations' base variates, one per probed cell. The engine draws them
-  ahead in blocks of rounds per trial (``Generator`` array draws equal the
-  same number of scalar draws) and refills a block from the same generator
-  when it runs out. Draws past a trial's end are never read and nothing
-  follows them in the stream, so they are unobservable.
-* The randomized policies (``chernoff``, ``chernoff_generic``) draw
-  between observations, so nothing can be drawn ahead. Every round each
-  live trial first makes its policy draws, then its K base variates, one
-  scalar call each, and all of its live rows share them. A trial whose
-  rows stop this round makes its policy draws too; they come after its end.
+* When a round's draws are all calls of the base variate's own
+  ``Generator`` method, a trial's stream after the truth draw is nothing
+  but that method's variates, d + K per round: the policy's d draws, then
+  one base variate per probed cell. So it is for ``dgf``, ``dgf_l``,
+  ``seq_dgf_l``, ``unknown_l`` and ``chernoff`` drawing no subset (d = 0),
+  and for ``chernoff_generic`` on Bernoulli and Tabulated cells, whose
+  base variate is a uniform like its one policy draw (d = 1). The engine
+  draws these ahead in blocks of rounds per trial (``Generator`` array
+  draws equal the same number of scalar draws) and refills a block from
+  the same generator when it runs out. Draws past a trial's end are never
+  read and nothing follows them in the stream, so they are unobservable.
+* A round that mixes methods, ``chernoff``'s subset picks (``integers``,
+  which may use half of a cached 64-bit word) or ``chernoff_generic``'s
+  uniform before a ziggurat base variate (Exponential, Gaussian), is drawn
+  as it comes: every round each live trial first makes its policy draws,
+  then its K base variates, one scalar call each, and all of its live
+  rows share them. A trial whose rows stop this round makes its policy
+  draws too; they come after its end.
 
 Either way the results are bit-identical to running one trial at a time,
 one cost at a time, through the scalar step rules, ``SearchState`` and
@@ -573,15 +578,17 @@ class _LiveRows:
 # the scalar rule's draws in its order.
 _Rule = Callable[[_LiveRows, int, np.ndarray | None],
                  tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
-# A policy's draw recipe: given the live trials' generators, it makes each
-# trial's policy draws for one round (the same calls every round, fixed by
-# the config) and returns them as one row per trial. None when the policy
-# draws nothing of its own.
-_Draw = Callable[[list], np.ndarray]
+# A policy's draw recipe: the draws it makes each round before its K base
+# variates, the same calls every round, fixed by the config. None when it
+# makes none; a count d when they are d draws of the base variate's own
+# kind, which the engine then draws ahead with the base variates; else a
+# function that makes one round's draws from the live trials' generators
+# and returns them as one row per trial.
+_Draw = Callable[[list], np.ndarray] | int | None
 
 
 def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
-                 shuffle: bool = False) -> tuple[_Rule, _Draw | None]:
+                 shuffle: bool = False) -> tuple[_Rule, _Draw]:
     """dgf, dgf_l (dgf_step is dgfl_step with L=1) and, with ``shuffle``,
     chernoff: stop once the L-th ranked cell leads the next by the
     threshold, else probe a fixed window of the ranking. With ``shuffle``
@@ -596,7 +603,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
     bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
     def draw(rngs):
-        return np.fromiter((g.integers(0, b) for g in rngs for b in bounds), np.int64,
+        return np.fromiter((g.integers(b) for g in rngs for b in bounds), np.int64,
                            len(rngs) * len(bounds)).reshape(-1, len(bounds))
 
     def rank(live, n, picks):
@@ -671,9 +678,6 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
     members, starts, masks, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
     uniform = np.random.Generator.random
 
-    def draw(rngs):
-        return np.fromiter(map(uniform, rngs), float, len(rngs))
-
     def generic(live, n, u):
         S, rows = live.S, live.rows
         scores = S.take(members[:, 0], axis=1)
@@ -683,16 +687,19 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
         top = scores[rows, best]
         scores[rows, best] = -np.inf
         stop = top - scores.max(axis=1) >= live.thr
-        cell = (u[:, None] < cum[best]).argmax(axis=1)
+        cell = (u < cum[best]).argmax(axis=1)
         return stop, lambda ended: masks[best[ended]], cell[:, None]
 
-    return generic, draw
+    if cfg.model.base_variate is uniform:
+        # A round's draws are then all uniforms, so they are drawn ahead in blocks.
+        return generic, 1
+    return generic, lambda rngs: np.fromiter(map(uniform, rngs), float, len(rngs))[:, None]
 
 
 def _lockstep_chunk(
     cfg: ExperimentConfig,
     rule: _Rule,
-    draw: _Draw | None,
+    draw: _Draw,
     thresholds: list[float],
     trials: range,
     trace: list | None,
@@ -717,16 +724,24 @@ def _lockstep_chunk(
     last_break = np.zeros(count, dtype=np.int64)
     live = _LiveRows(truth, thr)
     # The trials that own live rows, and each live row's index among them:
-    # a trial's rows share its generator, its base variates and its draws.
+    # a trial's rows share its generator, its variates and its draws.
     owners, owner_row = _owners(live.index, width)
-    if draw is None:
-        blocks, block_at = _base_blocks(model, rngs, owners, owner_row, k)
-    else:
-        live_rngs = rngs
-    drawn = None
-    n = 0
+    # Unless a round's draws mix Generator methods, trials draw ahead in blocks.
+    ahead = not callable(draw)
+    d = draw if isinstance(draw, int) else 0
+    lead = np.arange(-d, 0)
+    live_rngs, drawn, n = rngs, None, 0
     while True:
-        if draw is not None:
+        if ahead:
+            offset = (n % _BLOCK_ROUNDS) * (d + k)
+            if not offset:
+                if n:  # a trial whose rows have all ended draws no more
+                    owners, owner_row = _owners(live.index, width)
+                blocks, block_at = _base_blocks(model, rngs, owners, owner_row, d, k)
+            if d:
+                # The round's d policy draws lie just before its base variates.
+                drawn = blocks[block_at[:, :1] + (lead + offset)]
+        else:
             drawn = draw(live_rngs)[owner_row]
         stop, decision, probe = rule(live, n, drawn)
         ended = stop.nonzero()[0]
@@ -741,17 +756,13 @@ def _lockstep_chunk(
             kept = (~stop).nonzero()[0]
             live.keep(kept)
             probe = probe[kept]
-            if draw is None:
+            if ahead:
                 block_at = block_at[kept]
             else:
                 # A trial whose rows have all ended draws no more.
                 owners, owner_row = _owners(live.index, width)
                 live_rngs = [rngs[i] for i in owners.tolist()]
-        if draw is None:
-            offset = (n % _BLOCK_ROUNDS) * k
-            if offset == 0 and n:
-                owners, owner_row = _owners(live.index, width)
-                blocks, block_at = _base_blocks(model, rngs, owners, owner_row, k)
+        if ahead:
             base = blocks[block_at + offset]
         else:
             # K base variates per trial, after its policy draws.
@@ -789,14 +800,16 @@ def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | slic
 
 
 def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray,
-                 owner_row: np.ndarray | slice, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next _BLOCK_ROUNDS rounds of base variates of each owner trial,
-    flattened, and where each live row's trial's first K of them lie."""
-    blocks = np.empty((owners.size, _BLOCK_ROUNDS * k))
+                 owner_row: np.ndarray | slice, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next _BLOCK_ROUNDS rounds of each owner trial's variates, flattened,
+    each round's d policy draws before its K base variates, and where each
+    live row's trial's first K base variates lie."""
+    per_round = d + k
+    blocks = np.empty((owners.size, _BLOCK_ROUNDS * per_round))
     for row, i in enumerate(owners.tolist()):
         model.base_variate(rngs[i], out=blocks[row])
-    starts = np.arange(0, blocks.size, _BLOCK_ROUNDS * k)[owner_row]
-    return blocks.ravel(), starts[:, None] + np.arange(k)
+    starts = np.arange(0, blocks.size, _BLOCK_ROUNDS * per_round)[owner_row]
+    return blocks.ravel(), starts[:, None] + np.arange(d, per_round)
 
 
 @dataclass(frozen=True)
@@ -808,7 +821,7 @@ class PolicyEntry:
 
     targets: str
     one_probe: bool
-    rule: Callable[[ExperimentConfig, PolicyConfig], tuple[_Rule, _Draw | None]]
+    rule: Callable[[ExperimentConfig, PolicyConfig], tuple[_Rule, _Draw]]
     scores_hypotheses: bool = False
 
 

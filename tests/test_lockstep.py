@@ -421,3 +421,55 @@ def test_engine_rejects_costs_outside_unit_interval():
     for cost in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="observation cost"):
             run_trials(config, cost)
+
+
+# chernoff_generic on M=4, L=2 cells of each model family. Its one uniform
+# per round is drawn ahead in the blocks, before the round's base variate,
+# when the base variate is a uniform too (Bernoulli, Tabulated); under the
+# ziggurat base variates (Exponential, Gaussian) it is drawn round by round.
+@pytest.mark.parametrize("kind, ahead", [
+    ("bernoulli", True), ("tabulated", True), ("exponential", False), ("gaussian", False),
+])
+def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
+    config = ExperimentConfig(num_cells=4, probes_per_round=1, num_targets=2,
+                              policy="chernoff_generic", model=MODELS[kind](False),
+                              neg_log_c=(6.0,), trials=40, seed=23, true_target_count=1)
+    cost = config.costs[0]
+    pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, cost, 2)
+    draw = sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1]
+    if ahead:
+        assert draw == 1
+    else:
+        assert callable(draw)
+    expected = [generic_reference(config, cost, t) for t in range(config.trials)]
+    assert run_trials(config, cost) == [result for result, _ in expected]
+    longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
+    replay = []
+    assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
+    assert replay == expected[longest][1]
+
+
+@pytest.mark.parametrize("max_rounds", [32, 33])
+def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
+    # The randomized benchmark's table1 shape on a two-cost grid: each
+    # block row holds a round's uniform and its base variate, two rows per
+    # trial read it through their owner, and the budget ends the grid as a
+    # block runs out (32) or one round into the refilled block (33).
+    config = ExperimentConfig(policy="chernoff_generic", neg_log_c=(8.0, 4.0), trials=150,
+                              seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
+    assert sim._BLOCK_ROUNDS == 32
+    pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, config.costs[0], 2)
+    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == 1
+    expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
+                for cost in config.costs]
+    got = [sim._trial_results(trials, config.probes_per_round)
+           for trials in sim._run_grid(config, config.costs)]
+    assert got == [[result for result, _ in per_cost] for per_cost in expected]
+    for cost, per_cost in zip(config.costs, expected):
+        truncated = sum(result.truncated for result, _ in per_cost)
+        assert 0 < truncated < len(per_cost)
+        by_tau = sorted(range(config.trials), key=lambda t: per_cost[t][0].tau)
+        for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
+            replay = []
+            assert run_trial(config, cost, t, trace=replay) == per_cost[t][0]
+            assert replay == per_cost[t][1]

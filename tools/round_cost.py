@@ -2,8 +2,9 @@
 
 Runs the two configurations of the ``long_trials`` benchmark workload
 (``dgf_l``: M=8, K=3, L=2, Bernoulli(0.1, 0.4); ``unknown_l`` on the
-``table1_example`` scenario), each at -log c = 8, through the engine at 1,
-100 and 1000 trials, and prints one row per (config, trials):
+``table1_example`` scenario) and the randomized ``chernoff_generic`` on
+``table1_example``, each at -log c = 8, through the engine at 1, 100 and
+1000 trials, and prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
   policy's lockstep rule (the longest trial's tau plus the round that ends
@@ -48,6 +49,9 @@ CONFIGS = {
                   model=Bernoulli(0.1, 0.4)),
     "unknown_l": dict(num_cells=3, probes_per_round=1, num_targets=2, policy="unknown_l",
                       model=Bernoulli(0.1, 0.6), fixed_hypothesis=(0,)),
+    "chernoff_generic": dict(num_cells=3, probes_per_round=1, num_targets=2,
+                             policy="chernoff_generic", model=Bernoulli(0.1, 0.6),
+                             fixed_hypothesis=(0,)),
 }
 TRIALS = (1, 100, 1000)
 SEEDS = range(20)
@@ -154,10 +158,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(rows))
         return 0
-    print(f"{'config':<10} {'trials':>6} {'rounds':>6} {'us/round':>9} "
+    print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'us/round':>9} "
           f"{'numpy calls/round':>18} {'operators/round':>16}")
     for row in rows:
-        print(f"{row['config']:<10} {row['trials']:>6} {row['rounds']:>6} "
+        print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
               f"{row['us_per_round']:>9.2f} {row['numpy_calls_per_round']:>18.1f} "
               f"{row['operators_per_round']:>16.1f}")
     return 0
