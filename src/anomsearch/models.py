@@ -269,7 +269,12 @@ class Tabulated:
                 raise ModelError(f"{name} must be strictly positive on the support")
             if abs(math.fsum(pmf) - 1.0) > 1e-12:
                 raise ModelError(f"{name} must sum to 1 within 1e-12")
-        object.__setattr__(self, "_llr_table", {v: math.log(q / p) for v, p, q in zip(support, pmf_f, pmf_g)})
+        llrs = tuple(math.log(q / p) for p, q in zip(pmf_f, pmf_g))
+        object.__setattr__(self, "_llrs", llrs)
+        object.__setattr__(self, "_llr_table", dict(zip(support, llrs)))
+        # sample_many's lookup tables, indexed by support position.
+        object.__setattr__(self, "_support_array", np.array(support))
+        object.__setattr__(self, "_llr_array", np.array(llrs))
         object.__setattr__(self, "_cum_f", _cumulative(pmf_f))
         object.__setattr__(self, "_cum_g", _cumulative(pmf_g))
         _require_informative(self)
@@ -284,8 +289,7 @@ class Tabulated:
     def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         idx = np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),
                        np.searchsorted(self._cum_f, base, side="right"))
-        llrs = [self._llr_table[v] for v in self.support]
-        return np.asarray(self.support)[idx], np.asarray(llrs)[idx]
+        return self._support_array[idx], self._llr_array[idx]
 
     def llr(self, y: float) -> float:
         try:
@@ -294,9 +298,8 @@ class Tabulated:
             raise ValueError(f"observation {y!r} is outside the tabulated support") from None
 
     def kl_divergences(self) -> tuple[float, float]:
-        llrs = [self._llr_table[v] for v in self.support]
-        d_gf = math.fsum(q * l for q, l in zip(self.pmf_g, llrs))
-        d_fg = -math.fsum(p * l for p, l in zip(self.pmf_f, llrs))
+        d_gf = math.fsum(q * l for q, l in zip(self.pmf_g, self._llrs))
+        d_fg = -math.fsum(p * l for p, l in zip(self.pmf_f, self._llrs))
         return d_gf, d_fg
 
 

@@ -54,26 +54,28 @@ and the trials' base-variate blocks, through flat indices.
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A trial draws in contract order for as
-long as any of its rows is live; when it draws depends on the recipe:
+long as any of its rows is live. A rule builder returns its draw recipe
+as data, one ``Generator`` call per policy draw of a round (``_Draw``),
+and draws nothing; ``_lockstep_chunk`` alone decides how d calls are drawn:
 
-* When a round's draws are all calls of the base variate's own
-  ``Generator`` method, a trial's stream after the truth draw is nothing
-  but that method's variates, d + K per round: the policy's d draws, then
-  one base variate per probed cell. So it is for ``dgf``, ``dgf_l``,
-  ``seq_dgf_l``, ``unknown_l`` and ``chernoff`` drawing no subset (d = 0),
-  and for ``chernoff_generic`` on Bernoulli and Tabulated cells, whose
-  base variate is a uniform like its one policy draw (d = 1). The engine
-  draws these ahead in blocks of rounds per trial (``Generator`` array
-  draws equal the same number of scalar draws) and refills a block from
-  the same generator when it runs out. Draws past a trial's end are never
-  read and nothing follows them in the stream, so they are unobservable.
-* A round that mixes methods, ``chernoff``'s subset picks (``integers``,
+* When every call is the base variate's own ``Generator`` method, a
+  trial's stream after the truth draw is nothing but that method's
+  variates, d + K per round: the policy's d draws, then one base variate
+  per probed cell. So it is for ``dgf``, ``dgf_l``, ``seq_dgf_l``,
+  ``unknown_l`` and ``chernoff`` drawing no subset (d = 0), and for
+  ``chernoff_generic`` on Bernoulli and Tabulated cells, whose base
+  variate is a uniform like its one policy draw (d = 1). The engine draws
+  these ahead in blocks of rounds per trial (``Generator`` array draws
+  equal the same number of scalar draws) and refills a block from the same
+  generator when it runs out. Draws past a trial's end are never read and
+  nothing follows them in the stream, so they are unobservable.
+* A recipe that mixes methods, ``chernoff``'s subset picks (``integers``,
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
   uniform before a ziggurat base variate (Exponential, Gaussian), is drawn
-  as it comes: every round each live trial first makes its policy draws,
-  then its K base variates, one scalar call each, and all of its live
-  rows share them. A trial whose rows stop this round makes its policy
-  draws too; they come after its end.
+  as it comes: every round each live trial first makes the recipe's
+  calls, then its K base variates, one scalar call each, and all of its
+  live rows share them. A trial whose rows stop this round makes its
+  policy draws too; they come after its end.
 
 Either way the results are bit-identical to running one trial at a time,
 one cost at a time, through the scalar step rules, ``SearchState`` and
@@ -125,7 +127,8 @@ __all__ = [
     "tau1_decay_diagnostic",
 ]
 
-# (trial, cost) rows advanced together; bounds the engine's arrays and live generators.
+# (trial, cost) rows advanced together; bounds the engine's arrays and live
+# generators. A grid has at most this many points, so a chunk of whole trials fits.
 _CHUNK = 1024
 # Rounds of base variates drawn per trial at a time.
 _BLOCK_ROUNDS = 32
@@ -194,6 +197,8 @@ class ExperimentConfig:
         grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
             raise ValueError("neg_log_c grid must not be empty")
+        if len(grid) > _CHUNK:
+            raise ValueError(f"neg_log_c grid has {len(grid)} points; at most {_CHUNK} are supported")
         for t in grid:
             if not (math.isfinite(t) and t > 0.0):
                 raise ValueError(f"-log c values must be positive and finite, got {t}")
@@ -531,10 +536,10 @@ def _run_lockstep(
     pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
                                     cfg.num_targets) for cost in costs]
     # The regimes do not depend on the cost; only the threshold does.
-    rule, draw = POLICIES[cfg.policy].rule(cfg, pcfgs[0])
+    rule, draws = POLICIES[cfg.policy].rule(cfg, pcfgs[0])
     thresholds = [pcfg.threshold for pcfg in pcfgs]
     step = max(1, _CHUNK // len(costs))
-    return [_lockstep_chunk(cfg, rule, draw, thresholds, range(start, min(start + step, hi)),
+    return [_lockstep_chunk(cfg, rule, draws, thresholds, range(start, min(start + step, hi)),
                             trace) for start in range(lo, hi, step)]
 
 
@@ -579,12 +584,10 @@ class _LiveRows:
 _Rule = Callable[[_LiveRows, int, np.ndarray | None],
                  tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
 # A policy's draw recipe: the draws it makes each round before its K base
-# variates, the same calls every round, fixed by the config. None when it
-# makes none; a count d when they are d draws of the base variate's own
-# kind, which the engine then draws ahead with the base variates; else a
-# function that makes one round's draws from the live trials' generators
-# and returns them as one row per trial.
-_Draw = Callable[[list], np.ndarray] | int | None
+# variates, one ``Generator`` call each (``operator.methodcaller("integers",
+# b)`` per bound b of chernoff's subset, ``Generator.random`` for
+# chernoff_generic), the same calls every round, fixed by the config.
+_Draw = tuple[Callable[[np.random.Generator], object], ...]
 
 
 def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
@@ -602,10 +605,6 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         first = m - k if k > m - l else l
     bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
-    def draw(rngs):
-        return np.fromiter((g.integers(b) for g in rngs for b in bounds), np.int64,
-                           len(rngs) * len(bounds)).reshape(-1, len(bounds))
-
     def rank(live, n, picks):
         order = (-live.S).argsort(kind="stable")
         pair = live.S.ravel()[order[:, l - 1:l + 1] + live.offsets]
@@ -621,10 +620,10 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         return (stop, lambda ended: (order[ended, :l, None] == np.arange(m)).any(axis=1),
                 order[:, first:first + k])
 
-    return rank, draw if bounds else None
+    return rank, tuple(operator.methodcaller("integers", b) for b in bounds)
 
 
-def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
+def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
     cells normal from the bottom up and output the survivors."""
     m, l = cfg.num_cells, cfg.num_targets
@@ -647,10 +646,10 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, 
         return (count >= needed, lambda ended: declared[ended] if chase_top else ~declared[ended],
                 best[:, None])
 
-    return sequential, None
+    return sequential, ()
 
 
-def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, None]:
+def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
 
     def unknown(live, n, drawn):
@@ -667,7 +666,7 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rul
         best = np.where(declared, -np.inf, S).argmax(axis=1)
         return stop, lambda ended: declared[ended], best[:, None]
 
-    return unknown, None
+    return unknown, ()
 
 
 def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
@@ -676,7 +675,6 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
     the threshold, else probe one cell drawn from the ML set's mixture with
     one uniform variate."""
     members, starts, masks, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
-    uniform = np.random.Generator.random
 
     def generic(live, n, u):
         S, rows = live.S, live.rows
@@ -690,16 +688,13 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
         cell = (u < cum[best]).argmax(axis=1)
         return stop, lambda ended: masks[best[ended]], cell[:, None]
 
-    if cfg.model.base_variate is uniform:
-        # A round's draws are then all uniforms, so they are drawn ahead in blocks.
-        return generic, 1
-    return generic, lambda rngs: np.fromiter(map(uniform, rngs), float, len(rngs))[:, None]
+    return generic, (np.random.Generator.random,)
 
 
 def _lockstep_chunk(
     cfg: ExperimentConfig,
     rule: _Rule,
-    draw: _Draw,
+    draws: _Draw,
     thresholds: list[float],
     trials: range,
     trace: list | None,
@@ -727,8 +722,8 @@ def _lockstep_chunk(
     # a trial's rows share its generator, its variates and its draws.
     owners, owner_row = _owners(live.index, width)
     # Unless a round's draws mix Generator methods, trials draw ahead in blocks.
-    ahead = not callable(draw)
-    d = draw if isinstance(draw, int) else 0
+    ahead = all(call is model.base_variate for call in draws)
+    d = len(draws)
     lead = np.arange(-d, 0)
     live_rngs, drawn, n = rngs, None, 0
     while True:
@@ -742,7 +737,7 @@ def _lockstep_chunk(
                 # The round's d policy draws lie just before its base variates.
                 drawn = blocks[block_at[:, :1] + (lead + offset)]
         else:
-            drawn = draw(live_rngs)[owner_row]
+            drawn = np.array([[*map(call, live_rngs)] for call in draws]).T[owner_row]
         stop, decision, probe = rule(live, n, drawn)
         ended = stop.nonzero()[0]
         if ended.size or n >= cfg.max_rounds:

@@ -329,6 +329,8 @@ class TestMainCommand:
         ["--policy", "chernoff_generic", "--M", "18", "--L", "9", "--neg-log-c", "1"],
         # 2^31 cells: the priors tuple alone would take 17 GB
         ["--M", "2147483648", "--neg-log-c", "1"],
+        # 1025 grid points: one trial's rows would overfill a 1024-row chunk
+        ["--neg-log-c", ",".join(["1"] * 1025)],
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         def no_tables(*args):

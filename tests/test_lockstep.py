@@ -384,26 +384,40 @@ def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
                                     fixed_hypothesis=(0,))),
     ("chernoff_generic", None, dict(num_cells=5, num_targets=3, model=Bernoulli(0.2, 0.7),
                                     true_target_count=2)),
-], ids=["K=M", "g-leader-plus-two", "f-two-drawn", "g-leader-only", "table1", "M5-L3"])
+    # The randomized benchmark's fig2_chernoff config, its whole grid at once.
+    ("chernoff", "f", dict(num_cells=5, model=Exponential(0.5, 10.0),
+                           neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0), trials=100, seed=271_828)),
+], ids=["K=M", "g-leader-plus-two", "f-two-drawn", "g-leader-only", "table1", "M5-L3",
+        "fig2"])
 def test_randomized_policies_match_reference(policy, regime, overrides):
-    config = ExperimentConfig(probes_per_round=overrides.pop("probes_per_round", 1),
-                              policy=policy, neg_log_c=(8.0,), trials=40, seed=17,
-                              diagnostics=policy == "chernoff", **overrides)
-    cost = config.costs[0]
-    if regime is not None:
-        pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
-                                      cost)
+    config = ExperimentConfig(**{"probes_per_round": 1, "neg_log_c": (8.0,), "trials": 40,
+                                 "seed": 17, **overrides},
+                              policy=policy, diagnostics=policy == "chernoff")
+    pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
+                                  config.costs[0], config.num_targets)
+    draws = sim.POLICIES[policy].rule(config, pcfg)[1]
+    if regime is None:
+        # Bernoulli cells: one uniform per round, drawn ahead with the base variates.
+        assert draws == (np.random.Generator.random,)
+        ahead = True
+    else:
         assert pcfg.multi_regime == regime
         # Chernoff reads base variates in blocks exactly when it draws no subset.
-        drawless = config.probes_per_round == config.num_cells or (
+        ahead = config.probes_per_round == config.num_cells or (
             regime == "g" and config.probes_per_round == 1)
-        assert (sim.POLICIES["chernoff"].rule(config, pcfg)[1] is None) == drawless
-    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
-    assert run_trials(config, cost) == [result for result, _ in expected]
-    longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
+        assert (draws == ()) == ahead
+    expected = [[scalar_reference(config, cost, t) for t in range(config.trials)]
+                for cost in config.costs]
+    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+        got = [sim._trial_results(trials, config.probes_per_round)
+               for trials in sim._run_grid(config, config.costs)]
+    assert blocks.called == ahead
+    assert got == [[result for result, _ in per_cost] for per_cost in expected]
+    cost, per_cost = config.costs[-1], expected[-1]
+    longest = max(range(config.trials), key=lambda t: per_cost[t][0].tau)
     replay = []
-    assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
-    assert replay == expected[longest][1]
+    assert run_trial(config, cost, longest, trace=replay) == per_cost[longest][0]
+    assert replay == per_cost[longest][1]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -423,10 +437,11 @@ def test_engine_rejects_costs_outside_unit_interval():
             run_trials(config, cost)
 
 
-# chernoff_generic on M=4, L=2 cells of each model family. Its one uniform
-# per round is drawn ahead in the blocks, before the round's base variate,
-# when the base variate is a uniform too (Bernoulli, Tabulated); under the
-# ziggurat base variates (Exponential, Gaussian) it is drawn round by round.
+# chernoff_generic on M=4, L=2 cells of each model family. Its recipe is one
+# uniform per round whatever the model; the engine draws it ahead in the
+# blocks, before the round's base variate, when the base variate is a
+# uniform too (Bernoulli, Tabulated), and under the ziggurat base variates
+# (Exponential, Gaussian) round by round.
 @pytest.mark.parametrize("kind, ahead", [
     ("bernoulli", True), ("tabulated", True), ("exponential", False), ("gaussian", False),
 ])
@@ -436,13 +451,11 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
                               neg_log_c=(6.0,), trials=40, seed=23, true_target_count=1)
     cost = config.costs[0]
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, cost, 2)
-    draw = sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1]
-    if ahead:
-        assert draw == 1
-    else:
-        assert callable(draw)
+    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == (np.random.Generator.random,)
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
-    assert run_trials(config, cost) == [result for result, _ in expected]
+    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+        assert run_trials(config, cost) == [result for result, _ in expected]
+    assert blocks.called == ahead
     longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
     replay = []
     assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
@@ -459,11 +472,13 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
                               seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
     assert sim._BLOCK_ROUNDS == 32
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, config.costs[0], 2)
-    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == 1
+    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == (np.random.Generator.random,)
     expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
-    got = [sim._trial_results(trials, config.probes_per_round)
-           for trials in sim._run_grid(config, config.costs)]
+    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+        got = [sim._trial_results(trials, config.probes_per_round)
+               for trials in sim._run_grid(config, config.costs)]
+    assert blocks.called
     assert got == [[result for result, _ in per_cost] for per_cost in expected]
     for cost, per_cost in zip(config.costs, expected):
         truncated = sum(result.truncated for result, _ in per_cost)

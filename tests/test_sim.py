@@ -66,6 +66,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             cfg(neg_log_c=(float("inf"),))
 
+    def test_grid_fits_one_chunk(self):
+        # A chunk holds every cost of its trials, and at most _CHUNK rows.
+        assert len(cfg(neg_log_c=(1.0,) * sim._CHUNK).neg_log_c) == sim._CHUNK
+        with pytest.raises(ValueError, match="grid has 1025 points; at most 1024 are supported"):
+            cfg(neg_log_c=(1.0,) * (sim._CHUNK + 1))
+
     def test_costs_property(self):
         c = cfg(neg_log_c=(1.0, 3.0))
         assert c.costs == pytest.approx((math.exp(-1), math.exp(-3)))

@@ -3,12 +3,14 @@
 Runs the two configurations of the ``long_trials`` benchmark workload
 (``dgf_l``: M=8, K=3, L=2, Bernoulli(0.1, 0.4); ``unknown_l`` on the
 ``table1_example`` scenario) and the randomized ``chernoff_generic`` on
-``table1_example``, each at -log c = 8, through the engine at 1, 100 and
+``table1_example``, each at -log c = 8, and ``chernoff`` on the fig2
+scenario over its grid (-log c 1..5), the one benchmark config whose
+draws the engine makes round by round, through the engine at 1, 100 and
 1000 trials, and prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
-  policy's lockstep rule (the longest trial's tau plus the round that ends
-  it);
+  policy's lockstep rule (in each chunk, the longest row's tau plus the
+  round that ends it);
 * ``us_per_round``: wall time of a pass over its rounds, the mean of the
   faster half of seeds 0-19 (each seed the best of ``REPEATS`` passes).
   A pass includes the chunk's set-up (generators, truth draw, policy
@@ -41,7 +43,7 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from anomsearch import Bernoulli, ExperimentConfig  # noqa: E402
+from anomsearch import Bernoulli, ExperimentConfig, Exponential  # noqa: E402
 from anomsearch import sim  # noqa: E402
 
 CONFIGS = {
@@ -52,6 +54,8 @@ CONFIGS = {
     "chernoff_generic": dict(num_cells=3, probes_per_round=1, num_targets=2,
                              policy="chernoff_generic", model=Bernoulli(0.1, 0.6),
                              fixed_hypothesis=(0,)),
+    "fig2_chernoff": dict(num_cells=5, probes_per_round=1, policy="chernoff",
+                          model=Exponential(0.5, 10.0), neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
 }
 TRIALS = (1, 100, 1000)
 SEEDS = range(20)
@@ -59,7 +63,7 @@ REPEATS = 3
 
 
 def config(name: str, trials: int, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(neg_log_c=(8.0,), trials=trials, seed=seed, **CONFIGS[name])
+    return ExperimentConfig(**{"neg_log_c": (8.0,), **CONFIGS[name]}, trials=trials, seed=seed)
 
 
 def one_pass(cfg: ExperimentConfig) -> tuple[float, int]:
