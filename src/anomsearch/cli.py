@@ -188,6 +188,17 @@ class RunSpec:
             diagnostics=self.diagnostics,
         )
 
+    def benchmark(self, policy: str) -> tuple[dict, Callable[[float], float]]:
+        """:func:`_benchmark` of ``policy``'s config, built once per spec.
+
+        The cache lives in the instance dict, outside the fields, so it
+        leaves equality and ``to_dict`` alone.
+        """
+        cache = self.__dict__.setdefault("_benchmarks", {})
+        if policy not in cache:
+            cache[policy] = _benchmark(self.experiment_config(policy))
+        return cache[policy]
+
 
 _DEFAULTS = RunSpec().to_dict()
 _CONFIG_KEYS = tuple(_DEFAULTS)
@@ -244,18 +255,19 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every
     # error that depends on it.
+    budget = ExperimentConfig.max_rounds
     for policy in spec.policies:
         try:
-            cfg = spec.experiment_config(policy)
+            _, lower_bound = spec.benchmark(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _, lower_bound = _benchmark(cfg)
-        for t, cost in zip(cfg.neg_log_c, cfg.costs):
+        for t in spec.neg_log_c:
+            cost = math.exp(-t)
             rounds = lower_bound(cost) / cost
-            if rounds > cfg.max_rounds:
+            if rounds > budget:
                 raise ConfigError(
                     f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
-                    f"rounds, more than the budget of {cfg.max_rounds}; use a larger cost "
+                    f"rounds, more than the budget of {budget}; use a larger cost "
                     f"or a more informative model")
     return spec
 
@@ -313,7 +325,7 @@ def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float]]:
         d_gf, d_fg = model.kl_divergences()
         return ({"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
                  "true_target_count": ell},
-                lambda cost: unknownl_lower_bound(cost, ell, model))
+                functools.partial(unknownl_lower_bound, true_target_count=ell, model=model))
     report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
     return ({"d_gf": report.d_gf, "d_fg": report.d_fg, "i_star": report.i_star,
              "regime": report.regime, "bound": "rate"},
@@ -340,9 +352,9 @@ def _run_spec(spec: RunSpec, workers: int,
     total = len(spec.policies) * len(spec.neg_log_c)
     start = time.monotonic()
     for policy in spec.policies:
-        cfg = spec.experiment_config(policy)
-        _, lower_bound = _benchmark(cfg)
-        for t, (cost, m, trials) in zip(spec.neg_log_c, _points(cfg, workers)):
+        _, lower_bound = spec.benchmark(policy)
+        for t, (cost, m, trials) in zip(spec.neg_log_c,
+                                        _points(spec.experiment_config(policy), workers)):
             if progress is not None:
                 print(f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau={m.mean_tau:.4g} "
                       f"p_e={m.p_e:.3g} trials={m.trial_count} ({time.monotonic() - start:.1f}s)",
@@ -392,8 +404,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     summary = {
         "manifest": manifest,
-        "rates": {policy: _benchmark(spec.experiment_config(policy))[0]
-                  for policy in spec.policies},
+        "rates": {policy: spec.benchmark(policy)[0] for policy in spec.policies},
         "results": [dict(row) for row in rows],
         "warnings": _truncation_warnings(rows),
     }

@@ -272,7 +272,8 @@ class Tabulated:
         llrs = tuple(math.log(q / p) for p, q in zip(pmf_f, pmf_g))
         object.__setattr__(self, "_llrs", llrs)
         object.__setattr__(self, "_llr_table", dict(zip(support, llrs)))
-        # sample_many's lookup tables, indexed by support position.
+        # sample_many's tables, as arrays so that no call converts them: the
+        # support and LLRs by position, and the cumulative bins it searches.
         object.__setattr__(self, "_support_array", np.array(support))
         object.__setattr__(self, "_llr_array", np.array(llrs))
         object.__setattr__(self, "_cum_f", _cumulative(pmf_f))
@@ -303,7 +304,7 @@ class Tabulated:
         return d_gf, d_fg
 
 
-def _cumulative(pmf: Sequence[float]) -> tuple[float, ...]:
+def _cumulative(pmf: Sequence[float]) -> np.ndarray:
     # Right-open cumulative bins for inverse-cdf sampling; the final bin is
     # pinned to 1 so a uniform draw of exactly 1-eps never falls off the end.
     total, out = 0.0, []
@@ -311,7 +312,7 @@ def _cumulative(pmf: Sequence[float]) -> tuple[float, ...]:
         total += p
         out.append(total)
     out.append(1.0)
-    return tuple(out)
+    return np.array(out)
 
 
 ObservationModel = Union[Exponential, Gaussian, Bernoulli, Tabulated]

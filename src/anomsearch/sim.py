@@ -55,8 +55,9 @@ Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A trial draws in contract order for as
 long as any of its rows is live. A rule builder returns its draw recipe
-as data, one ``Generator`` call per policy draw of a round (``_Draw``),
-and draws nothing; ``_lockstep_chunk`` alone decides how d calls are drawn:
+as data, one entry per policy draw of a round (``_Draw``): an int bound b
+for an ``integers(b)`` pick, else the ``Generator`` method to call. It draws
+nothing; ``_lockstep_chunk`` alone decides how d draws are made:
 
 * When every call is the base variate's own ``Generator`` method, a
   trial's stream after the truth draw is nothing but that method's
@@ -73,9 +74,15 @@ and draws nothing; ``_lockstep_chunk`` alone decides how d calls are drawn:
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
   uniform before a ziggurat base variate (Exponential, Gaussian), is drawn
   as it comes: every round each live trial first makes the recipe's
-  calls, then its K base variates, one scalar call each, and all of its
+  draws, then its K base variates, one scalar call each, and all of its
   live rows share them. A trial whose rows stop this round makes its
   policy draws too; they come after its end.
+
+Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
+through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
+all the picking trials at once instead of one ``Generator.integers`` call
+per trial, bit for bit, and falls back to those calls should its
+once-per-process self-check fail.
 
 Either way the results are bit-identical to running one trial at a time,
 one cost at a time, through the scalar step rules, ``SearchState`` and
@@ -92,7 +99,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, get_args
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -443,7 +450,105 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value ^ value >> 16
 
 
-def _draw_truths(cfg: ExperimentConfig, rngs: list) -> np.ndarray:
+# Bounds the pick self-check draws: b = 1 (no draw), a power of two, small
+# bounds, and the two largest 32-bit cases; 2^31 + 1 rejects about half the time.
+_PICK_CHECKS = (1, 4, 5, 9_999, 2**31 + 1, 2**32 - 1)
+# Whether _Picks reads Generator.integers' picks under this NumPy; None until checked.
+_picks_verified: bool | None = None
+
+
+class _Picks:
+    """Each trial's ``Generator.integers(b)`` picks, 1 <= b < 2^32, read from raw PCG64 words.
+
+    NumPy draws such a pick by Lemire's multiply on ``next_uint32``,
+    rejecting while the product's low word is below ``(2^32 - b) % b``;
+    b = 1 draws nothing. PCG64's ``next_uint32`` returns the low half of a
+    fresh 64-bit word and keeps the high half for its next call, and no
+    base variate reads that half (each reads whole words). So this reader
+    keeps the half per trial (``half``, -1 when empty), calls
+    ``random_raw`` only for trials that need a fresh word, and multiplies
+    for all picking trials at once. All of a trial's picks go through its
+    one reader, so the bits hold in any order of picks and base variates.
+    The first use in each process runs :func:`_check_picks`; if that fails
+    (NEP 19 lets NumPy change either stream), every pick is a scalar
+    ``integers`` call from then on.
+    """
+
+    __slots__ = ("rngs", "half")
+
+    def __init__(self, rngs: list) -> None:
+        self.rngs = rngs
+        self.half = [-1] * len(rngs)
+
+    def integers(self, b: int, trials: np.ndarray) -> np.ndarray:
+        """One pick below ``b`` for each of the distinct ``trials``, as int64."""
+        global _picks_verified
+        if _picks_verified is None:
+            _picks_verified = _check_picks()
+        if _picks_verified:
+            return self.lemire(b, trials)
+        rngs = self.rngs
+        return np.fromiter((rngs[t].integers(b) for t in trials.tolist()), np.int64, trials.size)
+
+    def lemire(self, b: int, trials: np.ndarray) -> np.ndarray:
+        """The reader itself: what ``integers(b)`` would give each of ``trials``."""
+        if b == 1:
+            return np.zeros(trials.size, dtype=np.int64)
+        scale = np.uint64(b)
+        product = self.next32(trials) * scale
+        threshold = (2**32 - b) % b
+        if threshold:
+            redo = (product & _MASK32) < threshold
+            while np.count_nonzero(redo):
+                product[redo] = self.next32(trials[redo]) * scale
+                redo = (product & _MASK32) < threshold
+        return (product >> 32).astype(np.int64)
+
+    def next32(self, trials: np.ndarray) -> np.ndarray:
+        """Each trial's ``next_uint32``, as uint64: its cached half, else the
+        low half of a fresh raw word, whose high half it caches."""
+        half, rngs, out = self.half, self.rngs, []
+        for t in trials.tolist():
+            word = half[t]
+            if word < 0:
+                word = rngs[t].bit_generator.random_raw()
+                half[t] = word >> 32
+                word &= _MASK32
+            else:
+                half[t] = -1
+            out.append(word)
+        return np.array(out, dtype=np.uint64)
+
+
+def _check_picks() -> bool:
+    """Whether :class:`_Picks` equals scalar ``Generator.integers`` here.
+
+    Eight trials draw ``_PICK_CHECKS`` three times over, the odd rounds on
+    half of the trials, with each model's base variate after every second
+    pick, so a cached half outlives a base variate; then the generators and
+    the cached halves must match.
+    """
+    trials = np.arange(8)
+    for variate in dict.fromkeys(cls.base_variate for cls in get_args(ObservationModel)):
+        picks = _Picks(_trial_generators(271_828, range(8)))
+        refs = _trial_generators(271_828, range(8))
+        for rep in range(3):
+            at = trials[1::2] if rep % 2 else trials
+            for i, b in enumerate(_PICK_CHECKS):
+                if picks.lemire(b, at).tolist() != [refs[t].integers(b) for t in at]:
+                    return False
+                if i % 2 and ([variate(picks.rngs[t]) for t in at]
+                              != [variate(refs[t]) for t in at]):
+                    return False
+        for g, ref, half in zip(picks.rngs, refs, picks.half):
+            state, want = g.bit_generator.state, ref.bit_generator.state
+            if (state["state"] != want["state"] or (half >= 0) != want["has_uint32"]
+                    or half >= 0 and half != want["uinteger"]):
+                return False
+    return True
+
+
+def _draw_truths(cfg: ExperimentConfig, rngs: list, picks: _Picks) -> np.ndarray:
     """Each trial's true target cells as one mask row, its generator's first draws."""
     m = cfg.num_cells
     truth = np.zeros((len(rngs), m), dtype=bool)
@@ -461,7 +566,7 @@ def _draw_truths(cfg: ExperimentConfig, rngs: list) -> np.ndarray:
         rows = np.arange(len(rngs))
         pool = np.tile(np.arange(m), (len(rngs), 1))
         for i in range(cfg.true_target_count):
-            j = i + np.fromiter((g.integers(m - i) for g in rngs), np.int64, len(rngs))
+            j = i + picks.integers(m - i, rows)
             pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
         truth[rows[:, None], pool[:, :cfg.true_target_count]] = True
     return truth
@@ -584,10 +689,11 @@ class _LiveRows:
 _Rule = Callable[[_LiveRows, int, np.ndarray | None],
                  tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
 # A policy's draw recipe: the draws it makes each round before its K base
-# variates, one ``Generator`` call each (``operator.methodcaller("integers",
-# b)`` per bound b of chernoff's subset, ``Generator.random`` for
-# chernoff_generic), the same calls every round, fixed by the config.
-_Draw = tuple[Callable[[np.random.Generator], object], ...]
+# variates, the same every round and fixed by the config. An int b stands
+# for one ``integers(b)`` call (chernoff's subset, one per bound), else the
+# entry is the ``Generator`` method it calls (``Generator.random`` for
+# chernoff_generic).
+_Draw = tuple[int | Callable[[np.random.Generator], float], ...]
 
 
 def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
@@ -603,7 +709,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         first = 0 if k >= l else l - k
     else:
         first = m - k if k > m - l else l
-    bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
+    bounds = list(range(m - 1, m - first - k, -1)) if shuffle and k < m else []
 
     def rank(live, n, picks):
         order = (-live.S).argsort(kind="stable")
@@ -620,7 +726,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         return (stop, lambda ended: (order[ended, :l, None] == np.arange(m)).any(axis=1),
                 order[:, first:first + k])
 
-    return rank, tuple(operator.methodcaller("integers", b) for b in bounds)
+    return rank, tuple(bounds)
 
 
 def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
@@ -703,7 +809,8 @@ def _lockstep_chunk(
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
     width = len(thresholds)
     rngs = _trial_generators(cfg.seed, trials)
-    truth = _draw_truths(cfg, rngs)
+    picks = _Picks(rngs)
+    truth = _draw_truths(cfg, rngs, picks)
     if width == 1:
         thr = thresholds[0]
     else:
@@ -722,7 +829,7 @@ def _lockstep_chunk(
     # a trial's rows share its generator, its variates and its draws.
     owners, owner_row = _owners(live.index, width)
     # Unless a round's draws mix Generator methods, trials draw ahead in blocks.
-    ahead = all(call is model.base_variate for call in draws)
+    ahead = all(draw is model.base_variate for draw in draws)
     d = len(draws)
     lead = np.arange(-d, 0)
     live_rngs, drawn, n = rngs, None, 0
@@ -737,7 +844,10 @@ def _lockstep_chunk(
                 # The round's d policy draws lie just before its base variates.
                 drawn = blocks[block_at[:, :1] + (lead + offset)]
         else:
-            drawn = np.array([[*map(call, live_rngs)] for call in draws]).T[owner_row]
+            drawn = np.array([
+                picks.integers(draw, owners) if isinstance(draw, int)
+                else np.fromiter(map(draw, live_rngs), float, len(live_rngs))
+                for draw in draws]).T[owner_row]
         stop, decision, probe = rule(live, n, drawn)
         ended = stop.nonzero()[0]
         if ended.size or n >= cfg.max_rounds:

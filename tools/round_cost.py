@@ -22,7 +22,18 @@ draws the engine makes round by round, through the engine at 1, 100 and
   arithmetic, comparisons) the package's code runs per round at seed 0,
   counted with ``sys.settrace``. Nearly all of them act on arrays, so the
   two columns together count the round's NumPy operations, give or take a
-  few on Python integers.
+  few on Python integers;
+* ``draw_calls_per_round``: ``Generator`` calls per round at seed 0 made
+  through the callables the engine draws with, each wrapped in a counter:
+  the draw recipe's callable entries, ``model.base_variate`` (a block of
+  variates is one call) and the pick reader's ``sim._Picks.next32`` (one
+  per raw word it reads, each a ``random_raw`` call).
+  ``numpy_calls_per_round`` misses these, because ``Generator`` methods
+  are Cython functions and emit no ``sys.setprofile`` events. The column
+  leaves out generator construction, the single-target truth draw's
+  uniform, and ``integers`` calls that no wrapped callable makes: where
+  the package has no pick reader, the subset truth draw's, and after a
+  failed pick self-check, every pick.
 
 Run from the repository root: ``python3 tools/round_cost.py [--json]``.
 It reads the package from ``src/`` next to this file, so a copy of this
@@ -101,6 +112,52 @@ def numpy_calls(cfg: ExperimentConfig) -> int:
     return count
 
 
+def draw_calls(cfg: ExperimentConfig) -> int:
+    """Generator calls made during one pass through the wrapped draw callables."""
+    count = 0
+
+    def counted(call):
+        def wrapper(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    model_type, chunk = type(cfg.model), sim._lockstep_chunk
+    base = model_type.__dict__["base_variate"]
+    counted_base = counted(base.__func__)
+
+    def counted_chunk(cfg, rule, draws, *args):
+        # A recipe entry that is the base variate keeps its identity, so the
+        # engine still draws it ahead in blocks.
+        draws = tuple(counted_base if draw is base.__func__ else
+                      counted(draw) if callable(draw) else draw for draw in draws)
+        return chunk(cfg, rule, draws, *args)
+
+    patches = [(model_type, "base_variate", staticmethod(counted_base)),
+               (sim, "_lockstep_chunk", counted_chunk)]
+    picks = getattr(sim, "_Picks", None)  # absent where the package has no pick reader
+    if picks is not None:
+        next32 = picks.next32
+
+        def counted_next32(self, trials):
+            nonlocal count
+            # A trial reads a raw word exactly when it has no cached half.
+            count += sum(self.half[t] < 0 for t in trials.tolist())
+            return next32(self, trials)
+
+        patches.append((picks, "next32", counted_next32))
+    saved = [(owner, name, owner.__dict__[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
+    return count
+
+
 OPERATORS = {dis.opmap[name] for name in ("BINARY_SUBSCR", "STORE_SUBSCR", "BINARY_OP",
                                           "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT")}
 
@@ -150,6 +207,7 @@ def measure() -> list[dict]:
                 "us_per_round": round(sum(fastest) / len(fastest), 2),
                 "numpy_calls_per_round": round(numpy_calls(cfg) / rounds, 1),
                 "operators_per_round": round(operators(cfg) / rounds, 1),
+                "draw_calls_per_round": round(draw_calls(cfg) / rounds, 1),
             })
     return rows
 
@@ -163,11 +221,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(rows))
         return 0
     print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'us/round':>9} "
-          f"{'numpy calls/round':>18} {'operators/round':>16}")
+          f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17}")
     for row in rows:
         print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
               f"{row['us_per_round']:>9.2f} {row['numpy_calls_per_round']:>18.1f} "
-              f"{row['operators_per_round']:>16.1f}")
+              f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f}")
     return 0
 
 
