@@ -255,19 +255,18 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every
     # error that depends on it.
-    budget = ExperimentConfig.max_rounds
     for policy in spec.policies:
         try:
-            _, lower_bound = spec.benchmark(policy)
+            cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        for t in spec.neg_log_c:
-            cost = math.exp(-t)
+        _, lower_bound = spec.benchmark(policy)
+        for t, cost in zip(cfg.neg_log_c, cfg.costs):
             rounds = lower_bound(cost) / cost
-            if rounds > budget:
+            if rounds > cfg.max_rounds:
                 raise ConfigError(
                     f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
-                    f"rounds, more than the budget of {budget}; use a larger cost "
+                    f"rounds, more than the budget of {cfg.max_rounds}; use a larger cost "
                     f"or a more informative model")
     return spec
 
@@ -325,7 +324,7 @@ def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float]]:
         d_gf, d_fg = model.kl_divergences()
         return ({"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
                  "true_target_count": ell},
-                functools.partial(unknownl_lower_bound, true_target_count=ell, model=model))
+                lambda cost: unknownl_lower_bound(cost, ell, model))
     report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
     return ({"d_gf": report.d_gf, "d_fg": report.d_fg, "i_star": report.i_star,
              "regime": report.regime, "bound": "rate"},

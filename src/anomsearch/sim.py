@@ -709,7 +709,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         first = 0 if k >= l else l - k
     else:
         first = m - k if k > m - l else l
-    bounds = list(range(m - 1, m - first - k, -1)) if shuffle and k < m else []
+    bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
     def rank(live, n, picks):
         order = (-live.S).argsort(kind="stable")

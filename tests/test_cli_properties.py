@@ -179,3 +179,16 @@ def test_main_exits_0_2_or_3_and_never_raises(tmp_path, capsys, scaled_limits,
     event(f"exit {code}" + (" with truncations" if code == 0 and "round budget" in err else ""))
     assert code in (0, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget_factor, expected", [(0.9, 0), (1.01, 2)])
+def test_round_estimate_checks_the_configs_own_budget(tmp_path, capsys, scaled_limits,
+                                                       budget_factor, expected):
+    # The estimate must compare with the built config's max_rounds, not a
+    # default: just past the scaled budget the run is refused before it starts.
+    config = _near_budget({"trials": 3, "policies": ["dgf", "unknown_l"], "M": 3, "L": 1},
+                          budget_factor)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([str(path), "--workers", "1", "--out", str(tmp_path / "out")]) == expected
+    assert ("budget of 300" in capsys.readouterr().err) == (expected == 2)
