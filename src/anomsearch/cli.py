@@ -40,7 +40,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, sim
 from .models import (
     Bernoulli,
     Exponential,
@@ -65,7 +65,6 @@ from .sim import (
     ExperimentConfig,
     TrialColumns,
     _fit_tau1_decay,
-    _points,
 )
 
 _LN10 = math.log(10.0)
@@ -352,13 +351,15 @@ def _run_spec(spec: RunSpec, workers: int,
     start = time.monotonic()
     for policy in spec.policies:
         _, lower_bound = spec.benchmark(policy)
-        for t, (cost, m, trials) in zip(spec.neg_log_c,
-                                        _points(spec.experiment_config(policy), workers)):
+        cfg = spec.experiment_config(policy)
+        grid = sim._run_grid(cfg, cfg.costs, workers)
+        last[policy] = sim._row(grid, -1)
+        # Through the module, so that layer tracing sees each aggregate call.
+        for t, cost, m in zip(spec.neg_log_c, cfg.costs, sim.aggregate(grid, cfg.costs)):
             if progress is not None:
                 print(f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau={m.mean_tau:.4g} "
                       f"p_e={m.p_e:.3g} trials={m.trial_count} ({time.monotonic() - start:.1f}s)",
                       file=progress, flush=True)
-            last[policy] = trials
             bound = lower_bound(cost)
             rows.append({
                 "policy": policy, "M": spec.M, "K": spec.K, "L": spec.L,

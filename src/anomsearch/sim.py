@@ -53,42 +53,41 @@ live rows' state (``_LiveRows``) compacted. Each round reads and writes it,
 and the trials' base-variate blocks, through flat indices.
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
-same engine on a grid of one cost. A trial draws in contract order for as
-long as any of its rows is live. A rule builder returns its draw recipe
+same engine on a grid of one cost. A rule builder returns its draw recipe
 as data, one entry per policy draw of a round (``_Draw``): an int bound b
-for an ``integers(b)`` pick, else the ``Generator`` method to call. It draws
-nothing; ``_lockstep_chunk`` alone decides how d draws are made:
+for an ``integers(b)`` pick, else the ``Generator`` method to call. It
+draws nothing. Every round's d policy draws and K base variates come from
+blocks that ``_base_blocks`` draws per trial, in contract order, for every
+trial that still has a live row when its last block runs out; draws past a
+trial's end are never read and nothing follows them in the stream, so
+they are unobservable. How long a block is follows from the recipe:
 
 * When every call is the base variate's own ``Generator`` method, a
   trial's stream after the truth draw is nothing but that method's
-  variates, d + K per round: the policy's d draws, then one base variate
-  per probed cell. So it is for ``dgf``, ``dgf_l``, ``seq_dgf_l``,
-  ``unknown_l`` and ``chernoff`` drawing no subset (d = 0), and for
-  ``chernoff_generic`` on Bernoulli and Tabulated cells, whose base
-  variate is a uniform like its one policy draw (d = 1). The engine draws
-  these ahead in blocks of rounds per trial (``Generator`` array draws
-  equal the same number of scalar draws) and refills a block from the same
-  generator when it runs out. Draws past a trial's end are never read and
-  nothing follows them in the stream, so they are unobservable.
+  variates, d + K per round. So it is for ``dgf``, ``dgf_l``,
+  ``seq_dgf_l``, ``unknown_l`` and ``chernoff`` drawing no subset (d = 0),
+  and for ``chernoff_generic`` on Bernoulli and Tabulated cells, whose
+  base variate is a uniform like its one policy draw (d = 1). A block then
+  holds ``_BLOCK_ROUNDS`` rounds, one array call per trial (``Generator``
+  array draws equal the same number of scalar draws).
 * A recipe that mixes methods, ``chernoff``'s subset picks (``integers``,
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
-  uniform before a ziggurat base variate (Exponential, Gaussian), is drawn
-  as it comes: every round each live trial first makes the recipe's
-  draws, then its K base variates, one scalar call each, and all of its
-  live rows share them. A trial whose rows stop this round makes its
-  policy draws too; they come after its end.
+  uniform before a ziggurat base variate (Exponential, Gaussian), gets
+  blocks of one round, filled column by column: each policy draw, then
+  each of the K base variates, for all the block's trials at once.
 
 Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
 through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
 all the picking trials at once instead of one ``Generator.integers`` call
 per trial, bit for bit, and falls back to those calls should its
-once-per-process self-check fail.
+once-per-process self-check fail; every other draw of a one-round block is
+one scalar call per trial.
 
-Either way the results are bit-identical to running one trial at a time,
-one cost at a time, through the scalar step rules, ``SearchState`` and
-``update``. They leave the engine as columns, one ``TrialColumns`` per
-cost in trial order, which ``aggregate`` reduces as they are; only
-``run_trials`` and ``run_trial`` build ``TrialResult`` objects.
+The results are bit-identical to running one trial at a time, one cost at
+a time, through the scalar step rules, ``SearchState`` and ``update``. They
+leave the engine as one grid, a ``TrialColumns`` whose columns hold one
+row per cost and one column per trial, which ``aggregate`` reduces row by
+row; only ``run_trials`` and ``run_trial`` build ``TrialResult`` objects.
 """
 
 from __future__ import annotations
@@ -99,7 +98,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple, Sequence, get_args
+from typing import Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -137,7 +136,7 @@ __all__ = [
 # (trial, cost) rows advanced together; bounds the engine's arrays and live
 # generators. A grid has at most this many points, so a chunk of whole trials fits.
 _CHUNK = 1024
-# Rounds of base variates drawn per trial at a time.
+# Rounds a trial's block of draws holds when its recipe draws ahead.
 _BLOCK_ROUNDS = 32
 # Most target sets a policy that scores every set may face. Its set-up
 # builds an (H, H, M) KL table and solves one linear program per set,
@@ -146,6 +145,10 @@ _BLOCK_ROUNDS = 32
 # H = 637 (M = 10, L = 5) 5.7 s and 183 MB, and M = 18, L = 9 (H = 155381)
 # would need a 405 GiB table.
 _MAX_HYPOTHESES = 400
+# Those policies' maximin programs have the KL divergences as constraint
+# entries, and HiGHS treats an entry of 1e15 or more as infinite: the
+# program then fails as a model error (found by bisection on the entries).
+_MAX_LP_ENTRY = 1e15
 # Most cells a run may have. The engine holds (_CHUNK, M) arrays, about 40
 # bytes per row and cell: on a 2-vCPU Xeon VM M = 10 000 peaked at 475 MB
 # (1024 trials, five costs), and M = 2^31 would need a 17 GB priors tuple
@@ -201,6 +204,11 @@ class ExperimentConfig:
             if count > _MAX_HYPOTHESES:
                 raise ValueError(f"policy {self.policy!r} scores every set of 1..{l} of {m} "
                                  f"cells, {count} sets; at most {_MAX_HYPOTHESES} are supported")
+            d_gf, d_fg = self.model.kl_divergences()
+            if max(d_gf, d_fg) >= _MAX_LP_ENTRY:
+                raise ValueError(f"policy {self.policy!r} solves a maximin program over the KL "
+                                 f"divergences, D(g||f)={d_gf:.3g} and D(f||g)={d_fg:.3g}; "
+                                 f"both must be below {_MAX_LP_ENTRY:g}")
         grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
             raise ValueError("neg_log_c grid must not be empty")
@@ -284,11 +292,13 @@ class TrialResult:
 
 
 class TrialColumns(NamedTuple):
-    """A batch of trials as columns, one entry per trial in trial order.
+    """A grid of trials as columns: each a C-contiguous (costs, trials) array,
+    one row per cost of the grid and one entry per trial in trial order.
 
-    ``truth`` and ``decided`` are (trials, cells) masks of the true and the
-    decided target cells, ``decided`` all False for a truncated trial; the
-    other fields follow :class:`TrialResult`, ``tau1`` None if untracked.
+    ``truth`` and ``decided`` are (costs, trials, cells) masks of the true
+    and the decided target cells, ``decided`` all False for a truncated
+    trial; the other fields follow :class:`TrialResult`, ``tau1`` None if
+    untracked. A batch at one cost is a grid of one row.
     """
 
     truth: np.ndarray
@@ -612,11 +622,16 @@ def run_trial(
     truncates the trial: decision None, correct False, tau = max_rounds.
     """
     chunk, = _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)
-    return _trial_results(chunk, cfg.probes_per_round)[0]
+    return _trial_results(_row(chunk, 0), cfg.probes_per_round)[0]
+
+
+def _row(grid: TrialColumns, j: int) -> TrialColumns:
+    """The trials at the grid's j-th cost, as one-dimensional columns (views)."""
+    return TrialColumns(*(None if col is None else col[j] for col in grid))
 
 
 def _trial_results(trials: TrialColumns, k: int) -> list[TrialResult]:
-    """One TrialResult per row of ``trials``, run with ``k`` probes per round."""
+    """One TrialResult per trial of a grid row ``trials``, run with ``k`` probes per round."""
     def cells(mask):
         return tuple(cell for cell, hit in enumerate(mask) if hit)
 
@@ -632,11 +647,11 @@ def _run_lockstep(
     hi: int,
     trace: list | None = None,
 ) -> list[TrialColumns]:
-    """Trials lo..hi-1 at every cost in ``costs``, one TrialColumns per lockstep chunk.
+    """Trials lo..hi-1 at every cost in ``costs``, one grid per lockstep chunk.
 
-    A chunk holds one row per (trial, cost), trial-major, and at most
-    _CHUNK rows unless one trial has more costs. ``trace`` follows
-    :func:`run_trial` and needs a single trial at a single cost.
+    A chunk holds one row per (trial, cost), and at most _CHUNK rows unless
+    one trial has more costs. ``trace`` follows :func:`run_trial` and needs
+    a single trial at a single cost.
     """
     pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
                                     cfg.num_targets) for cost in costs]
@@ -677,15 +692,15 @@ class _LiveRows:
 
 
 # A lockstep rule takes the live rows (``_LiveRows``), the round number and
-# the round's policy draws (one row each, else None). It updates their
-# declared cells and ``last_declared`` in place and returns which rows stop,
-# a function from the stopping rows' positions to their decision masks (the
-# engine calls it only when some row stops, before anything changes), and
-# every row's probe set in the scalar rule's order. Each rule mirrors its
-# scalar rules in ``policies`` exactly (``_ranked_rule`` serves dgf, dgf_l
-# and chernoff): ties rank the lower cell first (stable sort, first argmax),
-# stop tests use the same float comparisons, and a randomized rule consumes
-# the scalar rule's draws in its order.
+# the round's policy draws (one row each, as floats, picks too; else None). It
+# updates their declared cells and ``last_declared`` in place and returns
+# which rows stop, a function from the stopping rows' positions to their
+# decision masks (the engine calls it only when some row stops, before
+# anything changes), and every row's probe set in the scalar rule's order.
+# Each rule mirrors its scalar rules in ``policies`` exactly (``_ranked_rule``
+# serves dgf, dgf_l and chernoff): ties rank the lower cell first (stable
+# sort, first argmax), stop tests use the same float comparisons, and a
+# randomized rule consumes the scalar rule's draws in its order.
 _Rule = Callable[[_LiveRows, int, np.ndarray | None],
                  tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
 # A policy's draw recipe: the draws it makes each round before its K base
@@ -717,8 +732,9 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
         stop = pair[:, 0] - pair[:, 1] >= live.thr
         if bounds:
             # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the
-            # first i picks. Rank 1, chernoff's decision, stays in place.
-            flat, start = order.ravel(), live.offsets[:, 0] + 1
+            # first i picks. Rank 1, chernoff's decision, stays in place. The
+            # picks come as floats, exact below 2^32.
+            flat, start, picks = order.ravel(), live.offsets[:, 0] + 1, picks.astype(np.int64)
             for i in range(len(bounds)):
                 at = start + i
                 to = at + picks[:, i]
@@ -805,17 +821,18 @@ def _lockstep_chunk(
     trials: range,
     trace: list | None,
 ) -> TrialColumns:
-    """The chunk's rows, trial-major: row r is trial r // width at cost r % width."""
+    """The chunk's trials as a grid of (costs, trials) columns, views of its
+    rows, which are cost-major: row r is cost r // len(trials) at trial r % len(trials)."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
-    width = len(thresholds)
+    width, n_trials = len(thresholds), len(trials)
     rngs = _trial_generators(cfg.seed, trials)
     picks = _Picks(rngs)
     truth = _draw_truths(cfg, rngs, picks)
     if width == 1:
         thr = thresholds[0]
     else:
-        truth = np.repeat(truth, width, axis=0)
-        thr = np.tile(thresholds, len(trials))
+        truth = np.tile(truth, (width, 1))
+        thr = np.repeat(thresholds, n_trials)
     track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
 
     # Per chunk row: outcome. Per live row: running state.
@@ -825,29 +842,20 @@ def _lockstep_chunk(
     stopped = np.zeros(count, dtype=bool)
     last_break = np.zeros(count, dtype=np.int64)
     live = _LiveRows(truth, thr)
-    # The trials that own live rows, and each live row's index among them:
-    # a trial's rows share its generator, its variates and its draws.
-    owners, owner_row = _owners(live.index, width)
-    # Unless a round's draws mix Generator methods, trials draw ahead in blocks.
-    ahead = all(draw is model.base_variate for draw in draws)
+    # A recipe of the base variate's own method draws ahead; any other is
+    # drawn one round at a time.
+    rounds = _BLOCK_ROUNDS if all(draw is model.base_variate for draw in draws) else 1
     d = len(draws)
     lead = np.arange(-d, 0)
-    live_rngs, drawn, n = rngs, None, 0
+    drawn, n = None, 0
     while True:
-        if ahead:
-            offset = (n % _BLOCK_ROUNDS) * (d + k)
-            if not offset:
-                if n:  # a trial whose rows have all ended draws no more
-                    owners, owner_row = _owners(live.index, width)
-                blocks, block_at = _base_blocks(model, rngs, owners, owner_row, d, k)
-            if d:
-                # The round's d policy draws lie just before its base variates.
-                drawn = blocks[block_at[:, :1] + (lead + offset)]
-        else:
-            drawn = np.array([
-                picks.integers(draw, owners) if isinstance(draw, int)
-                else np.fromiter(map(draw, live_rngs), float, len(live_rngs))
-                for draw in draws]).T[owner_row]
+        offset = (n % rounds) * (d + k)
+        if not offset:
+            # Only trials that own a live row draw; their rows share the block.
+            blocks, block_at = _base_blocks(model, draws, picks, live.index, width, k, rounds)
+        if d:
+            # The round's d policy draws lie just before its base variates.
+            drawn = blocks[block_at[:, :1] + (lead + offset)]
         stop, decision, probe = rule(live, n, drawn)
         ended = stop.nonzero()[0]
         if ended.size or n >= cfg.max_rounds:
@@ -861,19 +869,8 @@ def _lockstep_chunk(
             kept = (~stop).nonzero()[0]
             live.keep(kept)
             probe = probe[kept]
-            if ahead:
-                block_at = block_at[kept]
-            else:
-                # A trial whose rows have all ended draws no more.
-                owners, owner_row = _owners(live.index, width)
-                live_rngs = [rngs[i] for i in owners.tolist()]
-        if ahead:
-            base = blocks[block_at + offset]
-        else:
-            # K base variates per trial, after its policy draws.
-            gens = live_rngs if k == 1 else [g for g in live_rngs for _ in range(k)]
-            base = np.fromiter(map(model.base_variate, gens), float, len(gens)).reshape(-1, k)
-            base = base[owner_row]
+            block_at = block_at[kept]
+        base = blocks[block_at + offset]
         # Observations are drawn in ascending cell order within a round.
         cells = probe
         if k > 1:
@@ -889,32 +886,41 @@ def _lockstep_chunk(
         if trace is not None:
             trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
 
-    return TrialColumns(truth, decided, stopped & (decided == truth).all(axis=1), tau,
-                        np.where(live.last_declared >= 0, live.last_declared, tau), ~stopped,
-                        last_break + 1 if track_tau1 else None)
+    columns = (truth, decided, stopped & (decided == truth).all(axis=1), tau,
+               np.where(live.last_declared >= 0, live.last_declared, tau), ~stopped,
+               last_break + 1 if track_tau1 else None)
+    return TrialColumns(*(None if col is None else col.reshape(width, n_trials, *col.shape[1:])
+                          for col in columns))
 
 
-def _owners(live: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | slice]:
-    """The chunk trials owning the live rows, in order, and each row's index among them."""
+def _base_blocks(model: ObservationModel, draws: _Draw, picks: _Picks, live: np.ndarray,
+                 width: int, k: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``rounds`` rounds of draws of each chunk trial that owns a
+    ``live`` row (rows cost-major, ``width`` costs), flattened, each round's
+    policy draws before its K base variates, and where each live row's
+    trial's first K base variates lie. Several rounds (only a recipe of the
+    base variate's own method gets them) are one array call per trial; one
+    round is filled column by column, all owners at once, picks through
+    ``picks`` and any other draw one scalar call per trial."""
     if width == 1:
-        return live, slice(None)
-    trial = live // width
-    first = np.ones(trial.size, dtype=bool)
-    np.not_equal(trial[1:], trial[:-1], out=first[1:])
-    return trial[first], np.cumsum(first) - 1
-
-
-def _base_blocks(model: ObservationModel, rngs: list, owners: np.ndarray,
-                 owner_row: np.ndarray | slice, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next _BLOCK_ROUNDS rounds of each owner trial's variates, flattened,
-    each round's d policy draws before its K base variates, and where each
-    live row's trial's first K base variates lie."""
-    per_round = d + k
-    blocks = np.empty((owners.size, _BLOCK_ROUNDS * per_round))
-    for row, i in enumerate(owners.tolist()):
-        model.base_variate(rngs[i], out=blocks[row])
-    starts = np.arange(0, blocks.size, _BLOCK_ROUNDS * per_round)[owner_row]
-    return blocks.ravel(), starts[:, None] + np.arange(d, per_round)
+        owners, owner_row = live, slice(None)
+    else:
+        trial = live % len(picks.rngs)
+        owned = np.zeros(len(picks.rngs), dtype=bool)
+        owned[trial] = True
+        owners, owner_row = owned.nonzero()[0], (np.cumsum(owned) - 1)[trial]
+    per_round = len(draws) + k
+    blocks = np.empty((owners.size, rounds * per_round))
+    rngs = [picks.rngs[i] for i in owners.tolist()]
+    if rounds > 1:
+        for block, g in zip(blocks, rngs):
+            model.base_variate(g, out=block)
+    else:
+        for j, draw in enumerate(draws + (model.base_variate,) * k):
+            blocks[:, j] = (picks.integers(draw, owners) if isinstance(draw, int)
+                            else np.fromiter(map(draw, rngs), float, len(rngs)))
+    starts = np.arange(0, blocks.size, rounds * per_round)[owner_row]
+    return blocks.ravel(), starts[:, None] + np.arange(len(draws), per_round)
 
 
 @dataclass(frozen=True)
@@ -953,9 +959,9 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_grid(cfg: ExperimentConfig, costs: Sequence[float],
-              workers: int = 1) -> list[TrialColumns]:
-    """All trials at every cost in ``costs``; one TrialColumns per cost, in trial order.
+def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -> TrialColumns:
+    """All trials at every cost in ``costs``, as one grid: row j holds the
+    trials at ``costs[j]``, in trial order.
 
     With workers > 1 one process pool runs spans of trials, each span at
     every cost; per-trial seeding makes the output independent of the
@@ -971,67 +977,54 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float],
         with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
             futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
             chunks = [chunk for future in futures for chunk in future.result()]
-    # Chunks and their rows come in trial order, each trial's rows in cost order. Each
-    # cost gets a copy of its rows: a view would keep the whole grid's rows alive.
-    rows = [None if cols[0] is None else np.concatenate(cols) for cols in zip(*chunks)]
-    return [TrialColumns(*(None if col is None else col[j::len(costs)].copy() for col in rows))
-            for j in range(len(costs))]
+    # Chunks come in trial order, and each one's columns are C-contiguous,
+    # so the joined columns are too.
+    return TrialColumns(*(None if cols[0] is None else np.concatenate(cols, axis=1)
+                          for cols in zip(*chunks)))
 
 
 def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
     """All trials for one cost, in trial-index order; any worker count
     yields the identical list (see :func:`_run_grid`)."""
-    return _trial_results(_run_grid(cfg, (cost,), workers)[0], cfg.probes_per_round)
+    return _trial_results(_row(_run_grid(cfg, (cost,), workers), 0), cfg.probes_per_round)
 
 
-def aggregate(trials: TrialColumns, cost: float) -> AggregateMetrics:
-    """Reduce one batch of trials to AggregateMetrics.
+def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetrics]:
+    """Reduce each row of a grid of trials, run at ``costs``, to AggregateMetrics.
 
-    The reductions run over contiguous float copies of the columns in trial
-    order; that order fixes every bit of the result.
+    The reductions run along the trial axis of C-contiguous float copies
+    of the columns, in trial order: that order fixes every bit of the
+    result, so a row gives the same metrics as a grid of that row alone.
     """
-    n = len(trials.tau)
+    n = grid.tau.shape[1]
     if n == 0:
         raise ValueError("no trial results to aggregate")
-    taus = trials.tau.astype(float)
-    tau_ds = trials.tau_d.astype(float)
-    errors = np.where(trials.correct, 0.0, 1.0)
-    p_e = float(errors.mean())
-    mean_tau = float(taus.mean())
-    mean_tau_d = float(tau_ds.mean())
-    risk_samples = errors + cost * tau_ds
-    sigma = float(taus.std(ddof=1)) if n >= 2 else 0.0
-    risk_stderr = float(risk_samples.std(ddof=1)) / math.sqrt(n) if n >= 2 else 0.0
+    taus = grid.tau.astype(float)
+    tau_ds = grid.tau_d.astype(float)
+    errors = np.where(grid.correct, 0.0, 1.0)
+    p_e, mean_tau, mean_tau_d = errors.mean(axis=1), taus.mean(axis=1), tau_ds.mean(axis=1)
+    costs = np.array(costs, dtype=float)
+    risk_samples = errors + costs[:, None] * tau_ds
+    if n >= 2:
+        sigma, spread = taus.std(axis=1, ddof=1), risk_samples.std(axis=1, ddof=1)
+    else:
+        sigma = spread = np.zeros(costs.size)
     half = _Z_95 * sigma / math.sqrt(n)
-    r_empirical = 0.0
-    if sigma > 0.0:
-        q_low, q_high = np.quantile(taus, [0.025, 0.975])
-        r_empirical = float(q_high - q_low) / (2.0 * sigma)
-    return AggregateMetrics(
-        trial_count=n,
-        p_e=p_e,
-        mean_tau=mean_tau,
-        mean_tau_d=mean_tau_d,
-        bayes_risk=p_e + cost * mean_tau_d,
-        risk_stderr=risk_stderr,
-        sigma=sigma,
-        ci_low=mean_tau - half,
-        ci_high=mean_tau + half,
-        r_empirical=r_empirical,
-        truncations=int(trials.truncated.sum()),
-    )
+    r_empirical = np.zeros(costs.size)
+    if sigma.any():  # else skip np.quantile, whose first call imports numpy.ma (17 ms)
+        q_low, q_high = np.quantile(taus, [0.025, 0.975], axis=1)
+        np.divide(q_high - q_low, 2.0 * sigma, out=r_empirical, where=sigma > 0.0)
+    stats = dict(p_e=p_e, mean_tau=mean_tau, mean_tau_d=mean_tau_d,
+                 bayes_risk=p_e + costs * mean_tau_d, risk_stderr=spread / math.sqrt(n),
+                 sigma=sigma, ci_low=mean_tau - half, ci_high=mean_tau + half,
+                 r_empirical=r_empirical, truncations=grid.truncated.sum(axis=1))
+    return [AggregateMetrics(n, **dict(zip(stats, row)))
+            for row in zip(*(value.tolist() for value in stats.values()))]
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:
     """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
-    return [(cost, metrics) for cost, metrics, _ in _points(cfg, workers)]
-
-
-def _points(cfg: ExperimentConfig, workers: int
-            ) -> Iterator[tuple[float, AggregateMetrics, TrialColumns]]:
-    """:func:`run_experiment`'s points in grid order, each with the trials it reduces."""
-    for cost, trials in zip(cfg.costs, _run_grid(cfg, cfg.costs, workers)):
-        yield cost, aggregate(trials, cost), trials
+    return list(zip(cfg.costs, aggregate(_run_grid(cfg, cfg.costs, workers), cfg.costs)))
 
 
 def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
@@ -1042,11 +1035,12 @@ def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
-    return _fit_tau1_decay(_run_grid(replace(cfg, diagnostics=True), (cost,))[0])
+    return _fit_tau1_decay(_row(_run_grid(replace(cfg, diagnostics=True), (cost,)), 0))
 
 
 def _fit_tau1_decay(trials: TrialColumns) -> DecayReport:
-    """The tail fit of :func:`tau1_decay_diagnostic` over trials run with diagnostics on."""
+    """The tail fit of :func:`tau1_decay_diagnostic` over a grid row of trials
+    run with diagnostics on."""
     tau1s = trials.tau1[trials.correct]  # a correct trial is never truncated
     used = tau1s.size
     if used < 20:

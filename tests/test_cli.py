@@ -305,7 +305,8 @@ class TestMainCommand:
 
         cut_config = dataclasses.replace(
             resolve_config(config).experiment_config("unknown_l"), max_rounds=2)
-        _write_trial_csv(tmp_path / "cut.csv", sim._run_grid(cut_config, (math.exp(-0.7),))[0])
+        _write_trial_csv(tmp_path / "cut.csv",
+                         sim._row(sim._run_grid(cut_config, (math.exp(-0.7),)), 0))
         cut = [row for row in rows(tmp_path / "cut.csv") if row["truncated"] == "1"]
         assert cut
         assert all(row["decision"] == "" and row["correct"] == "0" for row in cut)
@@ -354,6 +355,19 @@ class TestMainCommand:
     def test_policy_errors_name_the_policy_once(self, tmp_path, capsys, argv, message):
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("lambda_g, code", [("1e9", 0), ("1.0000001e9", 2)],
+                             ids=["inside", "outside"])
+    def test_maximin_program_kl_bound(self, tmp_path, capsys, lambda_g, code):
+        # D(f||g) is 1e15 - 35.5 at a rate of 1e9, just below the 1e15 from
+        # which HiGHS takes a constraint entry as infinite, and 1.0000001e15
+        # past it, where the maximin program would fail mid-run.
+        argv = ["--policy", "chernoff_generic", "--M", "2", "--L", "1", "--model", "exponential",
+                "--lambda-f", "1e-06", "--lambda-g", lambda_g, "--neg-log-c", "1"]
+        assert main([*argv, "--trials", "1", "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("config error: policy 'chernoff_generic' ") == (code == 2)
 
     def test_manifest_records_environment_and_workers(self, tmp_path):
         code, out = self.run_main(tmp_path, "--M", "3", "--neg-log-c", "2", "--trials", "4",

@@ -155,6 +155,12 @@ def scaled_limits(monkeypatch):
          flags=[], budget_factor=0.9, out="out")
 @example(config={"trials": 2, "policies": ["chernoff_generic"], "M": 31, "L": 1},
          flags=[], budget_factor=None, out="out")
+# Once a RuntimeError from the maximin program: D(f||g) = 2.1e15 is past the
+# largest constraint entry HiGHS takes as finite.
+@example(config=None, flags=[
+    ("--policy", "chernoff_generic"), ("--M", "2"), ("--K", "1"), ("--L", "1"),
+    ("--model", "exponential", "--lambda-f", "1e-06", "--lambda-g", "2147483648"),
+    ("--neg-log-c", "1"), ("--trials", "1")], budget_factor=None, out="out")
 # Once a MemoryError or worse: 2^31 cells passed every check.
 @example(config={"trials": 2, "M": 2 ** 31}, flags=[], budget_factor=None, out="out")
 # Just over the round budget, where the estimate rejects the run.

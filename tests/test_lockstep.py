@@ -180,6 +180,11 @@ def generic_reference(config, cost, trial_index):
     return result, trace
 
 
+def block_rounds(spy):
+    """The block lengths a spy on ``sim._base_blocks`` saw the engine ask for."""
+    return {call.args[-1] for call in spy.call_args_list}
+
+
 def reference_aggregate(results, cost):
     """AggregateMetrics of a list of TrialResults, read back one object at a time."""
     n = len(results)
@@ -283,12 +288,34 @@ def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block
                 for cost in config.costs]
     with mock.patch.object(sim, "_CHUNK", chunk), \
             mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
-        assert [sim._trial_results(trials, config.probes_per_round)
-                for trials in sim._run_grid(config, config.costs, workers)] == expected
+        columns = sim._run_grid(config, config.costs, workers)
+        assert [sim._trial_results(sim._row(columns, j), config.probes_per_round)
+                for j in range(len(config.costs))] == expected
         assert [run_trials(config, cost) for cost in config.costs] == expected
         assert run_experiment(config, workers) == [
             (cost, reference_aggregate(results, cost))
             for cost, results in zip(config.costs, expected)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("policy, overrides", [
+    ("dgf", dict(num_cells=5, model=Exponential(0.5, 10.0), diagnostics=True)),
+    ("dgf_l", dict(num_cells=8, probes_per_round=3, num_targets=2, model=Bernoulli(0.1, 0.4))),
+])
+def test_grid_columns_are_contiguous_cost_by_trial(policy, overrides, workers, monkeypatch):
+    # Several chunks, and with two workers several spans, join into one
+    # grid whose rows aggregate reduces along the contiguous axis.
+    monkeypatch.setattr(sim, "_CHUNK", 16)
+    config = ExperimentConfig(**{"probes_per_round": 1, **overrides}, policy=policy,
+                              neg_log_c=(1.0, 3.0, 2.0), trials=37, seed=3)
+    grid = sim._run_grid(config, config.costs, workers)
+    assert (grid.tau1 is None) == (not config.diagnostics)
+    for name, col in zip(grid._fields, grid):
+        if col is None:
+            continue
+        cells = (config.num_cells,) if name in ("truth", "decided") else ()
+        assert col.shape == (3, 37, *cells), name
+        assert col.flags.c_contiguous, name
 
 
 @pytest.fixture(scope="module", params=SINGLE_TARGET)
@@ -367,8 +394,9 @@ def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
     assert sim._BLOCK_ROUNDS == 32
     expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
                 for cost in config.costs]
-    got = [sim._trial_results(trials, config.probes_per_round)
-           for trials in sim._run_grid(config, config.costs)]
+    grid = sim._run_grid(config, config.costs)
+    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
+           for j in range(len(config.costs))]
     assert got == expected
     for results in expected:
         truncated = sum(result.truncated for result in results)
@@ -409,9 +437,10 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
     expected = [[scalar_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
     with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
-        got = [sim._trial_results(trials, config.probes_per_round)
-               for trials in sim._run_grid(config, config.costs)]
-    assert blocks.called == ahead
+        grid = sim._run_grid(config, config.costs)
+    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
+           for j in range(len(config.costs))]
+    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS if ahead else 1}
     assert got == [[result for result, _ in per_cost] for per_cost in expected]
     cost, per_cost = config.costs[-1], expected[-1]
     longest = max(range(config.trials), key=lambda t: per_cost[t][0].tau)
@@ -438,10 +467,10 @@ def test_engine_rejects_costs_outside_unit_interval():
 
 
 # chernoff_generic on M=4, L=2 cells of each model family. Its recipe is one
-# uniform per round whatever the model; the engine draws it ahead in the
-# blocks, before the round's base variate, when the base variate is a
-# uniform too (Bernoulli, Tabulated), and under the ziggurat base variates
-# (Exponential, Gaussian) round by round.
+# uniform per round whatever the model; the engine draws it ahead in
+# blocks of _BLOCK_ROUNDS rounds, before the round's base variate, when the
+# base variate is a uniform too (Bernoulli, Tabulated), and under the
+# ziggurat base variates (Exponential, Gaussian) in blocks of one round.
 @pytest.mark.parametrize("kind, ahead", [
     ("bernoulli", True), ("tabulated", True), ("exponential", False), ("gaussian", False),
 ])
@@ -455,7 +484,7 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
     with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
         assert run_trials(config, cost) == [result for result, _ in expected]
-    assert blocks.called == ahead
+    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS if ahead else 1}
     longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
     replay = []
     assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
@@ -476,9 +505,10 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
     expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
     with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
-        got = [sim._trial_results(trials, config.probes_per_round)
-               for trials in sim._run_grid(config, config.costs)]
-    assert blocks.called
+        grid = sim._run_grid(config, config.costs)
+    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
+           for j in range(len(config.costs))]
+    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
     assert got == [[result for result, _ in per_cost] for per_cost in expected]
     for cost, per_cost in zip(config.costs, expected):
         truncated = sum(result.truncated for result, _ in per_cost)

@@ -227,7 +227,8 @@ class TestAggregate:
 
     @staticmethod
     def columns(*trials):
-        """Two-cell trials, the target in cell 0, as columns; a wrong trial decides cell 1."""
+        """Two-cell trials, the target in cell 0, as a grid of one row; a wrong trial
+        decides cell 1."""
         n = len(trials)
         tau, correct, tau_d, truncated = (
             np.array([trial[i] for trial in trials], dtype=dtype)
@@ -236,11 +237,12 @@ class TestAggregate:
         truth[:, 0] = True
         decided = np.zeros((n, 2), dtype=bool)
         decided[np.arange(n), (~correct).astype(int)] = ~truncated
-        return TrialColumns(truth, decided, correct, tau, tau_d, truncated)
+        return TrialColumns(*(col[None] for col in (truth, decided, correct, tau, tau_d,
+                                                    truncated)))
 
     def test_two_point_hand_values(self):
         cost = 0.01
-        m = aggregate(self.columns(self.trial(8), self.trial(12)), cost)
+        m, = aggregate(self.columns(self.trial(8), self.trial(12)), [cost])
         assert m.trial_count == 2
         assert m.p_e == 0.0
         assert m.mean_tau == pytest.approx(10.0)
@@ -254,30 +256,52 @@ class TestAggregate:
 
     def test_error_indicator_feeds_risk(self):
         cost = 0.1
-        m = aggregate(self.columns(self.trial(10), self.trial(10, correct=False)), cost)
+        m, = aggregate(self.columns(self.trial(10), self.trial(10, correct=False)), [cost])
         assert m.p_e == 0.5
         assert m.bayes_risk == pytest.approx(0.5 + 0.1 * 10)
 
     def test_detection_time_separate_from_stop_time(self):
-        m = aggregate(self.columns(self.trial(20, tau_d=5)), 0.01)
+        m, = aggregate(self.columns(self.trial(20, tau_d=5)), [0.01])
         assert m.mean_tau == 20.0
         assert m.mean_tau_d == 5.0
         assert m.bayes_risk == pytest.approx(0.05)
 
     def test_degenerate_spread(self):
-        m = aggregate(self.columns(self.trial(10)), 0.01)
+        m, = aggregate(self.columns(self.trial(10)), [0.01])
         assert m.sigma == 0.0
         assert m.risk_stderr == 0.0
         assert m.r_empirical == 0.0
         assert (m.ci_low, m.ci_high) == (10.0, 10.0)
 
     def test_truncations_counted(self):
-        m = aggregate(self.columns(self.trial(10), self.trial(10, truncated=True)), 0.01)
+        m, = aggregate(self.columns(self.trial(10), self.trial(10, truncated=True)), [0.01])
         assert m.truncations == 1
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            aggregate(self.columns(), 0.01)
+            aggregate(self.columns(), [0.01])
+
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_grid_rows_reduce_as_one_row_grids(self, n):
+        # NumPy sums pairwise, in blocks of 128, along the contiguous axis
+        # only: each row of a C-contiguous grid must reduce bit for bit as a
+        # grid of that row alone. The middle row has sigma 0, its
+        # neighbours sigma > 0 (for n > 1).
+        rng = np.random.default_rng(n)
+
+        def varied():
+            return [self.trial(int(t), bool(ok), int(td), bool(cut)) for t, ok, td, cut in zip(
+                rng.integers(1, 90, n), rng.random(n) < 0.8, rng.integers(1, 90, n),
+                rng.random(n) < 0.1)]
+
+        rows = [self.columns(*trials) for trials in (varied(), [self.trial(17)] * n, varied())]
+        grid = TrialColumns(*(np.concatenate(cols) for cols in zip(*rows) if cols[0] is not None))
+        costs = [math.exp(-t) for t in (0.7, 2.3, 9.1)]
+        assert all(col.flags.c_contiguous for col in grid[:6])
+        assert aggregate(grid, costs) == [
+            aggregate(row, [cost])[0] for row, cost in zip(rows, costs)]
+        if n > 1:
+            assert [m.sigma > 0.0 for m in aggregate(grid, costs)] == [True, False, True]
 
 
 def test_error_probability_tracks_cost_bound():

@@ -5,8 +5,8 @@ Runs the two configurations of the ``long_trials`` benchmark workload
 ``table1_example`` scenario) and the randomized ``chernoff_generic`` on
 ``table1_example``, each at -log c = 8, and ``chernoff`` on the fig2
 scenario over its grid (-log c 1..5), the one benchmark config whose
-draws the engine makes round by round, through the engine at 1, 100 and
-1000 trials, and prints one row per (config, trials):
+draws mix ``Generator`` methods and so come in blocks of one round, through
+the engine at 1, 100 and 1000 trials, and prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
   policy's lockstep rule (in each chunk, the longest row's tau plus the
@@ -129,7 +129,7 @@ def draw_calls(cfg: ExperimentConfig) -> int:
 
     def counted_chunk(cfg, rule, draws, *args):
         # A recipe entry that is the base variate keeps its identity, so the
-        # engine still draws it ahead in blocks.
+        # engine still gives it blocks of the same length.
         draws = tuple(counted_base if draw is base.__func__ else
                       counted(draw) if callable(draw) else draw for draw in draws)
         return chunk(cfg, rule, draws, *args)
