@@ -51,6 +51,7 @@ from .models import (
 )
 from .oracle import (
     anomaly_hypotheses,
+    anomaly_maximin,
     hypothesis_action_kl,
     kl_quadrature,
     maximin_action_distribution,
@@ -187,7 +188,7 @@ class RunSpec:
             diagnostics=self.diagnostics,
         )
 
-    def benchmark(self, policy: str) -> tuple[dict, Callable[[float], float]]:
+    def benchmark(self, policy: str) -> tuple[dict, Callable[[float], float], float]:
         """:func:`_benchmark` of ``policy``'s config, built once per spec.
 
         The cache lives in the instance dict, outside the fields, so it
@@ -221,10 +222,9 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     Raises ConfigError naming the offending field; geometry checks that the
     simulator also enforces (K <= M and so on) are re-raised in the same way
     so the caller maps every validation failure to exit code 2. So is a
-    grid point whose trials would need more rounds than the round budget
-    (``ExperimentConfig.max_rounds``): about -log c / I*, or
-    ell (-log c) / D(g||f) under target constraint ``up_to``, which is the
-    risk floor's delay term divided by the cost.
+    grid point whose trials would need more rounds to stop than the round
+    budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
+    estimates them.
     """
     merged = _merge(layers)
     for key, (test, what) in _KEY_TYPES.items():
@@ -259,9 +259,9 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _, lower_bound = spec.benchmark(policy)
-        for t, cost in zip(cfg.neg_log_c, cfg.costs):
-            rounds = lower_bound(cost) / cost
+        per_unit = spec.benchmark(policy)[2]
+        for t in cfg.neg_log_c:
+            rounds = t * per_unit
             if rounds > cfg.max_rounds:
                 raise ConfigError(
                     f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
@@ -310,24 +310,31 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float]]:
-    """The policy's summary rate entry and its risk floor as a function of the cost.
+def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float], float]:
+    """The policy's summary rate entry, its risk floor as a function of the
+    cost, and its first-order rounds to stop per unit of -log c.
 
     Target constraint ``up_to`` is measured against -ell c log c / D(g||f)
     for the true count ell; every other against -c log c / I* of
-    ``rate_multi``, which at L = 1 equals ``rate_single`` bit for bit.
+    ``rate_multi``, which at L = 1 equals ``rate_single`` bit for bit, and
+    stops in about (-log c) / I* rounds. Under ``up_to`` stopping also clears
+    the M - ell normal cells: the policy that probes from the maximin mixture
+    takes 1 / v rounds per unit, v the game's value at ell
+    (``anomaly_maximin``), and the other ell / D(g||f) + (M - ell) / D(f||g).
     """
     model = cfg.model
     if POLICIES[cfg.policy].targets == "up_to":
-        ell = cfg.true_target_count
+        m, ell = cfg.num_cells, cfg.true_target_count
         d_gf, d_fg = model.kl_divergences()
+        per_unit = (1.0 / anomaly_maximin(d_gf, d_fg, m, cfg.num_targets, ell)[2]
+                    if POLICIES[cfg.policy].scores_hypotheses else ell / d_gf + (m - ell) / d_fg)
         return ({"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
                  "true_target_count": ell},
-                lambda cost: unknownl_lower_bound(cost, ell, model))
+                lambda cost: unknownl_lower_bound(cost, ell, model), per_unit)
     report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
     return ({"d_gf": report.d_gf, "d_fg": report.d_fg, "i_star": report.i_star,
              "regime": report.regime, "bound": "rate"},
-            report.lower_bound_at)
+            report.lower_bound_at, 1.0 / report.i_star)
 
 
 def _truncation_warnings(rows: Sequence[Mapping[str, Any]]) -> list[str]:
@@ -350,7 +357,7 @@ def _run_spec(spec: RunSpec, workers: int,
     total = len(spec.policies) * len(spec.neg_log_c)
     start = time.monotonic()
     for policy in spec.policies:
-        _, lower_bound = spec.benchmark(policy)
+        _, lower_bound, _ = spec.benchmark(policy)
         cfg = spec.experiment_config(policy)
         grid = sim._run_grid(cfg, cfg.costs, workers)
         last[policy] = sim._row(grid, -1)
@@ -465,9 +472,9 @@ def _check(label: str, measured: float, expected: float, tol: float,
 def run_verification(out: TextIO = sys.stdout) -> int:
     """Cross-check closed forms against the independent solvers.
 
-    Covers divergence quadrature vs the model closed forms, the maximin
-    program vs the single-target closed form, the three-cell two-target
-    instance, and agreement between the LP and grid-search solvers.
+    Covers divergence quadrature vs the model closed forms, the maximin LP
+    vs its closed form (``anomaly_maximin``) on every target set of six
+    geometries, and the LP vs the grid-search solver on three-cell ones.
     """
     failures: list[str] = []
 
@@ -484,35 +491,32 @@ def run_verification(out: TextIO = sys.stdout) -> int:
         _check(f"quadrature d_gf {name}", d_gf, q_gf, tol, failures, out)
         _check(f"quadrature d_fg {name}", d_fg, q_fg, tol, failures, out)
 
-    # Single-probe maximin against max[D(g||f), D(f||g)/(M-1)]. The dense
-    # grid corroboration only runs on the 3-action instances; the grid scan
-    # is combinatorial in the action count.
-    for model in (Exponential(0.5, 10.0), Exponential(10.0, 0.5)):
+    # The maximin LP on every target set against its closed form: the largest
+    # relative gap in the value, and the largest gap in a weight from a on
+    # each member and b on each other cell. The dense grid corroborates the
+    # LP on the 3-action instances only; its scan is combinatorial in actions.
+    for model, m_cells, max_targets in (
+            (Exponential(0.5, 10.0), 3, 1), (Exponential(10.0, 0.5), 3, 1),
+            (Bernoulli(0.1, 0.6), 3, 2), (Exponential(0.5, 10.0), 5, 1),
+            (Bernoulli(0.2, 0.7), 5, 3), (Gaussian(0.0, 1.0, 1.0), 6, 4)):
         d_gf, d_fg = model.kl_divergences()
-        for m_cells in (3, 4, 5):
-            hyps = anomaly_hypotheses(m_cells)
-            kl = hypothesis_action_kl(model, hyps, m_cells)
+        hyps = anomaly_hypotheses(m_cells, max_targets)
+        kl = hypothesis_action_kl(model, hyps, m_cells)
+        value_gap = weight_gap = 0.0
+        for i, h in enumerate(hyps):
+            q, value = maximin_action_distribution(kl, i)
+            a, b, expected = anomaly_maximin(d_gf, d_fg, m_cells, max_targets, len(h))
+            value_gap = max(value_gap, abs(value - expected) / expected)
+            weight_gap = max(weight_gap, *(abs(w - (a if cell in h else b))
+                                           for cell, w in enumerate(q)))
+        label = (f"maximin M={m_cells} L={max_targets} {model.kind} d_gf={d_gf:.3g} "
+                 f"({len(hyps)} sets)")
+        _check(f"{label} closed-form value", value_gap, 0.0, 1e-9, failures, out)
+        _check(f"{label} closed-form mixture", weight_gap, 0.0, 1e-9, failures, out)
+        if m_cells == 3:
             _, value = maximin_action_distribution(kl, 0)
-            expected = max(d_gf, d_fg / (m_cells - 1))
-            _check(f"maximin single-target M={m_cells} {model.kind} "
-                   f"d_gf={d_gf:.3g}", value, expected, 1e-4, failures, out)
-            if m_cells == 3:
-                _, grid_value = maximin_action_grid(kl, 0)
-                _check(f"lp-vs-grid single-target M={m_cells} d_gf={d_gf:.3g}",
-                       value, grid_value, 1e-4, failures, out)
-
-    # Three cells, one or two targets, first hypothesis true: the optimal
-    # mixture ignores the declared cell and splits evenly over the others.
-    model = Bernoulli(0.1, 0.6)
-    _, d_fg = model.kl_divergences()
-    hyps = anomaly_hypotheses(3, max_targets=2)
-    kl = hypothesis_action_kl(model, hyps, 3)
-    q, value = maximin_action_distribution(kl, 0)
-    _check("two-target instance value", value, d_fg / 2.0, 1e-6, failures, out)
-    for i, expected_qi in enumerate((0.0, 0.5, 0.5)):
-        _check(f"two-target instance q[{i}]", q[i], expected_qi, 1e-4, failures, out)
-    _, grid_value = maximin_action_grid(kl, 0)
-    _check("lp-vs-grid two-target instance", value, grid_value, 1e-4, failures, out)
+            _, grid_value = maximin_action_grid(kl, 0)
+            _check(f"{label} lp-vs-grid", value, grid_value, 1e-4, failures, out)
 
     print(("all checks passed" if not failures
            else f"{len(failures)} check(s) failed: {failures}"), file=out)

@@ -1,27 +1,20 @@
-"""SciPy-backed solvers: the `chernoff_generic` LP and the `verify` references.
+"""The maximin game of ``chernoff_generic``: closed form, solvers, ``verify`` references.
 
-Two jobs live here:
-
-* ``kl_quadrature`` recomputes both KL divergences of a model by adaptive
-  numerical integration (or exact summation for discrete kinds), as a check
-  on the closed forms in :mod:`anomsearch.models`.
-* ``maximin_action_distribution`` solves, for a general finite hypothesis
-  set, the maximin problem behind the randomized Chernoff test: find the
-  distribution q over probing actions that maximizes the smallest
-  q-weighted KL drift separating the current ML hypothesis from each rival.
-  It is a tiny linear program in epigraph form. ``maximin_action_grid`` is
-  a second, dumber solver (dense simplex scan) kept purely to cross-check
-  the LP on small fixtures.
-
-The per-step policies never call the LP; the simulation engine's
-``chernoff_generic`` set-up (``sim._generic_tables``) caches one solution
-per ML hypothesis, since the KL matrix does not change over time.
+Chernoff's randomized test probes from the distribution q over actions that
+maximizes the smallest q-weighted KL drift separating the ML hypothesis from
+each rival. On the anomaly family ``anomaly_maximin`` gives it in closed form,
+and ``sim._generic_tables`` builds ``chernoff_generic``'s mixtures from it.
+``maximin_action_distribution`` solves the game for any finite hypothesis set
+as a tiny linear program in epigraph form, and ``maximin_action_grid`` by a
+dense simplex scan on small fixtures; ``--preset verify`` and the tests check
+the closed form against them. ``kl_quadrature`` recomputes both KL
+divergences of a model by adaptive numerical integration (or exact summation
+for discrete kinds), as a check on the closed forms in :mod:`anomsearch.models`.
 
 ``sim`` and ``cli`` import this module at start-up, so it imports no SciPy
 solver at module level: ``maximin_action_distribution`` loads
 ``scipy.optimize`` and ``kl_quadrature`` loads ``scipy.integrate`` on first
-call. Only ``chernoff_generic``'s set-up and ``--preset verify`` make those
-calls; every other run loads neither.
+call, which only ``--preset verify`` and the tests make.
 """
 
 from __future__ import annotations
@@ -137,6 +130,26 @@ def maximin_action_distribution(kl: HypothesisActionKL, ml_hypothesis: int) -> t
     q = np.clip(res.x[:n_act], 0.0, None)
     q /= q.sum()
     return q, float(res.x[-1])
+
+
+def anomaly_maximin(d_gf: float, d_fg: float, num_cells: int, max_targets: int,
+                    size: int) -> tuple[float, float, float]:
+    """(a, b, value): :func:`maximin_action_distribution` in closed form for an
+    ML set of ``size`` among the sets of 1..max_targets of ``num_cells`` cells,
+    which by symmetry puts a on each member and b on each other cell. Only a
+    dropped member (KL a D(g||f)), an added cell (b D(f||g)) or a swap (their
+    sum) can bind; the L = 1 tie takes a = 1, as ``rate_multi`` takes "g"."""
+    m, l = num_cells, size
+    if l == max_targets and (l >= 2 or d_gf >= d_fg / (m - 1)):
+        a, b = 1.0 / l, 0.0
+    elif l == 1:
+        a, b = 0.0, 1.0 / (m - 1)
+    else:  # a D(g||f) = b D(f||g), scaled by the larger so that any pair stays finite
+        x, y = d_gf / max(d_gf, d_fg), d_fg / max(d_gf, d_fg)
+        a, b = y / (l * y + (m - l) * x), x / (l * y + (m - l) * x)
+    drop = a * d_gf if l >= 2 else math.inf
+    add = b * d_fg if l < max_targets else math.inf
+    return a, b, min(a * d_gf + b * d_fg, drop, add)
 
 
 def _simplex_grid(n_actions: int, steps: int) -> Iterable[np.ndarray]:

@@ -294,11 +294,11 @@ def chernoff_generic_step(
 
     `scores` holds each hypothesis's accumulated log-likelihood (any common
     additive constant may be dropped). The action distribution is the
-    maximin KL mixture against the ML hypothesis's rivals; since the KL
-    table is time-invariant, ``q_cache`` holds one precomputed mixture per
-    hypothesis (``oracle.maximin_action_distribution``), and the linear
-    program never runs inside the probing loop. Returns the sampled action
-    index.
+    maximin KL mixture against the ML hypothesis's rivals, which does not
+    change over time, so ``q_cache`` holds one precomputed mixture per
+    hypothesis (from ``oracle.anomaly_maximin`` on the anomaly family, or
+    ``oracle.maximin_action_distribution`` on any other). Returns the
+    sampled action index.
     """
     q = q_cache[ml_hypothesis(scores)]
     u = rng.random()

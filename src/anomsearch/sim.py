@@ -18,7 +18,9 @@ use in each process. The draws come in this order:
    preceded for ``chernoff`` by one ``integers`` call per cell of its
    random subset (bounds M - 1, M - 2, ...: K calls in the "f" regime,
    K - 1 in the "g" regime, none when K = M) and for ``chernoff_generic``
-   by one uniform variate. The state decides only how the draws are used.
+   by one uniform variate. The state decides only how the draws are used:
+   ``chernoff_generic`` reads its uniform against ``oracle.anomaly_maximin``'s
+   mixture, which at the L = 1 tie D(g||f) = D(f||g) / (M - 1) is the ML cell.
 
 Nothing else touches the stream, so a trial is bit-reproducible in
 isolation and experiment results cannot depend on scheduling or on how
@@ -104,11 +106,12 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .models import ObservationModel, check_geometry
-from .oracle import anomaly_hypotheses, hypothesis_action_kl, maximin_action_distribution
+from .oracle import anomaly_hypotheses, anomaly_maximin
 from .policies import PolicyConfig
-# The scalar step rules and the SearchState ledger they step: the engine
-# below vectorises them and never calls them, and sim keeps their names so
-# that layer tracing can wrap every step rule and state operation.
+# The maximin LP, its KL table, the scalar step rules and the SearchState
+# ledger they step: the engine never calls them, and sim keeps their names
+# so that layer tracing can wrap every solver, step rule and state operation.
+from .oracle import hypothesis_action_kl, maximin_action_distribution  # noqa: F401
 from .policies import (  # noqa: F401
     chernoff_generic_step,
     chernoff_step,
@@ -138,17 +141,11 @@ __all__ = [
 _CHUNK = 1024
 # Rounds a trial's block of draws holds when its recipe draws ahead.
 _BLOCK_ROUNDS = 32
-# Most target sets a policy that scores every set may face. Its set-up
-# builds an (H, H, M) KL table and solves one linear program per set,
-# H = the sum over l <= L of C(M, l), so its time grows about as H^2: on a
-# 2-vCPU Xeon VM, H = 385 (M = 10, L = 4) took 2.6 s and peaked at 127 MB,
-# H = 637 (M = 10, L = 5) 5.7 s and 183 MB, and M = 18, L = 9 (H = 155381)
-# would need a 405 GiB table.
+# Most target sets a policy that scores every set may face: each round it
+# scores (rows x H) sets, H = the sum over l <= L of C(M, l). On a 2-vCPU
+# Xeon VM a trial-round took 7.4 us at H = 385 (M = 10, L = 4) and 29 us at
+# H = 1585 (M = 12, L = 5), and M = 18, L = 9 would score 1.3 GB per round.
 _MAX_HYPOTHESES = 400
-# Those policies' maximin programs have the KL divergences as constraint
-# entries, and HiGHS treats an entry of 1e15 or more as infinite: the
-# program then fails as a model error (found by bisection on the entries).
-_MAX_LP_ENTRY = 1e15
 # Most cells a run may have. The engine holds (_CHUNK, M) arrays, about 40
 # bytes per row and cell: on a 2-vCPU Xeon VM M = 10 000 peaked at 475 MB
 # (1024 trials, five costs), and M = 2^31 would need a 17 GB priors tuple
@@ -204,11 +201,6 @@ class ExperimentConfig:
             if count > _MAX_HYPOTHESES:
                 raise ValueError(f"policy {self.policy!r} scores every set of 1..{l} of {m} "
                                  f"cells, {count} sets; at most {_MAX_HYPOTHESES} are supported")
-            d_gf, d_fg = self.model.kl_divergences()
-            if max(d_gf, d_fg) >= _MAX_LP_ENTRY:
-                raise ValueError(f"policy {self.policy!r} solves a maximin program over the KL "
-                                 f"divergences, D(g||f)={d_gf:.3g} and D(f||g)={d_fg:.3g}; "
-                                 f"both must be below {_MAX_LP_ENTRY:g}")
         grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
             raise ValueError("neg_log_c grid must not be empty")
@@ -586,23 +578,25 @@ def _draw_truths(cfg: ExperimentConfig, rngs: list, picks: _Picks) -> np.ndarray
 def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
     """Target sets as members and masks, and cumulative maximin mixtures.
 
-    Static per scenario, so the linear program runs once per hypothesis per
-    process instead of once per probing step. ``members[i, j]`` is the j-th
-    cell of hypothesis i; hypotheses come ordered by size, so those with
+    Static per scenario, so built once per process. ``members[i, j]`` is the
+    j-th cell of hypothesis i; hypotheses come ordered by size, so those with
     more than j members are the suffix from ``starts[j]``. ``cum[i]`` is the
-    running sum of hypothesis i's mixture, summed in action order as
+    running sum of hypothesis i's mixture (``anomaly_maximin``: a on each
+    member, b on each other cell), summed in cell order as
     ``chernoff_generic_step`` sums it, with the last entry raised to
     infinity because that step returns the last action whatever the sum.
     """
     hyps = anomaly_hypotheses(num_cells, max_targets=max_targets)
-    kl = hypothesis_action_kl(model, hyps, num_cells)
     members = np.zeros((len(hyps), max_targets), dtype=np.int64)
     masks = np.zeros((len(hyps), num_cells), dtype=bool)
     for i, h in enumerate(hyps):
         members[i, :len(h)] = h
         masks[i, list(h)] = True
     starts = [sum(1 for h in hyps if len(h) <= j) for j in range(max_targets)]
-    cum = np.array([np.cumsum(maximin_action_distribution(kl, i)[0]) for i in range(len(hyps))])
+    d_gf, d_fg = model.kl_divergences()
+    a, b, _ = np.array([anomaly_maximin(d_gf, d_fg, num_cells, max_targets, len(h))
+                        for h in hyps]).T
+    cum = np.cumsum(np.where(masks, a[:, None], b[:, None]), axis=1)
     cum[:, -1] = np.inf
     return members, starts, masks, cum
 

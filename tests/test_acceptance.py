@@ -26,6 +26,7 @@ from anomsearch import (
     tau1_decay_diagnostic,
 )
 from anomsearch.cli import main
+from anomsearch.oracle import anomaly_maximin
 from anomsearch import SearchState
 
 FIG2_MODEL = Exponential(0.5, 10.0)
@@ -142,21 +143,27 @@ def test_criterion_06_single_target_reduction():
 
 
 def test_criterion_07_maximin_matches_closed_forms():
+    # The LP's value, the paper's closed form and the engine's closed form
+    # (``anomaly_maximin``) agree.
     for model in (FIG2_MODEL, Exponential(10.0, 0.5)):
         d_gf, d_fg = model.kl_divergences()
         for m in (3, 4, 5):
             kl = hypothesis_action_kl(model, anomaly_hypotheses(m), m)
             _, value = maximin_action_distribution(kl, 0)
             assert value == pytest.approx(max(d_gf, d_fg / (m - 1)), abs=1e-4)
+            assert anomaly_maximin(d_gf, d_fg, m, 1, 1)[2] == pytest.approx(value, rel=1e-12)
 
     # three cells, up to two targets, ML = {0}: probing is split over the
     # two cells whose status is still contested, whatever the model
     model = Bernoulli(0.1, 0.6)
-    _, d_fg = model.kl_divergences()
+    d_gf, d_fg = model.kl_divergences()
     kl = hypothesis_action_kl(model, anomaly_hypotheses(3, max_targets=2), 3)
     q, value = maximin_action_distribution(kl, 0)
     assert value == pytest.approx(d_fg / 2, abs=1e-6)
     assert q == pytest.approx([0.0, 0.5, 0.5], abs=1e-4)
+    a, b, closed = anomaly_maximin(d_gf, d_fg, 3, 2, 1)
+    assert closed == pytest.approx(value, rel=1e-12)
+    assert [a, b, b] == pytest.approx(q, rel=0, abs=1e-12)
 
 
 def test_criterion_08_unknown_count_beats_generic_test():

@@ -326,7 +326,7 @@ class TestMainCommand:
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e200"],  # KL overflows
         # KL of 5e-9: a trial would need about 2e8 rounds, over the round budget
         ["--model", "gaussian", "--lambda-f", "0", "--lambda-g", "1e-4", "--neg-log-c", "1"],
-        # 155381 target sets: the (H, H, M) KL table alone would take 405 GiB
+        # 155381 target sets: scoring them would take 1.3 GB per round
         ["--policy", "chernoff_generic", "--M", "18", "--L", "9", "--neg-log-c", "1"],
         # 2^31 cells: the priors tuple alone would take 17 GB
         ["--M", "2147483648", "--neg-log-c", "1"],
@@ -337,7 +337,7 @@ class TestMainCommand:
         def no_tables(*args):
             raise AssertionError("a rejected config must not build the hypothesis tables")
 
-        monkeypatch.setattr(sim, "hypothesis_action_kl", no_tables)
+        monkeypatch.setattr(sim, "_generic_tables", no_tables)
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
@@ -356,18 +356,15 @@ class TestMainCommand:
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    @pytest.mark.parametrize("lambda_g, code", [("1e9", 0), ("1.0000001e9", 2)],
-                             ids=["inside", "outside"])
-    def test_maximin_program_kl_bound(self, tmp_path, capsys, lambda_g, code):
+    @pytest.mark.parametrize("lambda_g", ["1e9", "1.0000001e9"], ids=["inside", "outside"])
+    def test_chernoff_generic_runs_past_the_lp_entry_bound(self, tmp_path, capsys, lambda_g):
         # D(f||g) is 1e15 - 35.5 at a rate of 1e9, just below the 1e15 from
         # which HiGHS takes a constraint entry as infinite, and 1.0000001e15
-        # past it, where the maximin program would fail mid-run.
+        # past it, where an LP set-up failed; the closed form runs both.
         argv = ["--policy", "chernoff_generic", "--M", "2", "--L", "1", "--model", "exponential",
                 "--lambda-f", "1e-06", "--lambda-g", lambda_g, "--neg-log-c", "1"]
-        assert main([*argv, "--trials", "1", "--out", str(tmp_path)]) == code
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert err.startswith("config error: policy 'chernoff_generic' ") == (code == 2)
+        assert main([*argv, "--trials", "1", "--out", str(tmp_path)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_manifest_records_environment_and_workers(self, tmp_path):
         code, out = self.run_main(tmp_path, "--M", "3", "--neg-log-c", "2", "--trials", "4",
@@ -479,14 +476,15 @@ print(loaded())
 """
 
 
-def test_scipy_solvers_load_only_for_chernoff_generic_and_verify(tmp_path):
+def test_scipy_solvers_load_only_for_verify(tmp_path):
     # scipy.optimize and scipy.integrate are about two thirds of start-up
-    # and half the peak memory of a run that needs no LP.
+    # and half the peak memory of a run; chernoff_generic's mixtures come
+    # from a closed form, so only the LP and quadrature checks load them.
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", _SOLVER_LOADS, str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["[]", "['optimize']", "0", "['integrate', 'optimize']"]
+    assert out.splitlines() == ["[]", "[]", "0", "['integrate', 'optimize']"]
 
 
 def test_verification_suite_passes():

@@ -123,15 +123,15 @@ flags = st.one_of(st.just([]), st.lists(st.one_of(
 def _near_budget(config: dict, factor: float) -> dict:
     """``config`` with its grid moved to ``factor`` times the round budget.
 
-    The estimated rounds grow linearly in -log c, so one resolve at -log c = 1
-    gives the slope. Configs that do not resolve come back unchanged.
+    The estimated rounds grow linearly in -log c, at the slope the resolver
+    reads from ``cli._benchmark``. Configs that do not resolve at -log c = 1
+    come back unchanged.
     """
     try:
         spec = cli.resolve_config({**config, "neg_log_c": [1.0]})
     except cli.ConfigError:
         return config
-    per_unit = max(cli._benchmark(spec.experiment_config(p))[1](math.exp(-1.0)) / math.exp(-1.0)
-                   for p in spec.policies)
+    per_unit = max(cli._benchmark(spec.experiment_config(p))[2] for p in spec.policies)
     return {**config, "neg_log_c": [factor * BUDGET / per_unit]}
 
 
@@ -155,8 +155,8 @@ def scaled_limits(monkeypatch):
          flags=[], budget_factor=0.9, out="out")
 @example(config={"trials": 2, "policies": ["chernoff_generic"], "M": 31, "L": 1},
          flags=[], budget_factor=None, out="out")
-# Once a RuntimeError from the maximin program: D(f||g) = 2.1e15 is past the
-# largest constraint entry HiGHS takes as finite.
+# Once a RuntimeError from the maximin LP: D(f||g) = 2.1e15 is past the
+# largest constraint entry HiGHS takes as finite. The closed form runs it.
 @example(config=None, flags=[
     ("--policy", "chernoff_generic"), ("--M", "2"), ("--K", "1"), ("--L", "1"),
     ("--model", "exponential", "--lambda-f", "1e-06", "--lambda-g", "2147483648"),
@@ -198,3 +198,18 @@ def test_round_estimate_checks_the_configs_own_budget(tmp_path, capsys, scaled_l
     path.write_text(json.dumps(config), encoding="utf-8")
     assert main([str(path), "--workers", "1", "--out", str(tmp_path / "out")]) == expected
     assert ("budget of 300" in capsys.readouterr().err) == (expected == 2)
+
+
+@pytest.mark.parametrize("policy, rounds", [("chernoff_generic", "736"), ("unknown_l", "1.01e+03")])
+def test_round_estimate_counts_rounds_to_stop(tmp_path, capsys, scaled_limits, policy, rounds):
+    # table1's model with one true target: detecting it takes about 270
+    # rounds, inside the budget, but every trial also clears the two normal
+    # cells, and with max_rounds = 300 all of them truncated at mean_tau 300.
+    config = {**PRESETS["table1_example"], "policies": [policy], "neg_log_c": [202.7],
+              "trials": 3}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main([str(path), "--workers", "1", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: policy {policy!r}: at -log c = 202.7 a trial needs about {rounds} "
+        f"rounds, more than the budget of 300; use a larger cost or a more informative model\n")

@@ -49,6 +49,7 @@ from anomsearch import (
     unknownl_step,
 )
 from anomsearch import sim
+from anomsearch.oracle import anomaly_maximin
 from anomsearch.policies import Declare
 from anomsearch.state import update
 
@@ -140,9 +141,48 @@ def scalar_reference(config, cost, trial_index):
 
 @functools.lru_cache(maxsize=None)
 def generic_mixtures(model, num_cells, max_targets):
+    """Each target set's maximin mixture, from the closed form: a on each
+    member, b on each other cell. ``test_closed_form_matches_the_lp`` checks
+    it against the LP."""
     hyps = anomaly_hypotheses(num_cells, max_targets=max_targets)
-    kl = hypothesis_action_kl(model, hyps, num_cells)
-    return hyps, tuple(maximin_action_distribution(kl, i)[0] for i in range(len(hyps)))
+    d_gf, d_fg = model.kl_divergences()
+    weights = (anomaly_maximin(d_gf, d_fg, num_cells, max_targets, len(h)) for h in hyps)
+    return hyps, tuple(np.where(np.isin(np.arange(num_cells), h), a, b)
+                       for h, (a, b, _) in zip(hyps, weights))
+
+
+# table1_example, the M=5, L=3 benchmark shape, every MODELS family both ways
+# round on M = 2..5 cells with L = 1..M-1, and three larger geometries.
+LP_GEOMETRIES = [
+    (Bernoulli(0.1, 0.6), 3, 2), (Bernoulli(0.2, 0.7), 5, 3),
+    *((MODELS[kind](swap), m, l) for kind in sorted(MODELS) for swap in (False, True)
+      for m in range(2, 6) for l in range(1, m)),
+    (Exponential(0.5, 10.0), 6, 4), (Gaussian(0.0, 1.0), 8, 3), (Bernoulli(0.2, 0.7), 10, 2),
+]
+
+
+def test_closed_form_matches_the_lp():
+    assert len(LP_GEOMETRIES) == 85
+    for model, m, l in LP_GEOMETRIES:
+        d_gf, d_fg = model.kl_divergences()
+        hyps, mixtures = generic_mixtures(model, m, l)
+        kl = hypothesis_action_kl(model, hyps, m)
+        for i, (h, q) in enumerate(zip(hyps, mixtures)):
+            q_lp, v_lp = maximin_action_distribution(kl, i)
+            assert anomaly_maximin(d_gf, d_fg, m, l, len(h))[2] == pytest.approx(v_lp, rel=1e-12)
+            if l == 1 and d_gf == d_fg / (m - 1):
+                # The tie (the Gaussian pair on two cells): every mixture is
+                # optimal. HiGHS returns [1, 0] for both sets; the closed
+                # form probes the ML cell, as the "g" regime does.
+                assert list(q) == [float(cell in h) for cell in range(m)]
+            else:
+                assert q == pytest.approx(q_lp, rel=0, abs=1e-12)
+    # table1_example's engine tables are the LP's bit for bit, so its goldens hold.
+    model = Bernoulli(0.1, 0.6)
+    hyps = anomaly_hypotheses(3, max_targets=2)
+    kl = hypothesis_action_kl(model, hyps, 3)
+    lp = np.array([np.cumsum(maximin_action_distribution(kl, i)[0]) for i in range(len(hyps))])
+    assert np.array_equal(sim._generic_tables(model, 3, 2)[3][:, :-1], lp[:, :-1])
 
 
 def generic_reference(config, cost, trial_index):

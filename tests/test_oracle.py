@@ -13,6 +13,7 @@ from anomsearch import (
     maximin_action_distribution,
     maximin_action_grid,
 )
+from anomsearch.oracle import anomaly_maximin
 
 
 class TestAnomalyHypotheses:
@@ -160,3 +161,14 @@ class TestKlQuadrature:
         q_gf, q_fg = kl_quadrature(model)
         assert q_gf == pytest.approx(d_gf, abs=1e-12)
         assert q_fg == pytest.approx(d_fg, abs=1e-12)
+
+
+class TestAnomalyMaximin:
+    @pytest.mark.parametrize("d_gf, d_fg", [(1e-9, 1e300), (1e300, 1e-9), (1e15, 1.0)])
+    @pytest.mark.parametrize("m, max_targets", [(2, 1), (5, 1), (5, 3), (10, 4)])
+    def test_weights_stay_finite_at_extreme_divergences(self, d_gf, d_fg, m, max_targets):
+        # Where HiGHS once failed on a constraint entry of 1e15 or more.
+        for size in range(1, max_targets + 1):
+            a, b, value = anomaly_maximin(d_gf, d_fg, m, max_targets, size)
+            assert np.isfinite([a, b, value]).all() and min(a, b) >= 0.0 and value > 0.0
+            assert size * a + (m - size) * b == pytest.approx(1.0, rel=0, abs=1e-12)
