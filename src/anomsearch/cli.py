@@ -46,6 +46,7 @@ from .models import (
     Exponential,
     Gaussian,
     ModelError,
+    ObservationModel,
     model_from_dict,
     model_to_dict,
 )
@@ -152,15 +153,16 @@ class RunSpec:
 
     The fields are the config keys, in the order the manifest writes them,
     and their defaults fill every key no layer sets. A key whose default is
-    None accepts null; null for any other key keeps its default.
+    None accepts null; null for any other key keeps its default. ``model``
+    is the built model; :meth:`to_dict`, and so the manifest, writes its
+    kind-tagged dict.
     """
 
     policies: tuple[str, ...] = POLICY_NAMES[:1]  # the policy table's first entry
     M: int = 5
     K: int = 1
     L: int = ExperimentConfig.num_targets
-    model: dict = dataclasses.field(default_factory=lambda: {
-        "kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0})
+    model: ObservationModel = Exponential(0.5, 10.0)
     neg_log_c: tuple[float, ...] = (1.0, 2.0, 3.0, 4.0, 5.0)
     trials: int = ExperimentConfig.trials
     seed: int = ExperimentConfig.seed
@@ -170,14 +172,14 @@ class RunSpec:
     diagnostics: bool = ExperimentConfig.diagnostics
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {**dataclasses.asdict(self), "model": model_to_dict(self.model)}
 
     def experiment_config(self, policy: str) -> ExperimentConfig:
         return ExperimentConfig(
             num_cells=self.M,
             probes_per_round=self.K,
             policy=policy,
-            model=model_from_dict(self.model),
+            model=self.model,
             neg_log_c=self.neg_log_c,
             trials=self.trials,
             seed=self.seed,
@@ -187,17 +189,6 @@ class RunSpec:
             fixed_hypothesis=self.fixed_hypothesis,
             diagnostics=self.diagnostics,
         )
-
-    def benchmark(self, policy: str) -> tuple[dict, Callable[[float], float], float]:
-        """:func:`_benchmark` of ``policy``'s config, built once per spec.
-
-        The cache lives in the instance dict, outside the fields, so it
-        leaves equality and ``to_dict`` alone.
-        """
-        cache = self.__dict__.setdefault("_benchmarks", {})
-        if policy not in cache:
-            cache[policy] = _benchmark(self.experiment_config(policy))
-        return cache[policy]
 
 
 _DEFAULTS = RunSpec().to_dict()
@@ -242,11 +233,11 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
         raise ConfigError("policies must not repeat")
 
     try:
-        model_dict = model_to_dict(model_from_dict(merged["model"]))
+        model = model_from_dict(merged["model"])
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
-    merged.update(policies=policies, model=model_dict)
+    merged.update(policies=policies, model=model)
     for key, cast in (("neg_log_c", float), ("priors", float), ("fixed_hypothesis", int)):
         if merged[key] is not None:
             merged[key] = tuple(cast(v) for v in merged[key])
@@ -259,7 +250,7 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        per_unit = spec.benchmark(policy)[2]
+        per_unit = _benchmark(cfg)[2]
         for t in cfg.neg_log_c:
             rounds = t * per_unit
             if rounds > cfg.max_rounds:
@@ -357,8 +348,8 @@ def _run_spec(spec: RunSpec, workers: int,
     total = len(spec.policies) * len(spec.neg_log_c)
     start = time.monotonic()
     for policy in spec.policies:
-        _, lower_bound, _ = spec.benchmark(policy)
         cfg = spec.experiment_config(policy)
+        _, lower_bound, _ = _benchmark(cfg)
         grid = sim._run_grid(cfg, cfg.costs, workers)
         last[policy] = sim._row(grid, -1)
         # Through the module, so that layer tracing sees each aggregate call.
@@ -411,7 +402,8 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     summary = {
         "manifest": manifest,
-        "rates": {policy: spec.benchmark(policy)[0] for policy in spec.policies},
+        "rates": {policy: _benchmark(spec.experiment_config(policy))[0]
+                  for policy in spec.policies},
         "results": [dict(row) for row in rows],
         "warnings": _truncation_warnings(rows),
     }
@@ -469,13 +461,15 @@ def _check(label: str, measured: float, expected: float, tol: float,
         failures.append(label)
 
 
-def run_verification(out: TextIO = sys.stdout) -> int:
+def run_verification(out: TextIO | None = None) -> int:
     """Cross-check closed forms against the independent solvers.
 
     Covers divergence quadrature vs the model closed forms, the maximin LP
     vs its closed form (``anomaly_maximin``) on every target set of six
     geometries, and the LP vs the grid-search solver on three-cell ones.
+    The report goes to ``out``, by default ``sys.stdout`` as it is at the call.
     """
+    out = sys.stdout if out is None else out
     failures: list[str] = []
 
     quad_cases = [

@@ -59,10 +59,12 @@ same engine on a grid of one cost. A rule builder returns its draw recipe
 as data, one entry per policy draw of a round (``_Draw``): an int bound b
 for an ``integers(b)`` pick, else the ``Generator`` method to call. It
 draws nothing. Every round's d policy draws and K base variates come from
-blocks that ``_base_blocks`` draws per trial, in contract order, for every
-trial that still has a live row when its last block runs out; draws past a
-trial's end are never read and nothing follows them in the stream, so
-they are unobservable. How long a block is follows from the recipe:
+blocks that ``_base_blocks`` draws, one row per chunk trial in contract
+order, for every trial that still has a live row when its last block runs
+out; each live row reads its trial's from a place fixed when the chunk
+starts (``_LiveRows.block_at``). Draws past a trial's end are never read
+and nothing follows them in the stream, so they are unobservable. How
+long a block is follows from the recipe:
 
 * When every call is the base variate's own ``Generator`` method, a
   trial's stream after the truth draw is nothing but that method's
@@ -660,11 +662,15 @@ def _run_lockstep(
 class _LiveRows:
     """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
     so adding into ``S.ravel()`` writes through; ``last_declared`` is per
-    chunk row, not per live row."""
+    chunk row, not per live row. ``block_at`` holds where each row reads
+    its K base variates of a block's first round in the flat draws of
+    :func:`_base_blocks`, fixed when the chunk starts; block rows of trials
+    without a live row are never read."""
 
-    __slots__ = ("index", "rows", "offsets", "S", "truth", "declared", "thr", "last_declared")
+    __slots__ = ("index", "rows", "offsets", "S", "truth", "declared", "thr", "last_declared",
+                 "block_at")
 
-    def __init__(self, truth: np.ndarray, thr: float | np.ndarray) -> None:
+    def __init__(self, truth: np.ndarray, thr: float | np.ndarray, block_at: np.ndarray) -> None:
         count, m = truth.shape
         self.index = self.rows = np.arange(count)
         self.offsets = self.rows[:, None] * m
@@ -673,10 +679,12 @@ class _LiveRows:
         self.declared = np.zeros((count, m), dtype=bool)
         self.thr = thr
         self.last_declared = np.full(count, -1, dtype=np.int64)
+        self.block_at = block_at
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep only the live rows at positions ``kept``, in order."""
         self.index = self.index[kept]
+        self.block_at = self.block_at[kept]
         self.rows, self.offsets = self.rows[:kept.size], self.offsets[:kept.size]
         self.S = self.S.take(kept, axis=0)
         self.truth = self.truth.take(kept, axis=0)
@@ -835,21 +843,22 @@ def _lockstep_chunk(
     decided = np.zeros((count, m), dtype=bool)
     stopped = np.zeros(count, dtype=bool)
     last_break = np.zeros(count, dtype=np.int64)
-    live = _LiveRows(truth, thr)
     # A recipe of the base variate's own method draws ahead; any other is
-    # drawn one round at a time.
+    # drawn one round at a time. Row r reads block row r % n_trials.
     rounds = _BLOCK_ROUNDS if all(draw is model.base_variate for draw in draws) else 1
     d = len(draws)
     lead = np.arange(-d, 0)
+    block_at = (np.arange(count) % n_trials * rounds * (d + k))[:, None] + np.arange(d, d + k)
+    live = _LiveRows(truth, thr, block_at)
     drawn, n = None, 0
     while True:
         offset = (n % rounds) * (d + k)
         if not offset:
-            # Only trials that own a live row draw; their rows share the block.
-            blocks, block_at = _base_blocks(model, draws, picks, live.index, width, k, rounds)
+            # Only trials that have a live row draw; all their rows read the block.
+            blocks = _base_blocks(model, draws, picks, live.index, k, rounds)
         if d:
             # The round's d policy draws lie just before its base variates.
-            drawn = blocks[block_at[:, :1] + (lead + offset)]
+            drawn = blocks[live.block_at[:, :1] + (lead + offset)]
         stop, decision, probe = rule(live, n, drawn)
         ended = stop.nonzero()[0]
         if ended.size or n >= cfg.max_rounds:
@@ -863,8 +872,7 @@ def _lockstep_chunk(
             kept = (~stop).nonzero()[0]
             live.keep(kept)
             probe = probe[kept]
-            block_at = block_at[kept]
-        base = blocks[block_at + offset]
+        base = blocks[live.block_at + offset]
         # Observations are drawn in ascending cell order within a round.
         cells = probe
         if k > 1:
@@ -888,33 +896,27 @@ def _lockstep_chunk(
 
 
 def _base_blocks(model: ObservationModel, draws: _Draw, picks: _Picks, live: np.ndarray,
-                 width: int, k: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``rounds`` rounds of draws of each chunk trial that owns a
-    ``live`` row (rows cost-major, ``width`` costs), flattened, each round's
-    policy draws before its K base variates, and where each live row's
-    trial's first K base variates lie. Several rounds (only a recipe of the
-    base variate's own method gets them) are one array call per trial; one
-    round is filled column by column, all owners at once, picks through
-    ``picks`` and any other draw one scalar call per trial."""
-    if width == 1:
-        owners, owner_row = live, slice(None)
-    else:
-        trial = live % len(picks.rngs)
-        owned = np.zeros(len(picks.rngs), dtype=bool)
-        owned[trial] = True
-        owners, owner_row = owned.nonzero()[0], (np.cumsum(owned) - 1)[trial]
-    per_round = len(draws) + k
-    blocks = np.empty((owners.size, rounds * per_round))
-    rngs = [picks.rngs[i] for i in owners.tolist()]
+                 k: int, rounds: int) -> np.ndarray:
+    """The next ``rounds`` rounds of draws of each chunk trial t that has a
+    ``live`` row (row r is trial r % trials), flattened from block row t, each
+    round's policy draws before its K base variates; block rows of other
+    trials stay unfilled and are never read. Several rounds (only a recipe
+    of the base variate's own method gets them) are one array call per
+    trial; one round is filled column by column, all drawing trials at once,
+    picks through ``picks`` and any other draw one scalar call per trial."""
+    drawing = np.zeros(len(picks.rngs), dtype=bool)
+    drawing[live % len(drawing)] = True
+    trials = drawing.nonzero()[0]
+    rngs = [picks.rngs[t] for t in trials.tolist()]
+    blocks = np.empty((len(drawing), rounds * (len(draws) + k)))
     if rounds > 1:
-        for block, g in zip(blocks, rngs):
-            model.base_variate(g, out=block)
+        for t, g in zip(trials.tolist(), rngs):
+            model.base_variate(g, out=blocks[t])
     else:
         for j, draw in enumerate(draws + (model.base_variate,) * k):
-            blocks[:, j] = (picks.integers(draw, owners) if isinstance(draw, int)
-                            else np.fromiter(map(draw, rngs), float, len(rngs)))
-    starts = np.arange(0, blocks.size, rounds * per_round)[owner_row]
-    return blocks.ravel(), starts[:, None] + np.arange(len(draws), per_round)
+            blocks[trials, j] = (picks.integers(draw, trials) if isinstance(draw, int)
+                                 else np.fromiter(map(draw, rngs), float, len(rngs)))
+    return blocks.ravel()
 
 
 @dataclass(frozen=True)

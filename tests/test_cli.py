@@ -8,12 +8,13 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy
 
-from anomsearch import rate_single, sim, unknownl_lower_bound
+from anomsearch import cli, rate_single, sim, unknownl_lower_bound
 from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
@@ -44,7 +45,7 @@ class TestResolveConfig:
         assert spec.policies == ("dgf",)
         assert spec.M == 5 and spec.K == 1 and spec.L == 1
         assert spec.trials == 10_000
-        assert spec.model["kind"] == "exponential"
+        assert spec.model.kind == "exponential"
         # every default, in the key order of the manifest's config block
         assert list(spec.to_dict().items()) == [
             ("policies", ("dgf",)), ("M", 5), ("K", 1), ("L", 1),
@@ -56,7 +57,7 @@ class TestResolveConfig:
         # null for a key whose default is not None keeps that default
         for key, value in spec.to_dict().items():
             if value is not None:
-                assert getattr(resolve_config({key: None}), key) == value
+                assert resolve_config({key: None}).to_dict()[key] == value
 
     def test_later_layers_win(self):
         spec = resolve_config(PRESETS["fig2"], {"trials": 50}, {"seed": 1, "trials": 60})
@@ -95,8 +96,8 @@ class TestResolveConfig:
 
     def test_model_dict_is_canonicalized(self):
         spec = resolve_config({"model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}})
-        assert spec.model == {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}
-        model_from_dict(spec.model)  # stays loadable
+        assert spec.to_dict()["model"] == {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}
+        assert model_from_dict(spec.to_dict()["model"]) == spec.model  # stays loadable
 
     def test_round_trips_through_dict(self):
         spec = resolve_config(PRESETS["table1_example"])
@@ -126,11 +127,11 @@ class TestPresets:
         assert fig2.policies == ("dgf", "chernoff")
         assert (fig2.M, fig2.K) == (5, 1)
         assert fig2.neg_log_c == (1.0, 2.0, 3.0, 4.0, 5.0)
-        assert fig2.model == {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}
+        assert fig2.to_dict()["model"] == {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}
 
         fig3 = resolve_config(PRESETS["fig3"])
         assert fig3.K == 2
-        assert fig3.model["lambda_f"] == 2.0
+        assert fig3.model.lambda_f == 2.0
 
         table2 = resolve_config(PRESETS["table2"])
         assert table2.neg_log_c == pytest.approx(
@@ -154,8 +155,7 @@ class TestRunSpec:
         assert row["policy"] == "dgf"
         assert row["trials"] == 25
         assert row["c"] == pytest.approx(math.exp(-2.0))
-        model = model_from_dict(spec.model)
-        expected_lb = rate_single(model, 3, 1).lower_bound_at(row["c"])
+        expected_lb = rate_single(spec.model, 3, 1).lower_bound_at(row["c"])
         assert row["lower_bound"] == pytest.approx(expected_lb)
         assert row["relative_loss"] == pytest.approx(
             (row["bayes_risk"] - expected_lb) / expected_lb)
@@ -170,9 +170,18 @@ class TestRunSpec:
             "true_target_count": 1, "neg_log_c": [3.0], "trials": 20, "seed": 2,
         })
         (row,) = run_spec(spec)
-        model = model_from_dict(spec.model)
         assert row["lower_bound"] == pytest.approx(
-            unknownl_lower_bound(math.exp(-3.0), 1, model))
+            unknownl_lower_bound(math.exp(-3.0), 1, spec.model))
+
+
+    @pytest.mark.parametrize("layer", [TINY, {**PRESETS["table1_example"], "trials": 5}],
+                             ids=["dgf", "table1_example"])
+    def test_runs_and_emits_with_the_resolved_model(self, tmp_path, layer):
+        # resolve_config builds the model once; running and emitting reuse it.
+        spec = resolve_config(layer)
+        with mock.patch.object(cli, "model_from_dict", wraps=cli.model_from_dict) as built:
+            emit_results(run_spec(spec), spec, tmp_path)
+        assert built.call_count == 0
 
 
 class TestMainCommand:
@@ -180,6 +189,10 @@ class TestMainCommand:
         out = tmp_path / "out"
         code = main([*argv, "--out", str(out)])
         return code, out
+
+    def test_verify_preset_reports_to_the_current_stdout(self, capsys):
+        assert main(["--preset", "verify"]) == 0
+        assert capsys.readouterr().out.strip().endswith("all checks passed")
 
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         code, out = self.run_main(

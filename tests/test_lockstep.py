@@ -426,9 +426,9 @@ def test_benchmark_shapes_match_reference(policy):
 @pytest.mark.parametrize("max_rounds", [32, 33])
 @pytest.mark.parametrize("policy", sorted(BENCH_SHAPES))
 def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
-    # Two rows per trial, so live rows read their trial's block through its
-    # owner; the budget ends the grid as a block runs out (32) or one round
-    # into the refilled block (33), after many rows of both costs stopped.
+    # Two rows per trial, so both rows read their trial's block row; the
+    # budget ends the grid as a block runs out (32) or one round into the
+    # refilled block (33), after many rows of both costs stopped.
     config = ExperimentConfig(policy=policy, neg_log_c=(8.0, 4.0), trials=150, seed=7,
                               max_rounds=max_rounds, **BENCH_SHAPES[policy])
     assert sim._BLOCK_ROUNDS == 32
@@ -534,9 +534,9 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
 @pytest.mark.parametrize("max_rounds", [32, 33])
 def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
     # The randomized benchmark's table1 shape on a two-cost grid: each
-    # block row holds a round's uniform and its base variate, two rows per
-    # trial read it through their owner, and the budget ends the grid as a
-    # block runs out (32) or one round into the refilled block (33).
+    # round of a trial's block row holds its uniform and its base variate,
+    # both rows of the trial read that block row, and the budget ends the
+    # grid as a block runs out (32) or one round into the refilled block (33).
     config = ExperimentConfig(policy="chernoff_generic", neg_log_c=(8.0, 4.0), trials=150,
                               seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
     assert sim._BLOCK_ROUNDS == 32

@@ -65,6 +65,10 @@ class TestConfigValidation:
             cfg(neg_log_c=(3.0, -1.0))
         with pytest.raises(ValueError):
             cfg(neg_log_c=(float("inf"),))
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            cfg(seed=-1)
+        with pytest.raises(ValueError, match="^max_rounds must be positive, got 0$"):
+            cfg(max_rounds=0)
 
     def test_grid_fits_one_chunk(self):
         # A chunk holds every cost of its trials, and at most _CHUNK rows.
@@ -103,6 +107,9 @@ class TestConfigValidation:
             cfg(fixed_hypothesis=())
         with pytest.raises(ValueError):
             cfg(policy="dgf_l", num_targets=2, fixed_hypothesis=(1,))
+        with pytest.raises(ValueError,
+                           match="^fixed_hypothesis has 2 cells but true_target_count is 1$"):
+            cfg(policy="unknown_l", num_targets=3, fixed_hypothesis=(0, 2), true_target_count=1)
 
     def test_priors_validation(self):
         with pytest.raises(ValueError):
