@@ -34,25 +34,40 @@ Policies
 constraint (``one``: L = 1, one true target drawn from ``priors``, tau1
 tracked under diagnostics; ``exact``: the true count is L; ``up_to``: any
 true count in 1..L, measured against the unknown-count bound), whether it
-probes one cell per round, its lockstep rule and draw recipe, and whether
-it scores every candidate target set. ``POLICY_NAMES`` is its key order.
+probes one cell per round, its lockstep rule and draw recipe, whether that
+rule reads the threshold, and whether it scores every candidate target
+set. ``POLICY_NAMES`` is its key order.
 Every check and dispatch reads the table instead of naming policies.
 
 Engine
 ------
 Every policy runs in one lockstep engine, over a whole cost grid at once.
-A chunk holds one row per (trial, cost), and its rows advance together,
-one round at a time, as rows of ``(rows, cells)`` arrays, each with the
-threshold of its cost. A policy is a vectorised rule over those rows that
+A chunk's rows advance together, one round at a time, as rows of
+``(rows, cells)`` arrays. A policy is a vectorised rule over those rows that
 mirrors its scalar step rule in ``policies`` exactly (stable-argsort
 rankings, first-argmax ties, the same float operations in the same order).
+It returns each row's margin, the number its stop test compares with the
+threshold, a decision key naming the cells it would decide, and its probes.
 ``dgf``, ``dgf_l`` and ``chernoff`` share one rule, ``_ranked_rule``: one
-stop test and decision, and a window of the ranking to probe, which
-``chernoff`` fills with a random subset of ranks 2..M.
-A rule returns its stop mask, its probes and a function that builds the
-stopping rows' decisions, called only when some row stops; only then is the
-live rows' state (``_LiveRows``) compacted. Each round reads and writes it,
-and the trials' base-variate blocks, through flat indices.
+margin and key, and a window of the ranking to probe, which ``chernoff``
+fills with a random subset of ranks 2..M.
+
+The cost enters a policy only through its threshold -log c, and a trial
+reads the same variates at every cost. So a rule that never reads the
+threshold follows one sample path per trial, whatever the cost:
+``dgf``, ``dgf_l``, ``chernoff`` and ``chernoff_generic`` get one row per
+trial that carries every cost of the grid. It stops at each cost in the
+first round its margin reaches that cost's threshold, and runs until its
+margin reaches the largest. ``seq_dgf_l`` and ``unknown_l`` declare cells
+at the threshold, and a declared cell is frozen, so they get one row per
+(cost, trial), each with its cost's threshold. A row is recorded, with its
+key, only in a round where it first reaches a threshold; each cost's tau,
+decision and tau1 are read off that record after the loop, and a cost
+that a row never reached is truncated at the last round. Only rounds
+where some row ends compact the live rows' state (``_LiveRows``). Each
+round reads and writes it, and the trials' base-variate blocks, through
+flat indices.
+
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A rule builder returns its draw recipe
@@ -72,8 +87,9 @@ long a block is follows from the recipe:
   ``seq_dgf_l``, ``unknown_l`` and ``chernoff`` drawing no subset (d = 0),
   and for ``chernoff_generic`` on Bernoulli and Tabulated cells, whose
   base variate is a uniform like its one policy draw (d = 1). A block then
-  holds ``_BLOCK_ROUNDS`` rounds, one array call per trial (``Generator``
-  array draws equal the same number of scalar draws).
+  holds ``_BLOCK_ROUNDS`` rounds, or as many as the chunk's trials fit in
+  ``_BLOCK_BYTES`` and at least one, one array call per trial
+  (``Generator`` array draws equal the same number of scalar draws).
 * A recipe that mixes methods, ``chernoff``'s subset picks (``integers``,
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
   uniform before a ziggurat base variate (Exponential, Gaussian), gets
@@ -138,20 +154,25 @@ __all__ = [
     "tau1_decay_diagnostic",
 ]
 
-# (trial, cost) rows advanced together; bounds the engine's arrays and live
+# Rows a chunk advances together: one per trial, or one per (cost, trial)
+# for a rule that reads the threshold. Bounds the engine's arrays and live
 # generators. A grid has at most this many points, so a chunk of whole trials fits.
 _CHUNK = 1024
-# Rounds a trial's block of draws holds when its recipe draws ahead.
+# Most rounds a trial's block of draws holds when its recipe draws ahead.
 _BLOCK_ROUNDS = 32
+# Most bytes a chunk's block of draws may take: wider rounds or more trials
+# get blocks of fewer rounds, never fewer than one.
+_BLOCK_BYTES = 1 << 20
 # Most target sets a policy that scores every set may face: each round it
 # scores (rows x H) sets, H = the sum over l <= L of C(M, l). On a 2-vCPU
 # Xeon VM a trial-round took 7.4 us at H = 385 (M = 10, L = 4) and 29 us at
 # H = 1585 (M = 12, L = 5), and M = 18, L = 9 would score 1.3 GB per round.
 _MAX_HYPOTHESES = 400
-# Most cells a run may have. The engine holds (_CHUNK, M) arrays, about 40
-# bytes per row and cell: on a 2-vCPU Xeon VM M = 10 000 peaked at 475 MB
-# (1024 trials, five costs), and M = 2^31 would need a 17 GB priors tuple
-# before the first trial.
+# Most cells a run may have. The engine holds (_CHUNK, M) arrays: on a
+# 2-vCPU Xeon VM, 1024 dgf trials on M = 10 000 cells and five costs peaked
+# at 430 MB with K = 1 and at 1.0 GB with K = M, whose blocks of draws
+# _BLOCK_BYTES cuts to one round (82 MB; 32 rounds would take 2.6 GB). M = 2^31
+# would need a 17 GB priors tuple before the first trial.
 _MAX_CELLS = 10_000
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
@@ -581,8 +602,9 @@ def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
     """Target sets as members and masks, and cumulative maximin mixtures.
 
     Static per scenario, so built once per process. ``members[i, j]`` is the
-    j-th cell of hypothesis i; hypotheses come ordered by size, so those with
-    more than j members are the suffix from ``starts[j]``. ``cum[i]`` is the
+    j-th cell of hypothesis i, padded with its first cell, so a row of
+    ``members`` names exactly its cells; hypotheses come ordered by size, so
+    those with more than j members are the suffix from ``starts[j]``. ``cum[i]`` is the
     running sum of hypothesis i's mixture (``anomaly_maximin``: a on each
     member, b on each other cell), summed in cell order as
     ``chernoff_generic_step`` sums it, with the last entry raised to
@@ -592,7 +614,7 @@ def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
     members = np.zeros((len(hyps), max_targets), dtype=np.int64)
     masks = np.zeros((len(hyps), num_cells), dtype=bool)
     for i, h in enumerate(hyps):
-        members[i, :len(h)] = h
+        members[i] = h + h[:1] * (max_targets - len(h))
         masks[i, list(h)] = True
     starts = [sum(1 for h in hyps if len(h) <= j) for j in range(max_targets)]
     d_gf, d_fg = model.kl_divergences()
@@ -645,16 +667,17 @@ def _run_lockstep(
 ) -> list[TrialColumns]:
     """Trials lo..hi-1 at every cost in ``costs``, one grid per lockstep chunk.
 
-    A chunk holds one row per (trial, cost), and at most _CHUNK rows unless
+    A chunk holds at most _CHUNK rows (see :func:`_lockstep_chunk`), unless
     one trial has more costs. ``trace`` follows :func:`run_trial` and needs
     a single trial at a single cost.
     """
+    policy = POLICIES[cfg.policy]
     pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
                                     cfg.num_targets) for cost in costs]
     # The regimes do not depend on the cost; only the threshold does.
-    rule, draws = POLICIES[cfg.policy].rule(cfg, pcfgs[0])
+    rule, draws = policy.rule(cfg, pcfgs[0])
     thresholds = [pcfg.threshold for pcfg in pcfgs]
-    step = max(1, _CHUNK // len(costs))
+    step = max(1, _CHUNK // len(costs)) if policy.reads_threshold else _CHUNK
     return [_lockstep_chunk(cfg, rule, draws, thresholds, range(start, min(start + step, hi)),
                             trace) for start in range(lo, hi, step)]
 
@@ -662,10 +685,11 @@ def _run_lockstep(
 class _LiveRows:
     """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
     so adding into ``S.ravel()`` writes through; ``last_declared`` is per
-    chunk row, not per live row. ``block_at`` holds where each row reads
-    its K base variates of a block's first round in the flat draws of
-    :func:`_base_blocks`, fixed when the chunk starts; block rows of trials
-    without a live row are never read."""
+    chunk row, not per live row. ``thr`` is each live row's next threshold
+    to reach, a float while every row has the same one. ``block_at`` holds
+    where each row reads its K base variates of a block's first round in the
+    flat draws of :func:`_base_blocks`, fixed when the chunk starts; block
+    rows of trials without a live row are never read."""
 
     __slots__ = ("index", "rows", "offsets", "S", "truth", "declared", "thr", "last_declared",
                  "block_at")
@@ -696,15 +720,17 @@ class _LiveRows:
 # A lockstep rule takes the live rows (``_LiveRows``), the round number and
 # the round's policy draws (one row each, as floats, picks too; else None). It
 # updates their declared cells and ``last_declared`` in place and returns
-# which rows stop, a function from the stopping rows' positions to their
-# decision masks (the engine calls it only when some row stops, before
-# anything changes), and every row's probe set in the scalar rule's order.
+# every row's margin, its decision key and its probe set in the scalar rule's
+# order. The margin is the number the scalar stop test compares with the
+# threshold: a row stops at a threshold once its margin reaches it. The key
+# names the cells a row would decide now, as a bool mask or a row of cell
+# indices; the engine copies the keys of rows that reach a threshold. Only
+# ``seq_dgf_l`` and ``unknown_l`` read ``live.thr``, to declare cells.
 # Each rule mirrors its scalar rules in ``policies`` exactly (``_ranked_rule``
 # serves dgf, dgf_l and chernoff): ties rank the lower cell first (stable
-# sort, first argmax), stop tests use the same float comparisons, and a
+# sort, first argmax), margins use the same float operations, and a
 # randomized rule consumes the scalar rule's draws in its order.
-_Rule = Callable[[_LiveRows, int, np.ndarray | None],
-                 tuple[np.ndarray, Callable[[np.ndarray], np.ndarray], np.ndarray]]
+_Rule = Callable[[_LiveRows, int, np.ndarray | None], tuple[np.ndarray, np.ndarray, np.ndarray]]
 # A policy's draw recipe: the draws it makes each round before its K base
 # variates, the same every round and fixed by the config. An int b stands
 # for one ``integers(b)`` call (chernoff's subset, one per bound), else the
@@ -716,11 +742,12 @@ _Draw = tuple[int | Callable[[np.random.Generator], float], ...]
 def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
                  shuffle: bool = False) -> tuple[_Rule, _Draw]:
     """dgf, dgf_l (dgf_step is dgfl_step with L=1) and, with ``shuffle``,
-    chernoff: stop once the L-th ranked cell leads the next by the
-    threshold, else probe a fixed window of the ranking. With ``shuffle``
-    and K < M, ranks 2..M are first shuffled by partial Fisher-Yates, one
-    ``integers`` call per cell that reaches the window, so the window holds
-    the leader (in the "g" regime) plus a uniform subset of the others."""
+    chernoff: the margin is the L-th ranked cell's lead over the next, the
+    key the top L cells, and the probes a fixed window of the ranking. With
+    ``shuffle`` and K < M, ranks 2..M are first shuffled by partial
+    Fisher-Yates, one ``integers`` call per cell that reaches the window, so
+    the window holds the leader (in the "g" regime) plus a uniform subset of
+    the others."""
     m, k, l = cfg.num_cells, cfg.probes_per_round, cfg.num_targets
     if pcfg.multi_regime == "g":
         first = 0 if k >= l else l - k
@@ -731,7 +758,6 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
     def rank(live, n, picks):
         order = (-live.S).argsort(kind="stable")
         pair = live.S.ravel()[order[:, l - 1:l + 1] + live.offsets]
-        stop = pair[:, 0] - pair[:, 1] >= live.thr
         if bounds:
             # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the
             # first i picks. Rank 1, chernoff's decision, stays in place. The
@@ -741,18 +767,20 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
                 at = start + i
                 to = at + picks[:, i]
                 flat[at], flat[to] = flat[to], flat[at]
-        return (stop, lambda ended: (order[ended, :l, None] == np.arange(m)).any(axis=1),
-                order[:, first:first + k])
+        return pair[:, 0] - pair[:, 1], order[:, :l], order[:, first:first + k]
 
     return rank, tuple(bounds)
 
 
 def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
-    cells normal from the bottom up and output the survivors."""
+    cells normal from the bottom up and output the survivors. The margin is
+    +inf once the needed cells are declared, else -inf."""
     m, l = cfg.num_cells, cfg.num_targets
     chase_top = pcfg.multi_regime == "g"
     needed = l if chase_top else m - l
+    # The margin of each declared count; no row declares more than needed.
+    margins = np.append(np.full(needed, -np.inf), np.inf)
 
     def sequential(live, n, drawn):
         declared, rows = live.declared, live.rows
@@ -767,8 +795,7 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, 
             count += hit
             if chase_top:
                 live.last_declared[live.index[hit]] = n
-        return (count >= needed, lambda ended: declared[ended] if chase_top else ~declared[ended],
-                best[:, None])
+        return margins.take(count), declared if chase_top else ~declared, best[:, None]
 
     return sequential, ()
 
@@ -784,21 +811,22 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rul
         if np.count_nonzero(newly):
             declared |= newly
             live.last_declared[live.index[newly.any(axis=1)]] = n
-        # Every cell at or above the threshold is declared by now, so only
-        # the cells at or below -thr can complete a row's |S| >= thr test.
-        stop = (declared | (S <= -thr)).all(axis=1)
-        best = np.where(declared, -np.inf, S).argmax(axis=1)
-        return stop, lambda ended: declared[ended], best[:, None]
+        # Every cell at or above the threshold is declared by now, so a row
+        # completes its |S| >= thr test once its largest undeclared sum is
+        # at or below -thr: its margin is minus that sum (+inf if none is left).
+        undeclared = np.where(declared, -np.inf, S)
+        best = undeclared.argmax(axis=1)
+        return -undeclared.ravel()[best + live.offsets[:, 0]], declared, best[:, None]
 
     return unknown, ()
 
 
 def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
     """chernoff_generic: score every target set of 1..L cells by adding its
-    members' sums in order, stop once the ML set leads its closest rival by
-    the threshold, else probe one cell drawn from the ML set's mixture with
-    one uniform variate."""
-    members, starts, masks, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
+    members' sums in order; the margin is the ML set's lead over its closest
+    rival, the key the ML set's members, and the probe one cell drawn from
+    the ML set's mixture with one uniform variate."""
+    members, starts, _, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
 
     def generic(live, n, u):
         S, rows = live.S, live.rows
@@ -806,11 +834,11 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
         for j in range(1, len(starts)):
             scores[:, starts[j]:] += S.take(members[starts[j]:, j], axis=1)
         best = scores.argmax(axis=1)
-        top = scores[rows, best]
-        scores[rows, best] = -np.inf
-        stop = top - scores.max(axis=1) >= live.thr
-        cell = (u < cum[best]).argmax(axis=1)
-        return stop, lambda ended: masks[best[ended]], cell[:, None]
+        flat, at = scores.ravel(), best + rows * len(members)
+        top = flat[at]
+        flat[at] = -np.inf
+        cell = (u < cum.take(best, axis=0)).argmax(axis=1)
+        return top - scores.max(axis=1), members.take(best, axis=0), cell[:, None]
 
     return generic, (np.random.Generator.random,)
 
@@ -823,55 +851,83 @@ def _lockstep_chunk(
     trials: range,
     trace: list | None,
 ) -> TrialColumns:
-    """The chunk's trials as a grid of (costs, trials) columns, views of its
-    rows, which are cost-major: row r is cost r // len(trials) at trial r % len(trials)."""
+    """The chunk's trials as a grid of (costs, trials) columns, run one row
+    per trial or one per (cost, trial) and read off the record of the rounds
+    where rows first reach thresholds (see "Engine" above)."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
     width, n_trials = len(thresholds), len(trials)
     rngs = _trial_generators(cfg.seed, trials)
     picks = _Picks(rngs)
     truth = _draw_truths(cfg, rngs, picks)
-    if width == 1:
-        thr = thresholds[0]
-    else:
-        truth = np.tile(truth, (width, 1))
-        thr = np.repeat(thresholds, n_trials)
     track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
+    grid_truth = np.tile(truth, (width, 1)) if width > 1 else truth
+    # A row reaches ``levels`` thresholds in turn.
+    if POLICIES[cfg.policy].reads_threshold or width == 1:
+        # One row per (cost, trial), cost-major, each with its cost's threshold.
+        levels, row_truth = 1, grid_truth
+        thr = np.repeat(thresholds, n_trials) if width > 1 else thresholds[0]
+    else:
+        # One row per trial, climbing the thresholds in ascending order; past
+        # the top, its next threshold is infinity. ``lane`` holds where each
+        # (cost, trial), cost-major, sits among the levels, as trial * levels + level.
+        levels, row_truth = width, truth
+        ranks = np.argsort(thresholds, kind="stable")
+        ladder = np.asarray(thresholds)[ranks]
+        above = np.append(ladder, np.inf)
+        lane = (np.arange(n_trials) * width + np.argsort(ranks)[:, None]).ravel()
+        thr = np.full(n_trials, ladder[0])
 
-    # Per chunk row: outcome. Per live row: running state.
-    count = len(truth)
-    tau = np.zeros(count, dtype=np.int64)
-    decided = np.zeros((count, m), dtype=bool)
-    stopped = np.zeros(count, dtype=bool)
+    # The record: for each round where some rows first reach thresholds, the
+    # chunk rows, their keys, the round, and, on a ladder, the levels reached.
+    count = len(row_truth)
+    hits, keys, rounds, sizes, reached, breaks = [], [], [], [], [], []
     last_break = np.zeros(count, dtype=np.int64)
-    # A recipe of the base variate's own method draws ahead; any other is
-    # drawn one round at a time. Row r reads block row r % n_trials.
-    rounds = _BLOCK_ROUNDS if all(draw is model.base_variate for draw in draws) else 1
+    # A recipe of the base variate's own method draws ahead, as many rounds
+    # as fit in _BLOCK_BYTES; any other is drawn one round at a time. Row r
+    # reads block row r % n_trials.
     d = len(draws)
+    rounds_ahead = 1
+    if all(draw is model.base_variate for draw in draws):
+        rounds_ahead = min(_BLOCK_ROUNDS, max(1, _BLOCK_BYTES // (8 * n_trials * (d + k))))
     lead = np.arange(-d, 0)
-    block_at = (np.arange(count) % n_trials * rounds * (d + k))[:, None] + np.arange(d, d + k)
-    live = _LiveRows(truth, thr, block_at)
+    block_at = ((np.arange(count) % n_trials * rounds_ahead * (d + k))[:, None]
+                + np.arange(d, d + k))
+    live = _LiveRows(row_truth, thr, block_at)
     drawn, n = None, 0
     while True:
-        offset = (n % rounds) * (d + k)
+        offset = (n % rounds_ahead) * (d + k)
         if not offset:
             # Only trials that have a live row draw; all their rows read the block.
-            blocks = _base_blocks(model, draws, picks, live.index, k, rounds)
+            blocks = _base_blocks(model, draws, picks, live.index, k, rounds_ahead)
         if d:
             # The round's d policy draws lie just before its base variates.
             drawn = blocks[live.block_at[:, :1] + (lead + offset)]
-        stop, decision, probe = rule(live, n, drawn)
-        ended = stop.nonzero()[0]
-        if ended.size or n >= cfg.max_rounds:
-            finished = live.index[ended]
-            decided[finished] = decision(ended)
-            stopped[finished] = True
-            if ended.size == stop.size or n >= cfg.max_rounds:
-                tau[live.index] = n
+        margin, key, probe = rule(live, n, drawn)
+        reach = margin >= live.thr
+        hit = reach.nonzero()[0]
+        if hit.size:
+            done, found = reach, live.index[hit]
+            hits.append(found)
+            keys.append(key.take(hit, axis=0))
+            rounds.append(n)
+            sizes.append(hit.size)
+            if levels > 1:
+                # A margin that reaches a threshold is not NaN, so it counts
+                # the thresholds at or below it.
+                level = np.searchsorted(ladder, margin[hit], side="right")
+                reached.append(level)
+                live.thr[hit] = above[level]
+                done = margin >= ladder[-1]
+            if track_tau1:
+                breaks.append(last_break[found])
+            kept = (~done).nonzero()[0]
+            if not kept.size or n >= cfg.max_rounds:
                 break
-            tau[finished] = n
-            kept = (~stop).nonzero()[0]
-            live.keep(kept)
-            probe = probe[kept]
+            if kept.size < done.size:
+                live.keep(kept)
+                probe = probe[kept]
+        elif n >= cfg.max_rounds:
+            break
         base = blocks[live.block_at + offset]
         # Observations are drawn in ascending cell order within a round.
         cells = probe
@@ -888,11 +944,41 @@ def _lockstep_chunk(
         if trace is not None:
             trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
 
-    columns = (truth, decided, stopped & (decided == truth).all(axis=1), tau,
-               np.where(live.last_declared >= 0, live.last_declared, tau), ~stopped,
-               last_break + 1 if track_tau1 else None)
+    # Each (cost, trial)'s record, ``records`` for one never reached.
+    records = sum(sizes)
+    got = np.full(count * levels, records)
+    if records:
+        at = np.concatenate(hits) * levels
+        if levels > 1:
+            at += np.concatenate(reached) - 1
+        got[at] = np.arange(records)
+    row = slice(None)
+    if levels > 1:
+        # A level below one that a row reached in the same round shares its record.
+        got = np.minimum.accumulate(got.reshape(count, levels)[:, ::-1], axis=1)
+        got, row = got[:, ::-1].ravel()[lane], lane // levels
+    stopped = got < records
+    decided = _decisions(keys, m).take(got, axis=0)
+    tau = np.repeat([*rounds, n], [*sizes, 1])[got]
+    declared_at = live.last_declared[row]
+    tau1 = None
+    if track_tau1:
+        tau1 = np.where(stopped, np.concatenate([*breaks, [0]])[got], last_break[row]) + 1
+    columns = (grid_truth, decided, stopped & (decided == grid_truth).all(axis=1), tau,
+               np.where(declared_at >= 0, declared_at, tau), ~stopped, tau1)
     return TrialColumns(*(None if col is None else col.reshape(width, n_trials, *col.shape[1:])
                           for col in columns))
+
+
+def _decisions(keys: list[np.ndarray], m: int) -> np.ndarray:
+    """One decision mask per recorded key, in record order, then an all-False
+    row for costs never reached. A key is a bool mask or a row of cell indices."""
+    if keys and keys[0].dtype == bool:
+        return np.concatenate([*keys, np.zeros((1, m), dtype=bool)])
+    cells = np.concatenate(keys) if keys else np.zeros((0, 1), dtype=np.int64)
+    masks = np.zeros((len(cells) + 1, m), dtype=bool)
+    masks[np.arange(len(cells))[:, None], cells] = True
+    return masks
 
 
 def _base_blocks(model: ObservationModel, draws: _Draw, picks: _Picks, live: np.ndarray,
@@ -900,16 +986,17 @@ def _base_blocks(model: ObservationModel, draws: _Draw, picks: _Picks, live: np.
     """The next ``rounds`` rounds of draws of each chunk trial t that has a
     ``live`` row (row r is trial r % trials), flattened from block row t, each
     round's policy draws before its K base variates; block rows of other
-    trials stay unfilled and are never read. Several rounds (only a recipe
-    of the base variate's own method gets them) are one array call per
-    trial; one round is filled column by column, all drawing trials at once,
-    picks through ``picks`` and any other draw one scalar call per trial."""
+    trials stay unfilled and are never read. A recipe of the base variate's
+    own method, the only one that gets several rounds, is one array call
+    per trial; any other fills its one round column by column, all drawing
+    trials at once, picks through ``picks`` and any other draw one scalar
+    call per trial."""
     drawing = np.zeros(len(picks.rngs), dtype=bool)
     drawing[live % len(drawing)] = True
     trials = drawing.nonzero()[0]
     rngs = [picks.rngs[t] for t in trials.tolist()]
     blocks = np.empty((len(drawing), rounds * (len(draws) + k)))
-    if rounds > 1:
+    if all(draw is model.base_variate for draw in draws):
         for t, g in zip(trials.tolist(), rngs):
             model.base_variate(g, out=blocks[t])
     else:
@@ -923,12 +1010,14 @@ def _base_blocks(model: ObservationModel, draws: _Draw, picks: _Picks, live: np.
 class PolicyEntry:
     """One policy's facts (see "Policies" above): ``rule`` builds its
     lockstep rule and its draw recipe from ``(cfg, pcfg)``;
-    ``scores_hypotheses`` marks a policy that scores every candidate target
-    set, whose count is capped."""
+    ``reads_threshold`` marks a rule that declares cells at the threshold,
+    so each of its rows keeps one cost; ``scores_hypotheses`` marks a policy
+    that scores every candidate target set, whose count is capped."""
 
     targets: str
     one_probe: bool
     rule: Callable[[ExperimentConfig, PolicyConfig], tuple[_Rule, _Draw]]
+    reads_threshold: bool = False
     scores_hypotheses: bool = False
 
 
@@ -936,8 +1025,8 @@ POLICIES: dict[str, PolicyEntry] = {
     "dgf": PolicyEntry("one", False, _ranked_rule),
     "chernoff": PolicyEntry("one", False, partial(_ranked_rule, shuffle=True)),
     "dgf_l": PolicyEntry("exact", False, _ranked_rule),
-    "seq_dgf_l": PolicyEntry("exact", True, _sequential_rule),
-    "unknown_l": PolicyEntry("up_to", True, _unknown_count_rule),
+    "seq_dgf_l": PolicyEntry("exact", True, _sequential_rule, reads_threshold=True),
+    "unknown_l": PolicyEntry("up_to", True, _unknown_count_rule, reads_threshold=True),
     "chernoff_generic": PolicyEntry("up_to", True, _generic_rule, scores_hypotheses=True),
 }
 POLICY_NAMES = tuple(POLICIES)

@@ -558,3 +558,64 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
             replay = []
             assert run_trial(config, cost, t, trace=replay) == per_cost[t][0]
             assert replay == per_cost[t][1]
+
+
+# The policies whose rules never read the threshold: one row per trial
+# carries every cost of the grid. seq_dgf_l and unknown_l declare cells at
+# the threshold, so each of their rows keeps one cost.
+ONE_ROW_PER_TRIAL = ("chernoff", "chernoff_generic", "dgf", "dgf_l")
+
+
+@pytest.mark.parametrize("chunk", [8, 1024])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
+    config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
+                              model=Bernoulli(0.2, 0.7), neg_log_c=(3.0, 1.0, 5.0, 2.0, 4.0),
+                              trials=30, seed=5, num_targets=1 if policy in SINGLE_TARGET else 2)
+    rows = []
+    init = sim._LiveRows.__init__
+
+    def counting_init(self, truth, *args):
+        rows.append(len(truth))
+        init(self, truth, *args)
+
+    monkeypatch.setattr(sim, "_CHUNK", chunk)
+    monkeypatch.setattr(sim._LiveRows, "__init__", counting_init)
+    grid = sim._run_grid(config, config.costs)
+    if policy in ONE_ROW_PER_TRIAL:
+        assert rows == ([8, 8, 8, 6] if chunk == 8 else [30])
+    else:
+        # A chunk of 8 rows holds one trial's five (cost, trial) rows.
+        assert rows == ([5] * 30 if chunk == 8 else [150])
+    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+                for cost in config.costs]
+    assert [sim._trial_results(sim._row(grid, j), 1) for j in range(5)] == expected
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("policy", ["dgf_l", "chernoff_generic"])
+def test_block_bytes_cap_the_rounds_drawn_ahead(policy, rounds, monkeypatch):
+    # dgf_l draws K = 3 base variates a round, chernoff_generic one uniform
+    # and one base variate; a cap just short of one more round for the
+    # chunk's 40 trials gives blocks of exactly ``rounds`` rounds.
+    overrides = dict(BENCH_SHAPES["dgf_l" if policy == "dgf_l" else "unknown_l"])
+    config = ExperimentConfig(policy=policy, neg_log_c=(8.0, 4.0), trials=40, seed=13,
+                              **overrides)
+    width = 3 if policy == "dgf_l" else 2
+    round_bytes = 8 * config.trials * width
+    blocks, base_blocks = [], sim._base_blocks
+
+    def recording_blocks(*args):
+        drawn = base_blocks(*args)
+        blocks.append((args[-1], drawn.nbytes))
+        return drawn
+
+    monkeypatch.setattr(sim, "_BLOCK_BYTES", (rounds + 1) * round_bytes - 1)
+    monkeypatch.setattr(sim, "_base_blocks", recording_blocks)
+    grid = sim._run_grid(config, config.costs)
+    assert set(blocks) == {(rounds, rounds * round_bytes)}
+    assert len(blocks) > 1
+    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+                for cost in config.costs]
+    assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
+            for j in range(len(config.costs))] == expected

@@ -71,7 +71,9 @@ class TestConfigValidation:
             cfg(max_rounds=0)
 
     def test_grid_fits_one_chunk(self):
-        # A chunk holds every cost of its trials, and at most _CHUNK rows.
+        # A chunk holds every cost of its trials, and at most _CHUNK rows:
+        # one per trial for most policies, but one per (cost, trial) for
+        # seq_dgf_l and unknown_l, so one trial's costs must fit in a chunk.
         assert len(cfg(neg_log_c=(1.0,) * sim._CHUNK).neg_log_c) == sim._CHUNK
         with pytest.raises(ValueError, match="grid has 1025 points; at most 1024 are supported"):
             cfg(neg_log_c=(1.0,) * (sim._CHUNK + 1))

@@ -3,18 +3,23 @@
 Runs the two configurations of the ``long_trials`` benchmark workload
 (``dgf_l``: M=8, K=3, L=2, Bernoulli(0.1, 0.4); ``unknown_l`` on the
 ``table1_example`` scenario) and the randomized ``chernoff_generic`` on
-``table1_example``, each at -log c = 8, and ``chernoff`` on the fig2
-scenario over its grid (-log c 1..5), the one benchmark config whose
-draws mix ``Generator`` methods and so come in blocks of one round, through
-the engine at 1, 100 and 1000 trials, and prints one row per (config, trials):
+``table1_example``, each at -log c = 8, and two on the fig2 scenario over
+its grid (-log c 1..5): ``dgf``, the ``short_trials`` workload, and
+``chernoff``, the one benchmark config whose draws mix ``Generator``
+methods and so come in blocks of one round. Each runs through the engine
+at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
   policy's lockstep rule (in each chunk, the longest row's tau plus the
   round that ends it);
-* ``us_per_round``: wall time of a pass over its rounds, the mean of the
-  faster half of seeds 0-19 (each seed the best of ``REPEATS`` passes).
-  A pass includes the chunk's set-up (generators, truth draw, policy
-  config), so at 1 trial it is a few percent above the bare round;
+* ``ms_per_pass``: wall time of a pass, the mean of the faster half of
+  seeds 0-19 (each seed the best of ``REPEATS`` passes);
+* ``us_per_round``: the same passes' wall time over their rounds, the
+  mean of the faster half of the seeds. A pass includes the chunk's
+  set-up (generators, truth draw, policy config), so at 1 trial it is a
+  few percent above the bare round. How many rows a round advances
+  depends on the engine's layout (one row per trial, or per cost and
+  trial), so compare layouts by ``ms_per_pass``;
 * ``numpy_calls_per_round``: calls into NumPy per round at seed 0, counted
   with ``sys.setprofile``: NumPy functions and array or generator methods
   called from the package's code;
@@ -65,6 +70,8 @@ CONFIGS = {
     "chernoff_generic": dict(num_cells=3, probes_per_round=1, num_targets=2,
                              policy="chernoff_generic", model=Bernoulli(0.1, 0.6),
                              fixed_hypothesis=(0,)),
+    "fig2_dgf": dict(num_cells=5, probes_per_round=1, policy="dgf",
+                     model=Exponential(0.5, 10.0), neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
     "fig2_chernoff": dict(num_cells=5, probes_per_round=1, policy="chernoff",
                           model=Exponential(0.5, 10.0), neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
 }
@@ -187,24 +194,30 @@ def operators(cfg: ExperimentConfig) -> int:
     return count
 
 
+def faster_half_mean(values: list[float]) -> float:
+    fastest = sorted(values)[:len(values) // 2]
+    return sum(fastest) / len(fastest)
+
+
 def measure() -> list[dict]:
     rows = []
     for name in CONFIGS:
         for trials in TRIALS:
-            per_seed = []
+            per_pass, per_round = [], []
             for seed in SEEDS:
                 cfg = config(name, trials, seed)
                 one_pass(cfg)  # warm caches (policy config, seeding check)
                 best, rounds = min(one_pass(cfg) for _ in range(REPEATS))
-                per_seed.append(best / rounds * 1e6)
-            fastest = sorted(per_seed)[:len(per_seed) // 2]
+                per_pass.append(best * 1e3)
+                per_round.append(best / rounds * 1e6)
             cfg = config(name, trials, 0)
             rounds = one_pass(cfg)[1]
             rows.append({
                 "config": name,
                 "trials": trials,
                 "rounds": rounds,
-                "us_per_round": round(sum(fastest) / len(fastest), 2),
+                "ms_per_pass": round(faster_half_mean(per_pass), 3),
+                "us_per_round": round(faster_half_mean(per_round), 2),
                 "numpy_calls_per_round": round(numpy_calls(cfg) / rounds, 1),
                 "operators_per_round": round(operators(cfg) / rounds, 1),
                 "draw_calls_per_round": round(draw_calls(cfg) / rounds, 1),
@@ -220,11 +233,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(rows))
         return 0
-    print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'us/round':>9} "
+    print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'ms/pass':>8} {'us/round':>9} "
           f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17}")
     for row in rows:
         print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
-              f"{row['us_per_round']:>9.2f} {row['numpy_calls_per_round']:>18.1f} "
+              f"{row['ms_per_pass']:>8.3f} {row['us_per_round']:>9.2f} "
+              f"{row['numpy_calls_per_round']:>18.1f} "
               f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f}")
     return 0
 
