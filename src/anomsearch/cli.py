@@ -608,6 +608,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     out_dir = Path(args.out) if args.out else Path("anomsearch-out")
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)  # fail before the first trial, not after
         rows, last = _run_spec(spec, args.workers, sys.stderr)
         extra = _run_diagnostics(out_dir, last, sys.stderr) if spec.diagnostics else None
         manifest = emit_results(rows, spec, out_dir, extra=extra, workers=args.workers)

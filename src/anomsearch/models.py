@@ -16,15 +16,21 @@ concurrently running trials; randomness always comes from a caller-owned
 generator, which is what makes trial replay and the hand-rolled simulation
 oracles in the test suite possible.
 
-The batched form splits a draw in two: ``base_variate`` (the
+The batched form splits a draw in three: ``base_variate`` (the
 ``Generator`` method itself, unbound: standard exponential, standard
 normal or uniform) draws the base variate that one ``sample`` call would
 consume, and ``base_variate(rng, out=array)`` fills an array with those
 that successive ``sample`` calls would consume, since a Generator's array
 draws equal its scalar draws in sequence (``base_range`` bounds them);
-``sample_many`` then maps base variates to observations and their LLRs
-elementwise, with the same floating-point operations as ``sample``
-followed by ``llr``.
+``law`` maps a mask of abnormal cells to each cell's law (its rate, mean
+or success probability; for ``Tabulated`` the truth bit itself); and
+``observations`` and ``llrs`` map laws and base variates to observations
+and to their LLRs elementwise, with the same floating-point operations as
+``sample`` followed by ``llr``. Where ``llr`` is arithmetic (Exponential,
+Gaussian) it applies to arrays too, and ``llrs`` applies it to
+``observations``; elsewhere ``llrs`` looks up the values ``llr`` returns.
+The engine computes only the LLRs; it builds observations only for a
+replayed trial's trace.
 Constructors reject parameters under which an extreme base variate gives
 an infinite observation or LLR.
 """
@@ -79,10 +85,12 @@ def _require_informative(model: "ObservationModel") -> None:
             f"{model.kind} model is degenerate: D(g||f)={d_gf:.3g}, "
             f"D(f||g)={d_fg:.3g}; both must be finite and at least {_MIN_KL}"
         )
+    base = np.array(model.base_range)
     with np.errstate(over="ignore", invalid="ignore"):
         for abnormal in (False, True):
-            y, llr = model.sample_many(np.full(2, abnormal), np.array(model.base_range))
-            if not (np.isfinite(y).all() and np.isfinite(llr).all()):
+            law = model.law(np.full(2, abnormal))
+            if not (np.isfinite(model.observations(law, base)).all()
+                    and np.isfinite(model.llrs(law, base)).all()):
                 raise ModelError(f"{model.kind} parameters overflow an observation or its "
                                  f"log-likelihood ratio")
 
@@ -132,11 +140,16 @@ class Exponential:
     # Ziggurat tail: at most r - log(2**-53) = 7.697 + 36.737.
     base_range = (0.0, 44.5)
 
-    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = base / np.where(abnormal, self.lambda_g, self.lambda_f)
-        return y, self._log_ratio - self._rate_gap * y
+    def law(self, abnormal: np.ndarray) -> np.ndarray:
+        return np.where(abnormal, self.lambda_g, self.lambda_f)
 
-    def llr(self, y: float) -> float:
+    def observations(self, rate: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return base / rate
+
+    def llrs(self, rate: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return self.llr(self.observations(rate, base))
+
+    def llr(self, y: float | np.ndarray) -> float | np.ndarray:
         return self._log_ratio - self._rate_gap * y
 
     def kl_divergences(self) -> tuple[float, float]:
@@ -179,11 +192,16 @@ class Gaussian:
     # Ziggurat tail: |z| < r + sqrt(2 * 36.737) = 3.654 + 8.572.
     base_range = (-13.7, 13.7)
 
-    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = np.where(abnormal, self.mu_g, self.mu_f) + self.sigma * base
-        return y, self._slope * y + self._offset
+    def law(self, abnormal: np.ndarray) -> np.ndarray:
+        return np.where(abnormal, self.mu_g, self.mu_f)
 
-    def llr(self, y: float) -> float:
+    def observations(self, mean: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return mean + self.sigma * base
+
+    def llrs(self, mean: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return self.llr(self.observations(mean, base))
+
+    def llr(self, y: float | np.ndarray) -> float | np.ndarray:
         return self._slope * y + self._offset
 
     def kl_divergences(self) -> tuple[float, float]:
@@ -207,6 +225,8 @@ class Bernoulli:
                 raise ModelError("bernoulli probabilities must lie strictly in (0, 1)")
         object.__setattr__(self, "_llr_one", math.log(self.p_g / self.p_f))
         object.__setattr__(self, "_llr_zero", math.log((1.0 - self.p_g) / (1.0 - self.p_f)))
+        # llrs' table, indexed by the observation: LLRs of 0 and 1.
+        object.__setattr__(self, "_llr_array", np.array([self._llr_zero, self._llr_one]))
         _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
@@ -216,9 +236,14 @@ class Bernoulli:
     base_variate = staticmethod(np.random.Generator.random)
     base_range = (0.0, 1.0 - 2.0**-53)
 
-    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hit = base < np.where(abnormal, self.p_g, self.p_f)
-        return hit.astype(np.float64), np.where(hit, self._llr_one, self._llr_zero)
+    def law(self, abnormal: np.ndarray) -> np.ndarray:
+        return np.where(abnormal, self.p_g, self.p_f)
+
+    def observations(self, p: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return (base < p).astype(np.float64)
+
+    def llrs(self, p: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return self._llr_array.take(base < p)
 
     def llr(self, y: float) -> float:
         if y == 1.0:
@@ -272,7 +297,7 @@ class Tabulated:
         llrs = tuple(math.log(q / p) for p, q in zip(pmf_f, pmf_g))
         object.__setattr__(self, "_llrs", llrs)
         object.__setattr__(self, "_llr_table", dict(zip(support, llrs)))
-        # sample_many's tables, as arrays so that no call converts them: the
+        # The batched form's tables, as arrays so that no call converts them: the
         # support and LLRs by position, and the cumulative bins it searches.
         object.__setattr__(self, "_support_array", np.array(support))
         object.__setattr__(self, "_llr_array", np.array(llrs))
@@ -287,10 +312,19 @@ class Tabulated:
     base_variate = staticmethod(np.random.Generator.random)
     base_range = (0.0, 1.0 - 2.0**-53)
 
-    def sample_many(self, abnormal: np.ndarray, base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),
-                       np.searchsorted(self._cum_f, base, side="right"))
-        return self._support_array[idx], self._llr_array[idx]
+    def law(self, abnormal: np.ndarray) -> np.ndarray:
+        return abnormal
+
+    def observations(self, abnormal: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return self._support_array[self._outcome(abnormal, base)]
+
+    def llrs(self, abnormal: np.ndarray, base: np.ndarray) -> np.ndarray:
+        return self._llr_array[self._outcome(abnormal, base)]
+
+    def _outcome(self, abnormal: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """Each draw's position in the support."""
+        return np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),
+                        np.searchsorted(self._cum_f, base, side="right"))
 
     def llr(self, y: float) -> float:
         try:

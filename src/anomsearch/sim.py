@@ -68,6 +68,17 @@ where some row ends compact the live rows' state (``_LiveRows``). Each
 round reads and writes it, and the trials' base-variate blocks, through
 flat indices.
 
+When a chunk starts, the model maps its truth mask to each cell's law
+(``model.law``: a rate, mean or success probability, or the truth bit
+itself), and the live rows carry that law in place of the truth. Each
+round gathers its probes' laws and computes only their LLRs
+(``model.llrs``); only a traced trial's round builds its observations.
+The live rows keep the truth itself only while tau1 is tracked, and
+declared cells only for a rule that declares them. A chunk holds at most
+``_CHUNK`` rows, and fewer where M + K is large: as many as ``_CHUNK_BYTES``
+allows at 8 bytes per cell and per probe, but never fewer than one
+trial's rows.
+
 Each trial has one generator, one truth draw and one stream of variates,
 and all of its rows read them; ``run_trials`` and ``run_trial`` are the
 same engine on a grid of one cost. A rule builder returns its draw recipe
@@ -154,10 +165,15 @@ __all__ = [
     "tau1_decay_diagnostic",
 ]
 
-# Rows a chunk advances together: one per trial, or one per (cost, trial)
-# for a rule that reads the threshold. Bounds the engine's arrays and live
-# generators. A grid has at most this many points, so a chunk of whole trials fits.
+# Most rows a chunk advances together: one per trial, or one per (cost,
+# trial) for a rule that reads the threshold. Bounds the engine's arrays and
+# live generators. A grid has at most this many points, so a chunk of whole
+# trials fits.
 _CHUNK = 1024
+# Most bytes a chunk's rows may take at 8 bytes per cell and per probe, the
+# size of one (rows, M) and one (rows, K) float array: rows with M + K above
+# 512 make chunks of fewer rows, never fewer than one trial's.
+_CHUNK_BYTES = 1 << 22
 # Most rounds a trial's block of draws holds when its recipe draws ahead.
 _BLOCK_ROUNDS = 32
 # Most bytes a chunk's block of draws may take: wider rounds or more trials
@@ -168,10 +184,11 @@ _BLOCK_BYTES = 1 << 20
 # Xeon VM a trial-round took 7.4 us at H = 385 (M = 10, L = 4) and 29 us at
 # H = 1585 (M = 12, L = 5), and M = 18, L = 9 would score 1.3 GB per round.
 _MAX_HYPOTHESES = 400
-# Most cells a run may have. The engine holds (_CHUNK, M) arrays: on a
-# 2-vCPU Xeon VM, 1024 dgf trials on M = 10 000 cells and five costs peaked
-# at 430 MB with K = 1 and at 1.0 GB with K = M, whose blocks of draws
-# _BLOCK_BYTES cuts to one round (82 MB; 32 rounds would take 2.6 GB). M = 2^31
+# Most cells a run may have. A chunk's rows shrink as M + K grows
+# (_CHUNK_BYTES), but each trial's outcome holds (costs, M) masks of its true
+# and decided cells: on a 2-vCPU Xeon VM, 1024 dgf trials on M = 10 000 cells
+# and five costs peaked at 241 MB with K = 1 and 276 MB with K = M, most of it
+# those masks (428 MB and 1.0 GB when every chunk held 1024 rows). M = 2^31
 # would need a 17 GB priors tuple before the first trial.
 _MAX_CELLS = 10_000
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
@@ -667,9 +684,10 @@ def _run_lockstep(
 ) -> list[TrialColumns]:
     """Trials lo..hi-1 at every cost in ``costs``, one grid per lockstep chunk.
 
-    A chunk holds at most _CHUNK rows (see :func:`_lockstep_chunk`), unless
-    one trial has more costs. ``trace`` follows :func:`run_trial` and needs
-    a single trial at a single cost.
+    A chunk holds at most _CHUNK rows (see :func:`_lockstep_chunk`), and at
+    most as many as _CHUNK_BYTES allows for M + K, unless one trial has more
+    rows. ``trace`` follows :func:`run_trial` and needs a single trial at a
+    single cost.
     """
     policy = POLICIES[cfg.policy]
     pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
@@ -677,30 +695,37 @@ def _run_lockstep(
     # The regimes do not depend on the cost; only the threshold does.
     rule, draws = policy.rule(cfg, pcfgs[0])
     thresholds = [pcfg.threshold for pcfg in pcfgs]
-    step = max(1, _CHUNK // len(costs)) if policy.reads_threshold else _CHUNK
+    rows = min(_CHUNK, _CHUNK_BYTES // (8 * (cfg.num_cells + cfg.probes_per_round)))
+    step = max(1, rows // len(costs) if policy.reads_threshold else rows)
     return [_lockstep_chunk(cfg, rule, draws, thresholds, range(start, min(start + step, hi)),
                             trace) for start in range(lo, hi, step)]
 
 
 class _LiveRows:
     """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
-    so adding into ``S.ravel()`` writes through; ``last_declared`` is per
-    chunk row, not per live row. ``thr`` is each live row's next threshold
-    to reach, a float while every row has the same one. ``block_at`` holds
-    where each row reads its K base variates of a block's first round in the
-    flat draws of :func:`_base_blocks`, fixed when the chunk starts; block
-    rows of trials without a live row are never read."""
+    so adding into ``S.ravel()`` writes through. ``law`` holds each cell's
+    law (``model.law`` of the truth mask), which a round gathers for its
+    probes; ``truth``, the true cells, is kept only while tau1 is tracked,
+    and ``declared`` only for a rule that declares cells, else each is None.
+    ``last_declared`` is per chunk row, not per live row. ``thr`` is each
+    live row's next threshold to reach, a float while every row has the
+    same one. ``block_at`` holds where each row reads its K base variates of
+    a block's first round in the flat draws of :func:`_base_blocks`, fixed
+    when the chunk starts; block rows of trials without a live row are never
+    read."""
 
-    __slots__ = ("index", "rows", "offsets", "S", "truth", "declared", "thr", "last_declared",
-                 "block_at")
+    __slots__ = ("index", "rows", "offsets", "S", "law", "truth", "declared", "thr",
+                 "last_declared", "block_at")
 
-    def __init__(self, truth: np.ndarray, thr: float | np.ndarray, block_at: np.ndarray) -> None:
-        count, m = truth.shape
+    def __init__(self, law: np.ndarray, thr: float | np.ndarray, block_at: np.ndarray,
+                 truth: np.ndarray | None, declares: bool) -> None:
+        count, m = law.shape
         self.index = self.rows = np.arange(count)
         self.offsets = self.rows[:, None] * m
         self.S = np.zeros((count, m))
+        self.law = law
         self.truth = truth
-        self.declared = np.zeros((count, m), dtype=bool)
+        self.declared = np.zeros((count, m), dtype=bool) if declares else None
         self.thr = thr
         self.last_declared = np.full(count, -1, dtype=np.int64)
         self.block_at = block_at
@@ -711,8 +736,11 @@ class _LiveRows:
         self.block_at = self.block_at[kept]
         self.rows, self.offsets = self.rows[:kept.size], self.offsets[:kept.size]
         self.S = self.S.take(kept, axis=0)
-        self.truth = self.truth.take(kept, axis=0)
-        self.declared = self.declared.take(kept, axis=0)
+        self.law = self.law.take(kept, axis=0)
+        if self.truth is not None:
+            self.truth = self.truth.take(kept, axis=0)
+        if self.declared is not None:
+            self.declared = self.declared.take(kept, axis=0)
         if isinstance(self.thr, np.ndarray):
             self.thr = self.thr[kept]
 
@@ -807,16 +835,18 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rul
         S, declared, thr = live.S, live.declared, live.thr
         if isinstance(thr, np.ndarray):
             thr = thr[:, None]
-        newly = ~declared & (S >= thr)
+        # A declared cell is frozen and its sum never read again, so it is
+        # held at -inf: the rule neither declares nor probes it twice.
+        newly = S >= thr
         if np.count_nonzero(newly):
             declared |= newly
+            S[newly] = -np.inf
             live.last_declared[live.index[newly.any(axis=1)]] = n
         # Every cell at or above the threshold is declared by now, so a row
         # completes its |S| >= thr test once its largest undeclared sum is
         # at or below -thr: its margin is minus that sum (+inf if none is left).
-        undeclared = np.where(declared, -np.inf, S)
-        best = undeclared.argmax(axis=1)
-        return -undeclared.ravel()[best + live.offsets[:, 0]], declared, best[:, None]
+        best = S.argmax(axis=1)
+        return -S.ravel()[best + live.offsets[:, 0]], declared, best[:, None]
 
     return unknown, ()
 
@@ -856,13 +886,14 @@ def _lockstep_chunk(
     where rows first reach thresholds (see "Engine" above)."""
     model, m, k = cfg.model, cfg.num_cells, cfg.probes_per_round
     width, n_trials = len(thresholds), len(trials)
+    policy = POLICIES[cfg.policy]
     rngs = _trial_generators(cfg.seed, trials)
     picks = _Picks(rngs)
     truth = _draw_truths(cfg, rngs, picks)
-    track_tau1 = cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
+    track_tau1 = cfg.diagnostics and policy.targets == "one"
     grid_truth = np.tile(truth, (width, 1)) if width > 1 else truth
     # A row reaches ``levels`` thresholds in turn.
-    if POLICIES[cfg.policy].reads_threshold or width == 1:
+    if policy.reads_threshold or width == 1:
         # One row per (cost, trial), cost-major, each with its cost's threshold.
         levels, row_truth = 1, grid_truth
         thr = np.repeat(thresholds, n_trials) if width > 1 else thresholds[0]
@@ -892,7 +923,8 @@ def _lockstep_chunk(
     lead = np.arange(-d, 0)
     block_at = ((np.arange(count) % n_trials * rounds_ahead * (d + k))[:, None]
                 + np.arange(d, d + k))
-    live = _LiveRows(row_truth, thr, block_at)
+    live = _LiveRows(model.law(row_truth), thr, block_at, row_truth if track_tau1 else None,
+                     policy.reads_threshold)
     drawn, n = None, 0
     while True:
         offset = (n % rounds_ahead) * (d + k)
@@ -928,21 +960,21 @@ def _lockstep_chunk(
                 probe = probe[kept]
         elif n >= cfg.max_rounds:
             break
-        base = blocks[live.block_at + offset]
+        base = blocks[offset:][live.block_at]
         # Observations are drawn in ascending cell order within a round.
-        cells = probe
+        flat = probe + live.offsets
         if k > 1:
-            cells = probe.copy()
-            cells.sort()
-        flat = cells + live.offsets
-        y, llr = model.sample_many(live.truth.ravel()[flat], base)
-        live.S.ravel()[flat] += llr
+            flat.sort()
+        law = live.law.ravel()[flat]
+        live.S.ravel()[flat] += model.llrs(law, base)
         n += 1
         if track_tau1:
             S, true_cells = live.S, live.truth
             last_break[live.index[((S >= S[true_cells][:, None]) & ~true_cells).any(axis=1)]] = n
         if trace is not None:
-            trace.append((tuple(probe[0].tolist()), dict(zip(cells[0].tolist(), y[0].tolist()))))
+            y = model.observations(law, base)
+            # The traced trial is row 0, whose flat indices are its cells.
+            trace.append((tuple(probe[0].tolist()), dict(zip(flat[0].tolist(), y[0].tolist()))))
 
     # Each (cost, trial)'s record, ``records`` for one never reached.
     records = sum(sizes)
@@ -1096,8 +1128,8 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
         sigma = spread = np.zeros(costs.size)
     half = _Z_95 * sigma / math.sqrt(n)
     r_empirical = np.zeros(costs.size)
-    if sigma.any():  # else skip np.quantile, whose first call imports numpy.ma (17 ms)
-        q_low, q_high = np.quantile(taus, [0.025, 0.975], axis=1)
+    if sigma.any():
+        q_low, q_high = _quantiles(taus, (0.025, 0.975))
         np.divide(q_high - q_low, 2.0 * sigma, out=r_empirical, where=sigma > 0.0)
     stats = dict(p_e=p_e, mean_tau=mean_tau, mean_tau_d=mean_tau_d,
                  bayes_risk=p_e + costs * mean_tau_d, risk_stderr=spread / math.sqrt(n),
@@ -1105,6 +1137,25 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
                  r_empirical=r_empirical, truncations=grid.truncated.sum(axis=1))
     return [AggregateMetrics(n, **dict(zip(stats, row)))
             for row in zip(*(value.tolist() for value in stats.values()))]
+
+
+def _quantiles(rows: np.ndarray, qs: Sequence[float]) -> list[np.ndarray]:
+    """``np.quantile(rows, qs, axis=1)`` bit for bit, for ``qs`` in [0, 1) and
+    rows of two or more values.
+
+    The "linear" method's order statistics come from one ``np.partition``,
+    and NumPy's ``_lerp`` mixes each pair: a + (b - a) * t, or b - (b - a) *
+    (1 - t) where t >= 0.5. ``np.quantile`` itself imports ``numpy.ma`` on
+    its first call in a process, about 15 ms.
+    """
+    at = [(rows.shape[1] - 1) * q for q in qs]
+    lows = [math.floor(v) for v in at]
+    part = np.partition(rows, sorted({i for low in lows for i in (low, low + 1)}), axis=1)
+    out = []
+    for v, low in zip(at, lows):
+        a, b, t = part[:, low], part[:, low + 1], v - low
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:

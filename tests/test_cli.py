@@ -446,7 +446,10 @@ class TestMainCommand:
         blocker.write_text("plain file")
         config = tmp_path / "run.json"
         config.write_text(json.dumps(TINY))
-        assert main([str(config), "--out", str(blocker / "sub")]) == 3
+        # An unusable --out fails before the first trial runs.
+        with mock.patch.object(sim, "_run_grid", wraps=sim._run_grid) as grids:
+            assert main([str(config), "--out", str(blocker / "sub")]) == 3
+        assert grids.call_count == 0
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -566,22 +566,29 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
 ONE_ROW_PER_TRIAL = ("chernoff", "chernoff_generic", "dgf", "dgf_l")
 
 
+def rows_per_chunk(config, monkeypatch):
+    """The rows of each chunk of a run of ``config``, and the run's grid."""
+    rows = []
+    init = sim._LiveRows.__init__
+
+    def counting_init(self, law, *args):
+        rows.append(len(law))
+        init(self, law, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim._LiveRows, "__init__", counting_init)
+        grid = sim._run_grid(config, config.costs)
+    return rows, grid
+
+
 @pytest.mark.parametrize("chunk", [8, 1024])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
     config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
                               model=Bernoulli(0.2, 0.7), neg_log_c=(3.0, 1.0, 5.0, 2.0, 4.0),
                               trials=30, seed=5, num_targets=1 if policy in SINGLE_TARGET else 2)
-    rows = []
-    init = sim._LiveRows.__init__
-
-    def counting_init(self, truth, *args):
-        rows.append(len(truth))
-        init(self, truth, *args)
-
     monkeypatch.setattr(sim, "_CHUNK", chunk)
-    monkeypatch.setattr(sim._LiveRows, "__init__", counting_init)
-    grid = sim._run_grid(config, config.costs)
+    rows, grid = rows_per_chunk(config, monkeypatch)
     if policy in ONE_ROW_PER_TRIAL:
         assert rows == ([8, 8, 8, 6] if chunk == 8 else [30])
     else:
@@ -590,6 +597,30 @@ def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
     expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
                 for cost in config.costs]
     assert [sim._trial_results(sim._row(grid, j), 1) for j in range(5)] == expected
+    if chunk == 8 or policy == "chernoff_generic":
+        # chernoff_generic scores at most 400 target sets, so its M + K stays
+        # at or below 401 and its chunks at _CHUNK rows.
+        return
+
+    # Wide rows: M = 600 cells, probed all at once where the policy allows,
+    # for two rounds. _CHUNK_BYTES = 4 MiB then holds 4 MiB / (8 * 1200) =
+    # 436 rows at K = M, and 872 rows (436 trials at two costs) at K = 1.
+    one_probe = policy in ("seq_dgf_l", "unknown_l")
+    wide = dataclasses.replace(config, num_cells=600, probes_per_round=1 if one_probe else 600,
+                               neg_log_c=(1.0, 0.5), trials=1000, max_rounds=2, priors=None)
+    rows, grid = rows_per_chunk(wide, monkeypatch)
+    assert rows == ([872, 872, 256] if one_probe else [436, 436, 128])
+    # Chunking cannot change a result: the same trials in chunks of _CHUNK rows.
+    monkeypatch.setattr(sim, "_CHUNK_BYTES", 1 << 40)
+    rows, whole = rows_per_chunk(wide, monkeypatch)
+    assert rows == ([1024, 976] if one_probe else [1000])
+    for column, want in zip(grid, whole):
+        assert column is None and want is None or np.array_equal(column, want)
+    k = wide.probes_per_round
+    for j, cost in enumerate(wide.costs):
+        results = sim._trial_results(sim._row(grid, j), k)
+        for t in (0, 435, 436, 999):
+            assert results[t] == scalar_reference(wide, cost, t)[0]
 
 
 @pytest.mark.parametrize("rounds", [1, 3])

@@ -140,7 +140,7 @@ def test_model_from_dict_rejects_garbage():
 
 def draws(model, abnormal, seed, size):
     base = model.base_variate(np.random.default_rng(seed), out=np.empty(size))
-    return model.sample_many(np.full(size, abnormal), base)[0]
+    return model.observations(model.law(np.full(size, abnormal)), base)
 
 
 def test_sampling_is_reproducible():
@@ -166,15 +166,25 @@ def test_bernoulli_samples_are_binary():
     Tabulated((0.0, 1.0, 2.5), (0.5, 0.3, 0.2), (0.1, 0.3, 0.6)),
 ], ids=lambda m: m.kind)
 def test_batched_draws_equal_scalar_draws(model):
-    # base_variate + sample_many must reproduce sample + llr bit for bit,
-    # including the generator state left behind.
-    abnormal = np.random.default_rng(1).random(200) < 0.5
+    # base_variate, law and observations must reproduce sample bit for bit,
+    # including the generator state left behind, and the engine's step must
+    # reproduce llr: the law of every cell of every row, as a chunk maps its
+    # truth mask, then the probes' laws and their LLRs.
+    abnormal = np.random.default_rng(1).random((20, 10)) < 0.5
+    probes = np.random.default_rng(2).permutation(200)
     scalar_rng, batched_rng = np.random.default_rng(11), np.random.default_rng(11)
-    ys = [model.sample(bool(a), scalar_rng) for a in abnormal]
-    y, llr = model.sample_many(abnormal, model.base_variate(batched_rng, out=np.empty(200)))
-    assert y.tolist() == ys
-    assert llr.tolist() == [model.llr(v) for v in ys]
+    ys = [model.sample(bool(a), scalar_rng) for a in abnormal.ravel()[probes]]
+    base = model.base_variate(batched_rng, out=np.empty(200))
+    law = model.law(abnormal).ravel()[probes]
+    assert model.observations(law, base).tolist() == ys
+    assert model.llrs(law, base).tolist() == [model.llr(v) for v in ys]
     assert scalar_rng.random() == batched_rng.random()
+    # The same at the ends of base_range, the most extreme base variates.
+    ends = np.array(model.base_range)
+    for a in (False, True):
+        law = model.law(np.full(2, a))
+        ys = model.observations(law, ends).tolist()
+        assert model.llrs(law, ends).tolist() == [model.llr(v) for v in ys]
 
 
 @given(
@@ -273,7 +283,8 @@ def test_any_spec_builds_a_model_or_raises_model_error(spec):
     base = np.concatenate([model.base_variate(np.random.default_rng(0), out=np.empty(64)),
                            EXTREME_BASE[model.kind]])
     for abnormal in (False, True):
-        y, llr = model.sample_many(np.full(base.size, abnormal), base)
+        law = model.law(np.full(base.size, abnormal))
+        y, llr = model.observations(law, base), model.llrs(law, base)
         assert np.isfinite(y).all() and np.isfinite(llr).all(), (abnormal, y, llr)
         scalar = model.sample(abnormal, np.random.default_rng(1))
         assert math.isfinite(model.llr(scalar))

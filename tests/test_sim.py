@@ -1,9 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anomsearch import sim
 from anomsearch import (
@@ -311,6 +316,32 @@ class TestAggregate:
             aggregate(row, [cost])[0] for row, cost in zip(rows, costs)]
         if n > 1:
             assert [m.sigma > 0.0 for m in aggregate(grid, costs)] == [True, False, True]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(1, 5), n=st.integers(2, 400), top=st.sampled_from([2, 50, 10**6]),
+       seed=st.integers(0, 2**32 - 1))
+def test_quantiles_equal_numpy_quantile(rows, n, top, seed):
+    # aggregate's order statistics, on integer-valued stopping times as the
+    # engine gives them, must be np.quantile's bit for bit.
+    taus = np.random.default_rng(seed).integers(0, top, (rows, n)).astype(float)
+    want = np.quantile(taus, [0.025, 0.975], axis=1)
+    got = sim._quantiles(taus, (0.025, 0.975))
+    assert [q.tobytes() for q in got] == [q.tobytes() for q in want]
+
+
+def test_aggregate_leaves_numpy_ma_unloaded():
+    # np.quantile imports numpy.ma on its first call in a process (about
+    # 15 ms); aggregate gets its quantiles without it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from anomsearch import Exponential, ExperimentConfig, run_experiment; "
+            "cfg = ExperimentConfig(num_cells=4, probes_per_round=1, policy='dgf', "
+            "model=Exponential(0.5, 10.0), neg_log_c=(3.0,), trials=50, seed=7); "
+            "(_, m), = run_experiment(cfg); "
+            "print(m.sigma > 0, m.r_empirical > 0, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["True", "True", "False"]
 
 
 def test_error_probability_tracks_cost_bound():

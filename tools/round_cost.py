@@ -43,13 +43,23 @@ at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
 Run from the repository root: ``python3 tools/round_cost.py [--json]``.
 It reads the package from ``src/`` next to this file, so a copy of this
 script in another checkout measures that checkout.
+
+``--against PATH`` compares this checkout with another one instead: it
+imports the package a second time from ``PATH/src`` (or from ``PATH`` if
+that holds ``anomsearch/`` itself), and for each (config, trials) times one
+pass per seed on each side, the best of ``REPEATS``, alternating which side
+goes first. It prints each side's median ms per pass, their ratio (this
+checkout over PATH), the seeds on which this checkout was faster, and
+whether both sides gave bit-identical columns.
 """
 
 from __future__ import annotations
 
 import argparse
 import dis
+import importlib.util
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -59,35 +69,41 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
-from anomsearch import Bernoulli, ExperimentConfig, Exponential  # noqa: E402
-from anomsearch import sim  # noqa: E402
+import anomsearch  # noqa: E402
+from anomsearch import ExperimentConfig, sim  # noqa: E402
 
+BERNOULLI_LOW = {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.4}
+BERNOULLI_TABLE1 = {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}
+EXPONENTIAL_FIG2 = {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}
 CONFIGS = {
     "dgf_l": dict(num_cells=8, probes_per_round=3, num_targets=2, policy="dgf_l",
-                  model=Bernoulli(0.1, 0.4)),
+                  model=BERNOULLI_LOW),
     "unknown_l": dict(num_cells=3, probes_per_round=1, num_targets=2, policy="unknown_l",
-                      model=Bernoulli(0.1, 0.6), fixed_hypothesis=(0,)),
+                      model=BERNOULLI_TABLE1, fixed_hypothesis=(0,)),
     "chernoff_generic": dict(num_cells=3, probes_per_round=1, num_targets=2,
-                             policy="chernoff_generic", model=Bernoulli(0.1, 0.6),
+                             policy="chernoff_generic", model=BERNOULLI_TABLE1,
                              fixed_hypothesis=(0,)),
     "fig2_dgf": dict(num_cells=5, probes_per_round=1, policy="dgf",
-                     model=Exponential(0.5, 10.0), neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
+                     model=EXPONENTIAL_FIG2, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
     "fig2_chernoff": dict(num_cells=5, probes_per_round=1, policy="chernoff",
-                          model=Exponential(0.5, 10.0), neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
+                          model=EXPONENTIAL_FIG2, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
 }
 TRIALS = (1, 100, 1000)
 SEEDS = range(20)
 REPEATS = 3
 
 
-def config(name: str, trials: int, seed: int) -> ExperimentConfig:
-    return ExperimentConfig(**{"neg_log_c": (8.0,), **CONFIGS[name]}, trials=trials, seed=seed)
+def config(name: str, trials: int, seed: int, package=anomsearch) -> ExperimentConfig:
+    """Config ``name`` built from ``package``'s own classes."""
+    fields = {"neg_log_c": (8.0,), **CONFIGS[name], "trials": trials, "seed": seed}
+    fields["model"] = package.model_from_dict(fields["model"])
+    return package.ExperimentConfig(**fields)
 
 
-def one_pass(cfg: ExperimentConfig) -> tuple[float, int]:
-    """Seconds for one engine pass over cfg's trials, and its rounds."""
+def one_pass(cfg: ExperimentConfig, engine=sim) -> tuple[float, int]:
+    """Seconds for one pass of ``engine`` (a ``sim`` module) over cfg's trials, and its rounds."""
     start = time.perf_counter()
-    chunks = sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    chunks = engine._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
     elapsed = time.perf_counter() - start
     return elapsed, sum(int(chunk.tau.max()) + 1 for chunk in chunks)
 
@@ -225,10 +241,66 @@ def measure() -> list[dict]:
     return rows
 
 
+def load_package(path: Path, name: str = "anomsearch_against"):
+    """The ``anomsearch`` package under ``path/src`` (or ``path``), imported as ``name``."""
+    src = path / "src" if (path / "src" / "anomsearch").is_dir() else path
+    init = src / "anomsearch" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+def compare(against: Path) -> list[dict]:
+    """Per (config, trials): alternated pass times of this checkout and of ``against``."""
+    sides = (anomsearch, load_package(against))
+    rows = []
+    for name in CONFIGS:
+        for trials in TRIALS:
+            times: tuple[list, list] = ([], [])
+            identical = True
+            for seed in SEEDS:
+                cfgs = [config(name, trials, seed, package) for package in sides]
+                grids = [side.sim._run_grid(cfg, cfg.costs) for side, cfg in zip(sides, cfgs)]
+                identical &= all(a is None and b is None or np.array_equal(a, b)
+                                 for a, b in zip(*grids))
+                for i in ((0, 1) if seed % 2 == 0 else (1, 0)):
+                    engine = sides[i].sim
+                    times[i].append(min(one_pass(cfgs[i], engine)[0] for _ in range(REPEATS)))
+            this, other = (statistics.median(side) * 1e3 for side in times)
+            rows.append({
+                "config": name,
+                "trials": trials,
+                "this_ms": round(this, 3),
+                "against_ms": round(other, 3),
+                "ratio": round(this / other, 3),
+                "wins": sum(a < b for a, b in zip(*times)),
+                "seeds": len(SEEDS),
+                "identical": identical,
+            })
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--json", action="store_true", help="print one JSON list instead")
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="compare pass times with the checkout at PATH")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        rows = compare(args.against)
+        if args.json:
+            print(json.dumps(rows))
+            return 0
+        print(f"{'config':<16} {'trials':>6} {'this ms':>9} {'against ms':>10} {'ratio':>6} "
+              f"{'wins':>7} {'identical':>9}")
+        for row in rows:
+            print(f"{row['config']:<16} {row['trials']:>6} {row['this_ms']:>9.3f} "
+                  f"{row['against_ms']:>10.3f} {row['ratio']:>6.3f} "
+                  f"{row['wins']:>3}/{row['seeds']:<3} {str(row['identical']):>9}")
+        return 0
     rows = measure()
     if args.json:
         print(json.dumps(rows))
