@@ -17,6 +17,11 @@ into the output directory:
     ``warnings``: one line per row whose trials hit the round budget
     (also printed to stderr as ``warning:`` lines), empty when none did.
 
+Files already in the output directory are overwritten in place and cut to
+their new length; no output is truncated to zero before it is written.
+Files an earlier run left that this run does not write, such as its
+``trials_*.csv``, are left alone.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
 preset runs the solver cross-checks instead of a simulation and exits 0
 only if every check passes (1 otherwise).
@@ -25,17 +30,19 @@ only if every check passes (1 otherwise).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
 import math
+import os
 import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 import scipy
@@ -172,7 +179,8 @@ class RunSpec:
     diagnostics: bool = ExperimentConfig.diagnostics
 
     def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "model": model_to_dict(self.model)}
+        # vars, not dataclasses.asdict: the fields are immutable, so no deep copy.
+        return {**vars(self), "model": model_to_dict(self.model)}
 
     def experiment_config(self, policy: str) -> ExperimentConfig:
         return ExperimentConfig(
@@ -372,6 +380,20 @@ def _run_spec(spec: RunSpec, workers: int,
     return rows, last
 
 
+@contextlib.contextmanager
+def _output(path: Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened for writing UTF-8 text over its old bytes, cut to length on exit.
+
+    No ``O_TRUNC``: on ext4 with ``auto_da_alloc`` (its default), truncating a
+    file written milliseconds earlier took about 250 us in ``open`` against 25 us
+    without, on a 2-vCPU VM. A new file gets mode 0o666 less the umask.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
+              newline=newline) as fh:
+        yield fh
+        fh.truncate()
+
+
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
                  extra: Mapping[str, Any] | None = None, workers: int = 1) -> dict:
     """Write results.csv and summary.json under out_dir; returns the manifest.
@@ -383,7 +405,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     out.mkdir(parents=True, exist_ok=True)
 
     csv_path = out / "results.csv"
-    with csv_path.open("w", encoding="utf-8", newline="") as fh:
+    with _output(csv_path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for row in rows:
@@ -409,7 +431,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     if extra:
         summary.update({k: v for k, v in extra.items() if k != "outputs"})
-    with (out / "summary.json").open("w", encoding="utf-8") as fh:
+    with _output(out / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2, sort_keys=False) + "\n")
     return manifest
 
@@ -423,7 +445,7 @@ def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
     truncated trial (``truncated`` 1) or of one that stopped declaring no cell."""
     n = len(trials.tau)
     tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with _output(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct",
                          "truncated"))

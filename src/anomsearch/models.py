@@ -128,6 +128,10 @@ class Exponential:
     def __post_init__(self) -> None:
         if not (self.lambda_f > 0 and self.lambda_g > 0):
             raise ModelError("exponential rates must be positive")
+        for ratio in (self.lambda_g / self.lambda_f, self.lambda_f / self.lambda_g):
+            if not 0.0 < ratio < math.inf:
+                raise ModelError(f"exponential lambda_f = {self.lambda_f:g} and lambda_g = "
+                                 f"{self.lambda_g:g}: their ratio overflows")
         object.__setattr__(self, "_log_ratio", math.log(self.lambda_g / self.lambda_f))
         object.__setattr__(self, "_rate_gap", self.lambda_g - self.lambda_f)
         _require_informative(self)
@@ -298,11 +302,21 @@ class Tabulated:
         object.__setattr__(self, "_llrs", llrs)
         object.__setattr__(self, "_llr_table", dict(zip(support, llrs)))
         # The batched form's tables, as arrays so that no call converts them: the
-        # support and LLRs by position, and the cumulative bins it searches.
+        # support and LLRs by position, and the bins it searches. A draw's bin
+        # among both pmfs' breakpoints maps to its position in either pmf's
+        # support: row a, column j of _bins holds what searchsorted(cum_a, x,
+        # side="right") gives for any x in bin j, since no breakpoint of either
+        # pmf lies inside a bin. sample searches cum_a itself.
         object.__setattr__(self, "_support_array", np.array(support))
         object.__setattr__(self, "_llr_array", np.array(llrs))
-        object.__setattr__(self, "_cum_f", _cumulative(pmf_f))
-        object.__setattr__(self, "_cum_g", _cumulative(pmf_g))
+        cum = (_cumulative(pmf_f), _cumulative(pmf_g))
+        edges = np.union1d(*cum)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_bins", np.array(
+            [np.searchsorted(c, np.concatenate(([-math.inf], edges)), side="right")
+             for c in cum]))
+        object.__setattr__(self, "_cum_f", cum[0])
+        object.__setattr__(self, "_cum_g", cum[1])
         _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
@@ -323,8 +337,8 @@ class Tabulated:
 
     def _outcome(self, abnormal: np.ndarray, base: np.ndarray) -> np.ndarray:
         """Each draw's position in the support."""
-        return np.where(abnormal, np.searchsorted(self._cum_g, base, side="right"),
-                        np.searchsorted(self._cum_f, base, side="right"))
+        return self._bins[abnormal.astype(np.intp),
+                          np.searchsorted(self._edges, base, side="right")]
 
     def llr(self, y: float) -> float:
         try:

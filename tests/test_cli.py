@@ -452,6 +452,107 @@ class TestMainCommand:
         assert grids.call_count == 0
 
 
+    def test_exponential_ratio_overflow_names_both_rates(self, tmp_path, capsys):
+        code, out = self.run_main(tmp_path, "--model", "exponential", "--lambda-f", "1e-300",
+                                  "--lambda-g", "1e300")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "lambda_f" in err and "lambda_g" in err and "ratio overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestToDict:
+    SPECS = {"default": [], **{name: [layer] for name, layer in PRESETS.items()},
+             "priors": [{"priors": [0.1, 0.2, 0.3, 0.2, 0.2]}],
+             "fixed_hypothesis": [{"M": 4, "fixed_hypothesis": [2]}]}
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_matches_the_deep_copied_form(self, name):
+        spec = resolve_config(*self.SPECS[name])
+        expected = {**dataclasses.asdict(spec), "model": cli.model_to_dict(spec.model)}
+        assert spec.to_dict() == expected
+        assert json.dumps(spec.to_dict(), indent=2) == json.dumps(expected, indent=2)
+
+    def test_defaults_are_unchanged(self):
+        spec = cli.RunSpec()
+        assert cli._DEFAULTS == {**dataclasses.asdict(spec),
+                                 "model": cli.model_to_dict(spec.model)}
+
+
+class TestOutputFiles:
+    @staticmethod
+    def contents(out):
+        """Every file under out by name, summary.json without its timestamp line."""
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        files["summary.json"] = b"".join(
+            line for line in files["summary.json"].splitlines(keepends=True)
+            if not line.lstrip().startswith(b'"created": '))
+        return files
+
+    @pytest.mark.parametrize("first, second", [
+        (["--neg-log-c", "1,2,3,4,5", "--trials", "30"], ["--neg-log-c", "2", "--trials", "30"]),
+        (["--trials", "200", "--diagnostics"], ["--trials", "20", "--diagnostics"]),
+    ], ids=["grid", "diagnostics"])
+    def test_rerun_over_a_longer_run_matches_a_fresh_directory(self, tmp_path, first, second):
+        common = ["--policy", "dgf,chernoff", "--M", "3", "--seed", "5"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main([*common, *first, "--out", str(reused)]) == 0
+        longer = {path.name: path.stat().st_size for path in reused.iterdir()}
+        assert main([*common, *second, "--out", str(reused)]) == 0
+        assert main([*common, *second, "--out", str(fresh)]) == 0
+        assert self.contents(reused) == self.contents(fresh)
+        # Every file shrank, so the rerun had old bytes to cut.
+        assert all(path.stat().st_size < longer[path.name] for path in reused.iterdir())
+
+    def test_new_files_get_the_mode_open_gives(self, tmp_path):
+        spec = resolve_config(TINY)
+        (row,) = run_spec(spec)
+        for umask in (0o022, 0o077):
+            old = os.umask(umask)
+            try:
+                out = tmp_path / f"umask-{umask:o}"
+                emit_results([row], spec, out)
+                with open(tmp_path / f"reference-{umask:o}", "w"):
+                    pass
+            finally:
+                os.umask(old)
+            expected = (tmp_path / f"reference-{umask:o}").stat().st_mode
+            assert expected & 0o777 == 0o666 & ~umask
+            for path in out.iterdir():
+                assert path.stat().st_mode == expected, path.name
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path):
+        spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "diagnostics": True})
+        rows, last = cli._run_spec(spec, 1, None)
+        out = tmp_path / "out"
+        flags: dict[str, list[int]] = {}
+        os_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.setdefault(Path(path).name, []).append(flag)
+            return os_open(path, flag, *args, **kwargs)
+
+        for _ in range(2):  # into a new directory, then over the same files
+            with mock.patch.object(os, "open", recording_open):
+                extra = cli._run_diagnostics(out, last, None)
+                emit_results(rows, spec, out, extra=extra)
+        names = ["results.csv", "summary.json", "trials_dgf.csv", "trials_chernoff.csv"]
+        assert sorted(flags) == sorted(names)
+        for name in names:
+            assert len(flags[name]) == 2
+            assert all(flag & os.O_WRONLY and not flag & os.O_TRUNC for flag in flags[name])
+
+    def test_an_unwritable_output_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(TINY))
+        assert main([str(config), "--out", str(out)]) == 3
+        assert "i/o error: " in capsys.readouterr().err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats alone is about half a second of start-up; nothing needs it.
     src = Path(__file__).resolve().parents[1] / "src"

@@ -60,6 +60,13 @@ def test_identical_distributions_rejected(bad):
         bad()
 
 
+@pytest.mark.parametrize("lambda_f, lambda_g", [(1e-300, 1e300), (1e300, 1e-300),
+                                                 (5e-324, 1.0), (1e308, 1e-10)])
+def test_exponential_ratio_overflow_names_both_rates(lambda_f, lambda_g):
+    with pytest.raises(ModelError, match="lambda_f .* and lambda_g .*: their ratio overflows"):
+        Exponential(lambda_f, lambda_g)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ModelError):
         Exponential(-1.0, 2.0)
@@ -101,6 +108,34 @@ def test_tabulated_matches_bernoulli():
     assert tab.kl_divergences() == pytest.approx(bern.kl_divergences(), rel=1e-12)
     assert tab.llr(1.0) == pytest.approx(bern.llr(1.0), rel=1e-12)
     assert tab.llr(0.0) == pytest.approx(bern.llr(0.0), rel=1e-12)
+
+
+
+def _random_pmf(rng, size):
+    pmf = rng.random(size) + 0.05
+    return tuple(pmf / pmf.sum())
+
+
+@pytest.mark.parametrize("model", [
+    Tabulated((0.0, 1.0), (0.9, 0.1), (0.4, 0.6)),
+    # Breakpoints 0.5 and 1.0 are shared by both pmfs.
+    Tabulated((0.0, 1.0, 2.0, 3.0), (0.25, 0.25, 0.25, 0.25), (0.125, 0.375, 0.375, 0.125)),
+    Tabulated(tuple(range(40)), _random_pmf(np.random.default_rng(1), 40),
+              _random_pmf(np.random.default_rng(2), 40)),
+], ids=["two", "shared-breakpoints", "forty"])
+def test_tabulated_one_search_matches_two(model):
+    # One search over the union of breakpoints gives each draw the support
+    # position that searching its own pmf's breakpoints gives.
+    cum_f, cum_g = model._cum_f, model._cum_g
+    base = np.concatenate([np.random.default_rng(0).random(4000), cum_f, cum_g,
+                           np.nextafter(cum_f, 0.0), np.nextafter(cum_g, 0.0),
+                           [0.0, 1.0 - 2.0**-53]])
+    base = base[base < 1.0]
+    for abnormal in (np.zeros(base.size, bool), np.ones(base.size, bool),
+                     np.random.default_rng(3).random(base.size) < 0.5):
+        two = np.where(abnormal, np.searchsorted(cum_g, base, side="right"),
+                       np.searchsorted(cum_f, base, side="right"))
+        assert model._outcome(abnormal, base).tolist() == two.tolist()
 
 
 # Each model's exact dict form: kind, then its fields in declaration order,
