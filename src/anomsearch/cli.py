@@ -17,10 +17,11 @@ into the output directory:
     ``warnings``: one line per row whose trials hit the round budget
     (also printed to stderr as ``warning:`` lines), empty when none did.
 
-Files already in the output directory are overwritten in place and cut to
-their new length; no output is truncated to zero before it is written.
-Files an earlier run left that this run does not write, such as its
-``trials_*.csv``, are left alone.
+Each output is rendered to one string and written as UTF-8 bytes with
+``\\n`` line ends on every platform. Files already in the output directory
+are overwritten in place and cut to their new length; no output is
+truncated to zero before it is written. Files an earlier run left that
+this run does not write, such as its ``trials_*.csv``, are left alone.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
 preset runs the solver cross-checks instead of a simulation and exits 0
@@ -30,8 +31,6 @@ only if every check passes (1 otherwise).
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -42,7 +41,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 import scipy
@@ -380,18 +379,70 @@ def _run_spec(spec: RunSpec, workers: int,
     return rows, last
 
 
-@contextlib.contextmanager
-def _output(path: Path, newline: str | None = None) -> Iterator[TextIO]:
-    """``path`` opened for writing UTF-8 text over its old bytes, cut to length on exit.
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path``'s old bytes and cut the file to its length.
 
     No ``O_TRUNC``: on ext4 with ``auto_da_alloc`` (its default), truncating a
     file written milliseconds earlier took about 250 us in ``open`` against 25 us
     without, on a 2-vCPU VM. A new file gets mode 0o666 less the umask.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8",
-              newline=newline) as fh:
-        yield fh
-        fh.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        done = 0
+        while done < len(data):  # os.write may write less than it is given
+            done += os.write(fd, data[done:])
+        os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
+
+
+def _csv(rows: Iterable[Iterable[Any]]) -> str:
+    """``rows`` as ``csv.writer(fh, lineterminator="\\n")`` writes them. No field
+    needs quoting: policy names are validated, every other field is a number
+    or ``|``-joined cell indices."""
+    return "".join([",".join(map(str, row)) + "\n" for row in rows])
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """Encodes a container of scalars at nesting ``depth`` in one C-accelerated call:
+    its item separator carries the indent, so only the brackets need a line each."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _json(value: Any, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)``. Each run of scalar items in a container is
+    one encoder call; only the containers among the items recurse."""
+    encoder = _json_encoder(depth)
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return encoder.encode(value)
+    parts, run = [], []
+    for item in value.items() if is_dict else value:
+        inner = item[1] if is_dict else item
+        if not isinstance(inner, _CONTAINERS):
+            run.append(item)
+            continue
+        if run:  # its items come out already indented by the encoder's separator
+            parts.append(encoder.encode(dict(run) if is_dict else run)[1:-1])
+            run = []
+        text = _json(inner, depth + 1)
+        if is_dict:  # a key that is not a str is converted, or rejected, as json does
+            key = item[0]
+            key = encoder.encode(key) if isinstance(key, str) else encoder.encode({key: 0})[1:-4]
+            text = f"{key}: {text}"
+        parts.append(text)
+    if run:
+        parts.append(encoder.encode(dict(run) if is_dict else run)[1:-1])
+    opening, closing = "{}" if is_dict else "[]"
+    if not parts:
+        return opening + closing
+    sep = encoder.item_separator
+    return f"{opening}{sep[1:]}{sep.join(parts)}\n{'  ' * depth}{closing}"
 
 
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
@@ -404,12 +455,8 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    csv_path = out / "results.csv"
-    with _output(csv_path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in _CSV_COLUMNS])
+    _write(out / "results.csv",
+           _csv([_CSV_COLUMNS, *([_fmt(row[col]) for col in _CSV_COLUMNS] for row in rows)]))
 
     outputs = ["results.csv", "summary.json"]
     if extra:
@@ -431,8 +478,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     if extra:
         summary.update({k: v for k, v in extra.items() if k != "outputs"})
-    with _output(out / "summary.json") as fh:
-        fh.write(json.dumps(summary, indent=2, sort_keys=False) + "\n")
+    _write(out / "summary.json", _json(summary) + "\n")
     return manifest
 
 
@@ -445,14 +491,11 @@ def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
     truncated trial (``truncated`` 1) or of one that stopped declaring no cell."""
     n = len(trials.tau)
     tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
-    with _output(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct",
-                         "truncated"))
-        writer.writerows(zip(
-            range(n), map(_cells, trials.truth.tolist()), map(_cells, trials.decided.tolist()),
-            trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist(),
-            trials.truncated.astype(int).tolist()))
+    _write(path, _csv([
+        ("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct", "truncated"),
+        *zip(range(n), map(_cells, trials.truth.tolist()), map(_cells, trials.decided.tolist()),
+             trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist(),
+             trials.truncated.astype(int).tolist())]))
 
 
 def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],

@@ -407,10 +407,16 @@ _MIN_HASHED = 8
 
 
 class _Words(ISeedSequence):
-    """A seed sequence that hands its bit generator four precomputed uint64 words."""
+    """A seed sequence that hands its bit generator four precomputed uint64 words.
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+    One holder serves every generator of a :func:`_trial_generators` call,
+    its ``words`` rebound before each: PCG64 reads ``generate_state`` once, in
+    its ``__init__``, and never again. The holder stays local to the call, so
+    no other thread or process sees it rebound; a generator keeps it only as
+    its ``seed_seq``, which nothing reads and which cannot spawn.
+    """
+
+    words: np.ndarray
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.words
@@ -428,9 +434,11 @@ def _trial_generators(seed: int, trials: range) -> list[np.random.Generator]:
     of ranges shorter than ``_MIN_HASHED``.
     """
     global _seeding_verified
+    holder = _Words()
 
     def seeded(words):
-        return np.random.Generator(np.random.PCG64(_Words(words)))
+        holder.words = words
+        return np.random.Generator(np.random.PCG64(holder))
 
     if _seeding_verified is None:
         _seeding_verified = all(

@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings, strategies as st
 
 from anomsearch import cli, rate_single, sim, unknownl_lower_bound
 from anomsearch.cli import (
@@ -544,6 +545,29 @@ class TestOutputFiles:
             assert len(flags[name]) == 2
             assert all(flag & os.O_WRONLY and not flag & os.O_TRUNC for flag in flags[name])
 
+    def test_short_writes_still_write_every_byte(self, tmp_path):
+        spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "diagnostics": True})
+        rows, last = cli._run_spec(spec, 1, None)
+        os_write = os.write
+        calls: list[int] = []
+
+        def short_write(fd, data):  # at most 3 bytes per call, as a pipe or a signal may give
+            calls.append(fd)
+            return os_write(fd, bytes(data[:3]))
+
+        def write(out, patched):
+            with mock.patch.object(os, "write", short_write if patched else os_write):
+                extra = cli._run_diagnostics(out, last, None)
+                emit_results(rows, spec, out, extra=extra)
+            return self.contents(out)
+
+        whole = write(tmp_path / "whole", False)
+        assert write(tmp_path / "short", True) == whole
+        assert len(calls) >= sum(len(data) for data in whole.values()) // 3
+        # Over the same files again, which are cut back to the new length.
+        (tmp_path / "short" / "results.csv").write_bytes(b"x" * 100_000)
+        assert write(tmp_path / "short", True) == whole
+
     def test_an_unwritable_output_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "summary.json").mkdir(parents=True)
@@ -551,6 +575,109 @@ class TestOutputFiles:
         config.write_text(json.dumps(TINY))
         assert main([str(config), "--out", str(out)]) == 3
         assert "i/o error: " in capsys.readouterr().err
+
+
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**300, -2**64]),
+    st.text(max_size=6), st.sampled_from(["é", "雪", "\U0001f600", "\x00\n\"\\"]))
+json_keys = st.one_of(st.text(max_size=4), st.integers(-2**70, 2**70), st.floats(), st.booleans(),
+                      st.none())
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(json_keys, inner, max_size=4)), max_leaves=24)
+
+
+class TestRendering:
+    """The outputs are rendered without the csv and indented-json encoders,
+    to the bytes those encoders write."""
+
+    @given(json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_json_matches_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{(1, 2): 3}, {(1, 2): [3]}, {"a": [{object(): 1}]}],
+                             ids=["flat", "nested", "deep"])
+    def test_json_rejects_the_keys_json_dumps_rejects(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+    def test_summaries_match_json_dumps(self, tmp_path):
+        spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "neg_log_c": [1.0, 2.0],
+                               "diagnostics": True})
+        rows, last = cli._run_spec(spec, 1, None)
+        rows[1] = dict(rows[1], truncations=3)  # so that the summary carries a warning
+        rendered = []
+        json_render = cli._json
+
+        def recording(value, depth=0):
+            if depth == 0:
+                rendered.append(value)
+            return json_render(value, depth)
+
+        with mock.patch.object(cli, "_json", recording):
+            extra = cli._run_diagnostics(tmp_path, last, None)
+            emit_results(rows, spec, tmp_path, extra=extra, workers=2)
+        (summary,) = rendered
+        assert summary["warnings"] and summary["diagnostics"]["dgf"]["tau1_decay"]
+        assert (tmp_path / "summary.json").read_bytes() == (
+            json.dumps(summary, indent=2) + "\n").encode()
+
+    @staticmethod
+    def csv_writer_bytes(rows):
+        fh = io.StringIO(newline="")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+        return fh.getvalue().encode()
+
+    def test_results_csv_matches_csv_writer(self, tmp_path):
+        spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "neg_log_c": [1.0, 2.0]})
+        rows = run_spec(spec)
+        rows[0] = dict(rows[0], truncations=7, relative_loss=math.nan, ci_high=math.inf)
+        emit_results(rows, spec, tmp_path)
+        expected = self.csv_writer_bytes(
+            [_CSV_COLUMNS, *([cli._fmt(row[col]) for col in _CSV_COLUMNS] for row in rows)])
+        assert (tmp_path / "results.csv").read_bytes() == expected
+
+    def test_trial_csvs_match_csv_writer(self, tmp_path):
+        # unknown_l: tau1 untracked, some trials stop declaring no cell, and a
+        # round budget of 2 truncates others; dgf with diagnostics tracks tau1.
+        unknown = resolve_config({
+            "policies": ["unknown_l"], "M": 3, "L": 2, "true_target_count": 1,
+            "model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}, "neg_log_c": [0.7],
+            "trials": 200, "seed": 1}).experiment_config("unknown_l")
+        tracked = resolve_config({**TINY, "diagnostics": True}).experiment_config("dgf")
+        cases = {
+            "cut": (dataclasses.replace(unknown, max_rounds=2), math.exp(-0.7)),
+            "undeclared": (unknown, math.exp(-0.7)),
+            "tau1": (tracked, math.exp(-2.0)),
+        }
+        seen = set()
+        for name, (cfg, cost) in cases.items():
+            trials = sim._row(sim._run_grid(cfg, (cost,)), 0)
+            path = tmp_path / f"{name}.csv"
+            _write_trial_csv(path, trials)
+            n = len(trials.tau)
+            tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
+
+            def cells(masks):
+                return ["|".join(str(c) for c in np.flatnonzero(mask)) for mask in masks]
+
+            expected = self.csv_writer_bytes([
+                ("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct",
+                 "truncated"),
+                *zip(range(n), cells(trials.truth), cells(trials.decided), trials.tau.tolist(),
+                     trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist(),
+                     trials.truncated.astype(int).tolist())])
+            assert path.read_bytes() == expected, name
+            if trials.truncated.any():
+                seen.add("truncated")
+            if (~trials.truncated & ~trials.decided.any(axis=1)).any():
+                seen.add("undeclared")
+            seen.add("untracked" if trials.tau1 is None else "tracked")
+        assert seen == {"truncated", "undeclared", "untracked", "tracked"}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
