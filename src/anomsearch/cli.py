@@ -36,7 +36,6 @@ import functools
 import json
 import math
 import os
-import platform
 import sys
 import time
 from datetime import datetime, timezone
@@ -44,7 +43,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
-import scipy
 
 from . import __version__, sim
 from .models import (
@@ -296,8 +294,14 @@ def _environment() -> dict[str, str]:
     """The Python, NumPy, SciPy and platform versions; read once per process.
 
     NumPy may change its ``Generator`` streams between releases (NEP 19),
-    so a run replays bit for bit only under the recorded NumPy.
+    so a run replays bit for bit only under the recorded NumPy. SciPy and
+    ``platform`` are imported here, not with the module: SciPy's top level
+    alone is several milliseconds of every start.
     """
+    import platform
+
+    import scipy
+
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "platform": platform.platform()}
 

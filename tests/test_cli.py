@@ -690,6 +690,29 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "[]"
 
 
+_SCIPY_ON_FIRST_RUN = """
+import sys
+from anomsearch.cli import main
+print("scipy" in sys.modules, flush=True)
+code = main(["--M", "3", "--neg-log-c", "2", "--trials", "2", "--out", sys.argv[1]])
+print("scipy" in sys.modules, code, flush=True)
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded_until_the_manifest_reads_it(tmp_path):
+    # SciPy's top level is several milliseconds of every start, spent only
+    # to read its version into the manifest.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_RUN, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, check=True).stdout
+    lines = out.splitlines()
+    assert lines[0] == "False"
+    assert lines[-1] == "True 0"
+    manifest = json.loads((tmp_path / "summary.json").read_text())["manifest"]
+    assert manifest["environment"]["scipy"] == scipy.__version__
+
+
 _SOLVER_LOADS = """
 import io, sys
 from pathlib import Path

@@ -225,6 +225,47 @@ def block_rounds(spy):
     return {call.args[-1] for call in spy.call_args_list}
 
 
+def recording_round_draws(calls):
+    """A stand-in for ``sim._round_draws`` that appends to ``calls`` each
+    call's recipe, its trials, the times each callable recipe entry was
+    called, and the drawn array."""
+    round_draws = sim._round_draws
+
+    def record(recipe, picks, trials, at, rows):
+        counts = [0] * len(recipe)
+
+        def counted(j, draw):
+            def call(g):
+                counts[j] += 1
+                return draw(g)
+            return call
+
+        wrapped = tuple(draw if isinstance(draw, int) else counted(j, draw)
+                        for j, draw in enumerate(recipe))
+        drawn = round_draws(wrapped, picks, trials, at, rows)
+        calls.append((recipe, trials.tolist(), counts, drawn))
+        return drawn
+
+    return record
+
+
+def assert_one_round_draws(blocks, calls, config, draws, results):
+    """A recipe that mixes methods skips the block machinery: a spy on
+    ``sim._base_blocks`` saw no call, and the ``recording_round_draws``
+    record holds one call per engine round whose recipe is ``draws`` then
+    the K base variates, each entry drawn exactly once for each of the
+    call's trials."""
+    assert blocks.call_count == 0
+    # One chunk, untruncated: the rounds run to the longest trial's tau, and
+    # the round that ends it draws too.
+    assert len(calls) == max(result.tau for result in results) + 1
+    recipe = draws + (config.model.base_variate,) * config.probes_per_round
+    for got, trials, counts, drawn in calls:
+        assert got == recipe
+        assert counts == [0 if isinstance(draw, int) else len(trials) for draw in recipe]
+        assert drawn.shape[1] == len(recipe)
+
+
 def reference_aggregate(results, cost):
     """AggregateMetrics of a list of TrialResults, read back one object at a time."""
     n = len(results)
@@ -476,11 +517,18 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
         assert (draws == ()) == ahead
     expected = [[scalar_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
-    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+    one_round = []
+    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks, \
+            mock.patch.object(sim, "_round_draws", recording_round_draws(one_round)):
         grid = sim._run_grid(config, config.costs)
     got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
            for j in range(len(config.costs))]
-    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS if ahead else 1}
+    if ahead:
+        assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
+        assert one_round == []
+    else:
+        assert_one_round_draws(blocks, one_round, config, draws,
+                               [result for per_cost in expected for result, _ in per_cost])
     assert got == [[result for result, _ in per_cost] for per_cost in expected]
     cost, per_cost = config.costs[-1], expected[-1]
     longest = max(range(config.trials), key=lambda t: per_cost[t][0].tau)
@@ -510,7 +558,7 @@ def test_engine_rejects_costs_outside_unit_interval():
 # uniform per round whatever the model; the engine draws it ahead in
 # blocks of _BLOCK_ROUNDS rounds, before the round's base variate, when the
 # base variate is a uniform too (Bernoulli, Tabulated), and under the
-# ziggurat base variates (Exponential, Gaussian) in blocks of one round.
+# ziggurat base variates (Exponential, Gaussian) one round at a time.
 @pytest.mark.parametrize("kind, ahead", [
     ("bernoulli", True), ("tabulated", True), ("exponential", False), ("gaussian", False),
 ])
@@ -522,9 +570,16 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, cost, 2)
     assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == (np.random.Generator.random,)
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
-    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+    one_round = []
+    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks, \
+            mock.patch.object(sim, "_round_draws", recording_round_draws(one_round)):
         assert run_trials(config, cost) == [result for result, _ in expected]
-    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS if ahead else 1}
+    if ahead:
+        assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
+        assert one_round == []
+    else:
+        assert_one_round_draws(blocks, one_round, config, (np.random.Generator.random,),
+                               [result for result, _ in expected])
     longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
     replay = []
     assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
@@ -621,6 +676,98 @@ def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
         results = sim._trial_results(sim._row(grid, j), k)
         for t in (0, 435, 436, 999):
             assert results[t] == scalar_reference(wide, cost, t)[0]
+
+
+# Four costs far apart, so that a trial's rows end many rounds apart. dgf
+# and chernoff track tau1; chernoff (K = 2 < M) and chernoff_generic on
+# Exponential cells draw one round at a time, the others ahead in blocks.
+FROZEN_CASES = [
+    ("dgf", dict(num_cells=5, probes_per_round=2, model=Bernoulli(0.2, 0.7), diagnostics=True)),
+    ("chernoff", dict(num_cells=5, probes_per_round=2, model=Bernoulli(0.2, 0.7),
+                      diagnostics=True)),
+    ("dgf_l", dict(num_cells=6, probes_per_round=2, num_targets=2, model=Bernoulli(0.1, 0.4))),
+    ("seq_dgf_l", dict(num_cells=4, num_targets=2, model=Bernoulli(0.1, 0.4))),
+    ("seq_dgf_l", dict(num_cells=4, num_targets=2, model=Bernoulli(0.4, 0.1))),
+    ("unknown_l", dict(num_cells=4, num_targets=2, true_target_count=1,
+                       model=Bernoulli(0.1, 0.6))),
+    ("chernoff_generic", dict(num_cells=4, num_targets=2, true_target_count=1,
+                              model=Exponential(1.0, 4.0))),
+    ("chernoff_generic", dict(num_cells=4, num_targets=2, true_target_count=1,
+                              model=Bernoulli(0.1, 0.6))),
+]
+
+
+@pytest.mark.parametrize("policy, overrides", FROZEN_CASES,
+                         ids=["dgf", "chernoff", "dgf_l", "seq_dgf_l-g", "seq_dgf_l-f",
+                              "unknown_l", "chernoff_generic-one-round",
+                              "chernoff_generic-ahead"])
+def test_frozen_rows_stay_frozen(policy, overrides, monkeypatch):
+    # A row that reaches its last threshold stays in place, frozen, until
+    # half of the rows are: it must not reach, declare or be recorded
+    # again, and its trial draws nothing once none of its rows is unfrozen.
+    config = ExperimentConfig(**{"probes_per_round": 1, **overrides}, policy=policy,
+                              neg_log_c=(1.0, 8.0, 2.5, 5.0), trials=60, seed=31)
+    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+                for cost in config.costs]
+    # Each trial's last round: the round its last row freezes.
+    last = [max(per_cost[t].tau for per_cost in expected) for t in range(config.trials)]
+    assert not any(result.truncated for per_cost in expected for result in per_cost)
+    assert max(last) - min(result.tau for per_cost in expected for result in per_cost) > 20
+
+    entry, frozen_rounds = sim.POLICIES[policy], []
+
+    def checked_rule(cfg, pcfg):
+        rule, draws = entry.rule(cfg, pcfg)
+
+        def checked(live, n, drawn):
+            frozen = np.isnan(live.thr)
+            declared_at = live.last_declared[live.index[frozen]]
+            declared = None if live.declared is None else live.declared[frozen]
+            out = rule(live, n, drawn)
+            assert np.array_equal(live.last_declared[live.index[frozen]], declared_at)
+            if declared is not None:
+                assert np.array_equal(live.declared[frozen], declared)
+            frozen_rounds.append(np.count_nonzero(frozen))
+            return out
+
+        return checked, draws
+
+    keeps, keep = [], sim._LiveRows.keep
+
+    def counted_keep(self, kept):
+        keeps.append((np.count_nonzero(np.isnan(self.thr)), self.thr.size))
+        keep(self, kept)
+
+    blocks, one_round, base_blocks = [], [], sim._base_blocks
+
+    def recording_blocks(model, picks, live, width, rounds):
+        blocks.append(sorted(set((live % config.trials).tolist())))
+        return base_blocks(model, picks, live, width, rounds)
+
+    monkeypatch.setitem(sim.POLICIES, policy, dataclasses.replace(entry, rule=checked_rule))
+    monkeypatch.setattr(sim._LiveRows, "keep", counted_keep)
+    monkeypatch.setattr(sim, "_base_blocks", recording_blocks)
+    monkeypatch.setattr(sim, "_round_draws", recording_round_draws(one_round))
+    grid = sim._run_grid(config, config.costs)
+    assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
+            for j in range(len(config.costs))] == expected
+
+    # Every compaction finds at least half of the rows frozen, and rows
+    # stayed frozen in place for rounds before one dropped them.
+    assert keeps and all(2 * frozen >= rows for frozen, rows in keeps)
+    assert sum(1 for frozen in frozen_rounds if frozen) > len(keeps)
+    # The trials that draw in round n are those still unfrozen: whose last
+    # round is n or later.
+    def drawing(n):
+        return [t for t in range(config.trials) if last[t] >= n]
+
+    if one_round:
+        assert blocks == []
+        assert [trials for _, trials, _, _ in one_round] == [drawing(n) for n in range(max(last) + 1)]
+    else:
+        assert blocks == [drawing(n) for n in range(0, max(last) + 1, sim._BLOCK_ROUNDS)]
+    assert bool(one_round) == (policy == "chernoff"
+                               or isinstance(config.model, Exponential))
 
 
 @pytest.mark.parametrize("rounds", [1, 3])

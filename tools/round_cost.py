@@ -6,7 +6,7 @@ Runs the two configurations of the ``long_trials`` benchmark workload
 ``table1_example``, each at -log c = 8, and two on the fig2 scenario over
 its grid (-log c 1..5): ``dgf``, the ``short_trials`` workload, and
 ``chernoff``, the one benchmark config whose draws mix ``Generator``
-methods and so come in blocks of one round. Each runs through the engine
+methods and so are drawn one round at a time. Each runs through the engine
 at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
@@ -38,7 +38,10 @@ at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
   leaves out generator construction, the single-target truth draw's
   uniform, and ``integers`` calls that no wrapped callable makes: where
   the package has no pick reader, the subset truth draw's, and after a
-  failed pick self-check, every pick.
+  failed pick self-check, every pick;
+* ``compactions_per_pass``: calls of ``sim._LiveRows.keep`` in one pass
+  at seed 0, summed over the pass's chunks. Each call drops the rows that
+  have reached their last threshold from the live rows' arrays.
 
 Run from the repository root: ``python3 tools/round_cost.py [--json]``.
 It reads the package from ``src/`` next to this file, so a copy of this
@@ -181,6 +184,24 @@ def draw_calls(cfg: ExperimentConfig) -> int:
     return count
 
 
+def compactions(cfg: ExperimentConfig) -> int:
+    """Calls of ``sim._LiveRows.keep`` during one pass."""
+    count = 0
+    keep = sim._LiveRows.keep
+
+    def counted_keep(self, kept):
+        nonlocal count
+        count += 1
+        return keep(self, kept)
+
+    sim._LiveRows.keep = counted_keep
+    try:
+        sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
+    finally:
+        sim._LiveRows.keep = keep
+    return count
+
+
 OPERATORS = {dis.opmap[name] for name in ("BINARY_SUBSCR", "STORE_SUBSCR", "BINARY_OP",
                                           "COMPARE_OP", "UNARY_NEGATIVE", "UNARY_INVERT")}
 
@@ -237,6 +258,7 @@ def measure() -> list[dict]:
                 "numpy_calls_per_round": round(numpy_calls(cfg) / rounds, 1),
                 "operators_per_round": round(operators(cfg) / rounds, 1),
                 "draw_calls_per_round": round(draw_calls(cfg) / rounds, 1),
+                "compactions_per_pass": compactions(cfg),
             })
     return rows
 
@@ -306,12 +328,14 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(rows))
         return 0
     print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'ms/pass':>8} {'us/round':>9} "
-          f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17}")
+          f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17} "
+          f"{'compactions/pass':>17}")
     for row in rows:
         print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
               f"{row['ms_per_pass']:>8.3f} {row['us_per_round']:>9.2f} "
               f"{row['numpy_calls_per_round']:>18.1f} "
-              f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f}")
+              f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f} "
+              f"{row['compactions_per_pass']:>17}")
     return 0
 
 
