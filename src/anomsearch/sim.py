@@ -63,12 +63,10 @@ at the threshold, and a declared cell is frozen, so they get one row per
 (cost, trial), each with its cost's threshold. A row is recorded, with its
 key, only in a round where it first reaches a threshold; each cost's tau,
 decision and tau1 are read off that record after the loop, and a cost
-that a row never reached is truncated at the last round. A row that
-reaches its last threshold is frozen in place: its threshold turns NaN,
-which no comparison reaches, so it is never recorded again and declares
-no cell. The live rows' state (``_LiveRows``) is compacted only once at
-least half of its rows are frozen. Each round reads and writes it, and
-the trials' base-variate blocks, through flat indices.
+that a row never reached is truncated at the last round. Only rounds
+where some row ends compact the live rows' state (``_LiveRows``). Each
+round reads and writes it, and the trials' base-variate blocks, through
+flat indices.
 
 When a chunk starts, the model maps its truth mask to each cell's law
 (``model.law``: a rate, mean or success probability, or the truth bit
@@ -87,11 +85,9 @@ same engine on a grid of one cost. A rule builder returns its draw recipe
 as data, one entry per policy draw of a round (``_Draw``): an int bound b
 for an ``integers(b)`` pick, else the ``Generator`` method to call. It
 draws nothing. Each round's d policy draws come before its K base
-variates, and only trials that still have an unfrozen row draw: a frozen
-row of a trial that draws nothing reads zeros, a valid variate of every
-model, so its sums stay finite. Draws past a trial's end are never read
-and nothing follows them in the stream, so they are unobservable. How a
-round is drawn follows from the recipe:
+variates, and only trials that still have a live row draw. Draws past a
+trial's end are never read and nothing follows them in the stream, so
+they are unobservable. How a round is drawn follows from the recipe:
 
 * When every call is the base variate's own ``Generator`` method, a
   trial's stream after the truth draw is nothing but that method's
@@ -111,8 +107,8 @@ round is drawn follows from the recipe:
   uniform before a ziggurat base variate (Exponential, Gaussian), is
   drawn one round at a time by ``_round_draws``, straight into a (live
   rows, d + K) array in row order: each policy draw, then each of the K
-  base variates, for all the drawing trials at once. Such a rule never
-  reads the threshold, so it runs one row per trial.
+  base variates, for all the live trials at once. Such a rule never reads
+  the threshold, so it runs one row per trial.
 
 Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
 through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
@@ -717,22 +713,23 @@ def _run_lockstep(
 
 
 class _LiveRows:
-    """A chunk's live rows. ``S`` stays C-contiguous, so adding into
-    ``S.ravel()`` writes through. ``law`` holds each cell's law
-    (``model.law`` of the truth mask), which a round gathers for its probes;
-    ``truth``, the true cells, is kept only while tau1 is tracked, and
-    ``declared`` only for a rule that declares cells, else each is None.
+    """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
+    so adding into ``S.ravel()`` writes through. ``law`` holds each cell's
+    law (``model.law`` of the truth mask), which a round gathers for its
+    probes; ``truth``, the true cells, is kept only while tau1 is tracked,
+    and ``declared`` only for a rule that declares cells, else each is None.
     ``last_declared`` is per chunk row, not per live row. ``thr`` is each
-    live row's next threshold to reach, NaN once the row has reached its
-    last: such a row is frozen, and stays in place, still stepped on its
-    trial's variates or on zeros, until ``keep`` drops it. ``block_at``
-    holds where each row reads its K base variates of a block's first round
-    in the flat draws of :func:`_base_blocks`, fixed when the chunk starts."""
+    live row's next threshold to reach, a float while every row has the
+    same one. ``block_at`` holds where each row reads its K base variates of
+    a block's first round in the flat draws of :func:`_base_blocks`, fixed
+    when the chunk starts; block rows of trials without a live row are never
+    read. A recipe drawn one round at a time has no blocks, and
+    ``block_at`` is None."""
 
     __slots__ = ("index", "rows", "offsets", "S", "law", "truth", "declared", "thr",
                  "last_declared", "block_at")
 
-    def __init__(self, law: np.ndarray, thr: np.ndarray, block_at: np.ndarray,
+    def __init__(self, law: np.ndarray, thr: float | np.ndarray, block_at: np.ndarray | None,
                  truth: np.ndarray | None, declares: bool) -> None:
         count, m = law.shape
         self.index = self.rows = np.arange(count)
@@ -748,7 +745,8 @@ class _LiveRows:
     def keep(self, kept: np.ndarray) -> None:
         """Keep only the live rows at positions ``kept``, in order."""
         self.index = self.index[kept]
-        self.block_at = self.block_at[kept]
+        if self.block_at is not None:
+            self.block_at = self.block_at[kept]
         self.rows, self.offsets = self.rows[:kept.size], self.offsets[:kept.size]
         self.S = self.S.take(kept, axis=0)
         self.law = self.law.take(kept, axis=0)
@@ -756,11 +754,8 @@ class _LiveRows:
             self.truth = self.truth.take(kept, axis=0)
         if self.declared is not None:
             self.declared = self.declared.take(kept, axis=0)
-        self.thr = self.thr[kept]
-
-    def unfrozen(self) -> np.ndarray:
-        """Positions of the rows that have a threshold left to reach."""
-        return (self.thr == self.thr).nonzero()[0]
+        if isinstance(self.thr, np.ndarray):
+            self.thr = self.thr[kept]
 
 
 # A lockstep rule takes the live rows (``_LiveRows``), the round number and
@@ -850,10 +845,12 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rul
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
 
     def unknown(live, n, drawn):
-        S, declared = live.S, live.declared
+        S, declared, thr = live.S, live.declared, live.thr
+        if isinstance(thr, np.ndarray):
+            thr = thr[:, None]
         # A declared cell is frozen and its sum never read again, so it is
         # held at -inf: the rule neither declares nor probes it twice.
-        newly = S >= live.thr[:, None]
+        newly = S >= thr
         if np.count_nonzero(newly):
             declared |= newly
             S[newly] = -np.inf
@@ -884,6 +881,7 @@ def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Dr
         at = best + shift
         top = flat[at]
         flat[at] = -np.inf
+        # The runner-up: the first argmax once the ML set's score is gone.
         rival = flat[scores.argmax(axis=1) + shift]
         cell = (u < cum.take(best, axis=0)).argmax(axis=1)
         return top - rival, members.take(best, axis=0), cell[:, None]
@@ -910,20 +908,19 @@ def _lockstep_chunk(
     truth = _draw_truths(cfg, rngs, picks)
     track_tau1 = cfg.diagnostics and policy.targets == "one"
     grid_truth = np.tile(truth, (width, 1)) if width > 1 else truth
-    # A row reaches ``levels`` thresholds in turn; past the last, its next
-    # threshold is NaN, and the row is frozen.
+    # A row reaches ``levels`` thresholds in turn.
     if policy.reads_threshold or width == 1:
         # One row per (cost, trial), cost-major, each with its cost's threshold.
         levels, row_truth = 1, grid_truth
-        thr = np.repeat(thresholds, n_trials)
+        thr = np.repeat(thresholds, n_trials) if width > 1 else thresholds[0]
     else:
-        # One row per trial, climbing the thresholds in ascending order.
-        # ``lane`` holds where each (cost, trial), cost-major, sits among the
-        # levels, as trial * levels + level.
+        # One row per trial, climbing the thresholds in ascending order; past
+        # the top, its next threshold is infinity. ``lane`` holds where each
+        # (cost, trial), cost-major, sits among the levels, as trial * levels + level.
         levels, row_truth = width, truth
         ranks = np.argsort(thresholds, kind="stable")
         ladder = np.asarray(thresholds)[ranks]
-        above = np.append(ladder, np.nan)
+        above = np.append(ladder, np.inf)
         lane = (np.arange(n_trials) * width + np.argsort(ranks)[:, None]).ravel()
         thr = np.full(n_trials, ladder[0])
 
@@ -936,34 +933,33 @@ def _lockstep_chunk(
     # as fit in _BLOCK_BYTES, and row r reads block row r % n_trials; any
     # other is drawn one round at a time into the live rows.
     d = len(draws)
-    recipe = draws + (model.base_variate,) * k
     ahead = all(draw is model.base_variate for draw in draws)
-    rounds_ahead = min(_BLOCK_ROUNDS, max(1, _BLOCK_BYTES // (8 * n_trials * (d + k))))
-    lead = np.arange(-d, 0)
-    block_at = ((np.arange(count) % n_trials * rounds_ahead * (d + k))[:, None]
-                + np.arange(d, d + k))
+    block_at = None
+    if ahead:
+        rounds_ahead = min(_BLOCK_ROUNDS, max(1, _BLOCK_BYTES // (8 * n_trials * (d + k))))
+        lead = np.arange(-d, 0)
+        block_at = ((np.arange(count) % n_trials * rounds_ahead * (d + k))[:, None]
+                    + np.arange(d, d + k))
     live = _LiveRows(model.law(row_truth), thr, block_at, row_truth if track_tau1 else None,
                      policy.reads_threshold)
-    drawn, n, frozen = None, 0, 0
+    drawn, n = None, 0
     while True:
-        # Only trials that have an unfrozen row draw.
-        if ahead:
+        # Only trials that have a live row draw.
+        if not ahead:
+            # One row per trial, so a row's chunk index is its trial.
+            drawn, base = _round_draws(draws, model.base_variate, k, picks, live.index)
+        else:
             offset = (n % rounds_ahead) * (d + k)
             if not offset:
-                blocks = _base_blocks(model, picks, live.index[live.unfrozen()], d + k,
-                                      rounds_ahead)
+                blocks = _base_blocks(model, picks, live.index, d + k, rounds_ahead)
             if d:
                 # The round's d policy draws lie just before its base variates.
                 drawn = blocks[live.block_at[:, :1] + (lead + offset)]
-        else:
-            # One row per trial, so a row's chunk index is its trial.
-            at = live.unfrozen()
-            drawn = _round_draws(recipe, picks, live.index[at], at, len(live.thr))
-        margin, key, probe = rule(live, n, drawn if ahead else drawn[:, :d])
+        margin, key, probe = rule(live, n, drawn)
         reach = margin >= live.thr
         hit = reach.nonzero()[0]
         if hit.size:
-            found = live.index[hit]
+            done, found = reach, live.index[hit]
             hits.append(found)
             keys.append(key.take(hit, axis=0))
             rounds.append(n)
@@ -974,23 +970,21 @@ def _lockstep_chunk(
                 level = np.searchsorted(ladder, margin[hit], side="right")
                 reached.append(level)
                 live.thr[hit] = above[level]
-                frozen += np.count_nonzero(level == levels)
-            else:
-                live.thr[hit] = np.nan
-                frozen += hit.size
+                done = margin >= ladder[-1]
             if track_tau1:
                 breaks.append(last_break[found])
-        if n >= cfg.max_rounds:
-            break
-        if 2 * frozen >= len(live.thr):
-            kept = live.unfrozen()
-            if not kept.size:
+            kept = (~done).nonzero()[0]
+            if not kept.size or n >= cfg.max_rounds:
                 break
-            live.keep(kept)
-            probe, frozen = probe[kept], 0
-            if not ahead:
-                drawn = drawn[kept]
-        base = blocks[offset:][live.block_at] if ahead else drawn[:, d:]
+            if kept.size < done.size:
+                live.keep(kept)
+                probe = probe[kept]
+                if not ahead:
+                    base = base[kept]
+        elif n >= cfg.max_rounds:
+            break
+        if ahead:
+            base = blocks[offset:][live.block_at]
         # Observations are drawn in ascending cell order within a round.
         flat = probe + live.offsets
         if k > 1:
@@ -1046,30 +1040,31 @@ def _decisions(keys: list[np.ndarray], m: int) -> np.ndarray:
 def _base_blocks(model: ObservationModel, picks: _Picks, live: np.ndarray, width: int,
                  rounds: int) -> np.ndarray:
     """The next ``rounds`` rounds of ``width`` base variates of each chunk
-    trial t that has a row among ``live`` (row r is trial r % trials), one
-    array call per trial, flattened from block row t. Block rows of other
-    trials hold zeros, a valid variate of every model."""
+    trial t that has a ``live`` row (row r is trial r % trials), one array
+    call per trial, flattened from block row t; block rows of other trials
+    stay unfilled and are never read."""
     drawing = np.zeros(len(picks.rngs), dtype=bool)
     drawing[live % len(drawing)] = True
-    blocks = np.zeros((len(drawing), rounds * width))
+    blocks = np.empty((len(drawing), rounds * width))
     for t in drawing.nonzero()[0].tolist():
         model.base_variate(picks.rngs[t], out=blocks[t])
     return blocks.ravel()
 
 
-def _round_draws(recipe: _Draw, picks: _Picks, trials: np.ndarray, at: np.ndarray,
-                 rows: int) -> np.ndarray:
-    """One round of a recipe that mixes ``Generator`` methods, as a (rows,
-    len(recipe)) array whose row at[i] holds the draws of chunk trial
-    trials[i] in recipe order, drawn entry by entry for all the trials at
-    once: an int b is an ``integers(b)`` pick through ``picks``, any other
-    entry one scalar call per trial. Other rows hold zeros."""
+def _round_draws(draws: _Draw, base_variate: Callable[[np.random.Generator], float], k: int,
+                 picks: _Picks, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round of a recipe that mixes ``Generator`` methods, for chunk
+    trials ``trials``, one row each in that order: the (trials, d) policy
+    draws and the (trials, K) base variates. It draws entry by entry, each
+    policy draw then each base variate, for all the trials at once: an int b
+    is an ``integers(b)`` pick through ``picks``, any other entry one scalar
+    call per trial."""
     rngs = [picks.rngs[t] for t in trials.tolist()]
-    out = np.zeros((rows, len(recipe)))
-    for j, draw in enumerate(recipe):
-        out[at, j] = (picks.integers(draw, trials) if isinstance(draw, int)
-                      else np.fromiter(map(draw, rngs), float, len(rngs)))
-    return out
+    out = np.empty((len(rngs), len(draws) + k))
+    for j, draw in enumerate(draws + (base_variate,) * k):
+        out[:, j] = (picks.integers(draw, trials) if isinstance(draw, int)
+                     else np.fromiter(map(draw, rngs), float, len(rngs)))
+    return out[:, :len(draws)], out[:, len(draws):]
 
 
 @dataclass(frozen=True)

@@ -680,35 +680,25 @@ class TestRendering:
         assert seen == {"truncated", "undeclared", "untracked", "tracked"}
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats alone is about half a second of start-up; nothing needs it.
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, anomsearch.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
-
-
-_SCIPY_ON_FIRST_RUN = """
+_SCIPY_LOADS = """
 import sys
 from anomsearch.cli import main
-print("scipy" in sys.modules, flush=True)
+print(sorted(m for m in sys.modules if m.startswith("scipy")), flush=True)
 code = main(["--M", "3", "--neg-log-c", "2", "--trials", "2", "--out", sys.argv[1]])
 print("scipy" in sys.modules, code, flush=True)
 """
 
 
-def test_cli_import_leaves_scipy_unloaded_until_the_manifest_reads_it(tmp_path):
-    # SciPy's top level is several milliseconds of every start, spent only
-    # to read its version into the manifest.
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy.stats alone is about half a second of start-up and nothing needs
+    # it; SciPy's top level is several milliseconds more, spent only to read
+    # its version into the manifest, so the import loads no SciPy at all.
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", _SCIPY_ON_FIRST_RUN, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()
-    assert lines[0] == "False"
-    assert lines[-1] == "True 0"
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "True 0"
     manifest = json.loads((tmp_path / "summary.json").read_text())["manifest"]
     assert manifest["environment"]["scipy"] == scipy.__version__
 

@@ -227,12 +227,13 @@ def block_rounds(spy):
 
 def recording_round_draws(calls):
     """A stand-in for ``sim._round_draws`` that appends to ``calls`` each
-    call's recipe, its trials, the times each callable recipe entry was
-    called, and the drawn array."""
+    call's recipe (the policy draws, then the K base variates), its trials,
+    the times each callable policy draw and the base variate were called,
+    and the shapes of the two arrays drawn."""
     round_draws = sim._round_draws
 
-    def record(recipe, picks, trials, at, rows):
-        counts = [0] * len(recipe)
+    def record(draws, base_variate, k, picks, trials):
+        counts = [0] * (len(draws) + 1)
 
         def counted(j, draw):
             def call(g):
@@ -241,10 +242,11 @@ def recording_round_draws(calls):
             return call
 
         wrapped = tuple(draw if isinstance(draw, int) else counted(j, draw)
-                        for j, draw in enumerate(recipe))
-        drawn = round_draws(wrapped, picks, trials, at, rows)
-        calls.append((recipe, trials.tolist(), counts, drawn))
-        return drawn
+                        for j, draw in enumerate(draws))
+        drawn, base = round_draws(wrapped, counted(len(draws), base_variate), k, picks, trials)
+        calls.append((draws + (base_variate,) * k, trials.tolist(), counts,
+                      (drawn.shape, base.shape)))
+        return drawn, base
 
     return record
 
@@ -259,11 +261,13 @@ def assert_one_round_draws(blocks, calls, config, draws, results):
     # One chunk, untruncated: the rounds run to the longest trial's tau, and
     # the round that ends it draws too.
     assert len(calls) == max(result.tau for result in results) + 1
-    recipe = draws + (config.model.base_variate,) * config.probes_per_round
-    for got, trials, counts, drawn in calls:
+    k = config.probes_per_round
+    recipe = draws + (config.model.base_variate,) * k
+    for got, trials, counts, shapes in calls:
         assert got == recipe
-        assert counts == [0 if isinstance(draw, int) else len(trials) for draw in recipe]
-        assert drawn.shape[1] == len(recipe)
+        assert counts == [0 if isinstance(draw, int) else len(trials) for draw in draws] + [
+            k * len(trials)]
+        assert shapes == ((len(trials), len(draws)), (len(trials), k))
 
 
 def reference_aggregate(results, cost):
@@ -681,7 +685,7 @@ def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
 # Four costs far apart, so that a trial's rows end many rounds apart. dgf
 # and chernoff track tau1; chernoff (K = 2 < M) and chernoff_generic on
 # Exponential cells draw one round at a time, the others ahead in blocks.
-FROZEN_CASES = [
+FAR_APART_CASES = [
     ("dgf", dict(num_cells=5, probes_per_round=2, model=Bernoulli(0.2, 0.7), diagnostics=True)),
     ("chernoff", dict(num_cells=5, probes_per_round=2, model=Bernoulli(0.2, 0.7),
                       diagnostics=True)),
@@ -697,45 +701,45 @@ FROZEN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("policy, overrides", FROZEN_CASES,
+@pytest.mark.parametrize("policy, overrides", FAR_APART_CASES,
                          ids=["dgf", "chernoff", "dgf_l", "seq_dgf_l-g", "seq_dgf_l-f",
                               "unknown_l", "chernoff_generic-one-round",
                               "chernoff_generic-ahead"])
-def test_frozen_rows_stay_frozen(policy, overrides, monkeypatch):
-    # A row that reaches its last threshold stays in place, frozen, until
-    # half of the rows are: it must not reach, declare or be recorded
-    # again, and its trial draws nothing once none of its rows is unfrozen.
+def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch):
+    # A row that reaches its last threshold is dropped in that round: the
+    # rule never steps it again, so it cannot reach, declare or be recorded
+    # twice, and its trial draws nothing once none of its rows is live.
     config = ExperimentConfig(**{"probes_per_round": 1, **overrides}, policy=policy,
                               neg_log_c=(1.0, 8.0, 2.5, 5.0), trials=60, seed=31)
     expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
                 for cost in config.costs]
-    # Each trial's last round: the round its last row freezes.
-    last = [max(per_cost[t].tau for per_cost in expected) for t in range(config.trials)]
     assert not any(result.truncated for per_cost in expected for result in per_cost)
-    assert max(last) - min(result.tau for per_cost in expected for result in per_cost) > 20
+    # Each chunk row's last round: one row per (cost, trial), cost-major, for
+    # a rule that reads the threshold, else one per trial that ends at the
+    # largest tau of its costs.
+    entry = sim.POLICIES[policy]
+    if entry.reads_threshold:
+        row_last = [result.tau for per_cost in expected for result in per_cost]
+    else:
+        row_last = [max(per_cost[t].tau for per_cost in expected)
+                    for t in range(config.trials)]
+    assert max(row_last) - min(result.tau for per_cost in expected for result in per_cost) > 20
 
-    entry, frozen_rounds = sim.POLICIES[policy], []
+    stepped = []
 
     def checked_rule(cfg, pcfg):
         rule, draws = entry.rule(cfg, pcfg)
 
         def checked(live, n, drawn):
-            frozen = np.isnan(live.thr)
-            declared_at = live.last_declared[live.index[frozen]]
-            declared = None if live.declared is None else live.declared[frozen]
-            out = rule(live, n, drawn)
-            assert np.array_equal(live.last_declared[live.index[frozen]], declared_at)
-            if declared is not None:
-                assert np.array_equal(live.declared[frozen], declared)
-            frozen_rounds.append(np.count_nonzero(frozen))
-            return out
+            stepped.append((n, live.index.tolist()))
+            return rule(live, n, drawn)
 
         return checked, draws
 
     keeps, keep = [], sim._LiveRows.keep
 
     def counted_keep(self, kept):
-        keeps.append((np.count_nonzero(np.isnan(self.thr)), self.thr.size))
+        keeps.append(kept.size)
         keep(self, kept)
 
     blocks, one_round, base_blocks = [], [], sim._base_blocks
@@ -752,20 +756,23 @@ def test_frozen_rows_stay_frozen(policy, overrides, monkeypatch):
     assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
             for j in range(len(config.costs))] == expected
 
-    # Every compaction finds at least half of the rows frozen, and rows
-    # stayed frozen in place for rounds before one dropped them.
-    assert keeps and all(2 * frozen >= rows for frozen, rows in keeps)
-    assert sum(1 for frozen in frozen_rounds if frozen) > len(keeps)
-    # The trials that draw in round n are those still unfrozen: whose last
+    # Round n steps exactly the rows whose last round is n or later, and
+    # the rows are compacted once in each round where some row ends, but
+    # the last.
+    assert stepped == [(n, [r for r, end in enumerate(row_last) if end >= n])
+                       for n in range(max(row_last) + 1)]
+    assert len(keeps) == len(set(row_last)) - 1
+    # The trials that draw in round n are those with a live row: whose last
     # round is n or later.
     def drawing(n):
-        return [t for t in range(config.trials) if last[t] >= n]
+        return sorted({r % config.trials for r, end in enumerate(row_last) if end >= n})
 
     if one_round:
         assert blocks == []
-        assert [trials for _, trials, _, _ in one_round] == [drawing(n) for n in range(max(last) + 1)]
+        assert [trials for _, trials, _, _ in one_round] == [
+            drawing(n) for n in range(max(row_last) + 1)]
     else:
-        assert blocks == [drawing(n) for n in range(0, max(last) + 1, sim._BLOCK_ROUNDS)]
+        assert blocks == [drawing(n) for n in range(0, max(row_last) + 1, sim._BLOCK_ROUNDS)]
     assert bool(one_round) == (policy == "chernoff"
                                or isinstance(config.model, Exponential))
 
