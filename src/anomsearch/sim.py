@@ -9,9 +9,9 @@ a chunk's seeds at once and checks itself against ``default_rng`` on first
 use in each process. The draws come in this order:
 
 1. ground truth (skipped entirely when ``fixed_hypothesis`` is set): one
-   uniform variate scanned against the prior for target constraint
-   ``one``, or a partial Fisher-Yates shuffle (one ``integers`` call per
-   target) for target subsets;
+   uniform variate (``random``) scanned against the prior for target
+   constraint ``one``, or a partial Fisher-Yates shuffle (one ``integers``
+   call per target) for target subsets;
 2. each round, the policy's own draws first, then exactly one base variate
    per observation, probed cells visited in ascending order. The round's
    draws follow a recipe fixed by the config alone: K base variates,
@@ -113,9 +113,10 @@ they are unobservable. How a round is drawn follows from the recipe:
 Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
 through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
 all the picking trials at once instead of one ``Generator.integers`` call
-per trial, bit for bit, and falls back to those calls should its
-once-per-process self-check fail; every other draw of a one-round recipe
-is one scalar call per trial.
+per trial, bit for bit. So does the single-target truth draw's uniform,
+read from each trial's next raw word as ``Generator.random`` reads it. Both
+fall back to those calls should the reader's once-per-process self-check
+fail; every other draw of a one-round recipe is one scalar call per trial.
 
 The results are bit-identical to running one trial at a time, one cost at
 a time, through the scalar step rules, ``SearchState`` and ``update``. They
@@ -132,6 +133,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
@@ -483,12 +485,16 @@ def _seed_words(seed: int, trials: range) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
 
 
+@lru_cache(maxsize=8)
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """The hash constant before each of ``count`` hashmix steps, and after the last."""
+    """The hash constant before each of ``count`` hashmix steps, and after the
+    last; one read-only array per process."""
     consts = [init]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
 
 
 def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
@@ -511,7 +517,8 @@ _picks_verified: bool | None = None
 
 
 class _Picks:
-    """Each trial's ``Generator.integers(b)`` picks, 1 <= b < 2^32, read from raw PCG64 words.
+    """Each trial's ``Generator.integers(b)`` picks, 1 <= b < 2^32, and
+    ``Generator.random()`` uniforms, read from raw PCG64 words.
 
     NumPy draws such a pick by Lemire's multiply on ``next_uint32``,
     rejecting while the product's low word is below ``(2^32 - b) % b``;
@@ -522,9 +529,11 @@ class _Picks:
     ``random_raw`` only for trials that need a fresh word, and multiplies
     for all picking trials at once. All of a trial's picks go through its
     one reader, so the bits hold in any order of picks and base variates.
+    A uniform is NumPy's ``next_double``, the top 53 bits of a fresh word
+    over 2^53, which leaves any cached half in place.
     The first use in each process runs :func:`_check_picks`; if that fails
     (NEP 19 lets NumPy change either stream), every pick is a scalar
-    ``integers`` call from then on.
+    ``integers`` call, and every uniform a scalar ``random`` call, from then on.
     """
 
     __slots__ = ("rngs", "half")
@@ -535,13 +544,24 @@ class _Picks:
 
     def integers(self, b: int, trials: np.ndarray) -> np.ndarray:
         """One pick below ``b`` for each of the distinct ``trials``, as int64."""
-        global _picks_verified
-        if _picks_verified is None:
-            _picks_verified = _check_picks()
-        if _picks_verified:
+        if _reader_verified():
             return self.lemire(b, trials)
         rngs = self.rngs
         return np.fromiter((rngs[t].integers(b) for t in trials.tolist()), np.int64, trials.size)
+
+    def random(self, trials: np.ndarray) -> np.ndarray:
+        """One uniform in [0, 1) for each of the distinct ``trials``, as float64."""
+        if _reader_verified():
+            return self.next_double(trials)
+        rngs = self.rngs
+        return np.fromiter((rngs[t].random() for t in trials.tolist()), float, trials.size)
+
+    def next_double(self, trials: np.ndarray) -> np.ndarray:
+        """The reader itself: what ``random()`` would give each of ``trials``."""
+        rngs = self.rngs
+        words = np.array([rngs[t].bit_generator.random_raw() for t in trials.tolist()],
+                         dtype=np.uint64)
+        return (words >> 11) * 2**-53
 
     def lemire(self, b: int, trials: np.ndarray) -> np.ndarray:
         """The reader itself: what ``integers(b)`` would give each of ``trials``."""
@@ -573,13 +593,23 @@ class _Picks:
         return np.array(out, dtype=np.uint64)
 
 
+def _reader_verified() -> bool:
+    """Whether :class:`_Picks` reads picks and uniforms itself, checked once per process."""
+    global _picks_verified
+    if _picks_verified is None:
+        _picks_verified = _check_picks()
+    return _picks_verified
+
+
 def _check_picks() -> bool:
-    """Whether :class:`_Picks` equals scalar ``Generator.integers`` here.
+    """Whether :class:`_Picks` equals scalar ``Generator.integers`` and
+    ``Generator.random`` here.
 
     Eight trials draw ``_PICK_CHECKS`` three times over, the odd rounds on
-    half of the trials, with each model's base variate after every second
-    pick, so a cached half outlives a base variate; then the generators and
-    the cached halves must match.
+    half of the trials, with a uniform after the second and fifth picks and
+    each model's base variate after every second pick, so a cached half
+    outlives a uniform and a base variate; then the generators and the
+    cached halves must match.
     """
     trials = np.arange(8)
     for variate in dict.fromkeys(cls.base_variate for cls in get_args(ObservationModel)):
@@ -589,6 +619,8 @@ def _check_picks() -> bool:
             at = trials[1::2] if rep % 2 else trials
             for i, b in enumerate(_PICK_CHECKS):
                 if picks.lemire(b, at).tolist() != [refs[t].integers(b) for t in at]:
+                    return False
+                if i % 3 == 1 and picks.next_double(at).tolist() != [refs[t].random() for t in at]:
                     return False
                 if i % 2 and ([variate(picks.rngs[t]) for t in at]
                               != [variate(refs[t]) for t in at]):
@@ -610,9 +642,9 @@ def _draw_truths(cfg: ExperimentConfig, rngs: list, picks: _Picks) -> np.ndarray
     elif POLICIES[cfg.policy].targets == "one":
         # The first cell whose running prior sum exceeds one uniform variate;
         # cumsum adds in the scalar scan's order.
-        u = np.fromiter(map(np.random.Generator.random, rngs), float, len(rngs))
-        cells = np.minimum(np.searchsorted(np.cumsum(cfg.priors), u, side="right"), m - 1)
-        truth[np.arange(len(rngs)), cells] = True
+        rows = np.arange(len(rngs))
+        cells = np.cumsum(cfg.priors).searchsorted(picks.random(rows), side="right")
+        truth[rows, np.minimum(cells, m - 1)] = True
     else:
         # Each trial's partial Fisher-Yates shuffle, one integers call per
         # target, taken for all trials at once in each generator's own order.
@@ -967,7 +999,7 @@ def _lockstep_chunk(
             if levels > 1:
                 # A margin that reaches a threshold is not NaN, so it counts
                 # the thresholds at or below it.
-                level = np.searchsorted(ladder, margin[hit], side="right")
+                level = ladder.searchsorted(margin[hit], side="right")
                 reached.append(level)
                 live.thr[hit] = above[level]
                 done = margin >= ladder[-1]
@@ -1046,8 +1078,9 @@ def _base_blocks(model: ObservationModel, picks: _Picks, live: np.ndarray, width
     drawing = np.zeros(len(picks.rngs), dtype=bool)
     drawing[live % len(drawing)] = True
     blocks = np.empty((len(drawing), rounds * width))
-    for t in drawing.nonzero()[0].tolist():
-        model.base_variate(picks.rngs[t], out=blocks[t])
+    variate = model.base_variate
+    for g, row in compress(zip(picks.rngs, blocks), drawing):
+        variate(g, out=row)
     return blocks.ravel()
 
 
@@ -1124,7 +1157,9 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
             futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
             chunks = [chunk for future in futures for chunk in future.result()]
     # Chunks come in trial order, and each one's columns are C-contiguous,
-    # so the joined columns are too.
+    # so a lone chunk's columns and the joined columns are too.
+    if len(chunks) == 1:
+        return chunks[0]
     return TrialColumns(*(None if cols[0] is None else np.concatenate(cols, axis=1)
                           for cols in zip(*chunks)))
 
@@ -1141,6 +1176,8 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     The reductions run along the trial axis of C-contiguous float copies
     of the columns, in trial order: that order fixes every bit of the
     result, so a row gives the same metrics as a grid of that row alone.
+    Means and sample standard deviations are the ufunc reductions that
+    ``np.mean`` and ``np.std(ddof=1)`` run, in their order, bit for bit.
     """
     n = grid.tau.shape[1]
     if n == 0:
@@ -1148,11 +1185,11 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     taus = grid.tau.astype(float)
     tau_ds = grid.tau_d.astype(float)
     errors = np.where(grid.correct, 0.0, 1.0)
-    p_e, mean_tau, mean_tau_d = errors.mean(axis=1), taus.mean(axis=1), tau_ds.mean(axis=1)
+    p_e, mean_tau, mean_tau_d = (np.add.reduce(x, axis=1) / n for x in (errors, taus, tau_ds))
     costs = np.array(costs, dtype=float)
     risk_samples = errors + costs[:, None] * tau_ds
     if n >= 2:
-        sigma, spread = taus.std(axis=1, ddof=1), risk_samples.std(axis=1, ddof=1)
+        sigma, spread = _std(taus), _std(risk_samples)
     else:
         sigma = spread = np.zeros(costs.size)
     half = _Z_95 * sigma / math.sqrt(n)
@@ -1166,6 +1203,15 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
                  r_empirical=r_empirical, truncations=grid.truncated.sum(axis=1))
     return [AggregateMetrics(n, **dict(zip(stats, row)))
             for row in zip(*(value.tolist() for value in stats.values()))]
+
+
+def _std(rows: np.ndarray) -> np.ndarray:
+    """``rows.std(axis=1, ddof=1)`` bit for bit, in the steps of NumPy's ``_var``:
+    the row means, the deviations squared in place, their sums over n - 1."""
+    n = rows.shape[1]
+    x = rows - np.add.reduce(rows, axis=1, keepdims=True) / n
+    np.square(x, out=x)
+    return np.sqrt(np.add.reduce(x, axis=1) / (n - 1))
 
 
 def _quantiles(rows: np.ndarray, qs: Sequence[float]) -> list[np.ndarray]:

@@ -424,6 +424,27 @@ def test_aggregates_match_per_object_reduction_at_scale(large_grid, workers):
             assert getattr(metrics, field.name) == getattr(reference, field.name), field.name
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_aggregates_match_per_object_reduction_on_small_grids(n):
+    # Grids of n trials at three costs: a row whose taus are all equal, a
+    # row with every trial in error (the last one truncated) and a row
+    # with none; tau_d falls below tau where a trial declared early.
+    tau = np.array([[6, 6, 6], [1, 4, 9], [2, 7, 3]])[:, :n].copy()
+    tau_d = tau - np.array([[0, 1, 0], [0, 0, 0], [1, 0, 2]])[:, :n]
+    correct = np.array([[True, False, True], [False] * 3, [True] * 3])[:, :n].copy()
+    truncated = np.zeros_like(correct)
+    truncated[1, -1] = True
+    truth = np.zeros((3, n, 2), dtype=bool)
+    truth[..., 0] = True
+    grid = sim.TrialColumns(truth, truth & correct[..., None], correct, tau, tau_d, truncated)
+    costs = (math.exp(-1.3), math.exp(-2.0), 0.3)
+    got = sim.aggregate(grid, costs)
+    for j, cost in enumerate(costs):
+        reference = reference_aggregate(sim._trial_results(sim._row(grid, j), 1), cost)
+        for field in dataclasses.fields(AggregateMetrics):
+            assert getattr(got[j], field.name) == getattr(reference, field.name), field.name
+
+
 @pytest.mark.parametrize("policy, overrides", [
     ("dgf_l", dict(num_cells=8, probes_per_round=3, num_targets=2,
                    model=Bernoulli(0.1, 0.4))),

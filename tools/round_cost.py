@@ -41,11 +41,23 @@ at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
   failed pick self-check, every pick;
 * ``compactions_per_pass``: calls of ``sim._LiveRows.keep`` in one pass
   at seed 0, summed over the pass's chunks. Each call drops the rows that
-  have reached their last threshold from the live rows' arrays.
+  have reached their last threshold from the live rows' arrays;
+* ``fixed_us_per_trial``: the part of a pass spent before its rounds, over
+  its trials: time inside ``sim._trial_generators``, ``sim._draw_truths``
+  and each chunk's first ``sim._base_blocks`` call (none for a recipe drawn
+  one round at a time), the mean of the faster half of the seeds, each
+  the best of ``REPEATS`` passes;
+* ``aggregate_us_per_point``: ``sim.aggregate`` on the pass's grid, over
+  its cost points, timed the same way.
 
 Run from the repository root: ``python3 tools/round_cost.py [--json]``.
 It reads the package from ``src/`` next to this file, so a copy of this
-script in another checkout measures that checkout.
+script in another checkout measures that checkout. Its timings are not
+comparable between processes, since the machine's speed drifts between
+runs: on a 2-vCPU VM one run read ``dgf_l`` at 1 trial at 0.688 ms per
+pass and a run of the previous commit, minutes later, 0.414 ms, while
+alternated in one process the two read 0.572 and 0.571 ms. Compare two
+checkouts with ``--against``, which alternates them in one process.
 
 ``--against PATH`` compares this checkout with another one instead: it
 imports the package a second time from ``PATH/src`` (or from ``PATH`` if
@@ -231,6 +243,44 @@ def operators(cfg: ExperimentConfig) -> int:
     return count
 
 
+def stage_times(cfg: ExperimentConfig) -> tuple[float, float]:
+    """Seconds one pass spends on its fixed work (generators, truth draws and
+    each chunk's first block of draws), and seconds ``sim.aggregate`` takes
+    on the pass's grid."""
+    fixed, first_block = 0.0, False
+
+    def timed(name):
+        call = getattr(sim, name)
+
+        def wrapper(*args):
+            nonlocal fixed, first_block
+            if name == "_base_blocks":
+                if not first_block:
+                    return call(*args)
+                first_block = False
+            elif name == "_trial_generators":
+                first_block = True  # a new chunk
+            start = time.perf_counter()
+            try:
+                return call(*args)
+            finally:
+                fixed += time.perf_counter() - start
+        return wrapper
+
+    names = ("_trial_generators", "_draw_truths", "_base_blocks")
+    saved = [(name, getattr(sim, name)) for name in names]
+    try:
+        for name in names:
+            setattr(sim, name, timed(name))
+        grid = sim._run_grid(cfg, cfg.costs)
+    finally:
+        for name, call in saved:
+            setattr(sim, name, call)
+    start = time.perf_counter()
+    sim.aggregate(grid, cfg.costs)
+    return fixed, time.perf_counter() - start
+
+
 def faster_half_mean(values: list[float]) -> float:
     fastest = sorted(values)[:len(values) // 2]
     return sum(fastest) / len(fastest)
@@ -240,13 +290,16 @@ def measure() -> list[dict]:
     rows = []
     for name in CONFIGS:
         for trials in TRIALS:
-            per_pass, per_round = [], []
+            per_pass, per_round, fixed, per_point = [], [], [], []
             for seed in SEEDS:
                 cfg = config(name, trials, seed)
                 one_pass(cfg)  # warm caches (policy config, seeding check)
                 best, rounds = min(one_pass(cfg) for _ in range(REPEATS))
                 per_pass.append(best * 1e3)
                 per_round.append(best / rounds * 1e6)
+                stages = [stage_times(cfg) for _ in range(REPEATS)]
+                fixed.append(min(stage[0] for stage in stages) / trials * 1e6)
+                per_point.append(min(stage[1] for stage in stages) / len(cfg.costs) * 1e6)
             cfg = config(name, trials, 0)
             rounds = one_pass(cfg)[1]
             rows.append({
@@ -259,6 +312,8 @@ def measure() -> list[dict]:
                 "operators_per_round": round(operators(cfg) / rounds, 1),
                 "draw_calls_per_round": round(draw_calls(cfg) / rounds, 1),
                 "compactions_per_pass": compactions(cfg),
+                "fixed_us_per_trial": round(faster_half_mean(fixed), 2),
+                "aggregate_us_per_point": round(faster_half_mean(per_point), 1),
             })
     return rows
 
@@ -329,13 +384,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'ms/pass':>8} {'us/round':>9} "
           f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17} "
-          f"{'compactions/pass':>17}")
+          f"{'compactions/pass':>17} {'fixed us/trial':>15} {'aggregate us/point':>19}")
     for row in rows:
         print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
               f"{row['ms_per_pass']:>8.3f} {row['us_per_round']:>9.2f} "
               f"{row['numpy_calls_per_round']:>18.1f} "
               f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f} "
-              f"{row['compactions_per_pass']:>17}")
+              f"{row['compactions_per_pass']:>17} {row['fixed_us_per_trial']:>15.2f} "
+              f"{row['aggregate_us_per_point']:>19.1f}")
     return 0
 
 
