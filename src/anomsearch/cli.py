@@ -74,6 +74,12 @@ from .sim import (
 )
 
 _LN10 = math.log(10.0)
+# Most bytes of trial outcomes a policy's run may keep: 2M + 18 per (cost,
+# trial) pair (``TrialColumns``' truth and decided masks, int64 tau and
+# tau_d, bool correct and truncated), 8 more with tau1. ``sim._run_grid``
+# holds them twice while it joins chunks, so a run at the bound peaks near
+# 2 GiB, a quarter of an 8 GB machine; fig2 at 10^8 trials would build 14 GB.
+_MAX_OUTCOME_BYTES = 1 << 30
 
 _CSV_COLUMNS = (
     "policy", "M", "K", "L", "neg_log_c", "c", "trials",
@@ -220,7 +226,8 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     so the caller maps every validation failure to exit code 2. So is a
     grid point whose trials would need more rounds to stop than the round
     budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
-    estimates them.
+    estimates them, and a grid whose trial outcomes would take more than
+    ``_MAX_OUTCOME_BYTES``.
     """
     merged = _merge(layers)
     for key, (test, what) in _KEY_TYPES.items():
@@ -255,6 +262,14 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        tau1 = cfg.diagnostics and POLICIES[policy].targets == "one"
+        size = len(cfg.neg_log_c) * cfg.trials * (2 * cfg.num_cells + 18 + 8 * tau1)
+        if size > _MAX_OUTCOME_BYTES:
+            raise ConfigError(
+                f"policy {policy!r}: {cfg.trials} trials at {len(cfg.neg_log_c)} costs on "
+                f"M = {cfg.num_cells} cells would keep {size / 2**30:.3g} GiB of trial outcomes, "
+                f"more than {_MAX_OUTCOME_BYTES / 2**30:g} GiB; use fewer trials, a shorter "
+                f"-log c grid or fewer cells")
         per_unit = _benchmark(cfg)[2]
         for t in cfg.neg_log_c:
             rounds = t * per_unit

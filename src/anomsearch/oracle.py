@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .models import Bernoulli, Exponential, Gaussian, ObservationModel, Tabulated
+from .rates import probing_regime
 
 __all__ = [
     "HypothesisActionKL",
@@ -140,7 +141,7 @@ def anomaly_maximin(d_gf: float, d_fg: float, num_cells: int, max_targets: int,
     dropped member (KL a D(g||f)), an added cell (b D(f||g)) or a swap (their
     sum) can bind; the L = 1 tie takes a = 1, as ``rate_multi`` takes "g"."""
     m, l = num_cells, size
-    if l == max_targets and (l >= 2 or d_gf >= d_fg / (m - 1)):
+    if l == max_targets and (l >= 2 or probing_regime(d_gf, d_fg, m, 1) == "g"):
         a, b = 1.0 / l, 0.0
     elif l == 1:
         a, b = 0.0, 1.0 / (m - 1)

@@ -20,7 +20,7 @@ probed normal cell accrues at rate d_fg. When d_gf >= d_fg/(M-1) it pays to
 probe the leading cells directly (the "g" regime); otherwise it is faster to
 eliminate the runners-up (the "f" regime). That comparison names the dgf
 policy, and the multi-target analog compares d_gf/L against d_fg/(M-L),
-which is the same comparison at L = 1.
+which is the same comparison at L = 1; ``rates.probing_regime`` makes it.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .models import ObservationModel, check_geometry
+from .rates import probing_regime
 from .state import SearchState, ranked_cells
 
 __all__ = [
@@ -75,9 +76,8 @@ class PolicyConfig:
 
     num_cells/probes_per_round/num_targets are M, K, L of the config schema.
     ``threshold`` is -log c, the evidence margin every stopping rule needs.
-    ``multi_regime`` caches the sign of d_gf/L - d_fg/(M-L); ties take "g".
-    It serves the single-target rules too: at L = 1 it is the sign of
-    d_gf - d_fg/(M-1). Build one with :meth:`for_model`.
+    ``multi_regime`` caches ``rates.probing_regime``, which serves the
+    single-target rules too. Build one with :meth:`for_model`.
     """
 
     num_cells: int
@@ -105,7 +105,7 @@ class PolicyConfig:
             probes_per_round=k,
             num_targets=l,
             threshold=-math.log(cost),
-            multi_regime="g" if d_gf / l >= d_fg / (m - l) else "f",
+            multi_regime=probing_regime(d_gf, d_fg, m, l),
         )
 
 

@@ -48,6 +48,14 @@ class RateReport:
         return bayes_lower_bound(cost, self.i_star)
 
 
+def probing_regime(d_gf: float, d_fg: float, num_cells: int, num_targets: int) -> str:
+    """The probing regime: "g" (chase the leading cells) when D(g||f)/L >=
+    D(f||g)/(M-L), ties included, else "f" (clear the runners-up). The
+    package's one copy of this comparison; policies, rates, the maximin
+    mixture and the engine all call it."""
+    return "g" if d_gf / num_targets >= d_fg / (num_cells - num_targets) else "f"
+
+
 def rate_single(model: ObservationModel, num_cells: int, probes_per_round: int) -> RateReport:
     """Gap growth rate for the one-target search probing K of M cells per round.
 
@@ -60,7 +68,7 @@ def rate_single(model: ObservationModel, num_cells: int, probes_per_round: int) 
     check_geometry(m, k, 1)
     d_gf, d_fg = model.kl_divergences()
     if k == m:
-        return RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf >= d_fg / (m - 1) else "f")
+        return RateReport(d_gf, d_fg, d_gf + d_fg, probing_regime(d_gf, d_fg, m, 1))
     arm_g = d_gf + (k - 1) * d_fg / (m - 1)
     arm_f = k * d_fg / (m - 1)
     if arm_g >= arm_f:
@@ -83,7 +91,7 @@ def rate_multi(
     check_geometry(m, k, l)
     d_gf, d_fg = model.kl_divergences()
     if k == m:
-        return RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf / l >= d_fg / (m - l) else "f")
+        return RateReport(d_gf, d_fg, d_gf + d_fg, probing_regime(d_gf, d_fg, m, l))
     arm_g = d_gf + (k - l) * d_fg / (m - l) if k >= l else k * d_gf / l
     arm_f = d_fg + (k - m + l) * d_gf / l if k > m - l else k * d_fg / (m - l)
     if arm_g >= arm_f:
@@ -110,15 +118,16 @@ def relative_loss(r_policy: float, r_lb: float) -> float:
 def supports_unknown_count(model: ObservationModel, num_cells: int, max_targets: int) -> bool:
     """Whether the cell budget is large enough for the unknown-count policy.
 
-    Checks M >= L (d_gf + d_fg) / d_gf. When it holds, declared-target
-    evidence accrues at least as fast per candidate as clearing evidence
-    does per normal cell (so ``rate_multi`` lands in regime "g"), and each
-    of the up-to-L declarations costs about -log c / d_gf rounds.
+    True when :func:`probing_regime` is "g" at M cells and L targets, the
+    exact tie included: D(g||f)/L >= D(f||g)/(M-L), which rearranges to
+    M >= L (d_gf + d_fg) / d_gf. Then declared-target evidence accrues at
+    least as fast per candidate as clearing evidence does per normal cell
+    (``rate_multi`` at K = M reports the same regime), and each of the
+    up-to-L declarations costs about -log c / d_gf rounds.
     """
     m, l = num_cells, max_targets
     check_geometry(m, 1, l)
-    d_gf, d_fg = model.kl_divergences()
-    return m >= l * (d_gf + d_fg) / d_gf
+    return probing_regime(*model.kl_divergences(), m, l) == "g"
 
 
 def unknownl_lower_bound(cost: float, true_target_count: int, model: ObservationModel) -> float:

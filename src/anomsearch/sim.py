@@ -5,8 +5,10 @@ Reproducibility contract
 Trial t of an experiment draws every random variate from
 ``numpy.random.default_rng([seed, t])``, in a fixed order. The engine
 builds that generator bit for bit in ``_trial_generators``, which hashes
-a chunk's seeds at once and checks itself against ``default_rng`` on first
-use in each process. The draws come in this order:
+a chunk's seeds at once, about a sixth of ``default_rng``'s cost per trial
+on chunks of 200 or more, and checks itself against ``default_rng`` on
+first use in each process; chunks of fewer than ``_MIN_HASHED`` trials
+call ``default_rng``. The draws come in this order:
 
 1. ground truth (skipped entirely when ``fixed_hypothesis`` is set): one
    uniform variate (``random``) scanned against the prior for target
@@ -66,7 +68,8 @@ decision and tau1 are read off that record after the loop, and a cost
 that a row never reached is truncated at the last round. Only rounds
 where some row ends compact the live rows' state (``_LiveRows``). Each
 round reads and writes it, and the trials' base-variate blocks, through
-flat indices.
+flat indices, not 2-D fancy indexing: a round costs mostly its couple of
+dozen small NumPy calls, which ``tools/round_cost.py`` counts.
 
 When a chunk starts, the model maps its truth mask to each cell's law
 (``model.law``: a rate, mean or success probability, or the truth bit
@@ -105,10 +108,12 @@ they are unobservable. How a round is drawn follows from the recipe:
 * A recipe that mixes methods, ``chernoff``'s subset picks (``integers``,
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
   uniform before a ziggurat base variate (Exponential, Gaussian), is
-  drawn one round at a time by ``_round_draws``, straight into a (live
-  rows, d + K) array in row order: each policy draw, then each of the K
-  base variates, for all the live trials at once. Such a rule never reads
-  the threshold, so it runs one row per trial.
+  drawn one round at a time by ``_round_draws``, entry by entry for all
+  the drawing trials at once, straight into an array in row order: the d
+  policy draws of every live row before the rule steps, then, once the
+  rows that end are dropped, the K base variates of the rows that go on.
+  A trial that ends in a round draws no base variates in it. Such a rule
+  never reads the threshold, so it runs one row per trial.
 
 Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
 through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
@@ -119,10 +124,16 @@ fall back to those calls should the reader's once-per-process self-check
 fail; every other draw of a one-round recipe is one scalar call per trial.
 
 The results are bit-identical to running one trial at a time, one cost at
-a time, through the scalar step rules, ``SearchState`` and ``update``. They
-leave the engine as one grid, a ``TrialColumns`` whose columns hold one
-row per cost and one column per trial, which ``aggregate`` reduces row by
-row; only ``run_trials`` and ``run_trial`` build ``TrialResult`` objects.
+a time, through the scalar step rules, ``SearchState`` and ``update``,
+whatever the worker count: ``_run_grid``'s process pool runs spans of
+whole trials at every cost. They leave the engine as one grid, a
+``TrialColumns`` whose columns hold one row per cost and one column per
+trial, which ``aggregate`` reduces row by row along the contiguous trial
+axis. NumPy sums pairwise along that axis only, so a row reduces exactly
+as a grid of that row alone. Only ``run_trials`` and ``run_trial`` build
+``TrialResult`` objects, and ``anomsearch --diagnostics`` writes its
+per-trial CSVs and tail fit from the grid's last row, so each trial runs
+once per policy.
 """
 
 from __future__ import annotations
@@ -141,7 +152,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .models import ObservationModel, check_geometry
 from .oracle import anomaly_hypotheses, anomaly_maximin
-from .policies import PolicyConfig
+from .rates import probing_regime
 # The maximin LP, its KL table, the scalar step rules and the SearchState
 # ledger they step: the engine never calls them, and sim keeps their names
 # so that layer tracing can wrap every solver, step rule and state operation.
@@ -733,11 +744,13 @@ def _run_lockstep(
     single cost.
     """
     policy = POLICIES[cfg.policy]
-    pcfgs = [PolicyConfig.for_model(cfg.model, cfg.num_cells, cfg.probes_per_round, cost,
-                                    cfg.num_targets) for cost in costs]
-    # The regimes do not depend on the cost; only the threshold does.
-    rule, draws = policy.rule(cfg, pcfgs[0])
-    thresholds = [pcfg.threshold for pcfg in pcfgs]
+    for cost in costs:
+        if not 0.0 < cost < 1.0:
+            raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
+    thresholds = [-math.log(cost) for cost in costs]
+    # The regime does not depend on the cost; only the threshold does.
+    rule, draws = policy.rule(cfg, probing_regime(*cfg.model.kl_divergences(), cfg.num_cells,
+                                                  cfg.num_targets))
     rows = min(_CHUNK, _CHUNK_BYTES // (8 * (cfg.num_cells + cfg.probes_per_round)))
     step = max(1, rows // len(costs) if policy.reads_threshold else rows)
     return [_lockstep_chunk(cfg, rule, draws, thresholds, range(start, min(start + step, hi)),
@@ -790,7 +803,9 @@ class _LiveRows:
             self.thr = self.thr[kept]
 
 
-# A lockstep rule takes the live rows (``_LiveRows``), the round number and
+# ``PolicyEntry.rule`` builds a lockstep rule once per grid, from the config
+# and its regime (``rates.probing_regime``), as neither depends on the cost.
+# The rule takes the live rows (``_LiveRows``), the round number and
 # the round's policy draws (one row each, as floats, picks too; else None). It
 # updates their declared cells and ``last_declared`` in place and returns
 # every row's margin, its decision key and its probe set in the scalar rule's
@@ -812,7 +827,7 @@ _Rule = Callable[[_LiveRows, int, np.ndarray | None], tuple[np.ndarray, np.ndarr
 _Draw = tuple[int | Callable[[np.random.Generator], float], ...]
 
 
-def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
+def _ranked_rule(cfg: ExperimentConfig, regime: str,
                  shuffle: bool = False) -> tuple[_Rule, _Draw]:
     """dgf, dgf_l (dgf_step is dgfl_step with L=1) and, with ``shuffle``,
     chernoff: the margin is the L-th ranked cell's lead over the next, the
@@ -822,7 +837,7 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
     the window holds the leader (in the "g" regime) plus a uniform subset of
     the others."""
     m, k, l = cfg.num_cells, cfg.probes_per_round, cfg.num_targets
-    if pcfg.multi_regime == "g":
+    if regime == "g":
         first = 0 if k >= l else l - k
     else:
         first = m - k if k > m - l else l
@@ -845,12 +860,12 @@ def _ranked_rule(cfg: ExperimentConfig, pcfg: PolicyConfig,
     return rank, tuple(bounds)
 
 
-def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
+def _sequential_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
     cells normal from the bottom up and output the survivors. The margin is
     +inf once the needed cells are declared, else -inf."""
     m, l = cfg.num_cells, cfg.num_targets
-    chase_top = pcfg.multi_regime == "g"
+    chase_top = regime == "g"
     needed = l if chase_top else m - l
     # The margin of each declared count; no row declares more than needed.
     margins = np.append(np.full(needed, -np.inf), np.inf)
@@ -873,7 +888,7 @@ def _sequential_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, 
     return sequential, ()
 
 
-def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
+def _unknown_count_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
 
     def unknown(live, n, drawn):
@@ -896,7 +911,7 @@ def _unknown_count_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rul
     return unknown, ()
 
 
-def _generic_rule(cfg: ExperimentConfig, pcfg: PolicyConfig) -> tuple[_Rule, _Draw]:
+def _generic_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
     """chernoff_generic: score every target set of 1..L cells by adding its
     members' sums in order; the margin is the ML set's lead over its closest
     rival, the key the ML set's members, and the probe one cell drawn from
@@ -979,7 +994,7 @@ def _lockstep_chunk(
         # Only trials that have a live row draw.
         if not ahead:
             # One row per trial, so a row's chunk index is its trial.
-            drawn, base = _round_draws(draws, model.base_variate, k, picks, live.index)
+            drawn = _round_draws(draws, picks, live.index)
         else:
             offset = (n % rounds_ahead) * (d + k)
             if not offset:
@@ -1011,12 +1026,13 @@ def _lockstep_chunk(
             if kept.size < done.size:
                 live.keep(kept)
                 probe = probe[kept]
-                if not ahead:
-                    base = base[kept]
         elif n >= cfg.max_rounds:
             break
         if ahead:
             base = blocks[offset:][live.block_at]
+        else:
+            # Only trials that go on draw the round's base variates.
+            base = _round_draws((model.base_variate,) * k, picks, live.index)
         # Observations are drawn in ascending cell order within a round.
         flat = probe + live.offsets
         if k > 1:
@@ -1084,33 +1100,32 @@ def _base_blocks(model: ObservationModel, picks: _Picks, live: np.ndarray, width
     return blocks.ravel()
 
 
-def _round_draws(draws: _Draw, base_variate: Callable[[np.random.Generator], float], k: int,
-                 picks: _Picks, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One round of a recipe that mixes ``Generator`` methods, for chunk
-    trials ``trials``, one row each in that order: the (trials, d) policy
-    draws and the (trials, K) base variates. It draws entry by entry, each
-    policy draw then each base variate, for all the trials at once: an int b
-    is an ``integers(b)`` pick through ``picks``, any other entry one scalar
-    call per trial."""
+def _round_draws(draws: _Draw, picks: _Picks, trials: np.ndarray) -> np.ndarray:
+    """The ``draws`` of one round of a recipe drawn one round at a time, for
+    chunk trials ``trials``, as a (trials, len(draws)) array, one row each
+    in that order. It draws entry by entry, for all the trials at once: an
+    int b is an ``integers(b)`` pick through ``picks``, any other entry one
+    scalar call per trial."""
     rngs = [picks.rngs[t] for t in trials.tolist()]
-    out = np.empty((len(rngs), len(draws) + k))
-    for j, draw in enumerate(draws + (base_variate,) * k):
+    out = np.empty((len(rngs), len(draws)))
+    for j, draw in enumerate(draws):
         out[:, j] = (picks.integers(draw, trials) if isinstance(draw, int)
                      else np.fromiter(map(draw, rngs), float, len(rngs)))
-    return out[:, :len(draws)], out[:, len(draws):]
+    return out
 
 
 @dataclass(frozen=True)
 class PolicyEntry:
     """One policy's facts (see "Policies" above): ``rule`` builds its
-    lockstep rule and its draw recipe from ``(cfg, pcfg)``;
+    lockstep rule and its draw recipe from ``(cfg, regime)``, the config
+    and its ``rates.probing_regime``;
     ``reads_threshold`` marks a rule that declares cells at the threshold,
     so each of its rows keeps one cost; ``scores_hypotheses`` marks a policy
     that scores every candidate target set, whose count is capped."""
 
     targets: str
     one_probe: bool
-    rule: Callable[[ExperimentConfig, PolicyConfig], tuple[_Rule, _Draw]]
+    rule: Callable[[ExperimentConfig, str], tuple[_Rule, _Draw]]
     reads_threshold: bool = False
     scores_hypotheses: bool = False
 

@@ -357,6 +357,35 @@ class TestMainCommand:
         assert err.startswith("config error:")
         assert "Traceback" not in err
 
+    def test_outcome_memory_bound_exits_2_before_the_first_trial(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_generators(*args):
+            raise AssertionError("a rejected config must not start a trial")
+
+        monkeypatch.setattr(sim, "_trial_generators", no_generators)
+        # 28 bytes per (cost, trial) pair of five cells: 14 GB of outcomes.
+        assert main(["--preset", "fig2", "--trials", "100000000", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: policy 'dgf': 100000000 trials at 5 costs on M = 5 cells would keep "
+            "13 GiB of trial outcomes, more than 1 GiB; use fewer trials, a shorter -log c "
+            "grid or fewer cells\n")
+
+    def test_outcome_memory_bound_admits_the_shipped_runs(self):
+        bound = cli._MAX_OUTCOME_BYTES
+        for name in ("fig2", "fig3", "fig4", "table2", "table1_example"):
+            resolve_config(PRESETS[name], {"diagnostics": True})
+            resolve_config(PRESETS[name], {"diagnostics": True, "trials": 100_000})
+        # 1024 trials at five costs on 10 000 cells: about 100 MB of masks.
+        resolve_config({"M": 10_000, "trials": 1024, "diagnostics": True})
+        # The bound itself: 2M + 18 bytes per pair, 8 more for tau1.
+        for policies, diagnostics, per_pair in (("dgf", False, 28), ("dgf", True, 36),
+                                                ("dgf_l", True, 28)):
+            layer = {"policies": policies, "M": 5, "K": 1, "L": 1 if policies == "dgf" else 2,
+                     "neg_log_c": [1.0], "diagnostics": diagnostics}
+            resolve_config(layer, {"trials": bound // per_pair})
+            with pytest.raises(ConfigError, match="GiB of trial outcomes"):
+                resolve_config(layer, {"trials": bound // per_pair + 1})
+
     @pytest.mark.parametrize("argv, message", [
         (["--policy", "seq_dgf_l", "--M", "5", "--K", "2", "--L", "2"],
          "policy 'seq_dgf_l' probes one cell per round; got K=2"),

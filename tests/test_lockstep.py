@@ -227,13 +227,12 @@ def block_rounds(spy):
 
 def recording_round_draws(calls):
     """A stand-in for ``sim._round_draws`` that appends to ``calls`` each
-    call's recipe (the policy draws, then the K base variates), its trials,
-    the times each callable policy draw and the base variate were called,
-    and the shapes of the two arrays drawn."""
+    call's recipe, its trials, the times each callable entry was called,
+    and the shape of the array drawn."""
     round_draws = sim._round_draws
 
-    def record(draws, base_variate, k, picks, trials):
-        counts = [0] * (len(draws) + 1)
+    def record(draws, picks, trials):
+        counts = [0] * len(draws)
 
         def counted(j, draw):
             def call(g):
@@ -243,10 +242,9 @@ def recording_round_draws(calls):
 
         wrapped = tuple(draw if isinstance(draw, int) else counted(j, draw)
                         for j, draw in enumerate(draws))
-        drawn, base = round_draws(wrapped, counted(len(draws), base_variate), k, picks, trials)
-        calls.append((draws + (base_variate,) * k, trials.tolist(), counts,
-                      (drawn.shape, base.shape)))
-        return drawn, base
+        drawn = round_draws(wrapped, picks, trials)
+        calls.append((draws, trials.tolist(), counts, drawn.shape))
+        return drawn
 
     return record
 
@@ -254,20 +252,29 @@ def recording_round_draws(calls):
 def assert_one_round_draws(blocks, calls, config, draws, results):
     """A recipe that mixes methods skips the block machinery: a spy on
     ``sim._base_blocks`` saw no call, and the ``recording_round_draws``
-    record holds one call per engine round whose recipe is ``draws`` then
-    the K base variates, each entry drawn exactly once for each of the
-    call's trials."""
+    record holds, for each engine round, one call of the policy draws
+    ``draws`` over the trials still live, then, in each round but the last,
+    one call of the K base variates over the trials that go on past it,
+    each entry drawn exactly once for each of the call's trials.
+    ``results`` holds every cost's trials, cost-major."""
     assert blocks.call_count == 0
-    # One chunk, untruncated: the rounds run to the longest trial's tau, and
-    # the round that ends it draws too.
-    assert len(calls) == max(result.tau for result in results) + 1
-    k = config.probes_per_round
-    recipe = draws + (config.model.base_variate,) * k
-    for got, trials, counts, shapes in calls:
-        assert got == recipe
-        assert counts == [0 if isinstance(draw, int) else len(trials) for draw in draws] + [
-            k * len(trials)]
-        assert shapes == ((len(trials), len(draws)), (len(trials), k))
+    # One chunk, untruncated, one row per trial: trial t's row is live
+    # through the largest tau of its costs, and the rounds run to the
+    # longest such tau.
+    last = [max(result.tau for result in results[t::config.trials])
+            for t in range(config.trials)]
+
+    def live(n):
+        return [t for t, end in enumerate(last) if end >= n]
+
+    base = (config.model.base_variate,) * config.probes_per_round
+    expected = [(draws, live(0))]
+    for n in range(1, max(last) + 1):
+        expected += [(base, live(n)), (draws, live(n))]
+    assert [(got, trials) for got, trials, _, _ in calls] == expected
+    for got, trials, counts, shape in calls:
+        assert counts == [0 if isinstance(draw, int) else len(trials) for draw in got]
+        assert shape == (len(trials), len(got))
 
 
 def reference_aggregate(results, cost):
@@ -529,7 +536,7 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
                               policy=policy, diagnostics=policy == "chernoff")
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
                                   config.costs[0], config.num_targets)
-    draws = sim.POLICIES[policy].rule(config, pcfg)[1]
+    draws = sim.POLICIES[policy].rule(config, pcfg.multi_regime)[1]
     if regime is None:
         # Bernoulli cells: one uniform per round, drawn ahead with the base variates.
         assert draws == (np.random.Generator.random,)
@@ -571,6 +578,25 @@ def test_engine_output_does_not_depend_on_worker_count(policy):
     assert run_trials(config, cost, workers=1) == run_trials(config, cost, workers=2)
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_engine_builds_no_policy_config(policy, monkeypatch):
+    # The engine takes each threshold as -log c and the regime from
+    # rates.probing_regime, so it runs the same grid with PolicyConfig gone.
+    config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
+                              model=Exponential(0.5, 10.0), neg_log_c=(3.0, 1.0),
+                              trials=30, seed=9, num_targets=1 if policy in SINGLE_TARGET else 2,
+                              diagnostics=True)
+    expected = sim._run_grid(config, config.costs)
+
+    def no_config(*args, **kwargs):
+        raise AssertionError("the engine must not build a PolicyConfig")
+
+    monkeypatch.setattr(PolicyConfig, "for_model", no_config)
+    got = sim._run_grid(config, config.costs)
+    assert [None if col is None else col.tolist() for col in got] == [
+        None if col is None else col.tolist() for col in expected]
+
+
 def test_engine_rejects_costs_outside_unit_interval():
     config = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
                               model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
@@ -593,7 +619,8 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
                               neg_log_c=(6.0,), trials=40, seed=23, true_target_count=1)
     cost = config.costs[0]
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, cost, 2)
-    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == (np.random.Generator.random,)
+    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg.multi_regime)[1] == (
+        np.random.Generator.random,)
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
     one_round = []
     with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks, \
@@ -621,7 +648,8 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
                               seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
     assert sim._BLOCK_ROUNDS == 32
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, config.costs[0], 2)
-    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg)[1] == (np.random.Generator.random,)
+    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg.multi_regime)[1] == (
+        np.random.Generator.random,)
     expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
     with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
@@ -748,8 +776,8 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
 
     stepped = []
 
-    def checked_rule(cfg, pcfg):
-        rule, draws = entry.rule(cfg, pcfg)
+    def checked_rule(cfg, regime):
+        rule, draws = entry.rule(cfg, regime)
 
         def checked(live, n, drawn):
             stepped.append((n, live.index.tolist()))
@@ -789,9 +817,11 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
         return sorted({r % config.trials for r, end in enumerate(row_last) if end >= n})
 
     if one_round:
+        # Each round's policy draws, then the base variates of the trials
+        # that go on past it, that is, those that draw in the next round.
         assert blocks == []
         assert [trials for _, trials, _, _ in one_round] == [
-            drawing(n) for n in range(max(row_last) + 1)]
+            drawing(n // 2 + n % 2) for n in range(2 * max(row_last) + 1)]
     else:
         assert blocks == [drawing(n) for n in range(0, max(row_last) + 1, sim._BLOCK_ROUNDS)]
     assert bool(one_round) == (policy == "chernoff"

@@ -9,6 +9,7 @@ from anomsearch import (
     Exponential,
     Gaussian,
     ModelError,
+    PolicyConfig,
     RateReport,
     bayes_lower_bound,
     rate_multi,
@@ -173,6 +174,20 @@ class TestSupportsUnknownCount:
         assume(abs(m * d_gf - l * (d_gf + d_fg)) > 1e-9 * (d_gf + d_fg))
         expected = rate_multi(model, m, m, l).regime == "g"
         assert supports_unknown_count(model, m, l) == expected
+
+    def test_exact_tie_takes_regime_g_everywhere(self):
+        # Gaussian means 0 and 0.3 make D(g||f) = D(f||g) = 0.045, so at
+        # M = 6, L = 3 the comparison D(g||f)/L >= D(f||g)/(M-L) is an exact
+        # tie, which takes "g". Its rearranged form, M >= L (d_gf + d_fg) /
+        # d_gf, rounds to 6 >= 6.000000000000001 and would say no.
+        model = Gaussian(0.0, 0.3)
+        d_gf, d_fg = model.kl_divergences()
+        assert d_gf == d_fg
+        assert rate_multi(model, 6, 6, 3).regime == "g"
+        assert PolicyConfig.for_model(model, 6, 1, 0.01, 3).multi_regime == "g"
+        assert supports_unknown_count(model, 6, 3)
+        # The one-target tie of rate_single at K = M rounds the same way.
+        assert rate_single(Gaussian(0.0, 0.3), 2, 2).regime == "g"
 
 
 def test_unknownl_lower_bound():

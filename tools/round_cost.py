@@ -1,13 +1,14 @@
 """Microbenchmark: the lockstep engine's cost per round.
 
-Runs the two configurations of the ``long_trials`` benchmark workload
-(``dgf_l``: M=8, K=3, L=2, Bernoulli(0.1, 0.4); ``unknown_l`` on the
-``table1_example`` scenario) and the randomized ``chernoff_generic`` on
-``table1_example``, each at -log c = 8, and two on the fig2 scenario over
-its grid (-log c 1..5): ``dgf``, the ``short_trials`` workload, and
-``chernoff``, the one benchmark config whose draws mix ``Generator``
-methods and so are drawn one round at a time. Each runs through the engine
-at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
+Runs every configuration of the benchmark's workloads, as
+``perfbench/workloads.py`` spells them out in ``WORKLOADS``, under its
+label there: ``fig2_dgf`` (``short_trials``), ``dgf_l`` and
+``table1_unknown_l`` (``long_trials``), ``fig2_chernoff`` and
+``table1_chernoff_generic`` (``randomized``). ``fig2_chernoff`` is the one
+whose draws mix ``Generator`` methods and so are drawn one round at a time.
+Each is resolved through the package's own ``cli.resolve_config`` at this
+script's trials and seed, and runs through the engine at 1, 100 and 1000
+trials. The script prints one row per (config, trials):
 
 * ``rounds``: engine rounds of one pass at seed 0, one per call of the
   policy's lockstep rule (in each chunk, the longest row's tau plus the
@@ -16,7 +17,7 @@ at 1, 100 and 1000 trials, and the script prints one row per (config, trials):
   seeds 0-19 (each seed the best of ``REPEATS`` passes);
 * ``us_per_round``: the same passes' wall time over their rounds, the
   mean of the faster half of the seeds. A pass includes the chunk's
-  set-up (generators, truth draw, policy config), so at 1 trial it is a
+  set-up (generators, truth draw, rule), so at 1 trial it is a
   few percent above the bare round. How many rows a round advances
   depends on the engine's layout (one row per trial, or per cost and
   trial), so compare layouts by ``ms_per_pass``;
@@ -79,40 +80,30 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
 import anomsearch  # noqa: E402
 from anomsearch import ExperimentConfig, sim  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
-BERNOULLI_LOW = {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.4}
-BERNOULLI_TABLE1 = {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}
-EXPONENTIAL_FIG2 = {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}
-CONFIGS = {
-    "dgf_l": dict(num_cells=8, probes_per_round=3, num_targets=2, policy="dgf_l",
-                  model=BERNOULLI_LOW),
-    "unknown_l": dict(num_cells=3, probes_per_round=1, num_targets=2, policy="unknown_l",
-                      model=BERNOULLI_TABLE1, fixed_hypothesis=(0,)),
-    "chernoff_generic": dict(num_cells=3, probes_per_round=1, num_targets=2,
-                             policy="chernoff_generic", model=BERNOULLI_TABLE1,
-                             fixed_hypothesis=(0,)),
-    "fig2_dgf": dict(num_cells=5, probes_per_round=1, policy="dgf",
-                     model=EXPONENTIAL_FIG2, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
-    "fig2_chernoff": dict(num_cells=5, probes_per_round=1, policy="chernoff",
-                          model=EXPONENTIAL_FIG2, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0)),
-}
+# Each benchmark spec's config layer, one policy each, by its label.
+CONFIGS = {label: layer for workload in WORKLOADS.values() for label, layer in workload.specs}
 TRIALS = (1, 100, 1000)
 SEEDS = range(20)
 REPEATS = 3
 
 
 def config(name: str, trials: int, seed: int, package=anomsearch) -> ExperimentConfig:
-    """Config ``name`` built from ``package``'s own classes."""
-    fields = {"neg_log_c": (8.0,), **CONFIGS[name], "trials": trials, "seed": seed}
-    fields["model"] = package.model_from_dict(fields["model"])
-    return package.ExperimentConfig(**fields)
+    """Config ``name`` at ``trials`` and ``seed``, resolved by ``package``'s own CLI."""
+    cli = importlib.import_module(f"{package.__name__}.cli")
+    spec = cli.resolve_config(CONFIGS[name], {"trials": trials, "seed": seed})
+    policy, = spec.policies
+    return spec.experiment_config(policy)
 
 
 def one_pass(cfg: ExperimentConfig, engine=sim) -> tuple[float, int]:
@@ -293,7 +284,7 @@ def measure() -> list[dict]:
             per_pass, per_round, fixed, per_point = [], [], [], []
             for seed in SEEDS:
                 cfg = config(name, trials, seed)
-                one_pass(cfg)  # warm caches (policy config, seeding check)
+                one_pass(cfg)  # warm caches (generic tables, seeding check)
                 best, rounds = min(one_pass(cfg) for _ in range(REPEATS))
                 per_pass.append(best * 1e3)
                 per_round.append(best / rounds * 1e6)
@@ -371,10 +362,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             print(json.dumps(rows))
             return 0
-        print(f"{'config':<16} {'trials':>6} {'this ms':>9} {'against ms':>10} {'ratio':>6} "
+        print(f"{'config':<23} {'trials':>6} {'this ms':>9} {'against ms':>10} {'ratio':>6} "
               f"{'wins':>7} {'identical':>9}")
         for row in rows:
-            print(f"{row['config']:<16} {row['trials']:>6} {row['this_ms']:>9.3f} "
+            print(f"{row['config']:<23} {row['trials']:>6} {row['this_ms']:>9.3f} "
                   f"{row['against_ms']:>10.3f} {row['ratio']:>6.3f} "
                   f"{row['wins']:>3}/{row['seeds']:<3} {str(row['identical']):>9}")
         return 0
@@ -382,11 +373,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         print(json.dumps(rows))
         return 0
-    print(f"{'config':<16} {'trials':>6} {'rounds':>6} {'ms/pass':>8} {'us/round':>9} "
+    print(f"{'config':<23} {'trials':>6} {'rounds':>6} {'ms/pass':>8} {'us/round':>9} "
           f"{'numpy calls/round':>18} {'operators/round':>16} {'draw calls/round':>17} "
           f"{'compactions/pass':>17} {'fixed us/trial':>15} {'aggregate us/point':>19}")
     for row in rows:
-        print(f"{row['config']:<16} {row['trials']:>6} {row['rounds']:>6} "
+        print(f"{row['config']:<23} {row['trials']:>6} {row['rounds']:>6} "
               f"{row['ms_per_pass']:>8.3f} {row['us_per_round']:>9.2f} "
               f"{row['numpy_calls_per_round']:>18.1f} "
               f"{row['operators_per_round']:>16.1f} {row['draw_calls_per_round']:>17.1f} "
