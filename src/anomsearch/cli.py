@@ -70,16 +70,9 @@ from .sim import (
     POLICY_NAMES,
     ExperimentConfig,
     TrialColumns,
-    _fit_tau1_decay,
 )
 
 _LN10 = math.log(10.0)
-# Most bytes of trial outcomes a policy's run may keep: 2M + 18 per (cost,
-# trial) pair (``TrialColumns``' truth and decided masks, int64 tau and
-# tau_d, bool correct and truncated), 8 more with tau1. ``sim._run_grid``
-# holds them twice while it joins chunks, so a run at the bound peaks near
-# 2 GiB, a quarter of an 8 GB machine; fig2 at 10^8 trials would build 14 GB.
-_MAX_OUTCOME_BYTES = 1 << 30
 
 _CSV_COLUMNS = (
     "policy", "M", "K", "L", "neg_log_c", "c", "trials",
@@ -223,11 +216,11 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
 
     Raises ConfigError naming the offending field; geometry checks that the
     simulator also enforces (K <= M and so on) are re-raised in the same way
-    so the caller maps every validation failure to exit code 2. So is a
-    grid point whose trials would need more rounds to stop than the round
-    budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
-    estimates them, and a grid whose trial outcomes would take more than
-    ``_MAX_OUTCOME_BYTES``.
+    so the caller maps every validation failure to exit code 2, among them
+    a grid whose trial outcomes would take more than ``sim._MAX_OUTCOME_BYTES``.
+    So is a grid point whose trials would need more rounds to stop than the
+    round budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
+    estimates them.
     """
     merged = _merge(layers)
     for key, (test, what) in _KEY_TYPES.items():
@@ -262,14 +255,6 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        tau1 = cfg.diagnostics and POLICIES[policy].targets == "one"
-        size = len(cfg.neg_log_c) * cfg.trials * (2 * cfg.num_cells + 18 + 8 * tau1)
-        if size > _MAX_OUTCOME_BYTES:
-            raise ConfigError(
-                f"policy {policy!r}: {cfg.trials} trials at {len(cfg.neg_log_c)} costs on "
-                f"M = {cfg.num_cells} cells would keep {size / 2**30:.3g} GiB of trial outcomes, "
-                f"more than {_MAX_OUTCOME_BYTES / 2**30:g} GiB; use fewer trials, a shorter "
-                f"-log c grid or fewer cells")
         per_unit = _benchmark(cfg)[2]
         for t in cfg.neg_log_c:
             rounds = t * per_unit
@@ -368,7 +353,8 @@ def run_spec(spec: RunSpec, workers: int = 1,
 
 def _run_spec(spec: RunSpec, workers: int,
               progress: TextIO | None) -> tuple[list[dict], dict[str, TrialColumns]]:
-    """:func:`run_spec`'s rows, and each policy's trials at the last threshold."""
+    """:func:`run_spec`'s rows, and with diagnostics each policy's trials at the
+    last threshold, copied so that no policy's whole grid outlives its turn."""
     rows: list[dict] = []
     last: dict[str, TrialColumns] = {}
     total = len(spec.policies) * len(spec.neg_log_c)
@@ -377,7 +363,8 @@ def _run_spec(spec: RunSpec, workers: int,
         cfg = spec.experiment_config(policy)
         _, lower_bound, _ = _benchmark(cfg)
         grid = sim._run_grid(cfg, cfg.costs, workers)
-        last[policy] = sim._row(grid, -1)
+        if spec.diagnostics:
+            last[policy] = TrialColumns(*(col if col is None else col[-1].copy() for col in grid))
         # Through the module, so that layer tracing sees each aggregate call.
         for t, cost, m in zip(spec.neg_log_c, cfg.costs, sim.aggregate(grid, cfg.costs)):
             if progress is not None:
@@ -395,6 +382,7 @@ def _run_spec(spec: RunSpec, workers: int,
                 "truncations": m.truncations,
                 "risk_stderr": m.risk_stderr, "r_empirical": m.r_empirical,
             })
+        del grid  # before the next policy's grid is built
     return rows, last
 
 
@@ -501,20 +489,15 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     return manifest
 
 
-def _cells(mask: Sequence[bool]) -> str:
-    return "|".join(str(cell) for cell, hit in enumerate(mask) if hit)
-
-
 def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
     """One row per trial; tau1 is empty when untracked, and so is the decision of a
     truncated trial (``truncated`` 1) or of one that stopped declaring no cell."""
-    n = len(trials.tau)
-    tau1 = [""] * n if trials.tau1 is None else trials.tau1.tolist()
+    truth, decided = (["|".join(map(str, c)) for c in sim._cells(masks)] for masks in trials[:2])
+    tau1 = [""] * len(truth) if trials.tau1 is None else trials.tau1.tolist()
     _write(path, _csv([
         ("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct", "truncated"),
-        *zip(range(n), map(_cells, trials.truth.tolist()), map(_cells, trials.decided.tolist()),
-             trials.tau.tolist(), trials.tau_d.tolist(), tau1, trials.correct.astype(int).tolist(),
-             trials.truncated.astype(int).tolist())]))
+        *zip(range(len(truth)), truth, decided, trials.tau.tolist(), trials.tau_d.tolist(), tau1,
+             trials.correct.astype(int).tolist(), trials.truncated.astype(int).tolist())]))
 
 
 def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],
@@ -527,8 +510,8 @@ def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],
         _write_trial_csv(out / name, trials)
         extra["outputs"].append(name)
         entry: dict[str, Any] = {"per_trial_csv": name}
-        if POLICIES[policy].targets == "one":
-            entry["tau1_decay"] = dataclasses.asdict(_fit_tau1_decay(trials))
+        if trials.tau1 is not None:
+            entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
         extra["diagnostics"][policy] = entry
         if progress is not None:
             print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)

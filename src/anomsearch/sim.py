@@ -132,8 +132,8 @@ trial, which ``aggregate`` reduces row by row along the contiguous trial
 axis. NumPy sums pairwise along that axis only, so a row reduces exactly
 as a grid of that row alone. Only ``run_trials`` and ``run_trial`` build
 ``TrialResult`` objects, and ``anomsearch --diagnostics`` writes its
-per-trial CSVs and tail fit from the grid's last row, so each trial runs
-once per policy.
+per-trial CSVs and tail fit from a copy of the grid's last row, so each
+trial runs once per policy; both decode the masks with ``_cells``.
 """
 
 from __future__ import annotations
@@ -204,9 +204,16 @@ _MAX_HYPOTHESES = 400
 # (_CHUNK_BYTES), but each trial's outcome holds (costs, M) masks of its true
 # and decided cells: on a 2-vCPU Xeon VM, 1024 dgf trials on M = 10 000 cells
 # and five costs peaked at 241 MB with K = 1 and 276 MB with K = M, most of it
-# those masks (428 MB and 1.0 GB when every chunk held 1024 rows). M = 2^31
-# would need a 17 GB priors tuple before the first trial.
+# those masks. M = 2^31 would need a 17 GB priors tuple before the first trial.
 _MAX_CELLS = 10_000
+# Most bytes of trial outcomes a policy's run may keep: 2M + 18 per (cost,
+# trial) pair (``TrialColumns``' truth and decided masks, int64 tau and
+# tau_d, bool correct and truncated), 8 more with tau1. A run holds one
+# policy's grid at a time (and, with diagnostics, a copy of each policy's
+# last row), and ``_run_grid`` copies it once while it joins chunks, so a
+# run at the bound peaks near 2 GiB, a quarter of an 8 GB machine; fig2 at
+# 10^8 trials would build 14 GB.
+_MAX_OUTCOME_BYTES = 1 << 30
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
 
@@ -275,6 +282,12 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
+        size = len(grid) * self.trials * (2 * m + 18 + 8 * _tracks_tau1(self))
+        if size > _MAX_OUTCOME_BYTES:
+            raise ValueError(f"policy {self.policy!r}: {self.trials} trials at {len(grid)} costs "
+                             f"on M = {m} cells would keep {size / 2**30:.3g} GiB of trial "
+                             f"outcomes, more than {_MAX_OUTCOME_BYTES / 2**30:g} GiB; use fewer "
+                             f"trials, a shorter -log c grid or fewer cells")
 
         fixed = self.fixed_hypothesis
         if fixed is not None:
@@ -317,6 +330,11 @@ class ExperimentConfig:
         return tuple(math.exp(-t) for t in self.neg_log_c)
 
 
+def _tracks_tau1(cfg: ExperimentConfig) -> bool:
+    """Whether ``cfg``'s trials record tau1: single-target policies with diagnostics on."""
+    return cfg.diagnostics and POLICIES[cfg.policy].targets == "one"
+
+
 @dataclass(frozen=True)
 class TrialResult:
     """Outcome of one trial: what was true, what was decided, and when.
@@ -346,7 +364,9 @@ class TrialColumns(NamedTuple):
     ``truth`` and ``decided`` are (costs, trials, cells) masks of the true
     and the decided target cells, ``decided`` all False for a truncated
     trial; the other fields follow :class:`TrialResult`, ``tau1`` None if
-    untracked. A batch at one cost is a grid of one row.
+    untracked. A batch at one cost is a grid of one row. ``ExperimentConfig``
+    bounds a grid's bytes by ``_MAX_OUTCOME_BYTES``, and :func:`_cells`
+    decodes the masks.
     """
 
     truth: np.ndarray
@@ -719,14 +739,19 @@ def _row(grid: TrialColumns, j: int) -> TrialColumns:
     return TrialColumns(*(None if col is None else col[j] for col in grid))
 
 
+def _cells(masks: np.ndarray) -> list[tuple[int, ...]]:
+    """The cells set in each row of a (trials, M) mask, as ascending tuples."""
+    # Flat indices run row-major, so row r's cells are the next masks[r].sum() of them.
+    cells, ends = (np.flatnonzero(masks) % masks.shape[1]).tolist(), masks.sum(1).cumsum().tolist()
+    return [tuple(cells[start:end]) for start, end in zip([0, *ends], ends)]
+
+
 def _trial_results(trials: TrialColumns, k: int) -> list[TrialResult]:
     """One TrialResult per trial of a grid row ``trials``, run with ``k`` probes per round."""
-    def cells(mask):
-        return tuple(cell for cell, hit in enumerate(mask) if hit)
-
     tau1s = [None] * len(trials.tau) if trials.tau1 is None else trials.tau1.tolist()
-    return [TrialResult(cells(hyp), None if cut else cells(dec), ok, t, td, t * k, t1, cut)
-            for hyp, dec, ok, t, td, cut, t1 in zip(*(col.tolist() for col in trials[:6]), tau1s)]
+    return [TrialResult(hyp, None if cut else dec, ok, t, td, t * k, t1, cut)
+            for hyp, dec, ok, t, td, cut, t1 in zip(*map(_cells, trials[:2]),
+                                                    *(col.tolist() for col in trials[2:6]), tau1s)]
 
 
 def _run_lockstep(
@@ -953,7 +978,7 @@ def _lockstep_chunk(
     rngs = _trial_generators(cfg.seed, trials)
     picks = _Picks(rngs)
     truth = _draw_truths(cfg, rngs, picks)
-    track_tau1 = cfg.diagnostics and policy.targets == "one"
+    track_tau1 = _tracks_tau1(cfg)
     grid_truth = np.tile(truth, (width, 1)) if width > 1 else truth
     # A row reaches ``levels`` thresholds in turn.
     if policy.reads_threshold or width == 1:

@@ -184,6 +184,22 @@ class TestRunSpec:
             emit_results(run_spec(spec), spec, tmp_path)
         assert built.call_count == 0
 
+    def test_only_diagnostics_keep_last_rows_and_as_copies(self):
+        # A view would keep the policy's whole grid alive after its turn.
+        layer = {**PRESETS["fig2"], "trials": 50}
+        rows, last = cli._run_spec(resolve_config(layer), 1, None)
+        assert len(rows) == 10 and last == {}
+        spec = resolve_config(layer, {"diagnostics": True})
+        rows, last = cli._run_spec(spec, 1, None)
+        assert list(last) == ["dgf", "chernoff"]
+        for policy, trials in last.items():
+            cfg = spec.experiment_config(policy)
+            expected = sim._row(sim._run_grid(cfg, cfg.costs), -1)
+            for col, want in zip(trials, expected, strict=True):
+                assert (col is None) == (want is None)
+                if col is not None:
+                    assert col.base is None and np.array_equal(col, want)
+
 
 class TestMainCommand:
     def run_main(self, tmp_path, *argv):
@@ -371,7 +387,7 @@ class TestMainCommand:
             "grid or fewer cells\n")
 
     def test_outcome_memory_bound_admits_the_shipped_runs(self):
-        bound = cli._MAX_OUTCOME_BYTES
+        bound = sim._MAX_OUTCOME_BYTES
         for name in ("fig2", "fig3", "fig4", "table2", "table1_example"):
             resolve_config(PRESETS[name], {"diagnostics": True})
             resolve_config(PRESETS[name], {"diagnostics": True, "trials": 100_000})
@@ -678,10 +694,12 @@ class TestRendering:
             "model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}, "neg_log_c": [0.7],
             "trials": 200, "seed": 1}).experiment_config("unknown_l")
         tracked = resolve_config({**TINY, "diagnostics": True}).experiment_config("dgf")
+        pairs = resolve_config({**TINY, "policies": ["dgf_l"], "M": 5, "K": 2, "L": 2})
         cases = {
             "cut": (dataclasses.replace(unknown, max_rounds=2), math.exp(-0.7)),
             "undeclared": (unknown, math.exp(-0.7)),
             "tau1": (tracked, math.exp(-2.0)),
+            "joined": (pairs.experiment_config("dgf_l"), math.exp(-2.0)),
         }
         seen = set()
         for name, (cfg, cost) in cases.items():
@@ -706,7 +724,9 @@ class TestRendering:
             if (~trials.truncated & ~trials.decided.any(axis=1)).any():
                 seen.add("undeclared")
             seen.add("untracked" if trials.tau1 is None else "tracked")
-        assert seen == {"truncated", "undeclared", "untracked", "tracked"}
+            if (trials.truth.sum(axis=1) > 1).any() and (trials.decided.sum(axis=1) > 1).any():
+                seen.add("joined")
+        assert seen == {"truncated", "undeclared", "untracked", "tracked", "joined"}
 
 
 _SCIPY_LOADS = """

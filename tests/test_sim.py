@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,35 @@ class TestConfigValidation:
         assert len(cfg(neg_log_c=(1.0,) * sim._CHUNK).neg_log_c) == sim._CHUNK
         with pytest.raises(ValueError, match="grid has 1025 points; at most 1024 are supported"):
             cfg(neg_log_c=(1.0,) * (sim._CHUNK + 1))
+
+    def test_outcome_bound_is_a_config_limit(self):
+        # fig2's geometry at 10^8 trials: 28 bytes per (cost, trial) pair, 13 GiB.
+        message = ("policy 'dgf': 100000000 trials at 5 costs on M = 5 cells would keep 13 GiB "
+                   "of trial outcomes, more than 1 GiB; use fewer trials, a shorter -log c grid "
+                   "or fewer cells")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cfg(num_cells=5, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0), trials=10**8)
+
+    @pytest.mark.parametrize("policy, diagnostics, geometry", [
+        ("dgf", False, {}),
+        ("dgf", True, {}),
+        ("dgf_l", True, dict(num_cells=5, probes_per_round=2, num_targets=2)),
+        ("unknown_l", True, dict(num_cells=3, num_targets=2, true_target_count=1,
+                                 model=Bernoulli(0.1, 0.6))),
+        ("chernoff_generic", True, dict(num_cells=3, num_targets=2, true_target_count=1,
+                                        model=Bernoulli(0.1, 0.6))),
+    ], ids=["dgf", "dgf-tau1", "dgf_l", "unknown_l", "chernoff_generic"])
+    def test_outcome_bound_counts_the_columns_bytes(self, policy, diagnostics, geometry):
+        config = cfg(policy=policy, diagnostics=diagnostics, neg_log_c=(1.0, 2.0), trials=30,
+                     **geometry)
+        grid = sim._run_grid(config, config.costs)
+        per_pair, rest = divmod(sum(col.nbytes for col in grid if col is not None), 2 * 30)
+        assert rest == 0
+        # The bound admits exactly the trials whose columns fit in it.
+        most = sim._MAX_OUTCOME_BYTES // (2 * per_pair)
+        assert replace(config, trials=most).trials == most
+        with pytest.raises(ValueError, match="GiB of trial outcomes"):
+            replace(config, trials=most + 1)
 
     def test_costs_property(self):
         c = cfg(neg_log_c=(1.0, 3.0))
