@@ -351,20 +351,20 @@ def run_spec(spec: RunSpec, workers: int = 1,
     return _run_spec(spec, workers, progress)[0]
 
 
-def _run_spec(spec: RunSpec, workers: int,
-              progress: TextIO | None) -> tuple[list[dict], dict[str, TrialColumns]]:
-    """:func:`run_spec`'s rows, and with diagnostics each policy's trials at the
-    last threshold, copied so that no policy's whole grid outlives its turn."""
+def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
+              out: Path | None = None) -> tuple[list[dict], dict | None]:
+    """:func:`run_spec`'s rows, and, given an existing directory ``out``, the
+    summary's diagnostics keys (else None): each policy's trials at the last
+    threshold go to ``trials_<policy>.csv`` and the tail fit as soon as its
+    grid is built, and no policy's grid outlives its turn."""
     rows: list[dict] = []
-    last: dict[str, TrialColumns] = {}
+    extra: dict[str, Any] | None = None if out is None else {"outputs": [], "diagnostics": {}}
     total = len(spec.policies) * len(spec.neg_log_c)
     start = time.monotonic()
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
         _, lower_bound, _ = _benchmark(cfg)
         grid = sim._run_grid(cfg, cfg.costs, workers)
-        if spec.diagnostics:
-            last[policy] = TrialColumns(*(col if col is None else col[-1].copy() for col in grid))
         # Through the module, so that layer tracing sees each aggregate call.
         for t, cost, m in zip(spec.neg_log_c, cfg.costs, sim.aggregate(grid, cfg.costs)):
             if progress is not None:
@@ -382,8 +382,18 @@ def _run_spec(spec: RunSpec, workers: int,
                 "truncations": m.truncations,
                 "risk_stderr": m.risk_stderr, "r_empirical": m.r_empirical,
             })
+        if extra is not None:
+            trials, name = sim._row(grid, -1), f"trials_{policy}.csv"
+            _write_trial_csv(out / name, trials)
+            extra["outputs"].append(name)
+            extra["diagnostics"][policy] = entry = {"per_trial_csv": name}
+            if trials.tau1 is not None:
+                entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
+            if progress is not None:
+                print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)
+            del trials  # views, which would keep the grid alive
         del grid  # before the next policy's grid is built
-    return rows, last
+    return rows, extra
 
 
 def _write(path: Path, text: str) -> None:
@@ -498,24 +508,6 @@ def _write_trial_csv(path: Path, trials: TrialColumns) -> None:
         ("trial_index", "true_hyp", "decision", "tau", "tau_d", "tau1", "correct", "truncated"),
         *zip(range(len(truth)), truth, decided, trials.tau.tolist(), trials.tau_d.tolist(), tau1,
              trials.correct.astype(int).tolist(), trials.truncated.astype(int).tolist())]))
-
-
-def _run_diagnostics(out: Path, last: Mapping[str, TrialColumns],
-                     progress: TextIO | None) -> dict:
-    """Per-trial CSVs of the last threshold's trials plus the tail-decay fit over them."""
-    out.mkdir(parents=True, exist_ok=True)
-    extra: dict[str, Any] = {"outputs": [], "diagnostics": {}}
-    for policy, trials in last.items():
-        name = f"trials_{policy}.csv"
-        _write_trial_csv(out / name, trials)
-        extra["outputs"].append(name)
-        entry: dict[str, Any] = {"per_trial_csv": name}
-        if trials.tau1 is not None:
-            entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
-        extra["diagnostics"][policy] = entry
-        if progress is not None:
-            print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)
-    return extra
 
 
 def _check(label: str, measured: float, expected: float, tol: float,
@@ -676,8 +668,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     out_dir = Path(args.out) if args.out else Path("anomsearch-out")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)  # fail before the first trial, not after
-        rows, last = _run_spec(spec, args.workers, sys.stderr)
-        extra = _run_diagnostics(out_dir, last, sys.stderr) if spec.diagnostics else None
+        rows, extra = _run_spec(spec, args.workers, sys.stderr,
+                                out_dir if spec.diagnostics else None)
         manifest = emit_results(rows, spec, out_dir, extra=extra, workers=args.workers)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

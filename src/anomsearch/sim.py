@@ -131,9 +131,10 @@ whole trials at every cost. They leave the engine as one grid, a
 trial, which ``aggregate`` reduces row by row along the contiguous trial
 axis. NumPy sums pairwise along that axis only, so a row reduces exactly
 as a grid of that row alone. Only ``run_trials`` and ``run_trial`` build
-``TrialResult`` objects, and ``anomsearch --diagnostics`` writes its
-per-trial CSVs and tail fit from a copy of the grid's last row, so each
-trial runs once per policy; both decode the masks with ``_cells``.
+``TrialResult`` objects, and ``anomsearch --diagnostics`` writes each
+policy's per-trial CSV and tail fit from its grid's last row while the
+grid is alive, so each trial runs once per policy; both decode the masks
+with ``_cells``.
 """
 
 from __future__ import annotations
@@ -209,10 +210,9 @@ _MAX_CELLS = 10_000
 # Most bytes of trial outcomes a policy's run may keep: 2M + 18 per (cost,
 # trial) pair (``TrialColumns``' truth and decided masks, int64 tau and
 # tau_d, bool correct and truncated), 8 more with tau1. A run holds one
-# policy's grid at a time (and, with diagnostics, a copy of each policy's
-# last row), and ``_run_grid`` copies it once while it joins chunks, so a
-# run at the bound peaks near 2 GiB, a quarter of an 8 GB machine; fig2 at
-# 10^8 trials would build 14 GB.
+# policy's grid at a time, and ``_run_grid`` copies it once while it joins
+# chunks, so a run at the bound peaks near 2 GiB, a quarter of an 8 GB
+# machine; fig2 at 10^8 trials would build 14 GB.
 _MAX_OUTCOME_BYTES = 1 << 30
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
@@ -690,7 +690,7 @@ def _draw_truths(cfg: ExperimentConfig, rngs: list, picks: _Picks) -> np.ndarray
 
 @lru_cache(maxsize=8)
 def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
-    """Target sets as members and masks, and cumulative maximin mixtures.
+    """Target sets as members, and cumulative maximin mixtures.
 
     Static per scenario, so built once per process. ``members[i, j]`` is the
     j-th cell of hypothesis i, padded with its first cell, so a row of
@@ -713,7 +713,7 @@ def _generic_tables(model: ObservationModel, num_cells: int, max_targets: int):
                         for h in hyps]).T
     cum = np.cumsum(np.where(masks, a[:, None], b[:, None]), axis=1)
     cum[:, -1] = np.inf
-    return members, starts, masks, cum
+    return members, starts, cum
 
 
 def run_trial(
@@ -941,7 +941,7 @@ def _generic_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
     members' sums in order; the margin is the ML set's lead over its closest
     rival, the key the ML set's members, and the probe one cell drawn from
     the ML set's mixture with one uniform variate."""
-    members, starts, _, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
+    members, starts, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
 
     def generic(live, n, u):
         S, rows = live.S, live.rows
@@ -1286,7 +1286,9 @@ def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
-    return _fit_tau1_decay(_row(_run_grid(replace(cfg, diagnostics=True), (cost,)), 0))
+    # One grid point, so that the outcome bound counts the one cost this runs.
+    cfg = replace(cfg, diagnostics=True, neg_log_c=cfg.neg_log_c[:1])
+    return _fit_tau1_decay(_row(_run_grid(cfg, (cost,)), 0))
 
 
 def _fit_tau1_decay(trials: TrialColumns) -> DecayReport:

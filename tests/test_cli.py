@@ -7,6 +7,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -184,21 +185,33 @@ class TestRunSpec:
             emit_results(run_spec(spec), spec, tmp_path)
         assert built.call_count == 0
 
-    def test_only_diagnostics_keep_last_rows_and_as_copies(self):
-        # A view would keep the policy's whole grid alive after its turn.
-        layer = {**PRESETS["fig2"], "trials": 50}
-        rows, last = cli._run_spec(resolve_config(layer), 1, None)
-        assert len(rows) == 10 and last == {}
-        spec = resolve_config(layer, {"diagnostics": True})
-        rows, last = cli._run_spec(spec, 1, None)
-        assert list(last) == ["dgf", "chernoff"]
-        for policy, trials in last.items():
-            cfg = spec.experiment_config(policy)
-            expected = sim._row(sim._run_grid(cfg, cfg.costs), -1)
-            for col, want in zip(trials, expected, strict=True):
-                assert (col is None) == (want is None)
-                if col is not None:
-                    assert col.base is None and np.array_equal(col, want)
+    def test_diagnostics_write_each_policy_while_its_grid_lives(self, tmp_path, monkeypatch):
+        # Without an output directory a run has no diagnostics and writes no file.
+        monkeypatch.chdir(tmp_path)
+        layer = {**TINY, "policies": ["dgf", "chernoff"]}
+        plain, extra = cli._run_spec(resolve_config(layer), 1, None)
+        assert len(plain) == 2 and extra is None
+        assert not list(tmp_path.rglob("trials_*.csv"))
+        # With one, each policy's CSV is on disk and its grid is gone (a view
+        # kept past its turn would keep it alive) before the next grid is built.
+        out = tmp_path / "out"
+        out.mkdir()
+        seen, taus, run_grid = [], [], sim._run_grid
+
+        def recording_run_grid(cfg, costs, workers=1):
+            seen.append((cfg.policy, sorted(path.name for path in out.iterdir()),
+                         [tau() is None for tau in taus]))
+            grid = run_grid(cfg, costs, workers)
+            # The array that owns tau's memory, which a row view of tau refers to.
+            taus.append(weakref.ref(grid.tau if grid.tau.base is None else grid.tau.base))
+            return grid
+
+        monkeypatch.setattr(sim, "_run_grid", recording_run_grid)
+        rows, extra = cli._run_spec(resolve_config(layer, {"diagnostics": True}), 1, None, out)
+        assert seen == [("dgf", [], []), ("chernoff", ["trials_dgf.csv"], [True])]
+        assert rows == plain
+        assert extra["outputs"] == ["trials_dgf.csv", "trials_chernoff.csv"]
+        assert list(extra["diagnostics"]) == ["dgf", "chernoff"]
 
 
 class TestMainCommand:
@@ -471,7 +484,7 @@ class TestMainCommand:
         assert json.loads((tmp_path / "clean" / "summary.json").read_text())["warnings"] == []
 
         cut = dict(row, truncations=3)
-        monkeypatch.setattr("anomsearch.cli._run_spec", lambda *args, **kwargs: ([cut], {}))
+        monkeypatch.setattr("anomsearch.cli._run_spec", lambda *args, **kwargs: ([cut], None))
         config = tmp_path / "run.json"
         config.write_text(json.dumps(TINY))
         code, out = self.run_main(tmp_path, str(config))
@@ -571,8 +584,8 @@ class TestOutputFiles:
 
     def test_no_output_is_opened_with_o_trunc(self, tmp_path):
         spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "diagnostics": True})
-        rows, last = cli._run_spec(spec, 1, None)
         out = tmp_path / "out"
+        out.mkdir()
         flags: dict[str, list[int]] = {}
         os_open = os.open
 
@@ -582,7 +595,7 @@ class TestOutputFiles:
 
         for _ in range(2):  # into a new directory, then over the same files
             with mock.patch.object(os, "open", recording_open):
-                extra = cli._run_diagnostics(out, last, None)
+                rows, extra = cli._run_spec(spec, 1, None, out)
                 emit_results(rows, spec, out, extra=extra)
         names = ["results.csv", "summary.json", "trials_dgf.csv", "trials_chernoff.csv"]
         assert sorted(flags) == sorted(names)
@@ -592,7 +605,6 @@ class TestOutputFiles:
 
     def test_short_writes_still_write_every_byte(self, tmp_path):
         spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "diagnostics": True})
-        rows, last = cli._run_spec(spec, 1, None)
         os_write = os.write
         calls: list[int] = []
 
@@ -601,8 +613,9 @@ class TestOutputFiles:
             return os_write(fd, bytes(data[:3]))
 
         def write(out, patched):
+            out.mkdir(exist_ok=True)
             with mock.patch.object(os, "write", short_write if patched else os_write):
-                extra = cli._run_diagnostics(out, last, None)
+                rows, extra = cli._run_spec(spec, 1, None, out)
                 emit_results(rows, spec, out, extra=extra)
             return self.contents(out)
 
@@ -653,7 +666,7 @@ class TestRendering:
     def test_summaries_match_json_dumps(self, tmp_path):
         spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "neg_log_c": [1.0, 2.0],
                                "diagnostics": True})
-        rows, last = cli._run_spec(spec, 1, None)
+        rows, extra = cli._run_spec(spec, 1, None, tmp_path)
         rows[1] = dict(rows[1], truncations=3)  # so that the summary carries a warning
         rendered = []
         json_render = cli._json
@@ -664,7 +677,6 @@ class TestRendering:
             return json_render(value, depth)
 
         with mock.patch.object(cli, "_json", recording):
-            extra = cli._run_diagnostics(tmp_path, last, None)
             emit_results(rows, spec, tmp_path, extra=extra, workers=2)
         (summary,) = rendered
         assert summary["warnings"] and summary["diagnostics"]["dgf"]["tau1_decay"]
@@ -755,8 +767,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
 _SOLVER_LOADS = """
 import io, sys
 from pathlib import Path
-from anomsearch.cli import (PRESETS, _run_diagnostics, _run_spec, emit_results,
-                            resolve_config, run_verification)
+from anomsearch.cli import PRESETS, _run_spec, emit_results, resolve_config, run_verification
 
 def loaded():
     return sorted({m.split(".")[1] for m in sys.modules
@@ -767,8 +778,8 @@ def run(name, *layers):
     # What main() does with a resolved config, minus the printing.
     spec = resolve_config({"neg_log_c": [2.0], "trials": 2, "seed": 3}, *layers)
     out = Path(sys.argv[1]) / name
-    rows, last = _run_spec(spec, 1, None)
-    extra = _run_diagnostics(out, last, None) if spec.diagnostics else None
+    out.mkdir()
+    rows, extra = _run_spec(spec, 1, None, out if spec.diagnostics else None)
     emit_results(rows, spec, out, extra=extra)
 
 run("single", {"policies": ["dgf", "chernoff"], "M": 3, "diagnostics": True})

@@ -29,6 +29,7 @@ from anomsearch import (
     Exponential,
     Gaussian,
     PolicyConfig,
+    Probe,
     SearchState,
     Stop,
     Tabulated,
@@ -51,6 +52,7 @@ from anomsearch import (
 from anomsearch import sim
 from anomsearch.oracle import anomaly_maximin
 from anomsearch.policies import Declare
+from anomsearch.rates import probing_regime
 from anomsearch.state import update
 
 STEPS = {"dgf": dgf_step, "chernoff": chernoff_step, "dgf_l": dgfl_step,
@@ -182,7 +184,7 @@ def test_closed_form_matches_the_lp():
     hyps = anomaly_hypotheses(3, max_targets=2)
     kl = hypothesis_action_kl(model, hyps, 3)
     lp = np.array([np.cumsum(maximin_action_distribution(kl, i)[0]) for i in range(len(hyps))])
-    assert np.array_equal(sim._generic_tables(model, 3, 2)[3][:, :-1], lp[:, :-1])
+    assert np.array_equal(sim._generic_tables(model, 3, 2)[2][:, :-1], lp[:, :-1])
 
 
 def generic_reference(config, cost, trial_index):
@@ -855,3 +857,58 @@ def test_block_bytes_cap_the_rounds_drawn_ahead(policy, rounds, monkeypatch):
                 for cost in config.costs]
     assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
             for j in range(len(config.costs))] == expected
+
+
+# The ranked step rules' claims in tests/test_policies.py (TestDgfStep and
+# TestDgflStep) and tests/test_state.py (ties rank the lower cell first), as
+# (policy, model, M, K, L, -log c, sums, action): the stop gap, the probe
+# window in both regimes, and K = M, where the probes are the whole ranking.
+F_SIDE, G_SIDE = Exponential(0.5, 10.0), Exponential(10.0, 0.5)
+RANKED_CLAIMS = {
+    "dgf-stops-on-gap": ("dgf", F_SIDE, 4, 1, 1, 3.0, [4.0, 0.9, 0.0, -1.0], Stop((0,))),
+    "dgf-below-gap-probes": ("dgf", F_SIDE, 4, 1, 1, 3.0, [2.0, 0.0, -1.0, -5.0], Probe((1,))),
+    "dgf-g-side-top-k": ("dgf", G_SIDE, 5, 2, 1, 5.0, [1.0, 3.0, 0.0, -1.0, 2.0], Probe((1, 4))),
+    "dgf-f-side-ranks-2-to-k+1": ("dgf", F_SIDE, 5, 2, 1, 5.0, [1.0, 3.0, 0.0, -1.0, 2.0],
+                                  Probe((4, 0))),
+    "dgf-k-equals-m": ("dgf", F_SIDE, 3, 3, 1, 5.0, [0.5, 0.0, 1.0], Probe((2, 0, 1))),
+    "dgf_l-stops-on-l-gap": ("dgf_l", G_SIDE, 5, 1, 2, 5.0, [9.0, 7.0, 1.0, 0.0, -2.0],
+                             Stop((0, 1))),
+    "dgf_l-g-side-small-k": ("dgf_l", G_SIDE, 5, 1, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
+                             Probe((1,))),
+    "dgf_l-g-side-large-k": ("dgf_l", G_SIDE, 5, 3, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
+                             Probe((0, 1, 2))),
+    "dgf_l-f-side-small-k": ("dgf_l", F_SIDE, 5, 1, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
+                             Probe((2,))),
+    "dgf_l-f-side-large-k": ("dgf_l", F_SIDE, 5, 4, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
+                             Probe((1, 2, 3, 4))),
+    "ties-by-index": ("dgf", F_SIDE, 4, 4, 1, 5.0, [1.0, 3.0, 1.0, -2.0], Probe((1, 0, 2, 3))),
+    "all-tied": ("dgf", F_SIDE, 4, 4, 1, 5.0, [0.0, 0.0, 0.0, 0.0], Probe((0, 1, 2, 3))),
+}
+
+
+@pytest.mark.parametrize("claim", RANKED_CLAIMS.values(), ids=RANKED_CLAIMS)
+def test_engine_rules_keep_the_ranked_step_claims(claim):
+    # One round of the engine's rule on a one-row _LiveRows holding the sums:
+    # a stop is a margin at or above the threshold, the decided cells are its
+    # key, and the probes come in the scalar rule's order.
+    policy, model, m, k, l, t, sums, action = claim
+    config = ExperimentConfig(num_cells=m, probes_per_round=k, policy=policy, model=model,
+                              neg_log_c=(t,), num_targets=l)
+    (cost,) = config.costs
+    state = SearchState(m)
+    state.s[:] = sums
+    assert STEPS[policy](state, PolicyConfig.for_model(model, m, k, cost, num_targets=l)) == action
+    entry = sim.POLICIES[policy]
+    rule, draws = entry.rule(config, probing_regime(*model.kl_divergences(), m, l))
+    assert draws == ()
+    thr = -math.log(cost)
+    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), thr, None, None,
+                         entry.reads_threshold)
+    live.S[0] = sums
+    margin, key, probe = rule(live, 0, None)
+    if isinstance(action, Stop):
+        assert margin[0] >= thr
+        assert tuple(sorted(key[0].tolist())) == action.decision
+    else:
+        assert margin[0] < thr
+        assert tuple(probe[0].tolist()) == action.cells

@@ -467,3 +467,29 @@ class TestDecayDiagnostic:
         config = cfg(policy="dgf_l", num_targets=2)
         with pytest.raises(ValueError):
             tau1_decay_diagnostic(config, config.costs[0])
+
+    def test_validates_only_the_grid_point_it_runs(self, monkeypatch):
+        # fig2 dgf at five costs and the most trials the outcome bound admits
+        # (28 bytes a pair); one cost with tau1 keeps 36 bytes a trial.
+        trials = sim._MAX_OUTCOME_BYTES // (5 * 28)
+        assert trials == 7_669_584
+        config = cfg(num_cells=5, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0), trials=trials)
+        seen, run_grid = [], sim._run_grid
+
+        def small_run_grid(config, costs, workers=1):
+            seen.append((config, costs))
+            return run_grid(replace(config, trials=30), costs, workers)
+
+        monkeypatch.setattr(sim, "_run_grid", small_run_grid)
+        tau1_decay_diagnostic(config, math.exp(-1.0))
+        ((ran, costs),) = seen
+        assert ran.diagnostics and ran.neg_log_c == (1.0,) and ran.trials == trials
+        assert costs == (math.exp(-1.0),)
+
+    def test_matches_the_fit_over_its_cost_in_a_grid(self):
+        # Running one cost leaves every bit of the fit as the grid's row gives it.
+        config = cfg(num_cells=5, neg_log_c=(1.0, 2.0, 3.0, 4.0, 5.0), trials=600, seed=5)
+        grid = sim._run_grid(replace(config, diagnostics=True), config.costs)
+        for j, cost in enumerate(config.costs):
+            expected = sim._fit_tau1_decay(sim._row(grid, j))
+            assert tau1_decay_diagnostic(config, cost) == expected
