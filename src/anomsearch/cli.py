@@ -277,18 +277,6 @@ def _read_config_file(path: Path) -> dict:
     return data
 
 
-def parse_config(source: str | Path | Mapping[str, Any]) -> RunSpec:
-    """Load a run config from a JSON file path or an already-parsed mapping."""
-    if isinstance(source, Mapping):
-        return resolve_config(source)
-    path = Path(source)
-    try:
-        data = _read_config_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    return resolve_config(data)
-
-
 @functools.cache
 def _environment() -> dict[str, str]:
     """The Python, NumPy, SciPy and platform versions; read once per process.
@@ -318,9 +306,9 @@ def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float], f
 
     Target constraint ``up_to`` is measured against -ell c log c / D(g||f)
     for the true count ell; every other against -c log c / I* of
-    ``rate_multi``, which at L = 1 equals ``rate_single`` bit for bit, and
-    stops in about (-log c) / I* rounds. Under ``up_to`` stopping also clears
-    the M - ell normal cells: the policy that probes from the maximin mixture
+    ``rate_multi`` (``rate_single`` is its L = 1 case), and stops in about
+    (-log c) / I* rounds. Under ``up_to`` stopping also clears the M - ell
+    normal cells: the policy that probes from the maximin mixture
     takes 1 / v rounds per unit, v the game's value at ell
     (``anomaly_maximin``), and the other ell / D(g||f) + (M - ell) / D(f||g).
     """
@@ -421,47 +409,6 @@ def _csv(rows: Iterable[Iterable[Any]]) -> str:
     return "".join([",".join(map(str, row)) + "\n" for row in rows])
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
-@functools.cache
-def _json_encoder(depth: int) -> json.JSONEncoder:
-    """Encodes a container of scalars at nesting ``depth`` in one C-accelerated call:
-    its item separator carries the indent, so only the brackets need a line each."""
-    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
-
-
-def _json(value: Any, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)``. Each run of scalar items in a container is
-    one encoder call; only the containers among the items recurse."""
-    encoder = _json_encoder(depth)
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        return encoder.encode(value)
-    parts, run = [], []
-    for item in value.items() if is_dict else value:
-        inner = item[1] if is_dict else item
-        if not isinstance(inner, _CONTAINERS):
-            run.append(item)
-            continue
-        if run:  # its items come out already indented by the encoder's separator
-            parts.append(encoder.encode(dict(run) if is_dict else run)[1:-1])
-            run = []
-        text = _json(inner, depth + 1)
-        if is_dict:  # a key that is not a str is converted, or rejected, as json does
-            key = item[0]
-            key = encoder.encode(key) if isinstance(key, str) else encoder.encode({key: 0})[1:-4]
-            text = f"{key}: {text}"
-        parts.append(text)
-    if run:
-        parts.append(encoder.encode(dict(run) if is_dict else run)[1:-1])
-    opening, closing = "{}" if is_dict else "[]"
-    if not parts:
-        return opening + closing
-    sep = encoder.item_separator
-    return f"{opening}{sep[1:]}{sep.join(parts)}\n{'  ' * depth}{closing}"
-
-
 def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str | Path,
                  extra: Mapping[str, Any] | None = None, workers: int = 1) -> dict:
     """Write results.csv and summary.json under out_dir; returns the manifest.
@@ -495,7 +442,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     if extra:
         summary.update({k: v for k, v in extra.items() if k != "outputs"})
-    _write(out / "summary.json", _json(summary) + "\n")
+    _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     return manifest
 
 

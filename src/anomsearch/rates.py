@@ -64,22 +64,13 @@ def rate_single(model: ObservationModel, num_cells: int, probes_per_round: int) 
     (K d_fg / (M-1)) or pinning the leader and spreading the rest
     (d_gf + (K-1) d_fg / (M-1)).
     """
-    m, k = num_cells, probes_per_round
-    check_geometry(m, k, 1)
-    d_gf, d_fg = model.kl_divergences()
-    if k == m:
-        return RateReport(d_gf, d_fg, d_gf + d_fg, probing_regime(d_gf, d_fg, m, 1))
-    arm_g = d_gf + (k - 1) * d_fg / (m - 1)
-    arm_f = k * d_fg / (m - 1)
-    if arm_g >= arm_f:
-        return RateReport(d_gf, d_fg, arm_g, "g")
-    return RateReport(d_gf, d_fg, arm_f, "f")
+    return rate_multi(model, num_cells, probes_per_round, 1)
 
 
 def rate_multi(
     model: ObservationModel, num_cells: int, probes_per_round: int, num_targets: int
 ) -> RateReport:
-    """Gap growth rate with L targets; L=1 agrees with ``rate_single`` exactly.
+    """Gap growth rate with L targets; ``rate_single`` is its L=1 case.
 
     Both arms generalize the single-target ones. Chasing targets yields
     d_gf + (K-L) d_fg / (M-L) once every target is covered (K >= L), else

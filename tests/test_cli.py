@@ -14,7 +14,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy
-from hypothesis import given, settings, strategies as st
 
 from anomsearch import cli, rate_single, sim, unknownl_lower_bound
 from anomsearch.cli import (
@@ -25,7 +24,6 @@ from anomsearch.cli import (
     emit_results,
     main,
     model_from_dict,
-    parse_config,
     resolve_config,
     run_spec,
     run_verification,
@@ -103,24 +101,31 @@ class TestResolveConfig:
 
     def test_round_trips_through_dict(self):
         spec = resolve_config(PRESETS["table1_example"])
-        assert parse_config(spec.to_dict()) == spec
+        assert resolve_config(spec.to_dict()) == spec
 
     def test_parse_config_reads_json_file(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(TINY))
-        assert parse_config(path) == resolve_config(TINY)
+        with mock.patch.object(cli, "_run_spec", wraps=cli._run_spec) as runs:
+            assert main([str(path), "--out", str(tmp_path / "out")]) == 0
+        assert runs.call_args.args[0] == resolve_config(TINY)
 
-    def test_parse_config_error_paths(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            parse_config(tmp_path / "absent.json")
+    def test_parse_config_error_paths(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        absent = tmp_path / "absent.json"
+        assert main([str(absent), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {absent}: ")
         bad = tmp_path / "bad.json"
         bad.write_text("{")
-        with pytest.raises(ConfigError, match="not valid JSON"):
-            parse_config(bad)
+        assert main([str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config file {bad} is not valid JSON: ")
         listy = tmp_path / "list.json"
         listy.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
-            parse_config(listy)
+        assert main([str(listy), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config file {listy} must hold a JSON object\n")
+        assert not out.exists()  # each fails before the output directory is made
 
 
 class TestPresets:
@@ -242,7 +247,7 @@ class TestMainCommand:
 
         summary = json.loads((out / "summary.json").read_text())
         assert summary["manifest"]["outputs"] == ["results.csv", "summary.json"]
-        assert parse_config(summary["manifest"]["config"]) is not None
+        assert resolve_config(summary["manifest"]["config"]) is not None
         assert summary["rates"]["dgf"]["regime"] == "f"
         assert len(summary["results"]) == 10
 
@@ -256,7 +261,7 @@ class TestMainCommand:
         code, out = self.run_main(tmp_path, str(config))
         assert code == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert parse_config(summary["manifest"]["config"]) == resolve_config(TINY)
+        assert resolve_config(summary["manifest"]["config"]) == resolve_config(TINY)
 
     def test_flags_override_config_file(self, tmp_path):
         config = tmp_path / "run.json"
@@ -635,33 +640,9 @@ class TestOutputFiles:
         assert "i/o error: " in capsys.readouterr().err
 
 
-json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-2**70, 2**70),
-    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 10**300, -2**64]),
-    st.text(max_size=6), st.sampled_from(["é", "雪", "\U0001f600", "\x00\n\"\\"]))
-json_keys = st.one_of(st.text(max_size=4), st.integers(-2**70, 2**70), st.floats(), st.booleans(),
-                      st.none())
-json_values = st.recursive(json_scalars, lambda inner: st.one_of(
-    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
-    st.dictionaries(json_keys, inner, max_size=4)), max_leaves=24)
-
-
 class TestRendering:
-    """The outputs are rendered without the csv and indented-json encoders,
-    to the bytes those encoders write."""
-
-    @given(json_values)
-    @settings(max_examples=400, deadline=None)
-    def test_json_matches_json_dumps(self, value):
-        assert cli._json(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [{(1, 2): 3}, {(1, 2): [3]}, {"a": [{object(): 1}]}],
-                             ids=["flat", "nested", "deep"])
-    def test_json_rejects_the_keys_json_dumps_rejects(self, value):
-        with pytest.raises(TypeError):
-            json.dumps(value, indent=2)
-        with pytest.raises(TypeError):
-            cli._json(value)
+    """The CSV outputs are rendered without the csv encoder, to the bytes it
+    writes; summary.json is ``json.dumps(summary, indent=2)`` and a newline."""
 
     def test_summaries_match_json_dumps(self, tmp_path):
         spec = resolve_config({**TINY, "policies": ["dgf", "chernoff"], "neg_log_c": [1.0, 2.0],
@@ -669,14 +650,13 @@ class TestRendering:
         rows, extra = cli._run_spec(spec, 1, None, tmp_path)
         rows[1] = dict(rows[1], truncations=3)  # so that the summary carries a warning
         rendered = []
-        json_render = cli._json
+        dumps = cli.json.dumps
 
-        def recording(value, depth=0):
-            if depth == 0:
-                rendered.append(value)
-            return json_render(value, depth)
+        def recording(value, **kwargs):
+            rendered.append(value)
+            return dumps(value, **kwargs)
 
-        with mock.patch.object(cli, "_json", recording):
+        with mock.patch.object(cli.json, "dumps", recording):
             emit_results(rows, spec, tmp_path, extra=extra, workers=2)
         (summary,) = rendered
         assert summary["warnings"] and summary["diagnostics"]["dgf"]["tau1_decay"]

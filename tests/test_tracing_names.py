@@ -1,11 +1,12 @@
 """The benchmark's layer tracer still finds every name it wraps.
 
 ``perfbench/tracing.py`` times the package from outside ``src/`` by
-replacing module attributes by name, and ``sim`` keeps some of those names
+replacing module attributes by name, and ``sim`` keeps the names below
 only for it: the scalar step rules and ``SearchState``/``update``, which
-the lockstep engine vectorises and never calls. Installing the tracer
-fails as soon as ``src/`` drops one of them, so this test does that and
-checks that ``restore`` puts every original back.
+the lockstep engine vectorises, and the maximin LP and its KL table; the
+engine calls none of them. Installing the tracer fails as soon as ``src/``
+drops one of them, so this test does that and checks that ``restore`` puts
+every original back.
 """
 
 import importlib.util
@@ -14,7 +15,7 @@ from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# Names the tracer wraps in sim; the first eight are kept there only for it.
+# Names the tracer wraps in sim; all of them are kept there only for it.
 SIM_NAMES = (
     "SearchState",
     "update",
