@@ -220,7 +220,8 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     a grid whose trial outcomes would take more than ``sim._MAX_OUTCOME_BYTES``.
     So is a grid point whose trials would need more rounds to stop than the
     round budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
-    estimates them.
+    estimates them, or whose risk floor is below the least normal float,
+    where ``relative_loss`` would divide by zero or by a few bits.
     """
     merged = _merge(layers)
     for key, (test, what) in _KEY_TYPES.items():
@@ -255,14 +256,18 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        per_unit = _benchmark(cfg)[2]
-        for t in cfg.neg_log_c:
+        _, lower_bound, per_unit = _benchmark(cfg)
+        for t, cost in zip(cfg.neg_log_c, cfg.costs):
             rounds = t * per_unit
             if rounds > cfg.max_rounds:
                 raise ConfigError(
                     f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
                     f"rounds, more than the budget of {cfg.max_rounds}; use a larger cost "
                     f"or a more informative model")
+            if not lower_bound(cost) >= sys.float_info.min:
+                raise ConfigError(f"policy {policy!r}: at -log c = {t:g} the risk floor is "
+                                  f"below the least normal float {sys.float_info.min:.3g}; "
+                                  f"use a larger cost or a less informative model")
     return spec
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "rate_multi",
     "bayes_lower_bound",
     "relative_loss",
-    "supports_unknown_count",
     "unknownl_lower_bound",
 ]
 
@@ -104,21 +103,6 @@ def relative_loss(r_policy: float, r_lb: float) -> float:
     if not r_lb > 0.0:
         raise ValueError(f"benchmark risk must be positive, got {r_lb}")
     return (r_policy - r_lb) / r_lb
-
-
-def supports_unknown_count(model: ObservationModel, num_cells: int, max_targets: int) -> bool:
-    """Whether the cell budget is large enough for the unknown-count policy.
-
-    True when :func:`probing_regime` is "g" at M cells and L targets, the
-    exact tie included: D(g||f)/L >= D(f||g)/(M-L), which rearranges to
-    M >= L (d_gf + d_fg) / d_gf. Then declared-target evidence accrues at
-    least as fast per candidate as clearing evidence does per normal cell
-    (``rate_multi`` at K = M reports the same regime), and each of the
-    up-to-L declarations costs about -log c / d_gf rounds.
-    """
-    m, l = num_cells, max_targets
-    check_geometry(m, 1, l)
-    return probing_regime(*model.kl_divergences(), m, l) == "g"
 
 
 def unknownl_lower_bound(cost: float, true_target_count: int, model: ObservationModel) -> float:

@@ -142,6 +142,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -222,7 +223,9 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
     ``neg_log_c`` is the grid of -log c values (the natural axis for these
-    experiments); each entry maps to an observation cost c = exp(-neg_log_c).
+    experiments); each entry maps to an observation cost c = exp(-neg_log_c),
+    which must be a normal float below 1: a subnormal cost keeps too few
+    bits to tell nearby grid points apart, so -log c is at most about 708.4.
     ``true_target_count`` is the ground-truth number of abnormal cells,
     defaulting to ``num_targets`` (the size of ``fixed_hypothesis`` when
     that is set); it must equal ``num_targets`` unless the policy's target
@@ -272,9 +275,9 @@ class ExperimentConfig:
         for t in grid:
             if not (math.isfinite(t) and t > 0.0):
                 raise ValueError(f"-log c values must be positive and finite, got {t}")
-            if not 0.0 < math.exp(-t) < 1.0:
-                raise ValueError(f"-log c = {t} gives a cost exp(-{t}) that rounds to "
-                                 f"{math.exp(-t)}; it must lie strictly inside (0, 1)")
+            if not sys.float_info.min <= math.exp(-t) < 1.0:
+                raise ValueError(f"-log c = {t} gives a cost exp(-{t}) = {math.exp(-t)}; it "
+                                 f"must be a normal float in [{sys.float_info.min}, 1)")
         object.__setattr__(self, "neg_log_c", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
@@ -770,8 +773,9 @@ def _run_lockstep(
     """
     policy = POLICIES[cfg.policy]
     for cost in costs:
-        if not 0.0 < cost < 1.0:
-            raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
+        if not sys.float_info.min <= cost < 1.0:
+            raise ValueError(f"observation cost must be a normal float in "
+                             f"[{sys.float_info.min}, 1), got {cost}")
     thresholds = [-math.log(cost) for cost in costs]
     # The regime does not depend on the cost; only the threshold does.
     rule, draws = policy.rule(cfg, probing_regime(*cfg.model.kl_divergences(), cfg.num_cells,

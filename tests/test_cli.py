@@ -380,6 +380,12 @@ class TestMainCommand:
         ["--M", "2147483648", "--neg-log-c", "1"],
         # 1025 grid points: one trial's rows would overfill a 1024-row chunk
         ["--neg-log-c", ",".join(["1"] * 1025)],
+        # D(g||f) = 1e300: the risk floor at c = exp(-100) underflows to 0.0
+        ["--model", "exponential", "--lambda-f", "1e300", "--lambda-g", "1",
+         "--neg-log-c", "100"],
+        ["--model", "exponential", "--lambda-f", "1e300", "--lambda-g", "1",
+         "--neg-log-c", "100", "--policy", "unknown_l", "--M", "3", "--L", "2"],
+        ["--neg-log-c", "720"],  # c = exp(-720) is subnormal
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         def no_tables(*args):

@@ -602,7 +602,7 @@ def test_engine_builds_no_policy_config(policy, monkeypatch):
 def test_engine_rejects_costs_outside_unit_interval():
     config = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
                               model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
-    for cost in (0.0, 1.0, math.nan):
+    for cost in (0.0, 5e-324, 1.0, math.nan):
         with pytest.raises(ValueError, match="observation cost"):
             run_trials(config, cost)
 

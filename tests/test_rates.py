@@ -15,9 +15,9 @@ from anomsearch import (
     rate_multi,
     rate_single,
     relative_loss,
-    supports_unknown_count,
     unknownl_lower_bound,
 )
+from anomsearch.rates import probing_regime
 
 EXP_SLOW_FAST = Exponential(0.5, 10.0)  # d_gf=2.0457..., d_fg=16.0042...
 
@@ -77,8 +77,17 @@ GRID_SHAPES = [(2, 1), (4, 3), (5, 2), (6, 6)]
 @pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: m.kind)
 @pytest.mark.parametrize("shape", GRID_SHAPES)
 def test_multi_with_one_target_reduces_to_single(model, shape):
+    # The one-target rate written out: the full sweep's d_gf + d_fg at K = M,
+    # else the better of pinning the leader ("g", ties included) and
+    # spreading every probe over the runners-up ("f").
     m, k = shape
-    assert rate_multi(model, m, k, 1) == rate_single(model, m, k)
+    d_gf, d_fg = model.kl_divergences()
+    if k == m:
+        expected = RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf >= d_fg / (m - 1) else "f")
+    else:
+        chase, clear = d_gf + (k - 1) * d_fg / (m - 1), k * d_fg / (m - 1)
+        expected = RateReport(d_gf, d_fg, *((chase, "g") if chase >= clear else (clear, "f")))
+    assert rate_multi(model, m, k, 1) == expected
 
 
 class TestRateMulti:
@@ -144,18 +153,15 @@ def test_relative_loss():
 
 
 class TestSupportsUnknownCount:
+    """The unknown-count policy needs regime "g" at K = M: D(g||f)/L >=
+    D(f||g)/(M-L), which rearranges to M >= L (d_gf + d_fg) / d_gf."""
+
     def test_known_cases(self):
         # 2 (0.9014 + 0.4320) / 0.9014 = 2.958 fits inside M=3
-        assert supports_unknown_count(Exponential(3.0, 1.0), 3, 2)
+        assert probing_regime(*Exponential(3.0, 1.0).kl_divergences(), 3, 2) == "g"
         # bernoulli(0.1, 0.6) needs M >= 3.467, so 3 cells fall short
-        assert not supports_unknown_count(Bernoulli(0.1, 0.6), 3, 2)
-        assert supports_unknown_count(Bernoulli(0.1, 0.6), 4, 2)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="^need at least two cells$"):
-            supports_unknown_count(EXP_SLOW_FAST, 1, 1)
-        with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 3), got 3")):
-            supports_unknown_count(EXP_SLOW_FAST, 3, 3)
+        assert probing_regime(*Bernoulli(0.1, 0.6).kl_divergences(), 3, 2) == "f"
+        assert probing_regime(*Bernoulli(0.1, 0.6).kl_divergences(), 4, 2) == "g"
 
     @given(
         lam_f=st.floats(0.1, 20.0),
@@ -172,8 +178,8 @@ class TestSupportsUnknownCount:
         d_gf, d_fg = model.kl_divergences()
         # keep clear of the knife edge where float rounding could differ
         assume(abs(m * d_gf - l * (d_gf + d_fg)) > 1e-9 * (d_gf + d_fg))
-        expected = rate_multi(model, m, m, l).regime == "g"
-        assert supports_unknown_count(model, m, l) == expected
+        expected = "g" if m * d_gf >= l * (d_gf + d_fg) else "f"
+        assert probing_regime(d_gf, d_fg, m, l) == expected
 
     def test_exact_tie_takes_regime_g_everywhere(self):
         # Gaussian means 0 and 0.3 make D(g||f) = D(f||g) = 0.045, so at
@@ -185,7 +191,7 @@ class TestSupportsUnknownCount:
         assert d_gf == d_fg
         assert rate_multi(model, 6, 6, 3).regime == "g"
         assert PolicyConfig.for_model(model, 6, 1, 0.01, 3).multi_regime == "g"
-        assert supports_unknown_count(model, 6, 3)
+        assert probing_regime(d_gf, d_fg, 6, 3) == "g"
         # The one-target tie of rate_single at K = M rounds the same way.
         assert rate_single(Gaussian(0.0, 0.3), 2, 2).regime == "g"
 

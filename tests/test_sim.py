@@ -71,6 +71,10 @@ class TestConfigValidation:
             cfg(neg_log_c=(3.0, -1.0))
         with pytest.raises(ValueError):
             cfg(neg_log_c=(float("inf"),))
+        # exp(-708) = 3.3e-308 is a normal float; exp(-709) = 1.2e-308 is subnormal.
+        assert cfg(neg_log_c=(708.0,)).neg_log_c == (708.0,)
+        with pytest.raises(ValueError, match="must be a normal float"):
+            cfg(neg_log_c=(709.0,))
         with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
             cfg(seed=-1)
         with pytest.raises(ValueError, match="^max_rounds must be positive, got 0$"):
