@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
@@ -73,6 +74,17 @@ def check_geometry(m: int, k: int, l: int) -> None:
         raise ValueError(f"probes per round must lie in [1, {m}], got {k}")
     if not 1 <= l < m:
         raise ValueError(f"target count must lie in [1, {m}), got {l}")
+
+
+def check_cost(cost: float) -> None:
+    """Require an observation cost that is a normal float below 1.
+
+    Subnormal costs carry too few bits to tell nearby thresholds -log c
+    apart, so they are refused along with 0, 1, NaN and out-of-range costs.
+    """
+    if not sys.float_info.min <= cost < 1.0:
+        raise ValueError(f"observation cost must be a normal float in "
+                         f"[{sys.float_info.min}, 1), got {cost}")
 
 
 def _require_informative(model: "ObservationModel") -> None:
@@ -301,22 +313,11 @@ class Tabulated:
         llrs = tuple(math.log(q / p) for p, q in zip(pmf_f, pmf_g))
         object.__setattr__(self, "_llrs", llrs)
         object.__setattr__(self, "_llr_table", dict(zip(support, llrs)))
-        # The batched form's tables, as arrays so that no call converts them: the
-        # support and LLRs by position, and the bins it searches. A draw's bin
-        # among both pmfs' breakpoints maps to its position in either pmf's
-        # support: row a, column j of _bins holds what searchsorted(cum_a, x,
-        # side="right") gives for any x in bin j, since no breakpoint of either
-        # pmf lies inside a bin. sample searches cum_a itself.
+        # The batched form's tables, as arrays so that no call converts them.
         object.__setattr__(self, "_support_array", np.array(support))
         object.__setattr__(self, "_llr_array", np.array(llrs))
-        cum = (_cumulative(pmf_f), _cumulative(pmf_g))
-        edges = np.union1d(*cum)
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_bins", np.array(
-            [np.searchsorted(c, np.concatenate(([-math.inf], edges)), side="right")
-             for c in cum]))
-        object.__setattr__(self, "_cum_f", cum[0])
-        object.__setattr__(self, "_cum_g", cum[1])
+        object.__setattr__(self, "_cum_f", _cumulative(pmf_f))
+        object.__setattr__(self, "_cum_g", _cumulative(pmf_g))
         _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
@@ -336,9 +337,9 @@ class Tabulated:
         return self._llr_array[self._outcome(abnormal, base)]
 
     def _outcome(self, abnormal: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """Each draw's position in the support."""
-        return self._bins[abnormal.astype(np.intp),
-                          np.searchsorted(self._edges, base, side="right")]
+        """Each draw's position in the support, as ``sample``'s ``bisect_right`` finds it."""
+        return np.where(abnormal, self._cum_g.searchsorted(base, side="right"),
+                        self._cum_f.searchsorted(base, side="right"))
 
     def llr(self, y: float) -> float:
         try:

@@ -31,7 +31,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .models import ObservationModel, check_geometry
+from .models import ObservationModel, check_cost, check_geometry
 from .rates import probing_regime
 from .state import SearchState, ranked_cells
 
@@ -97,8 +97,7 @@ class PolicyConfig:
     ) -> "PolicyConfig":
         m, k, l = num_cells, probes_per_round, num_targets
         check_geometry(m, k, l)
-        if not 0.0 < cost < 1.0:
-            raise ValueError(f"observation cost must lie in (0, 1), got {cost}")
+        check_cost(cost)
         d_gf, d_fg = model.kl_divergences()
         return cls(
             num_cells=m,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .models import ObservationModel, check_geometry
+from .models import ObservationModel, check_cost, check_geometry
 
 __all__ = [
     "RateReport",
@@ -91,8 +91,7 @@ def rate_multi(
 
 def bayes_lower_bound(cost: float, i_star: float) -> float:
     """Benchmark risk -c log c / i_star; no policy beats it asymptotically."""
-    if not 0.0 < cost < 1.0:
-        raise ValueError(f"cost must lie in (0, 1), got {cost}")
+    check_cost(cost)
     if not i_star > 0.0:
         raise ValueError(f"rate constant must be positive, got {i_star}")
     return -cost * math.log(cost) / i_star
@@ -111,8 +110,7 @@ def unknownl_lower_bound(cost: float, true_target_count: int, model: Observation
     ``true_target_count`` is the ground-truth number of targets ell, known
     to the experiment harness but not to the policy under test.
     """
-    if not 0.0 < cost < 1.0:
-        raise ValueError(f"cost must lie in (0, 1), got {cost}")
+    check_cost(cost)
     if true_target_count < 1:
         raise ValueError(f"true target count must be positive, got {true_target_count}")
     d_gf, _ = model.kl_divergences()

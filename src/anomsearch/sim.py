@@ -142,7 +142,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -152,7 +151,7 @@ from typing import Callable, NamedTuple, Sequence, get_args
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .models import ObservationModel, check_geometry
+from .models import ObservationModel, check_cost, check_geometry
 from .oracle import anomaly_hypotheses, anomaly_maximin
 from .rates import probing_regime
 # The maximin LP, its KL table, the scalar step rules and the SearchState
@@ -273,11 +272,11 @@ class ExperimentConfig:
         if len(grid) > _CHUNK:
             raise ValueError(f"neg_log_c grid has {len(grid)} points; at most {_CHUNK} are supported")
         for t in grid:
-            if not (math.isfinite(t) and t > 0.0):
-                raise ValueError(f"-log c values must be positive and finite, got {t}")
-            if not sys.float_info.min <= math.exp(-t) < 1.0:
-                raise ValueError(f"-log c = {t} gives a cost exp(-{t}) = {math.exp(-t)}; it "
-                                 f"must be a normal float in [{sys.float_info.min}, 1)")
+            try:
+                # exp(-t) overflows, to the float inf, for t below about -709.78.
+                check_cost(math.inf if t < -709.78 else math.exp(-t))
+            except ValueError as exc:
+                raise ValueError(f"-log c = {t}: {exc}") from None
         object.__setattr__(self, "neg_log_c", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
@@ -773,9 +772,7 @@ def _run_lockstep(
     """
     policy = POLICIES[cfg.policy]
     for cost in costs:
-        if not sys.float_info.min <= cost < 1.0:
-            raise ValueError(f"observation cost must be a normal float in "
-                             f"[{sys.float_info.min}, 1), got {cost}")
+        check_cost(cost)
     thresholds = [-math.log(cost) for cost in costs]
     # The regime does not depend on the cost; only the threshold does.
     rule, draws = policy.rule(cfg, probing_regime(*cfg.model.kl_divergences(), cfg.num_cells,

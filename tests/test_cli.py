@@ -386,6 +386,7 @@ class TestMainCommand:
         ["--model", "exponential", "--lambda-f", "1e300", "--lambda-g", "1",
          "--neg-log-c", "100", "--policy", "unknown_l", "--M", "3", "--L", "2"],
         ["--neg-log-c", "720"],  # c = exp(-720) is subnormal
+        ["--neg-log-c=-1000"],  # c = exp(1000) overflows
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         def no_tables(*args):

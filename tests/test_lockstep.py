@@ -15,6 +15,8 @@ block size. ``reference_aggregate`` is the per-object reduction that
 import dataclasses
 import functools
 import math
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -35,6 +37,7 @@ from anomsearch import (
     Tabulated,
     TrialResult,
     anomaly_hypotheses,
+    bayes_lower_bound,
     chernoff_generic_step,
     chernoff_step,
     dgf_step,
@@ -47,6 +50,7 @@ from anomsearch import (
     run_trial,
     run_trials,
     seq_dgfl_step,
+    unknownl_lower_bound,
     unknownl_step,
 )
 from anomsearch import sim
@@ -599,12 +603,37 @@ def test_engine_builds_no_policy_config(policy, monkeypatch):
         None if col is None else col.tolist() for col in expected]
 
 
-def test_engine_rejects_costs_outside_unit_interval():
-    config = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
-                              model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
-    for cost in (0.0, 5e-324, 1.0, math.nan):
-        with pytest.raises(ValueError, match="observation cost"):
-            run_trials(config, cost)
+# Every public entry point that takes a cost shares models.check_cost: a
+# cost must be a normal float below 1. ExperimentConfig takes -log c, whose
+# exp must pass it: exp(-709) is subnormal, exp(-745) is 5e-324 and exp(1000)
+# overflows, while exp(log(1 / sys.float_info.min)) rounds back to a normal
+# float.
+COST_CONFIG = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
+                               model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
+COST_ENTRY_POINTS = {
+    "ExperimentConfig": lambda t: dataclasses.replace(COST_CONFIG, neg_log_c=(t,)),
+    "run_trials": lambda cost: run_trials(COST_CONFIG, cost),
+    "PolicyConfig.for_model": lambda cost: PolicyConfig.for_model(COST_CONFIG.model, 5, 1, cost),
+    "bayes_lower_bound": lambda cost: bayes_lower_bound(cost, 4.0),
+    "unknownl_lower_bound": lambda cost: unknownl_lower_bound(cost, 1, COST_CONFIG.model),
+}
+LARGEST_SUBNORMAL = sys.float_info.min * (1 - 2**-52)
+
+
+@pytest.mark.parametrize("name", COST_ENTRY_POINTS)
+def test_engine_rejects_costs_outside_unit_interval(name):
+    entry = COST_ENTRY_POINTS[name]
+    if name == "ExperimentConfig":
+        rejected = (0.0, -1.0, -1000.0, -math.inf, 709.0, 745.0, math.inf, math.nan)
+        accepted = -math.log(sys.float_info.min)
+    else:
+        rejected = (0.0, 5e-324, LARGEST_SUBNORMAL, 1.0, -0.1, math.nan)
+        accepted = sys.float_info.min
+    for value in rejected:
+        with pytest.raises(ValueError, match=re.escape(
+                f"observation cost must be a normal float in [{sys.float_info.min}, 1)")):
+            entry(value)
+    entry(accepted)
 
 
 # chernoff_generic on M=4, L=2 cells of each model family. Its recipe is one
@@ -886,29 +915,100 @@ RANKED_CLAIMS = {
 }
 
 
-@pytest.mark.parametrize("claim", RANKED_CLAIMS.values(), ids=RANKED_CLAIMS)
-def test_engine_rules_keep_the_ranked_step_claims(claim):
-    # One round of the engine's rule on a one-row _LiveRows holding the sums:
-    # a stop is a margin at or above the threshold, the decided cells are its
-    # key, and the probes come in the scalar rule's order.
-    policy, model, m, k, l, t, sums, action = claim
+def one_row(policy, model, m, k, l, t, sums):
+    """The scalar config, the engine's rule and a one-row _LiveRows holding
+    the sums, for ``policy`` at the one cost exp(-t)."""
     config = ExperimentConfig(num_cells=m, probes_per_round=k, policy=policy, model=model,
                               neg_log_c=(t,), num_targets=l)
     (cost,) = config.costs
-    state = SearchState(m)
-    state.s[:] = sums
-    assert STEPS[policy](state, PolicyConfig.for_model(model, m, k, cost, num_targets=l)) == action
     entry = sim.POLICIES[policy]
     rule, draws = entry.rule(config, probing_regime(*model.kl_divergences(), m, l))
     assert draws == ()
-    thr = -math.log(cost)
-    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), thr, None, None,
+    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost), None, None,
                          entry.reads_threshold)
     live.S[0] = sums
+    return PolicyConfig.for_model(model, m, k, cost, num_targets=l), rule, live
+
+
+def assert_engine_acts(rule, live, action):
+    # A stop is a margin at or above the threshold, the decided cells are its
+    # key (cell indices or a bool mask), and the probes come in the scalar
+    # rule's order.
     margin, key, probe = rule(live, 0, None)
     if isinstance(action, Stop):
-        assert margin[0] >= thr
-        assert tuple(sorted(key[0].tolist())) == action.decision
+        assert margin[0] >= live.thr
+        cells = np.flatnonzero(key[0]) if key.dtype == bool else np.sort(key[0])
+        assert tuple(cells.tolist()) == action.decision
     else:
-        assert margin[0] < thr
+        assert margin[0] < live.thr
         assert tuple(probe[0].tolist()) == action.cells
+
+
+@pytest.mark.parametrize("claim", RANKED_CLAIMS.values(), ids=RANKED_CLAIMS)
+def test_engine_rules_keep_the_ranked_step_claims(claim):
+    # One round of the engine's rule on a one-row _LiveRows holding the sums.
+    policy, model, m, k, l, t, sums, action = claim
+    pcfg, rule, live = one_row(policy, model, m, k, l, t, sums)
+    state = SearchState(m)
+    state.s[:] = sums
+    assert STEPS[policy](state, pcfg) == action
+    assert_engine_acts(rule, live, action)
+
+
+# The declaring rules' claims in tests/test_policies.py (TestSeqDgfl's two
+# walkthroughs and TestUnknownL), as (policy, model, M, L, -log c, sums,
+# cells declared before the round, cells declared after it, action), with
+# K = 1. The scalar rule returns one Declare per step; the engine's rule
+# makes a round's declarations and then acts, in one call, so a claim's
+# action is the scalar rule's first one after its Declares.
+BERNOULLI = Bernoulli(0.1, 0.6)
+DECLARING_CLAIMS = {
+    "seq_dgf_l-g-probes-argmax": ("seq_dgf_l", G_SIDE, 3, 2, 2.0, [0.0, 0.0, 0.0], (), (),
+                                  Probe((0,))),
+    "seq_dgf_l-g-declares-then-chases": ("seq_dgf_l", G_SIDE, 3, 2, 2.0, [2.5, 0.0, 0.0], (),
+                                         (0,), Probe((1,))),
+    "seq_dgf_l-g-skips-declared": ("seq_dgf_l", G_SIDE, 3, 2, 2.0, [50.0, 0.0, 0.1], (0,),
+                                   (0,), Probe((2,))),
+    "seq_dgf_l-g-stops-on-l-declared": ("seq_dgf_l", G_SIDE, 3, 2, 2.0, [50.0, 0.0, 2.0], (0,),
+                                        (0, 2), Stop((0, 2))),
+    "seq_dgf_l-f-probes-argmin": ("seq_dgf_l", F_SIDE, 3, 2, 2.0, [0.5, -0.5, 0.0], (), (),
+                                  Probe((1,))),
+    "seq_dgf_l-f-survivors-win": ("seq_dgf_l", F_SIDE, 3, 2, 2.0, [0.5, -2.0, 0.0], (), (1,),
+                                  Stop((0, 2))),
+    "unknown_l-declares-and-freezes": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.5, 0.0, 0.0], (),
+                                       (0,), Probe((1,))),
+    "unknown_l-unresolved-probes": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.5, -2.5, 0.5], (0,),
+                                    (0,), Probe((2,))),
+    "unknown_l-all-resolved-stops": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.5, -2.5, -2.1],
+                                     (0,), (0,), Stop((0,))),
+    "unknown_l-all-clear-stops-empty": ("unknown_l", BERNOULLI, 3, 2, 2.0, [-2.5, -3.0, -2.01],
+                                        (), (), Stop(())),
+    "unknown_l-simultaneous-crossings": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.1, 2.2, 0.0], (),
+                                         (0, 1), Probe((2,))),
+    # -log(exp(-2.0)) is 2.0 exactly, so this sum sits on the threshold.
+    "unknown_l-declares-at-threshold": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.0, 0.0, 0.0], (),
+                                        (0,), Probe((1,))),
+}
+
+
+@pytest.mark.parametrize("claim", DECLARING_CLAIMS.values(), ids=DECLARING_CLAIMS)
+def test_engine_rules_keep_the_declaring_step_claims(claim):
+    policy, model, m, l, t, sums, before, after, action = claim
+    pcfg, rule, live = one_row(policy, model, m, 1, l, t, sums)
+    # seq_dgf_l's "f" regime declares cells normal; the other rules abnormal.
+    kind = "normal" if policy == "seq_dgf_l" and pcfg.multi_regime == "f" else "abnormal"
+    state = SearchState(m)
+    state.s[:] = sums
+    state.declare(before, kind)
+    scalar = STEPS[policy](state, pcfg)
+    while isinstance(scalar, Declare):
+        state.declare(scalar.cells, scalar.kind)
+        scalar = STEPS[policy](state, pcfg)
+    assert (scalar, state.declared_abnormal | state.declared_normal) == (action, set(after))
+    live.declared[0, list(before)] = True
+    if policy == "unknown_l":
+        # The engine holds a cell that unknown_l has declared, and so frozen,
+        # at -inf; the scalar state keeps its sum.
+        live.S[0, list(before)] = -np.inf
+    assert_engine_acts(rule, live, action)
+    assert set(np.flatnonzero(live.declared[0]).tolist()) == set(after)

@@ -63,10 +63,6 @@ class TestPolicyConfig:
             cfg_for(F_SIDE, 5, 0)
         with pytest.raises(ValueError, match=re.escape("target count must lie in [1, 5), got 5")):
             cfg_for(F_SIDE, 5, 1, l=5)
-        with pytest.raises(ValueError):
-            PolicyConfig.for_model(F_SIDE, 5, 1, 0.0)
-        with pytest.raises(ValueError):
-            PolicyConfig.for_model(F_SIDE, 5, 1, 1.0)
 
     def test_multi_regime_uses_target_count(self):
         # d_gf/L >= d_fg/(M-L) can differ from the single-target comparison

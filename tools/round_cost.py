@@ -78,6 +78,7 @@ seeds, 8.9 on average rather than 10.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dis
 import importlib.util
 import json
@@ -110,6 +111,19 @@ def config(name: str, trials: int, seed: int, package=anomsearch) -> ExperimentC
     spec = cli.resolve_config(CONFIGS[name], {"trials": trials, "seed": seed})
     policy, = spec.policies
     return spec.experiment_config(policy)
+
+
+@contextlib.contextmanager
+def patched(*patches):
+    """Set each ``(owner, name, value)`` for the block, then restore what the owner held."""
+    saved = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+    try:
+        for owner, name, value in patches:
+            setattr(owner, name, value)
+        yield
+    finally:
+        for owner, name, value in saved:
+            setattr(owner, name, value)
 
 
 def one_pass(cfg: ExperimentConfig, engine=sim) -> tuple[float, int]:
@@ -182,14 +196,8 @@ def draw_calls(cfg: ExperimentConfig) -> int:
             return next32(self, trials)
 
         patches.append((picks, "next32", counted_next32))
-    saved = [(owner, name, owner.__dict__[name]) for owner, name, _ in patches]
-    try:
-        for owner, name, value in patches:
-            setattr(owner, name, value)
+    with patched(*patches):
         sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
-    finally:
-        for owner, name, value in saved:
-            setattr(owner, name, value)
     return count
 
 
@@ -203,11 +211,8 @@ def compactions(cfg: ExperimentConfig) -> int:
         count += 1
         return keep(self, kept)
 
-    sim._LiveRows.keep = counted_keep
-    try:
+    with patched((sim._LiveRows, "keep", counted_keep)):
         sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
-    finally:
-        sim._LiveRows.keep = keep
     return count
 
 
@@ -265,14 +270,8 @@ def stage_times(cfg: ExperimentConfig) -> tuple[float, float]:
         return wrapper
 
     names = ("_trial_generators", "_draw_truths", "_base_blocks")
-    saved = [(name, getattr(sim, name)) for name in names]
-    try:
-        for name in names:
-            setattr(sim, name, timed(name))
+    with patched(*((sim, name, timed(name)) for name in names)):
         grid = sim._run_grid(cfg, cfg.costs)
-    finally:
-        for name, call in saved:
-            setattr(sim, name, call)
     start = time.perf_counter()
     sim.aggregate(grid, cfg.costs)
     return fixed, time.perf_counter() - start
