@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from anomsearch import cli, rate_single, sim, unknownl_lower_bound
+from anomsearch import cli, rate_single, sim, stream, unknownl_lower_bound
 from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
@@ -301,13 +301,13 @@ class TestMainCommand:
         # The per-trial CSVs and the tail fit read the last threshold's trials
         # from the grid run, so each trial builds its generator once per policy.
         seeds = []
-        trial_generators = sim._trial_generators
+        trial_generators = stream._trial_generators
 
         def counting_generators(seed, trials):
             seeds.extend((seed, t) for t in trials)
             return trial_generators(seed, trials)
 
-        monkeypatch.setattr(sim, "_trial_generators", counting_generators)
+        monkeypatch.setattr(stream, "_trial_generators", counting_generators)
         code, out = self.run_main(tmp_path, "--policy", "dgf,chernoff", "--M", "3",
                                   "--neg-log-c", "3,2,1", "--trials", "30", "--seed", "6",
                                   "--diagnostics")
@@ -403,7 +403,7 @@ class TestMainCommand:
         def no_generators(*args):
             raise AssertionError("a rejected config must not start a trial")
 
-        monkeypatch.setattr(sim, "_trial_generators", no_generators)
+        monkeypatch.setattr(stream, "_trial_generators", no_generators)
         # 28 bytes per (cost, trial) pair of five cells: 14 GB of outcomes.
         assert main(["--preset", "fig2", "--trials", "100000000", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (

@@ -4,7 +4,7 @@ The references below are the scalar trial loops written out from the
 public step rules, ``SearchState``, ``update`` and ``model.sample`` (for
 ``chernoff_generic``: per-cell sums, hypothesis scores and
 ``chernoff_generic_step``), drawing every variate one at a time in the
-order the reproducibility contract in ``anomsearch.sim`` fixes, policy
+order the reproducibility contract in ``anomsearch.stream`` fixes, policy
 draws included. The engine must reproduce them exactly, trace and all,
 for every policy, model family and regime, with or without a pinned truth
 or priors, under truncation and the tau1 diagnostic, and for any chunk and
@@ -14,9 +14,11 @@ block size. ``reference_aggregate`` is the per-object reduction that
 
 import dataclasses
 import functools
+import itertools
 import math
 import re
 import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -53,7 +55,7 @@ from anomsearch import (
     unknownl_lower_bound,
     unknownl_step,
 )
-from anomsearch import sim
+from anomsearch import sim, stream
 from anomsearch.oracle import anomaly_maximin
 from anomsearch.policies import Declare
 from anomsearch.rates import probing_regime
@@ -227,15 +229,15 @@ def generic_reference(config, cost, trial_index):
 
 
 def block_rounds(spy):
-    """The block lengths a spy on ``sim._base_blocks`` saw the engine ask for."""
+    """The block lengths a spy on ``stream._base_blocks`` saw the engine ask for."""
     return {call.args[-1] for call in spy.call_args_list}
 
 
 def recording_round_draws(calls):
-    """A stand-in for ``sim._round_draws`` that appends to ``calls`` each
+    """A stand-in for ``stream._round_draws`` that appends to ``calls`` each
     call's recipe, its trials, the times each callable entry was called,
     and the shape of the array drawn."""
-    round_draws = sim._round_draws
+    round_draws = stream._round_draws
 
     def record(draws, picks, trials):
         counts = [0] * len(draws)
@@ -257,7 +259,7 @@ def recording_round_draws(calls):
 
 def assert_one_round_draws(blocks, calls, config, draws, results):
     """A recipe that mixes methods skips the block machinery: a spy on
-    ``sim._base_blocks`` saw no call, and the ``recording_round_draws``
+    ``stream._base_blocks`` saw no call, and the ``recording_round_draws``
     record holds, for each engine round, one call of the policy draws
     ``draws`` over the trials still live, then, in each round but the last,
     one call of the K base variates over the trials that go on past it,
@@ -360,7 +362,7 @@ def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_
         assert pcfg.multi_regime == ("g" if swap else "f")
     expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
     with mock.patch.object(sim, "_CHUNK", chunk), \
-            mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
+            mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds):
         results = run_trials(config, cost)
         assert results == [result for result, _ in expected]
         for t, (result, trace) in enumerate(expected):
@@ -385,7 +387,7 @@ def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block
     expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
                 for cost in config.costs]
     with mock.patch.object(sim, "_CHUNK", chunk), \
-            mock.patch.object(sim, "_BLOCK_ROUNDS", block_rounds):
+            mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds):
         columns = sim._run_grid(config, config.costs, workers)
         assert [sim._trial_results(sim._row(columns, j), config.probes_per_round)
                 for j in range(len(config.costs))] == expected
@@ -471,7 +473,7 @@ def test_long_trials_refill_their_blocks(policy, overrides):
                               policy=policy, neg_log_c=(8.0,), trials=40, seed=99, **overrides)
     cost = config.costs[0]
     results = run_trials(config, cost)
-    assert max(r.tau for r in results) > sim._BLOCK_ROUNDS
+    assert max(r.tau for r in results) > stream._BLOCK_ROUNDS
     assert results == [scalar_reference(config, cost, t)[0] for t in range(config.trials)]
 
 
@@ -494,7 +496,7 @@ def test_benchmark_shapes_match_reference(policy):
     cost = config.costs[0]
     expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
     assert run_trials(config, cost) == [result for result, _ in expected]
-    assert max(result.tau for result, _ in expected) > sim._BLOCK_ROUNDS
+    assert max(result.tau for result, _ in expected) > stream._BLOCK_ROUNDS
     by_tau = sorted(range(config.trials), key=lambda t: expected[t][0].tau)
     for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
         replay = []
@@ -510,7 +512,7 @@ def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
     # refilled block (33), after many rows of both costs stopped.
     config = ExperimentConfig(policy=policy, neg_log_c=(8.0, 4.0), trials=150, seed=7,
                               max_rounds=max_rounds, **BENCH_SHAPES[policy])
-    assert sim._BLOCK_ROUNDS == 32
+    assert stream._BLOCK_ROUNDS == 32
     expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
                 for cost in config.costs]
     grid = sim._run_grid(config, config.costs)
@@ -556,13 +558,13 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
     expected = [[scalar_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
     one_round = []
-    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks, \
-            mock.patch.object(sim, "_round_draws", recording_round_draws(one_round)):
+    with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks, \
+            mock.patch.object(stream, "_round_draws", recording_round_draws(one_round)):
         grid = sim._run_grid(config, config.costs)
     got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
            for j in range(len(config.costs))]
     if ahead:
-        assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
+        assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
         assert one_round == []
     else:
         assert_one_round_draws(blocks, one_round, config, draws,
@@ -654,11 +656,11 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
         np.random.Generator.random,)
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
     one_round = []
-    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks, \
-            mock.patch.object(sim, "_round_draws", recording_round_draws(one_round)):
+    with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks, \
+            mock.patch.object(stream, "_round_draws", recording_round_draws(one_round)):
         assert run_trials(config, cost) == [result for result, _ in expected]
     if ahead:
-        assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
+        assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
         assert one_round == []
     else:
         assert_one_round_draws(blocks, one_round, config, (np.random.Generator.random,),
@@ -677,17 +679,17 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
     # grid as a block runs out (32) or one round into the refilled block (33).
     config = ExperimentConfig(policy="chernoff_generic", neg_log_c=(8.0, 4.0), trials=150,
                               seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
-    assert sim._BLOCK_ROUNDS == 32
+    assert stream._BLOCK_ROUNDS == 32
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, config.costs[0], 2)
     assert sim.POLICIES["chernoff_generic"].rule(config, pcfg.multi_regime)[1] == (
         np.random.Generator.random,)
     expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
-    with mock.patch.object(sim, "_base_blocks", wraps=sim._base_blocks) as blocks:
+    with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks:
         grid = sim._run_grid(config, config.costs)
     got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
            for j in range(len(config.costs))]
-    assert block_rounds(blocks) == {sim._BLOCK_ROUNDS}
+    assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
     assert got == [[result for result, _ in per_cost] for per_cost in expected]
     for cost, per_cost in zip(config.costs, expected):
         truncated = sum(result.truncated for result, _ in per_cost)
@@ -822,7 +824,7 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
         keeps.append(kept.size)
         keep(self, kept)
 
-    blocks, one_round, base_blocks = [], [], sim._base_blocks
+    blocks, one_round, base_blocks = [], [], stream._base_blocks
 
     def recording_blocks(model, picks, live, width, rounds):
         blocks.append(sorted(set((live % config.trials).tolist())))
@@ -830,8 +832,8 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
 
     monkeypatch.setitem(sim.POLICIES, policy, dataclasses.replace(entry, rule=checked_rule))
     monkeypatch.setattr(sim._LiveRows, "keep", counted_keep)
-    monkeypatch.setattr(sim, "_base_blocks", recording_blocks)
-    monkeypatch.setattr(sim, "_round_draws", recording_round_draws(one_round))
+    monkeypatch.setattr(stream, "_base_blocks", recording_blocks)
+    monkeypatch.setattr(stream, "_round_draws", recording_round_draws(one_round))
     grid = sim._run_grid(config, config.costs)
     assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
             for j in range(len(config.costs))] == expected
@@ -854,7 +856,7 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
         assert [trials for _, trials, _, _ in one_round] == [
             drawing(n // 2 + n % 2) for n in range(2 * max(row_last) + 1)]
     else:
-        assert blocks == [drawing(n) for n in range(0, max(row_last) + 1, sim._BLOCK_ROUNDS)]
+        assert blocks == [drawing(n) for n in range(0, max(row_last) + 1, stream._BLOCK_ROUNDS)]
     assert bool(one_round) == (policy == "chernoff"
                                or isinstance(config.model, Exponential))
 
@@ -870,15 +872,15 @@ def test_block_bytes_cap_the_rounds_drawn_ahead(policy, rounds, monkeypatch):
                               **overrides)
     width = 3 if policy == "dgf_l" else 2
     round_bytes = 8 * config.trials * width
-    blocks, base_blocks = [], sim._base_blocks
+    blocks, base_blocks = [], stream._base_blocks
 
     def recording_blocks(*args):
         drawn = base_blocks(*args)
         blocks.append((args[-1], drawn.nbytes))
         return drawn
 
-    monkeypatch.setattr(sim, "_BLOCK_BYTES", (rounds + 1) * round_bytes - 1)
-    monkeypatch.setattr(sim, "_base_blocks", recording_blocks)
+    monkeypatch.setattr(stream, "_BLOCK_BYTES", (rounds + 1) * round_bytes - 1)
+    monkeypatch.setattr(stream, "_base_blocks", recording_blocks)
     grid = sim._run_grid(config, config.costs)
     assert set(blocks) == {(rounds, rounds * round_bytes)}
     assert len(blocks) > 1
@@ -915,26 +917,27 @@ RANKED_CLAIMS = {
 }
 
 
-def one_row(policy, model, m, k, l, t, sums):
+def one_row(policy, model, m, k, l, t, sums, recipe=()):
     """The scalar config, the engine's rule and a one-row _LiveRows holding
-    the sums, for ``policy`` at the one cost exp(-t)."""
+    the sums, for ``policy`` at the one cost exp(-t). The rule's draw recipe
+    must be ``recipe``: a row of draws fed to the rule follows it."""
     config = ExperimentConfig(num_cells=m, probes_per_round=k, policy=policy, model=model,
                               neg_log_c=(t,), num_targets=l)
     (cost,) = config.costs
     entry = sim.POLICIES[policy]
     rule, draws = entry.rule(config, probing_regime(*model.kl_divergences(), m, l))
-    assert draws == ()
-    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost), None, None,
+    assert draws == recipe
+    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost), None,
                          entry.reads_threshold)
     live.S[0] = sums
     return PolicyConfig.for_model(model, m, k, cost, num_targets=l), rule, live
 
 
-def assert_engine_acts(rule, live, action):
+def assert_engine_acts(rule, live, action, drawn=None):
     # A stop is a margin at or above the threshold, the decided cells are its
     # key (cell indices or a bool mask), and the probes come in the scalar
-    # rule's order.
-    margin, key, probe = rule(live, 0, None)
+    # rule's order. ``drawn`` is the round's policy draws, a (1, d) row.
+    margin, key, probe = rule(live, 0, drawn)
     if isinstance(action, Stop):
         assert margin[0] >= live.thr
         cells = np.flatnonzero(key[0]) if key.dtype == bool else np.sort(key[0])
@@ -1012,3 +1015,117 @@ def test_engine_rules_keep_the_declaring_step_claims(claim):
         live.S[0, list(before)] = -np.inf
     assert_engine_acts(rule, live, action)
     assert set(np.flatnonzero(live.declared[0]).tolist()) == set(after)
+
+
+class Scripted:
+    """A generator for the scalar rules that hands out ``draws`` in order:
+    ``integers(b)`` the next pick, which must lie below b, and ``random()``
+    the next uniform."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def integers(self, b):
+        assert 0 <= self.draws[0] < b
+        return self.draws.pop(0)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def generic_round(model, m, l, sums, rng):
+    """One round of chernoff_generic on per-cell sums, as ``generic_reference``
+    steps it: the ML set, its margin and the cell drawn from its mixture."""
+    hyps, q_cache = generic_mixtures(model, m, l)
+    scores = []
+    for h in hyps:
+        total = 0.0
+        for cell in h:
+            total += sums[cell]
+        scores.append(total)
+    best = ml_hypothesis(scores)
+    cell = chernoff_generic_step(scores, rng, q_cache)
+    return hyps[best], generic_stop_margin(scores, best), cell
+
+
+def each_subset_alike(others, size, skip=0):
+    """A claim that the probes past the first ``skip`` form every
+    ``size``-subset of ``others`` equally often over the draw rows."""
+    def holds(acts):
+        counts = Counter(frozenset(act.cells[skip:]) for act in acts)
+        subsets = set(map(frozenset, itertools.combinations(others, size)))
+        return set(counts) == subsets and len(set(counts.values())) == 1
+    return holds
+
+
+# The randomized step rules' claims in tests/test_policies.py (TestChernoffStep,
+# the ML-set and margin tests and the chernoff_generic_step mixture tests), as
+# (policy, model, M, K, L, -log c, sums, recipe, claim). chernoff's rule runs
+# on every pick vector in the product of its recipe's bounds, so a claim over
+# them is exact; chernoff_generic's on a sweep of uniforms. The scalar rule
+# gets the same draws through ``Scripted`` and must act alike; ``claim`` then
+# holds of the actions, one per draw row: a Probe or Stop for chernoff, and
+# (ML set, margin, cell drawn) for chernoff_generic.
+UNIFORM = (np.random.Generator.random,)
+UNIFORM_SWEEP = [*np.linspace(0.0, 1.0, 41)[:-1].tolist(), 1 - 2**-53]
+SPREAD = [0.0, 2.0, -1.0, 0.5, 0.3]
+LEADER = [3.0, 0.0, 0.0, 0.0, 0.0]
+RANDOMIZED_CLAIMS = {
+    "chernoff-stops-as-dgf": ("chernoff", F_SIDE, 4, 1, 1, 5.0, [6.0, 0.5, 0.0, 0.0], (3,),
+                              lambda acts: set(acts) == {Stop((0,))}),
+    "chernoff-g-side-probes-leader": ("chernoff", G_SIDE, 5, 2, 1, 5.0, SPREAD, (4,),
+                                      lambda acts: all(act.cells[0] == 1 for act in acts)),
+    "chernoff-f-side-skips-leader": ("chernoff", F_SIDE, 5, 3, 1, 5.0, SPREAD, (4, 3, 2),
+                                     lambda acts: all(1 not in act.cells for act in acts)),
+    "chernoff-k-equals-m": ("chernoff", F_SIDE, 4, 4, 1, 5.0, [0.0, 2.0, -1.0, 0.5], (),
+                            lambda acts: acts == [Probe((1, 3, 0, 2))]),
+    "chernoff-f-side-subsets-uniform": ("chernoff", F_SIDE, 5, 2, 1, 5.0, LEADER, (4, 3),
+                                        each_subset_alike(range(1, 5), 2)),
+    "chernoff-g-side-subsets-uniform": ("chernoff", G_SIDE, 5, 3, 1, 5.0, LEADER, (4, 3),
+                                        each_subset_alike(range(1, 5), 2, skip=1)),
+    # Sets (0,) and (0, 1) tie at 2.0: the lower index, (0,), is the ML set.
+    "generic-ties-take-lowest-index": ("chernoff_generic", BERNOULLI, 3, 1, 2, 5.0,
+                                       [2.0, 0.0, -1.0], UNIFORM,
+                                       lambda acts: {act[:2] for act in acts} == {((0,), 0.0)}),
+    # (0, 1) scores 7.0 and its best rival, (0,), 5.0.
+    "generic-margin-over-best-rival": ("chernoff_generic", BERNOULLI, 3, 1, 2, 5.0,
+                                       [5.0, 2.0, -1.0], UNIFORM,
+                                       lambda acts: {act[:2] for act in acts} == {((0, 1), 2.0)}),
+    # The mixtures put no weight on a single ML set's cell, nor outside a pair.
+    "generic-single-set-mixture": ("chernoff_generic", BERNOULLI, 3, 1, 2, 5.0, [1.0, -2.0, -3.0],
+                                   UNIFORM, lambda acts: Counter(act[2] for act in acts) == {
+                                       1: 20, 2: 21}),
+    "generic-pair-mixture": ("chernoff_generic", BERNOULLI, 3, 1, 2, 5.0, [5.0, 2.0, -1.0],
+                             UNIFORM, lambda acts: Counter(act[2] for act in acts) == {
+                                 0: 20, 1: 21}),
+}
+
+
+@pytest.mark.parametrize("claim", RANDOMIZED_CLAIMS.values(), ids=RANDOMIZED_CLAIMS)
+def test_engine_rules_keep_the_randomized_step_claims(claim):
+    policy, model, m, k, l, t, sums, recipe, holds = claim
+    rows = itertools.product(*map(range, recipe)) if policy == "chernoff" else (
+        (u,) for u in UNIFORM_SWEEP)
+    acts = []
+    for drawn in rows:
+        pcfg, rule, live = one_row(policy, model, m, k, l, t, sums, recipe)
+        row = np.array([drawn], dtype=float) if drawn else None
+        rng = Scripted(drawn)
+        if policy == "chernoff":
+            state = SearchState(m)
+            state.s[:] = sums
+            act = chernoff_step(state, pcfg, rng)
+            assert_engine_acts(rule, live, act, row)
+            if isinstance(act, Stop):
+                # chernoff stops exactly where dgf does, and then draws nothing.
+                _, dgf_rule, dgf_live = one_row("dgf", model, m, k, l, t, sums)
+                assert_engine_acts(dgf_rule, dgf_live, act)
+                assert STEPS["dgf"](state, pcfg) == act
+        else:
+            act = generic_round(model, m, l, sums, rng)
+            margin, key, probe = rule(live, 0, row)
+            assert (tuple(np.unique(key[0]).tolist()), margin[0], probe[0, 0]) == act
+        # A scalar rule that acts reads every draw of the recipe.
+        assert rng.draws == [] or isinstance(act, Stop)
+        acts.append(act)
+    assert holds(acts)

@@ -1,4 +1,4 @@
-"""Picks and uniforms: ``sim._Picks`` reads ``Generator.integers(b)`` and
+"""Picks and uniforms: ``stream._Picks`` reads ``Generator.integers(b)`` and
 ``Generator.random()`` from raw PCG64 words.
 
 The engine makes every ``integers`` draw (the subset truth draw's
@@ -19,6 +19,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from anomsearch import Bernoulli, ExperimentConfig, Exponential, run_experiment, sim
+from anomsearch import stream as random_stream
 from anomsearch.models import ObservationModel
 
 VARIATES = list(dict.fromkeys(cls.base_variate for cls in get_args(ObservationModel)))
@@ -51,7 +52,7 @@ steps = st.one_of(
                                    ("pick", 5, [True] * 4), ("uniform", None, [True] * 4)])
 def test_reader_equals_scalar_integers(seed, trials, stream):
     refs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    picks = sim._Picks([np.random.default_rng([seed, t]) for t in range(trials)])
+    picks = random_stream._Picks([np.random.default_rng([seed, t]) for t in range(trials)])
     for kind, what, mask in stream:
         at = np.flatnonzero(mask[:trials])
         if kind == "pick":
@@ -75,7 +76,7 @@ def test_reader_equals_scalar_integers(seed, trials, stream):
 
 
 def test_self_check_passes_under_this_numpy():
-    assert sim._check_picks()
+    assert random_stream._check_picks()
 
 
 CHERNOFF = ExperimentConfig(num_cells=5, probes_per_round=1, policy="chernoff",
@@ -88,16 +89,16 @@ DGF_L = ExperimentConfig(num_cells=8, probes_per_round=3, num_targets=2, policy=
 
 def test_disagreeing_reader_falls_back_to_scalar_integers(monkeypatch):
     expected = [run_experiment(cfg) for cfg in (CHERNOFF, DGF_L)]
-    lemire, read = sim._Picks.lemire, []
+    lemire, read = random_stream._Picks.lemire, []
 
     def wrong(self, b, trials):
         read.append(b)
         return (lemire(self, b, trials) + 1) % b
 
-    monkeypatch.setattr(sim._Picks, "lemire", wrong)
-    monkeypatch.setattr(sim, "_picks_verified", None)
+    monkeypatch.setattr(random_stream._Picks, "lemire", wrong)
+    monkeypatch.setattr(random_stream, "_picks_verified", None)
     assert [run_experiment(cfg) for cfg in (CHERNOFF, DGF_L)] == expected
-    assert sim._picks_verified is False
+    assert random_stream._picks_verified is False
     assert read  # the self-check read the wrong picks
     checked = len(read)
     run_experiment(CHERNOFF)
@@ -106,16 +107,16 @@ def test_disagreeing_reader_falls_back_to_scalar_integers(monkeypatch):
 
 def test_disagreeing_uniforms_fall_back_to_scalar_random(monkeypatch):
     expected = run_experiment(FIG2_DGF)
-    next_double, read = sim._Picks.next_double, []
+    next_double, read = random_stream._Picks.next_double, []
 
     def wrong(self, trials):
         read.append(trials.size)
         return 1.0 - next_double(self, trials)
 
-    monkeypatch.setattr(sim._Picks, "next_double", wrong)
-    monkeypatch.setattr(sim, "_picks_verified", None)
+    monkeypatch.setattr(random_stream._Picks, "next_double", wrong)
+    monkeypatch.setattr(random_stream, "_picks_verified", None)
     assert run_experiment(FIG2_DGF) == expected
-    assert sim._picks_verified is False
+    assert random_stream._picks_verified is False
     assert read  # the self-check read the wrong uniforms
     checked = len(read)
     run_experiment(FIG2_DGF)
@@ -128,14 +129,14 @@ def test_engine_picks_go_through_the_reader(monkeypatch):
     # The single-target truth draw of chernoff and dgf reads one uniform
     # per trial, all of a chunk's trials at once; dgf picks nothing.
     # The self-check runs first, so that only the engine's draws are spied.
-    monkeypatch.setattr(sim, "_picks_verified", sim._check_picks())
-    assert sim._picks_verified
-    lemire, next_double = sim._Picks.lemire, sim._Picks.next_double
+    monkeypatch.setattr(random_stream, "_picks_verified", random_stream._check_picks())
+    assert random_stream._picks_verified
+    lemire, next_double = random_stream._Picks.lemire, random_stream._Picks.next_double
     for cfg, wanted, uniforms in ((CHERNOFF, {4}, True), (DGF_L, {8, 7}, False),
                                   (FIG2_DGF, set(), True)):
-        with mock.patch.object(sim._Picks, "lemire", autospec=True,
+        with mock.patch.object(random_stream._Picks, "lemire", autospec=True,
                                side_effect=lemire) as spy, \
-                mock.patch.object(sim._Picks, "next_double", autospec=True,
+                mock.patch.object(random_stream._Picks, "next_double", autospec=True,
                                   side_effect=next_double) as truths:
             sim._run_grid(cfg, cfg.costs)
         assert {call.args[1] for call in spy.call_args_list} == wanted

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anomsearch import sim
+from anomsearch import sim, stream
 from anomsearch import (
     AggregateMetrics,
     Bernoulli,
@@ -241,13 +241,13 @@ class TestDeterminism:
             self, monkeypatch, policy, workers):
         # With the thread pool every generator is built in this process and counted.
         seeds, pools = [], []
-        trial_generators = sim._trial_generators
+        trial_generators = stream._trial_generators
 
         def counting_generators(seed, trials):
             seeds.extend((seed, t) for t in trials)
             return trial_generators(seed, trials)
 
-        monkeypatch.setattr(sim, "_trial_generators", counting_generators)
+        monkeypatch.setattr(stream, "_trial_generators", counting_generators)
         monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(pools))
         monkeypatch.setattr(sim, "_CHUNK", 8)  # several chunks of (trial, cost) rows
         one_target = sim.POLICIES[policy].targets == "one"

@@ -32,20 +32,19 @@ trials. The script prints one row per (config, trials):
 * ``draw_calls_per_round``: ``Generator`` calls per round at seed 0 made
   through the callables the engine draws with, each wrapped in a counter:
   the draw recipe's callable entries, ``model.base_variate`` (a block of
-  variates is one call) and the pick reader's ``sim._Picks.next32`` (one
+  variates is one call) and the pick reader's ``stream._Picks.next32`` (one
   per raw word it reads, each a ``random_raw`` call).
   ``numpy_calls_per_round`` misses these, because ``Generator`` methods
   are Cython functions and emit no ``sys.setprofile`` events. The column
   leaves out generator construction, the single-target truth draw's
-  uniform, and ``integers`` calls that no wrapped callable makes: where
-  the package has no pick reader, the subset truth draw's, and after a
+  uniform, and ``integers`` calls that no wrapped callable makes: after a
   failed pick self-check, every pick;
 * ``compactions_per_pass``: calls of ``sim._LiveRows.keep`` in one pass
   at seed 0, summed over the pass's chunks. Each call drops the rows that
   have reached their last threshold from the live rows' arrays;
 * ``fixed_us_per_trial``: the part of a pass spent before its rounds, over
-  its trials: time inside ``sim._trial_generators``, ``sim._draw_truths``
-  and each chunk's first ``sim._base_blocks`` call (none for a recipe drawn
+  its trials: time inside ``stream._trial_generators``, ``stream._draw_truths``
+  and each chunk's first ``stream._base_blocks`` call (none for a recipe drawn
   one round at a time), the mean of the faster half of the seeds, each
   the best of ``REPEATS`` passes;
 * ``aggregate_us_per_point``: ``sim.aggregate`` on the pass's grid, over
@@ -95,7 +94,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import numpy as np  # noqa: E402
 
 import anomsearch  # noqa: E402
-from anomsearch import ExperimentConfig, sim  # noqa: E402
+from anomsearch import ExperimentConfig, sim, stream  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # Each benchmark spec's config layer, one policy each, by its label.
@@ -183,20 +182,17 @@ def draw_calls(cfg: ExperimentConfig) -> int:
                       counted(draw) if callable(draw) else draw for draw in draws)
         return chunk(cfg, rule, draws, *args)
 
-    patches = [(model_type, "base_variate", staticmethod(counted_base)),
-               (sim, "_lockstep_chunk", counted_chunk)]
-    picks = getattr(sim, "_Picks", None)  # absent where the package has no pick reader
-    if picks is not None:
-        next32 = picks.next32
+    next32 = stream._Picks.next32
 
-        def counted_next32(self, trials):
-            nonlocal count
-            # A trial reads a raw word exactly when it has no cached half.
-            count += sum(self.half[t] < 0 for t in trials.tolist())
-            return next32(self, trials)
+    def counted_next32(self, trials):
+        nonlocal count
+        # A trial reads a raw word exactly when it has no cached half.
+        count += sum(self.half[t] < 0 for t in trials.tolist())
+        return next32(self, trials)
 
-        patches.append((picks, "next32", counted_next32))
-    with patched(*patches):
+    with patched((model_type, "base_variate", staticmethod(counted_base)),
+                 (sim, "_lockstep_chunk", counted_chunk),
+                 (stream._Picks, "next32", counted_next32)):
         sim._run_lockstep(cfg, cfg.costs, 0, cfg.trials)
     return count
 
@@ -252,7 +248,7 @@ def stage_times(cfg: ExperimentConfig) -> tuple[float, float]:
     fixed, first_block = 0.0, False
 
     def timed(name):
-        call = getattr(sim, name)
+        call = getattr(stream, name)
 
         def wrapper(*args):
             nonlocal fixed, first_block
@@ -270,7 +266,7 @@ def stage_times(cfg: ExperimentConfig) -> tuple[float, float]:
         return wrapper
 
     names = ("_trial_generators", "_draw_truths", "_base_blocks")
-    with patched(*((sim, name, timed(name)) for name in names)):
+    with patched(*((stream, name, timed(name)) for name in names)):
         grid = sim._run_grid(cfg, cfg.costs)
     start = time.perf_counter()
     sim.aggregate(grid, cfg.costs)
