@@ -139,7 +139,8 @@ def anomaly_maximin(d_gf: float, d_fg: float, num_cells: int, max_targets: int,
     ML set of ``size`` among the sets of 1..max_targets of ``num_cells`` cells,
     which by symmetry puts a on each member and b on each other cell. Only a
     dropped member (KL a D(g||f)), an added cell (b D(f||g)) or a swap (their
-    sum) can bind; the L = 1 tie takes a = 1, as ``rate_multi`` takes "g"."""
+    sum) can bind; the L = 1 tie takes a = 1, as ``rate_multi`` takes "g" at
+    every K."""
     m, l = num_cells, size
     if l == max_targets and (l >= 2 or probing_regime(d_gf, d_fg, m, 1) == "g"):
         a, b = 1.0 / l, 0.0

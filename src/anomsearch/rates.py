@@ -26,10 +26,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RateReport:
-    """KL pair, achieved rate constant, and which probing regime attains it.
+    """KL pair, achieved rate constant, and the probing regime that attains it.
 
     regime is "g" when the rate comes from reinforcing suspected targets,
     "f" when it comes from clearing the other cells; ties report "g".
+    ``rate_multi`` takes both from ``probing_plan``, so its regime is the one
+    the engine probes in.
     """
 
     d_gf: float
@@ -50,9 +52,26 @@ class RateReport:
 def probing_regime(d_gf: float, d_fg: float, num_cells: int, num_targets: int) -> str:
     """The probing regime: "g" (chase the leading cells) when D(g||f)/L >=
     D(f||g)/(M-L), ties included, else "f" (clear the runners-up). The
-    package's one copy of this comparison; policies, rates, the maximin
-    mixture and the engine all call it."""
+    package's one copy of this comparison; policies and the maximin mixture
+    call it, and ``rate_multi`` and the engine read it through
+    ``probing_plan``."""
     return "g" if d_gf / num_targets >= d_fg / (num_cells - num_targets) else "f"
+
+
+def probing_plan(d_gf: float, d_fg: float, num_cells: int, probes_per_round: int,
+                 num_targets: int) -> tuple[str, int, float]:
+    """(regime, first, rate): what a ranked policy probes each round and the
+    gap growth rate that buys. It probes the K consecutive ranks from
+    ``first`` (0-based). In "g" the window holds the top L cells, or the L-th
+    and the K-1 above it while K < L; in "f" it holds ranks L+1..L+K, or the
+    bottom K while K > M-L, which also reach into the top L."""
+    m, k, l = num_cells, probes_per_round, num_targets
+    regime = probing_regime(d_gf, d_fg, m, l)
+    if k == m:
+        return regime, 0, d_gf + d_fg
+    if regime == "g":
+        return ("g", 0, d_gf + (k - l) * d_fg / (m - l)) if k >= l else ("g", l - k, k * d_gf / l)
+    return ("f", m - k, d_fg + (k - m + l) * d_gf / l) if k > m - l else ("f", l, k * d_fg / (m - l))
 
 
 def rate_single(model: ObservationModel, num_cells: int, probes_per_round: int) -> RateReport:
@@ -71,22 +90,18 @@ def rate_multi(
 ) -> RateReport:
     """Gap growth rate with L targets; ``rate_single`` is its L=1 case.
 
-    Both arms generalize the single-target ones. Chasing targets yields
-    d_gf + (K-L) d_fg / (M-L) once every target is covered (K >= L), else
-    K d_gf / L with the probes rotating over the L weakest candidates.
-    Clearing normals yields K d_fg / (M-L) while they can absorb all probes
-    (K <= M-L), else d_fg + (K-M+L) d_gf / L.
+    The rate and regime are ``probing_plan``'s. Both arms generalize the
+    single-target ones. Chasing targets yields d_gf + (K-L) d_fg / (M-L)
+    once every target is covered (K >= L), else K d_gf / L with the probes
+    rotating over the L weakest candidates. Clearing normals yields
+    K d_fg / (M-L) while they can absorb all probes (K <= M-L), else
+    d_fg + (K-M+L) d_gf / L. The regime's arm is the better one, up to
+    rounding at a tie, and at K = M both are d_gf + d_fg.
     """
-    m, k, l = num_cells, probes_per_round, num_targets
-    check_geometry(m, k, l)
+    check_geometry(num_cells, probes_per_round, num_targets)
     d_gf, d_fg = model.kl_divergences()
-    if k == m:
-        return RateReport(d_gf, d_fg, d_gf + d_fg, probing_regime(d_gf, d_fg, m, l))
-    arm_g = d_gf + (k - l) * d_fg / (m - l) if k >= l else k * d_gf / l
-    arm_f = d_fg + (k - m + l) * d_gf / l if k > m - l else k * d_fg / (m - l)
-    if arm_g >= arm_f:
-        return RateReport(d_gf, d_fg, arm_g, "g")
-    return RateReport(d_gf, d_fg, arm_f, "f")
+    regime, _, rate = probing_plan(d_gf, d_fg, num_cells, probes_per_round, num_targets)
+    return RateReport(d_gf, d_fg, rate, regime)
 
 
 def bayes_lower_bound(cost: float, i_star: float) -> float:

@@ -92,7 +92,7 @@ import numpy as np
 
 from .models import ObservationModel, check_cost, check_geometry
 from .oracle import anomaly_hypotheses, anomaly_maximin
-from .rates import probing_regime
+from .rates import probing_plan
 from .stream import ChunkStream, _Draw
 # The maximin LP, its KL table, the scalar step rules and the SearchState
 # ledger they step: the engine never calls them, and sim keeps their names
@@ -446,9 +446,9 @@ def _run_lockstep(
     for cost in costs:
         check_cost(cost)
     thresholds = [-math.log(cost) for cost in costs]
-    # The regime does not depend on the cost; only the threshold does.
-    rule, draws = policy.rule(cfg, probing_regime(*cfg.model.kl_divergences(), cfg.num_cells,
-                                                  cfg.num_targets))
+    # The plan does not depend on the cost; only the threshold does.
+    rule, draws = policy.rule(cfg, probing_plan(*cfg.model.kl_divergences(), cfg.num_cells,
+                                                cfg.probes_per_round, cfg.num_targets))
     rows = min(_CHUNK, _CHUNK_BYTES // (8 * (cfg.num_cells + cfg.probes_per_round)))
     step = max(1, rows // len(costs) if policy.reads_threshold else rows)
     return [_lockstep_chunk(cfg, rule, draws, thresholds, range(start, min(start + step, hi)),
@@ -496,7 +496,7 @@ class _LiveRows:
 
 
 # ``PolicyEntry.rule`` builds a lockstep rule once per grid, from the config
-# and its regime (``rates.probing_regime``), as neither depends on the cost.
+# and its plan (``rates.probing_plan``), as neither depends on the cost.
 # The rule takes the live rows (``_LiveRows``), the round number and
 # the round's policy draws (one row each, as floats, picks too; else None). It
 # updates their declared cells and ``last_declared`` in place and returns
@@ -511,9 +511,10 @@ class _LiveRows:
 # sort, first argmax), margins use the same float operations, and a
 # randomized rule consumes the scalar rule's draws in its order.
 _Rule = Callable[[_LiveRows, int, np.ndarray | None], tuple[np.ndarray, np.ndarray, np.ndarray]]
+_Plan = tuple[str, int, float]
 
 
-def _ranked_rule(cfg: ExperimentConfig, regime: str,
+def _ranked_rule(cfg: ExperimentConfig, plan: _Plan,
                  shuffle: bool = False) -> tuple[_Rule, _Draw]:
     """dgf, dgf_l (dgf_step is dgfl_step with L=1) and, with ``shuffle``,
     chernoff: the margin is the L-th ranked cell's lead over the next, the
@@ -522,11 +523,7 @@ def _ranked_rule(cfg: ExperimentConfig, regime: str,
     Fisher-Yates, one ``integers`` call per cell that reaches the window, so
     the window holds the leader (in the "g" regime) plus a uniform subset of
     the others."""
-    m, k, l = cfg.num_cells, cfg.probes_per_round, cfg.num_targets
-    if regime == "g":
-        first = 0 if k >= l else l - k
-    else:
-        first = m - k if k > m - l else l
+    m, k, l, first = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, plan[1]
     bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
     def rank(live, n, picks):
@@ -546,12 +543,12 @@ def _ranked_rule(cfg: ExperimentConfig, regime: str,
     return rank, tuple(bounds)
 
 
-def _sequential_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
+def _sequential_rule(cfg: ExperimentConfig, plan: _Plan) -> tuple[_Rule, _Draw]:
     """seq_dgf_l. The "f" regime is the "g" regime on negated sums: declare
     cells normal from the bottom up and output the survivors. The margin is
     +inf once the needed cells are declared, else -inf."""
     m, l = cfg.num_cells, cfg.num_targets
-    chase_top = regime == "g"
+    chase_top = plan[0] == "g"
     needed = l if chase_top else m - l
     # The margin of each declared count; no row declares more than needed.
     margins = np.append(np.full(needed, -np.inf), np.inf)
@@ -574,7 +571,7 @@ def _sequential_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
     return sequential, ()
 
 
-def _unknown_count_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
+def _unknown_count_rule(cfg: ExperimentConfig, plan: _Plan) -> tuple[_Rule, _Draw]:
     """unknown_l: declare and freeze every cell at the threshold, probe the best other."""
 
     def unknown(live, n, drawn):
@@ -597,7 +594,7 @@ def _unknown_count_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Dra
     return unknown, ()
 
 
-def _generic_rule(cfg: ExperimentConfig, regime: str) -> tuple[_Rule, _Draw]:
+def _generic_rule(cfg: ExperimentConfig, plan: _Plan) -> tuple[_Rule, _Draw]:
     """chernoff_generic: score every target set of 1..L cells by adding its
     members' sums in order; the margin is the ML set's lead over its closest
     rival, the key the ML set's members, and the probe one cell drawn from
@@ -750,15 +747,15 @@ def _decisions(keys: list[np.ndarray], m: int) -> np.ndarray:
 @dataclass(frozen=True)
 class PolicyEntry:
     """One policy's facts (see "Policies" above): ``rule`` builds its
-    lockstep rule and its draw recipe from ``(cfg, regime)``, the config
-    and its ``rates.probing_regime``;
+    lockstep rule and its draw recipe from ``(cfg, plan)``, the config
+    and its ``rates.probing_plan``;
     ``reads_threshold`` marks a rule that declares cells at the threshold,
     so each of its rows keeps one cost; ``scores_hypotheses`` marks a policy
     that scores every candidate target set, whose count is capped."""
 
     targets: str
     one_probe: bool
-    rule: Callable[[ExperimentConfig, str], tuple[_Rule, _Draw]]
+    rule: Callable[[ExperimentConfig, _Plan], tuple[_Rule, _Draw]]
     reads_threshold: bool = False
     scores_hypotheses: bool = False
 

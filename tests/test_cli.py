@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from anomsearch import cli, rate_single, sim, stream, unknownl_lower_bound
+from anomsearch import bayes_lower_bound, cli, rate_single, sim, stream, unknownl_lower_bound
 from anomsearch.cli import (
     _CSV_COLUMNS,
     PRESETS,
@@ -254,6 +254,21 @@ class TestMainCommand:
         printed = capsys.readouterr().out.splitlines()
         assert str(out / "results.csv") in printed
         assert str(out / "summary.json") in printed
+
+    def test_tie_reports_the_regime_the_engine_probes(self, tmp_path):
+        # Gaussian means 0 and 0.3 give D(g||f) = D(f||g) = 0.045, an exact
+        # regime tie at M = 6, L = 3, which the engine probes as "g", at K
+        # = L the top three cells, so the rate is 0.045.
+        code, out = self.run_main(
+            tmp_path, "--policy", "dgf_l", "--model", "gaussian", "--lambda-f", "0",
+            "--lambda-g", "0.3", "--M", "6", "--K", "3", "--L", "3", "--neg-log-c", "2",
+            "--trials", "20")
+        assert code == 0
+        rates = json.loads((out / "summary.json").read_text())["rates"]["dgf_l"]
+        assert (rates["regime"], rates["i_star"]) == ("g", 0.045)
+        with (out / "results.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["lower_bound"]) == bayes_lower_bound(float(row["c"]), 0.045)
 
     def test_manifest_config_reproduces_spec(self, tmp_path):
         config = tmp_path / "run.json"

@@ -58,7 +58,7 @@ from anomsearch import (
 from anomsearch import sim, stream
 from anomsearch.oracle import anomaly_maximin
 from anomsearch.policies import Declare
-from anomsearch.rates import probing_regime
+from anomsearch.rates import probing_plan
 from anomsearch.state import update
 
 STEPS = {"dgf": dgf_step, "chernoff": chernoff_step, "dgf_l": dgfl_step,
@@ -79,6 +79,12 @@ MODELS = {
           else ((0.7, 0.2, 0.1), (0.0001, 0.4999, 0.5)))),
     "gaussian": lambda swap: Gaussian(1.5, 0.0) if swap else Gaussian(0.0, 1.5),
 }
+
+
+def plan_of(config):
+    """The probing plan the engine builds ``config``'s rule from."""
+    return probing_plan(*config.model.kl_divergences(), config.num_cells,
+                        config.probes_per_round, config.num_targets)
 
 
 def draw_truth(config, rng):
@@ -544,7 +550,7 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
                               policy=policy, diagnostics=policy == "chernoff")
     pcfg = PolicyConfig.for_model(config.model, config.num_cells, config.probes_per_round,
                                   config.costs[0], config.num_targets)
-    draws = sim.POLICIES[policy].rule(config, pcfg.multi_regime)[1]
+    draws = sim.POLICIES[policy].rule(config, plan_of(config))[1]
     if regime is None:
         # Bernoulli cells: one uniform per round, drawn ahead with the base variates.
         assert draws == (np.random.Generator.random,)
@@ -588,8 +594,8 @@ def test_engine_output_does_not_depend_on_worker_count(policy):
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_engine_builds_no_policy_config(policy, monkeypatch):
-    # The engine takes each threshold as -log c and the regime from
-    # rates.probing_regime, so it runs the same grid with PolicyConfig gone.
+    # The engine takes each threshold as -log c and the plan from
+    # rates.probing_plan, so it runs the same grid with PolicyConfig gone.
     config = ExperimentConfig(num_cells=4, probes_per_round=1, policy=policy,
                               model=Exponential(0.5, 10.0), neg_log_c=(3.0, 1.0),
                               trials=30, seed=9, num_targets=1 if policy in SINGLE_TARGET else 2,
@@ -651,8 +657,7 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
                               policy="chernoff_generic", model=MODELS[kind](False),
                               neg_log_c=(6.0,), trials=40, seed=23, true_target_count=1)
     cost = config.costs[0]
-    pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, cost, 2)
-    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg.multi_regime)[1] == (
+    assert sim.POLICIES["chernoff_generic"].rule(config, plan_of(config))[1] == (
         np.random.Generator.random,)
     expected = [generic_reference(config, cost, t) for t in range(config.trials)]
     one_round = []
@@ -680,8 +685,7 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
     config = ExperimentConfig(policy="chernoff_generic", neg_log_c=(8.0, 4.0), trials=150,
                               seed=7, max_rounds=max_rounds, **BENCH_SHAPES["unknown_l"])
     assert stream._BLOCK_ROUNDS == 32
-    pcfg = PolicyConfig.for_model(config.model, config.num_cells, 1, config.costs[0], 2)
-    assert sim.POLICIES["chernoff_generic"].rule(config, pcfg.multi_regime)[1] == (
+    assert sim.POLICIES["chernoff_generic"].rule(config, plan_of(config))[1] == (
         np.random.Generator.random,)
     expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
                 for cost in config.costs]
@@ -809,8 +813,8 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
 
     stepped = []
 
-    def checked_rule(cfg, regime):
-        rule, draws = entry.rule(cfg, regime)
+    def checked_rule(cfg, plan):
+        rule, draws = entry.rule(cfg, plan)
 
         def checked(live, n, drawn):
             stepped.append((n, live.index.tolist()))
@@ -925,7 +929,7 @@ def one_row(policy, model, m, k, l, t, sums, recipe=()):
                               neg_log_c=(t,), num_targets=l)
     (cost,) = config.costs
     entry = sim.POLICIES[policy]
-    rule, draws = entry.rule(config, probing_regime(*model.kl_divergences(), m, l))
+    rule, draws = entry.rule(config, plan_of(config))
     assert draws == recipe
     live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost), None,
                          entry.reads_threshold)
@@ -956,6 +960,29 @@ def test_engine_rules_keep_the_ranked_step_claims(claim):
     state.s[:] = sums
     assert STEPS[policy](state, pcfg) == action
     assert_engine_acts(rule, live, action)
+
+
+@pytest.mark.parametrize("model", [F_SIDE, G_SIDE], ids=["f_side", "g_side"])
+@pytest.mark.parametrize("m", range(2, 8))
+def test_engine_windows_match_ranked_steps_at_every_small_geometry(model, m):
+    # The probe window of rates.probing_plan against the scalar rules' own
+    # windows, at every L and K on both sides, with distinct sums whose
+    # gaps stay below the threshold, so every rule probes.
+    sums = np.random.default_rng(m).permutation(m).astype(float).tolist()
+    for l in range(1, m):
+        for k in range(1, m + 1):
+            pcfg, rule, live = one_row("dgf_l", model, m, k, l, 50.0, sums)
+            assert pcfg.multi_regime == ("f" if model is F_SIDE else "g")
+            state = SearchState(m)
+            state.s[:] = sums
+            action = dgfl_step(state, pcfg)
+            assert isinstance(action, Probe)
+            assert_engine_acts(rule, live, action)
+            if l == 1:
+                pcfg, rule, live = one_row("dgf", model, m, k, l, 50.0, sums)
+                action = dgf_step(state, pcfg)
+                assert isinstance(action, Probe)
+                assert_engine_acts(rule, live, action)
 
 
 # The declaring rules' claims in tests/test_policies.py (TestSeqDgfl's two

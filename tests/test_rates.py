@@ -1,8 +1,9 @@
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, reject, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from anomsearch import (
     Bernoulli,
@@ -149,9 +150,9 @@ def test_relative_loss():
         relative_loss(1.0, 0.0)
 
 
-class TestSupportsUnknownCount:
-    """The unknown-count policy needs regime "g" at K = M: D(g||f)/L >=
-    D(f||g)/(M-L), which rearranges to M >= L (d_gf + d_fg) / d_gf."""
+class TestProbingRegime:
+    """Regime "g" is D(g||f)/L >= D(f||g)/(M-L), which rearranges to M >=
+    L (d_gf + d_fg) / d_gf; the unknown-count policy needs it at K = M."""
 
     def test_known_cases(self):
         # 2 (0.9014 + 0.4320) / 0.9014 = 2.958 fits inside M=3
@@ -186,11 +187,48 @@ class TestSupportsUnknownCount:
         model = Gaussian(0.0, 0.3)
         d_gf, d_fg = model.kl_divergences()
         assert d_gf == d_fg
-        assert rate_multi(model, 6, 6, 3).regime == "g"
+        # rate_multi reports the regime at every K, and that regime's rate.
+        for k in range(1, 7):
+            assert rate_multi(model, 6, k, 3).regime == "g"
+        assert rate_multi(model, 6, 3, 3).i_star == 0.045
         assert PolicyConfig.for_model(model, 6, 1, 0.01, 3).multi_regime == "g"
         assert probing_regime(d_gf, d_fg, 6, 3) == "g"
         # The one-target tie of rate_single at K = M rounds the same way.
         assert rate_single(Gaussian(0.0, 0.3), 2, 2).regime == "g"
+
+
+@given(
+    family=st.sampled_from(["exponential", "bernoulli", "gaussian"]),
+    x=st.floats(0.05, 0.95),
+    y=st.floats(0.05, 0.95),
+    m=st.integers(2, 12),
+    nudge=st.integers(-4, 4),
+    data=st.data(),
+)
+@settings(max_examples=400)
+def test_rate_multi_reports_the_engines_regime_near_ties(family, x, y, m, nudge, data):
+    # Each example checks the model's own KL pair and one on the regime
+    # knife edge: d_gf = L d_fg / (M-L), nudged by ``nudge`` ulps.
+    l = data.draw(st.integers(1, m - 1))
+    k = data.draw(st.integers(1, m))
+    try:
+        model = {"exponential": lambda: Exponential(20 * x, 20 * y),
+                 "bernoulli": lambda: Bernoulli(x, y),
+                 "gaussian": lambda: Gaussian(0.0, 4 * y - 2 * x)}[family]()
+    except ModelError:  # f and g too close: a KL below the model's floor
+        reject()
+    d_gf, d_fg = model.kl_divergences()
+    edge = l * d_fg / (m - l)
+    for _ in range(abs(nudge)):
+        edge = math.nextafter(edge, math.copysign(math.inf, nudge))
+    for d_gf in (d_gf, edge):
+        report = rate_multi(SimpleNamespace(kl_divergences=lambda: (d_gf, d_fg)), m, k, l)
+        assert report.regime == probing_regime(d_gf, d_fg, m, l)
+        # The two arms written out: chasing the targets, clearing the normals.
+        arm_g = d_gf + (k - l) * d_fg / (m - l) if k >= l else k * d_gf / l
+        arm_f = d_fg + (k - m + l) * d_gf / l if k > m - l else k * d_fg / (m - l)
+        if abs(arm_g - arm_f) > 1e-12 * max(arm_g, arm_f):
+            assert report.i_star == max(arm_g, arm_f)
 
 
 def test_unknownl_lower_bound():
