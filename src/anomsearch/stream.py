@@ -334,25 +334,23 @@ def _check_picks() -> bool:
     return True
 
 
-def _draw_truths(cfg, rngs: list, picks: _Picks) -> np.ndarray:
+def _draw_truths(cfg, picks: _Picks) -> np.ndarray:
     """Each trial's true target cells as one mask row, its generator's first
     draws; ``cfg`` is the run's ``sim.ExperimentConfig``."""
-    m = cfg.num_cells
-    truth = np.zeros((len(rngs), m), dtype=bool)
+    m, rows = cfg.num_cells, np.arange(len(picks.rngs))
+    truth = np.zeros((rows.size, m), dtype=bool)
     if cfg.fixed_hypothesis is not None:
         truth[:, list(cfg.fixed_hypothesis)] = True
     elif cfg.priors is not None:
         # ExperimentConfig sets priors exactly when the target constraint is
         # "one". The first cell whose running prior sum exceeds one uniform
         # variate; cumsum adds in the scalar scan's order.
-        rows = np.arange(len(rngs))
         cells = np.cumsum(cfg.priors).searchsorted(picks.read(None, rows), side="right")
         truth[rows, np.minimum(cells, m - 1)] = True
     else:
         # Each trial's partial Fisher-Yates shuffle, one integers call per
         # target, taken for all trials at once in each generator's own order.
-        rows = np.arange(len(rngs))
-        pool = np.tile(np.arange(m), (len(rngs), 1))
+        pool = np.tile(np.arange(m), (rows.size, 1))
         for i in range(cfg.true_target_count):
             j = i + picks.read(m - i, rows)
             pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
@@ -409,7 +407,7 @@ class ChunkStream:
     def __init__(self, cfg, trials: range, draws: _Draw, rows: int) -> None:
         model, k, d = cfg.model, cfg.probes_per_round, len(draws)
         self.picks = picks = _Picks(_trial_generators(cfg.seed, trials))
-        self.truth = _draw_truths(cfg, picks.rngs, picks)
+        self.truth = _draw_truths(cfg, picks)
         self.draws, self.model, self.d, self.k, self.at = draws, model, d, k, None
         # A recipe of the base variate's own method draws ahead, as many
         # rounds as fit in _BLOCK_BYTES, and row r reads block row r % trials.

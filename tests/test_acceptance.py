@@ -16,6 +16,7 @@ from anomsearch import (
     Bernoulli,
     ExperimentConfig,
     Exponential,
+    Gaussian,
     PolicyConfig,
     RateReport,
     anomaly_hypotheses,
@@ -151,7 +152,8 @@ def test_criterion_06_single_target_reduction():
         assert dgf_step(state, cfg) == dgfl_step(state, cfg)
 
     # rate side: the L=1 rate report is the single-target one, bit for bit
-    for model in [*models, Bernoulli(0.1, 0.6), Exponential(1.0, 4.0)]:
+    for model in [*models, Bernoulli(0.1, 0.6), Bernoulli(0.2, 0.8), Exponential(1.0, 4.0),
+                  Gaussian(0.0, 1.0)]:
         for m, k in ((2, 1), (4, 3), (5, 2), (6, 6)):
             assert rate_multi(model, m, k, 1) == single_target_rate(model, m, k)
 

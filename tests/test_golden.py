@@ -3,7 +3,8 @@
 Each preset runs once as ``anomsearch --preset <name> --trials 300 --seed
 271828``. ``GOLDEN`` pins the SHA-256 of its ``results.csv``, taken from the
 one-trial-at-a-time scalar engine before the lockstep engine replaced it for
-the deterministic policies. ``SUMMARY_GOLDEN`` pins the SHA-256 of the
+the deterministic policies; ``table2``'s, the one grid that reaches -log c =
+11.51, from the lockstep engine. ``SUMMARY_GOLDEN`` pins the SHA-256 of the
 canonical JSON (sorted keys, no whitespace) of the ``rates`` and ``results``
 blocks of ``summary.json``; the manifest is left out, as it records a
 timestamp. Any change to the trial engines, the models' float arithmetic,
@@ -30,12 +31,14 @@ GOLDEN = {
     "fig3": "2910fb5b62e5bc2dfc2d69edb8efceeb0d437e28075d553431622774b78719d5",
     "fig4": "fb2f21ad126c2df011998631c8daace6986f60060556469c19045979bed55a9c",
     "table1_example": "d63f5fd5afd706fc38f11c6dd4fcc81f7e0249311aa271834ac15920f641f452",
+    "table2": "f3f1d07edac615bcabe33dc16b1d906456cc6db7ecd7a7d581fcf12125a704c1",
 }
 SUMMARY_GOLDEN = {
     "fig2": "7bfc1103dd0e3f388ca40e842747c36acbc272f35b5bf83ce77fb2465d3a33a8",
     "fig3": "35edae3627acd565903f09b14b79d4f4edb854c44705b031b59f6aee9d997cb4",
     "fig4": "ae86fa63ff9eb8b9d09059b87fab0772cf46363e2bc9bf3185e32a6fcc111567",
     "table1_example": "050d7223f25fa41a4c5eb4c24508a4f54d614d666fccc9029d553808e839215f",
+    "table2": "5e3659cd947a7a24f48c60cb1c3674266a9418aefb21011edf55fc951828d239",
 }
 
 

@@ -894,13 +894,17 @@ def test_block_bytes_cap_the_rounds_drawn_ahead(policy, rounds, monkeypatch):
             for j in range(len(config.costs))] == expected
 
 
-# The ranked step rules' claims in tests/test_policies.py (TestDgfStep and
-# TestDgflStep) and tests/test_state.py (ties rank the lower cell first), as
-# (policy, model, M, K, L, -log c, sums, action): the stop gap, the probe
-# window in both regimes, and K = M, where the probes are the whole ranking.
+# The ranked step rules' claims, each run on the scalar rule and on the
+# engine's, as (policy, model, M, K, L, -log c, sums, action): the stop gap,
+# the probe window in both regimes, K = M, where the probes are the whole
+# ranking, and ties, which rank the lower cell first. -log(exp(-2.0)) is 2.0
+# exactly, so an exact-gap claim's gap sits on the threshold.
+# Exponential(0.5, 10): d_gf = 2.05 < d_fg/(M-1) = 4.0 at M=5, the "knock
+# down the normals" side. Swapping the rates flips the comparison.
 F_SIDE, G_SIDE = Exponential(0.5, 10.0), Exponential(10.0, 0.5)
 RANKED_CLAIMS = {
     "dgf-stops-on-gap": ("dgf", F_SIDE, 4, 1, 1, 3.0, [4.0, 0.9, 0.0, -1.0], Stop((0,))),
+    "dgf-stops-at-exact-gap": ("dgf", F_SIDE, 4, 1, 1, 2.0, [2.0, 0.0, -1.0, -1.0], Stop((0,))),
     "dgf-below-gap-probes": ("dgf", F_SIDE, 4, 1, 1, 3.0, [2.0, 0.0, -1.0, -5.0], Probe((1,))),
     "dgf-g-side-top-k": ("dgf", G_SIDE, 5, 2, 1, 5.0, [1.0, 3.0, 0.0, -1.0, 2.0], Probe((1, 4))),
     "dgf-f-side-ranks-2-to-k+1": ("dgf", F_SIDE, 5, 2, 1, 5.0, [1.0, 3.0, 0.0, -1.0, 2.0],
@@ -908,6 +912,8 @@ RANKED_CLAIMS = {
     "dgf-k-equals-m": ("dgf", F_SIDE, 3, 3, 1, 5.0, [0.5, 0.0, 1.0], Probe((2, 0, 1))),
     "dgf_l-stops-on-l-gap": ("dgf_l", G_SIDE, 5, 1, 2, 5.0, [9.0, 7.0, 1.0, 0.0, -2.0],
                              Stop((0, 1))),
+    "dgf_l-stops-at-exact-gap": ("dgf_l", G_SIDE, 5, 1, 2, 2.0, [9.0, 7.0, 5.0, 0.0, -2.0],
+                                 Stop((0, 1))),
     "dgf_l-g-side-small-k": ("dgf_l", G_SIDE, 5, 1, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
                              Probe((1,))),
     "dgf_l-g-side-large-k": ("dgf_l", G_SIDE, 5, 3, 2, 5.0, [4.0, 3.0, 1.0, 0.0, -2.0],
@@ -985,12 +991,28 @@ def test_engine_windows_match_ranked_steps_at_every_small_geometry(model, m):
                 assert_engine_acts(rule, live, action)
 
 
-# The declaring rules' claims in tests/test_policies.py (TestSeqDgfl's two
-# walkthroughs and TestUnknownL), as (policy, model, M, L, -log c, sums,
-# cells declared before the round, cells declared after it, action), with
-# K = 1. The scalar rule returns one Declare per step; the engine's rule
-# makes a round's declarations and then acts, in one call, so a claim's
-# action is the scalar rule's first one after its Declares.
+def test_engine_stops_in_the_round_its_margin_equals_the_threshold(monkeypatch):
+    # A stand-in dgf rule whose margin is the round number: each cost's
+    # trials stop in the round whose margin equals its threshold exactly.
+    def rule(live, n, drawn):
+        cells = np.zeros((live.rows.size, 1), dtype=np.int64)
+        return np.full(live.rows.size, float(n)), cells, cells
+
+    entry = dataclasses.replace(sim.POLICIES["dgf"], rule=lambda cfg, plan: (rule, ()))
+    monkeypatch.setitem(sim.POLICIES, "dgf", entry)
+    config = ExperimentConfig(num_cells=4, probes_per_round=1, policy="dgf", model=F_SIDE,
+                              neg_log_c=(2.0, 3.0, 5.0), trials=3)
+    assert sim._run_grid(config, config.costs).tau.tolist() == [[2] * 3, [3] * 3, [5] * 3]
+
+
+# The declaring rules' claims, each run on the scalar rule and on the
+# engine's, as (policy, model, M, L, -log c, sums, cells declared before the
+# round, cells declared after it, action), with K = 1. The scalar rule
+# returns one Declare per step; the engine's rule makes a round's
+# declarations and then acts, in one call, so a claim's action is the scalar
+# rule's first one after its Declares. The seq_dgf_l claims walk one search
+# in each regime: the "g" regime chases the best undeclared cell and declares
+# it abnormal, the "f" regime grinds down the worst and declares it normal.
 BERNOULLI = Bernoulli(0.1, 0.6)
 DECLARING_CLAIMS = {
     "seq_dgf_l-g-probes-argmax": ("seq_dgf_l", G_SIDE, 3, 2, 2.0, [0.0, 0.0, 0.0], (), (),
@@ -1011,6 +1033,8 @@ DECLARING_CLAIMS = {
                                     (0,), Probe((2,))),
     "unknown_l-all-resolved-stops": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.5, -2.5, -2.1],
                                      (0,), (0,), Stop((0,))),
+    "unknown_l-resolved-at-minus-threshold": ("unknown_l", BERNOULLI, 3, 2, 2.0,
+                                              [2.5, -2.0, -2.5], (0,), (0,), Stop((0,))),
     "unknown_l-all-clear-stops-empty": ("unknown_l", BERNOULLI, 3, 2, 2.0, [-2.5, -3.0, -2.01],
                                         (), (), Stop(())),
     "unknown_l-simultaneous-crossings": ("unknown_l", BERNOULLI, 3, 2, 2.0, [2.1, 2.2, 0.0], (),
@@ -1032,6 +1056,7 @@ def test_engine_rules_keep_the_declaring_step_claims(claim):
     state.declare(before, kind)
     scalar = STEPS[policy](state, pcfg)
     while isinstance(scalar, Declare):
+        assert scalar.kind == kind
         state.declare(scalar.cells, scalar.kind)
         scalar = STEPS[policy](state, pcfg)
     assert (scalar, state.declared_abnormal | state.declared_normal) == (action, set(after))
@@ -1085,14 +1110,13 @@ def each_subset_alike(others, size, skip=0):
     return holds
 
 
-# The randomized step rules' claims in tests/test_policies.py (TestChernoffStep,
-# the ML-set and margin tests and the chernoff_generic_step mixture tests), as
-# (policy, model, M, K, L, -log c, sums, recipe, claim). chernoff's rule runs
-# on every pick vector in the product of its recipe's bounds, so a claim over
-# them is exact; chernoff_generic's on a sweep of uniforms. The scalar rule
-# gets the same draws through ``Scripted`` and must act alike; ``claim`` then
-# holds of the actions, one per draw row: a Probe or Stop for chernoff, and
-# (ML set, margin, cell drawn) for chernoff_generic.
+# The randomized step rules' claims, each run on the scalar rule and on the
+# engine's, as (policy, model, M, K, L, -log c, sums, recipe, claim).
+# chernoff's rule runs on every pick vector in the product of its recipe's
+# bounds, so a claim over them is exact; chernoff_generic's on a sweep of
+# uniforms. The scalar rule gets the same draws through ``Scripted`` and must
+# act alike; ``claim`` then holds of the actions, one per draw row: a Probe
+# or Stop for chernoff, and (ML set, margin, cell drawn) for chernoff_generic.
 UNIFORM = (np.random.Generator.random,)
 UNIFORM_SWEEP = [*np.linspace(0.0, 1.0, 41)[:-1].tolist(), 1 - 2**-53]
 SPREAD = [0.0, 2.0, -1.0, 0.5, 0.3]
@@ -1100,12 +1124,18 @@ LEADER = [3.0, 0.0, 0.0, 0.0, 0.0]
 RANDOMIZED_CLAIMS = {
     "chernoff-stops-as-dgf": ("chernoff", F_SIDE, 4, 1, 1, 5.0, [6.0, 0.5, 0.0, 0.0], (3,),
                               lambda acts: set(acts) == {Stop((0,))}),
-    "chernoff-g-side-probes-leader": ("chernoff", G_SIDE, 5, 2, 1, 5.0, SPREAD, (4,),
-                                      lambda acts: all(act.cells[0] == 1 for act in acts)),
-    "chernoff-f-side-skips-leader": ("chernoff", F_SIDE, 5, 3, 1, 5.0, SPREAD, (4, 3, 2),
-                                     lambda acts: all(1 not in act.cells for act in acts)),
+    "chernoff-stops-at-exact-gap": ("chernoff", F_SIDE, 4, 1, 1, 5.0, [5.0, 0.0, 0.0, 0.0],
+                                    (3,), lambda acts: set(acts) == {Stop((0,))}),
+    "chernoff-g-side-probes-leader": (
+        "chernoff", G_SIDE, 5, 2, 1, 5.0, SPREAD, (4,),
+        lambda acts: all(act.cells[0] == 1 and len(set(act.cells)) == 2 for act in acts)),
+    "chernoff-f-side-skips-leader": (
+        "chernoff", F_SIDE, 5, 3, 1, 5.0, SPREAD, (4, 3, 2),
+        lambda acts: all(1 not in act.cells and len(set(act.cells)) == 3 for act in acts)),
     "chernoff-k-equals-m": ("chernoff", F_SIDE, 4, 4, 1, 5.0, [0.0, 2.0, -1.0, 0.5], (),
                             lambda acts: acts == [Probe((1, 3, 0, 2))]),
+    "chernoff-f-side-one-probe-uniform": ("chernoff", F_SIDE, 5, 1, 1, 5.0, LEADER, (4,),
+                                          each_subset_alike(range(1, 5), 1)),
     "chernoff-f-side-subsets-uniform": ("chernoff", F_SIDE, 5, 2, 1, 5.0, LEADER, (4, 3),
                                         each_subset_alike(range(1, 5), 2)),
     "chernoff-g-side-subsets-uniform": ("chernoff", G_SIDE, 5, 3, 1, 5.0, LEADER, (4, 3),

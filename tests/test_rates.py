@@ -65,32 +65,6 @@ class TestRateSingle:
             rate_single(EXP_SLOW_FAST, 5, 0)
 
 
-GRID_MODELS = [
-    EXP_SLOW_FAST,
-    Exponential(10.0, 0.5),
-    Bernoulli(0.1, 0.6),
-    Bernoulli(0.2, 0.8),
-    Gaussian(0.0, 1.0),
-]
-GRID_SHAPES = [(2, 1), (4, 3), (5, 2), (6, 6)]
-
-
-@pytest.mark.parametrize("model", GRID_MODELS, ids=lambda m: m.kind)
-@pytest.mark.parametrize("shape", GRID_SHAPES)
-def test_multi_with_one_target_reduces_to_single(model, shape):
-    # The one-target rate written out: the full sweep's d_gf + d_fg at K = M,
-    # else the better of pinning the leader ("g", ties included) and
-    # spreading every probe over the runners-up ("f").
-    m, k = shape
-    d_gf, d_fg = model.kl_divergences()
-    if k == m:
-        expected = RateReport(d_gf, d_fg, d_gf + d_fg, "g" if d_gf >= d_fg / (m - 1) else "f")
-    else:
-        chase, clear = d_gf + (k - 1) * d_fg / (m - 1), k * d_fg / (m - 1)
-        expected = RateReport(d_gf, d_fg, *((chase, "g") if chase >= clear else (clear, "f")))
-    assert rate_multi(model, m, k, 1) == expected
-
-
 class TestRateMulti:
     def test_hand_computed_arms(self):
         model = Bernoulli(0.1, 0.6)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from anomsearch import Bernoulli, Exponential, SearchState, ranked_cells, update
+from anomsearch import Bernoulli, Exponential, SearchState, update
 
 MODEL = Exponential(1.0, 4.0)
 
@@ -39,15 +39,6 @@ def test_update_rejects_malformed_rounds():
         update(st_, (0,), {0: 1.0, 1: 2.0}, MODEL)
     # nothing was applied
     assert st_.n == 0 and st_.s == [0.0, 0.0, 0.0]
-
-
-def test_ranked_cells_breaks_ties_by_index():
-    st_ = SearchState(4)
-    st_.s[:] = [1.0, 3.0, 1.0, -2.0]
-    assert ranked_cells(st_) == [1, 0, 2, 3]
-
-    st_.s[:] = [0.0, 0.0, 0.0, 0.0]
-    assert ranked_cells(st_) == [0, 1, 2, 3]
 
 
 def test_declare_records_time_and_kind():
