@@ -246,7 +246,10 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     merged.update(policies=policies, model=model)
     for key, cast in (("neg_log_c", float), ("priors", float), ("fixed_hypothesis", int)):
         if merged[key] is not None:
-            merged[key] = tuple(cast(v) for v in merged[key])
+            try:
+                merged[key] = tuple(cast(v) for v in merged[key])
+            except OverflowError:
+                raise ConfigError(f"{key} holds an integer too large for a float") from None
     spec = RunSpec(**merged)
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every

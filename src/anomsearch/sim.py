@@ -215,6 +215,10 @@ class ExperimentConfig:
         object.__setattr__(self, "neg_log_c", grid)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        # Each (cost, trial) pair keeps more than a byte, so this count is over
+        # the outcome bound below, whose GiB figure would overflow a float.
+        if self.trials > _MAX_OUTCOME_BYTES:
+            raise ValueError(f"trials must be at most {_MAX_OUTCOME_BYTES}, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_rounds < 1:
@@ -908,12 +912,10 @@ def _fit_tau1_decay(trials: TrialColumns) -> DecayReport:
     # survivors[n] = number of trials with tau1 > n
     survivors = used - np.cumsum(counts)
     survival = survivors / used
-    at_most_half = np.nonzero(survival <= 0.5)[0]
-    enough_mass = np.nonzero(survivors >= 5)[0]
-    if at_most_half.size == 0 or enough_mass.size == 0:
-        return DecayReport(used, None, None, 0, None, None, True)
-    start = int(at_most_half[0])
-    stop = int(enough_mass[-1])
+    # Every tau1 is at least 1, so survivors[0] = used >= 20, and none
+    # survive the largest tau1: both index sets are non-empty.
+    start = int(np.nonzero(survival <= 0.5)[0][0])
+    stop = int(np.nonzero(survivors >= 5)[0][-1])
     ns = np.arange(start, stop + 1)
     ns = ns[survivors[ns] > 0]
     if ns.size < 5:

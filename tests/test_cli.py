@@ -425,6 +425,11 @@ class TestMainCommand:
             "config error: policy 'dgf': 100000000 trials at 5 costs on M = 5 cells would keep "
             "13 GiB of trial outcomes, more than 1 GiB; use fewer trials, a shorter -log c "
             "grid or fewer cells\n")
+        # 10^320 trials: a GiB figure past the float range.
+        trials = "1" + "0" * 320
+        assert main(["--preset", "fig2", "--trials", trials, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: trials must be at most {sim._MAX_OUTCOME_BYTES}, got {trials}\n")
 
     def test_outcome_memory_bound_admits_the_shipped_runs(self):
         bound = sim._MAX_OUTCOME_BYTES
@@ -489,9 +494,13 @@ class TestMainCommand:
         {"fixed_hypothesis": [0.5]},
         {"diagnostics": "false"},
         b"\xff\xfe{}",  # not UTF-8
+        # Integers that no float holds.
+        {"neg_log_c": [10 ** 400]},
+        {"priors": [10 ** 400, 1, 1, 1, 1]},
     ], ids=["grid-number", "grid-string", "priors-number", "policies-number",
             "policies-item", "count-string", "support-number", "kind-list",
-            "rate-bool", "cell-float", "flag-string", "not-utf8"])
+            "rate-bool", "cell-float", "flag-string", "not-utf8", "grid-huge-int",
+            "priors-huge-int"])
     def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, content):
         config = tmp_path / "run.json"
         if isinstance(content, bytes):

@@ -29,8 +29,9 @@ junk_value = st.one_of(
     st.booleans(), st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 junk = st.one_of(st.none(), junk_value)
-extreme = st.sampled_from([0, -1, 2 ** 31, 2 ** 63, 2 ** 64 + 1, 10 ** 30, -0.0, 5e-324,
-                           1e-300, 1e-17, 700.0, 745.2, 1e308, math.inf, -math.inf, math.nan])
+extreme = st.sampled_from([0, -1, 2 ** 31, 2 ** 63, 2 ** 64 + 1, 10 ** 30, 10 ** 400, -0.0,
+                           5e-324, 1e-300, 1e-17, 700.0, 745.2, 1e308, math.inf, -math.inf,
+                           math.nan])
 number = st.one_of(st.floats(-20.0, 20.0), st.floats(1e-6, 1.0), extreme)
 
 models = st.one_of(
@@ -163,6 +164,9 @@ def scaled_limits(monkeypatch):
     ("--neg-log-c", "1"), ("--trials", "1")], budget_factor=None, out="out")
 # Once a MemoryError or worse: 2^31 cells passed every check.
 @example(config={"trials": 2, "M": 2 ** 31}, flags=[], budget_factor=None, out="out")
+# Once an OverflowError: an integer grid point that no float holds.
+@example(config={"trials": 2, "neg_log_c": [10 ** 400]}, flags=[], budget_factor=None,
+         out="out")
 # Just over the round budget, where the estimate rejects the run.
 @example(config={"trials": 3, "policies": ["dgf", "unknown_l"], "M": 3, "L": 1},
          flags=[], budget_factor=1.01, out="out")

@@ -165,10 +165,11 @@ def generic_mixtures(model, num_cells, max_targets):
                        for h, (a, b, _) in zip(hyps, weights))
 
 
-# table1_example, the M=5, L=3 benchmark shape, every MODELS family both ways
-# round on M = 2..5 cells with L = 1..M-1, and three larger geometries.
+# table1_example, the M=5, L=3 benchmark shape, the unit Gaussian on
+# table1_example's geometry, every MODELS family both ways round on
+# M = 2..5 cells with L = 1..M-1, and three larger geometries.
 LP_GEOMETRIES = [
-    (Bernoulli(0.1, 0.6), 3, 2), (Bernoulli(0.2, 0.7), 5, 3),
+    (Bernoulli(0.1, 0.6), 3, 2), (Bernoulli(0.2, 0.7), 5, 3), (Gaussian(0.0, 1.0), 3, 2),
     *((MODELS[kind](swap), m, l) for kind in sorted(MODELS) for swap in (False, True)
       for m in range(2, 6) for l in range(1, m)),
     (Exponential(0.5, 10.0), 6, 4), (Gaussian(0.0, 1.0), 8, 3), (Bernoulli(0.2, 0.7), 10, 2),
@@ -176,7 +177,7 @@ LP_GEOMETRIES = [
 
 
 def test_closed_form_matches_the_lp():
-    assert len(LP_GEOMETRIES) == 85
+    assert len(LP_GEOMETRIES) == 86
     for model, m, l in LP_GEOMETRIES:
         d_gf, d_fg = model.kl_divergences()
         hyps, mixtures = generic_mixtures(model, m, l)
@@ -232,6 +233,32 @@ def generic_reference(config, cost, trial_index):
     result = TrialResult(true_hypothesis=truth, decision=decision, correct=decision == truth,
                          tau=n, tau_d=n, observations_taken=n, truncated=decision is None)
     return result, trace
+
+
+def reference_grid(config):
+    """Each cost's ``scalar_reference`` (TrialResult, trace) pairs, trial by trial."""
+    return [[scalar_reference(config, cost, t) for t in range(config.trials)]
+            for cost in config.costs]
+
+
+def results_of(per_cost):
+    """The TrialResults of one cost's reference pairs."""
+    return [result for result, _ in per_cost]
+
+
+def grid_results(grid, k):
+    """Each cost's TrialResults read back from a grid run at K probes per round."""
+    return [sim._trial_results(sim._row(grid, j), k) for j in range(len(grid.tau))]
+
+
+def assert_replays(config, cost, per_cost):
+    """``run_trial`` replays the shortest, the median and the longest of one
+    cost's reference trials, trace and all."""
+    by_tau = sorted(range(config.trials), key=lambda t: per_cost[t][0].tau)
+    for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
+        replay = []
+        assert run_trial(config, cost, t, trace=replay) == per_cost[t][0]
+        assert replay == per_cost[t][1]
 
 
 def block_rounds(spy):
@@ -366,11 +393,10 @@ def test_engine_matches_scalar_reference(policy, kind, swap, data, chunk, block_
                                   cost, config.num_targets)
     if kind != "gaussian" and policy != "chernoff_generic":
         assert pcfg.multi_regime == ("g" if swap else "f")
-    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
+    (expected,) = reference_grid(config)
     with mock.patch.object(sim, "_CHUNK", chunk), \
             mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds):
-        results = run_trials(config, cost)
-        assert results == [result for result, _ in expected]
+        assert run_trials(config, cost) == results_of(expected)
         for t, (result, trace) in enumerate(expected):
             replay = []
             assert run_trial(config, cost, t, trace=replay) == result
@@ -390,13 +416,11 @@ def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block
     # One pass over a whole grid, repeated and unsorted costs included,
     # must give each cost exactly the results of a run at that cost alone.
     config = dataclasses.replace(data.draw(configs(policy, kind, swap)), neg_log_c=tuple(grid))
-    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
-                for cost in config.costs]
+    expected = list(map(results_of, reference_grid(config)))
     with mock.patch.object(sim, "_CHUNK", chunk), \
             mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds):
-        columns = sim._run_grid(config, config.costs, workers)
-        assert [sim._trial_results(sim._row(columns, j), config.probes_per_round)
-                for j in range(len(config.costs))] == expected
+        grid = sim._run_grid(config, config.costs, workers)
+        assert grid_results(grid, config.probes_per_round) == expected
         assert [run_trials(config, cost) for cost in config.costs] == expected
         assert run_experiment(config, workers) == [
             (cost, reference_aggregate(results, cost))
@@ -461,26 +485,24 @@ def test_aggregates_match_per_object_reduction_on_small_grids(n):
     costs = (math.exp(-1.3), math.exp(-2.0), 0.3)
     got = sim.aggregate(grid, costs)
     for j, cost in enumerate(costs):
-        reference = reference_aggregate(sim._trial_results(sim._row(grid, j), 1), cost)
+        reference = reference_aggregate(grid_results(grid, 1)[j], cost)
         for field in dataclasses.fields(AggregateMetrics):
             assert getattr(got[j], field.name) == getattr(reference, field.name), field.name
 
 
+# test_benchmark_shapes_match_reference runs the dgf_l and unknown_l shapes.
+# The explicit ids keep each case's name stable as cases come and go.
 @pytest.mark.parametrize("policy, overrides", [
-    ("dgf_l", dict(num_cells=8, probes_per_round=3, num_targets=2,
-                   model=Bernoulli(0.1, 0.4))),
-    ("unknown_l", dict(num_cells=3, num_targets=2, model=Bernoulli(0.1, 0.6),
-                       fixed_hypothesis=(0,))),
     ("seq_dgf_l", dict(num_cells=4, num_targets=2, model=Bernoulli(0.1, 0.4))),
     ("dgf", dict(num_cells=5, model=Exponential(2.0, 4.0), diagnostics=True)),
-])
+], ids=["seq_dgf_l-overrides2", "dgf-overrides3"])
 def test_long_trials_refill_their_blocks(policy, overrides):
-    config = ExperimentConfig(probes_per_round=overrides.pop("probes_per_round", 1),
-                              policy=policy, neg_log_c=(8.0,), trials=40, seed=99, **overrides)
-    cost = config.costs[0]
-    results = run_trials(config, cost)
+    config = ExperimentConfig(probes_per_round=1, policy=policy, neg_log_c=(8.0,), trials=40,
+                              seed=99, **overrides)
+    (expected,) = reference_grid(config)
+    results = run_trials(config, config.costs[0])
     assert max(r.tau for r in results) > stream._BLOCK_ROUNDS
-    assert results == [scalar_reference(config, cost, t)[0] for t in range(config.trials)]
+    assert results == results_of(expected)
 
 
 # The long-trials benchmark shapes: dgf_l on eight Bernoulli cells, and
@@ -500,14 +522,10 @@ def test_benchmark_shapes_match_reference(policy):
     config = ExperimentConfig(policy=policy, neg_log_c=(8.0,), trials=150, seed=271_828,
                               **BENCH_SHAPES[policy])
     cost = config.costs[0]
-    expected = [scalar_reference(config, cost, t) for t in range(config.trials)]
-    assert run_trials(config, cost) == [result for result, _ in expected]
+    (expected,) = reference_grid(config)
+    assert run_trials(config, cost) == results_of(expected)
     assert max(result.tau for result, _ in expected) > stream._BLOCK_ROUNDS
-    by_tau = sorted(range(config.trials), key=lambda t: expected[t][0].tau)
-    for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
-        replay = []
-        assert run_trial(config, cost, t, trace=replay) == expected[t][0]
-        assert replay == expected[t][1]
+    assert_replays(config, cost, expected)
 
 
 @pytest.mark.parametrize("max_rounds", [32, 33])
@@ -519,12 +537,9 @@ def test_two_cost_grid_truncates_at_block_boundary(policy, max_rounds):
     config = ExperimentConfig(policy=policy, neg_log_c=(8.0, 4.0), trials=150, seed=7,
                               max_rounds=max_rounds, **BENCH_SHAPES[policy])
     assert stream._BLOCK_ROUNDS == 32
-    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
-                for cost in config.costs]
+    expected = list(map(results_of, reference_grid(config)))
     grid = sim._run_grid(config, config.costs)
-    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
-           for j in range(len(config.costs))]
-    assert got == expected
+    assert grid_results(grid, config.probes_per_round) == expected
     for results in expected:
         truncated = sum(result.truncated for result in results)
         assert 0 < truncated < len(results)
@@ -561,26 +576,19 @@ def test_randomized_policies_match_reference(policy, regime, overrides):
         ahead = config.probes_per_round == config.num_cells or (
             regime == "g" and config.probes_per_round == 1)
         assert (draws == ()) == ahead
-    expected = [[scalar_reference(config, cost, t) for t in range(config.trials)]
-                for cost in config.costs]
+    expected = reference_grid(config)
     one_round = []
     with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks, \
             mock.patch.object(stream, "_round_draws", recording_round_draws(one_round)):
         grid = sim._run_grid(config, config.costs)
-    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
-           for j in range(len(config.costs))]
     if ahead:
         assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
         assert one_round == []
     else:
         assert_one_round_draws(blocks, one_round, config, draws,
                                [result for per_cost in expected for result, _ in per_cost])
-    assert got == [[result for result, _ in per_cost] for per_cost in expected]
-    cost, per_cost = config.costs[-1], expected[-1]
-    longest = max(range(config.trials), key=lambda t: per_cost[t][0].tau)
-    replay = []
-    assert run_trial(config, cost, longest, trace=replay) == per_cost[longest][0]
-    assert replay == per_cost[longest][1]
+    assert grid_results(grid, config.probes_per_round) == list(map(results_of, expected))
+    assert_replays(config, config.costs[-1], expected[-1])
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -659,21 +667,18 @@ def test_chernoff_generic_draws_ahead_exactly_on_uniform_models(kind, ahead):
     cost = config.costs[0]
     assert sim.POLICIES["chernoff_generic"].rule(config, plan_of(config))[1] == (
         np.random.Generator.random,)
-    expected = [generic_reference(config, cost, t) for t in range(config.trials)]
+    (expected,) = reference_grid(config)
     one_round = []
     with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks, \
             mock.patch.object(stream, "_round_draws", recording_round_draws(one_round)):
-        assert run_trials(config, cost) == [result for result, _ in expected]
+        assert run_trials(config, cost) == results_of(expected)
     if ahead:
         assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
         assert one_round == []
     else:
         assert_one_round_draws(blocks, one_round, config, (np.random.Generator.random,),
-                               [result for result, _ in expected])
-    longest = max(range(config.trials), key=lambda t: expected[t][0].tau)
-    replay = []
-    assert run_trial(config, cost, longest, trace=replay) == expected[longest][0]
-    assert replay == expected[longest][1]
+                               results_of(expected))
+    assert_replays(config, cost, expected)
 
 
 @pytest.mark.parametrize("max_rounds", [32, 33])
@@ -687,22 +692,15 @@ def test_blocked_chernoff_generic_truncates_at_block_boundary(max_rounds):
     assert stream._BLOCK_ROUNDS == 32
     assert sim.POLICIES["chernoff_generic"].rule(config, plan_of(config))[1] == (
         np.random.Generator.random,)
-    expected = [[generic_reference(config, cost, t) for t in range(config.trials)]
-                for cost in config.costs]
+    expected = reference_grid(config)
     with mock.patch.object(stream, "_base_blocks", wraps=stream._base_blocks) as blocks:
         grid = sim._run_grid(config, config.costs)
-    got = [sim._trial_results(sim._row(grid, j), config.probes_per_round)
-           for j in range(len(config.costs))]
     assert block_rounds(blocks) == {stream._BLOCK_ROUNDS}
-    assert got == [[result for result, _ in per_cost] for per_cost in expected]
+    assert grid_results(grid, config.probes_per_round) == list(map(results_of, expected))
     for cost, per_cost in zip(config.costs, expected):
         truncated = sum(result.truncated for result, _ in per_cost)
         assert 0 < truncated < len(per_cost)
-        by_tau = sorted(range(config.trials), key=lambda t: per_cost[t][0].tau)
-        for t in (by_tau[0], by_tau[len(by_tau) // 2], by_tau[-1]):
-            replay = []
-            assert run_trial(config, cost, t, trace=replay) == per_cost[t][0]
-            assert replay == per_cost[t][1]
+        assert_replays(config, cost, per_cost)
 
 
 # The policies whose rules never read the threshold: one row per trial
@@ -739,9 +737,7 @@ def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
     else:
         # A chunk of 8 rows holds one trial's five (cost, trial) rows.
         assert rows == ([5] * 30 if chunk == 8 else [150])
-    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
-                for cost in config.costs]
-    assert [sim._trial_results(sim._row(grid, j), 1) for j in range(5)] == expected
+    assert grid_results(grid, 1) == list(map(results_of, reference_grid(config)))
     if chunk == 8 or policy == "chernoff_generic":
         # chernoff_generic scores at most 400 target sets, so its M + K stays
         # at or below 401 and its chunks at _CHUNK rows.
@@ -761,9 +757,7 @@ def test_rows_per_chunk_follow_the_rule(policy, chunk, monkeypatch):
     assert rows == ([1024, 976] if one_probe else [1000])
     for column, want in zip(grid, whole):
         assert column is None and want is None or np.array_equal(column, want)
-    k = wide.probes_per_round
-    for j, cost in enumerate(wide.costs):
-        results = sim._trial_results(sim._row(grid, j), k)
+    for cost, results in zip(wide.costs, grid_results(grid, wide.probes_per_round)):
         for t in (0, 435, 436, 999):
             assert results[t] == scalar_reference(wide, cost, t)[0]
 
@@ -797,8 +791,7 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
     # twice, and its trial draws nothing once none of its rows is live.
     config = ExperimentConfig(**{"probes_per_round": 1, **overrides}, policy=policy,
                               neg_log_c=(1.0, 8.0, 2.5, 5.0), trials=60, seed=31)
-    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
-                for cost in config.costs]
+    expected = list(map(results_of, reference_grid(config)))
     assert not any(result.truncated for per_cost in expected for result in per_cost)
     # Each chunk row's last round: one row per (cost, trial), cost-major, for
     # a rule that reads the threshold, else one per trial that ends at the
@@ -839,8 +832,7 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
     monkeypatch.setattr(stream, "_base_blocks", recording_blocks)
     monkeypatch.setattr(stream, "_round_draws", recording_round_draws(one_round))
     grid = sim._run_grid(config, config.costs)
-    assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
-            for j in range(len(config.costs))] == expected
+    assert grid_results(grid, config.probes_per_round) == expected
 
     # Round n steps exactly the rows whose last round is n or later, and
     # the rows are compacted once in each round where some row ends, but
@@ -888,10 +880,8 @@ def test_block_bytes_cap_the_rounds_drawn_ahead(policy, rounds, monkeypatch):
     grid = sim._run_grid(config, config.costs)
     assert set(blocks) == {(rounds, rounds * round_bytes)}
     assert len(blocks) > 1
-    expected = [[scalar_reference(config, cost, t)[0] for t in range(config.trials)]
-                for cost in config.costs]
-    assert [sim._trial_results(sim._row(grid, j), config.probes_per_round)
-            for j in range(len(config.costs))] == expected
+    expected = list(map(results_of, reference_grid(config)))
+    assert grid_results(grid, config.probes_per_round) == expected
 
 
 # The ranked step rules' claims, each run on the scalar rule and on the

@@ -48,6 +48,8 @@ def test_bernoulli_llr_two_point_support():
     m = Bernoulli(0.1, 0.6)
     assert m.llr(1.0) == pytest.approx(math.log(6.0))
     assert m.llr(0.0) == pytest.approx(math.log(0.4 / 0.9))
+    with pytest.raises(ValueError, match="^bernoulli observation must be 0 or 1, got 0.5$"):
+        m.llr(0.5)
 
 
 @pytest.mark.parametrize("bad", [
@@ -100,6 +102,12 @@ def test_tabulated_validates_pmfs():
         Tabulated(support=(0.0, 1.0), pmf_f=(0.7, 0.2), pmf_g=(0.5, 0.5))
     with pytest.raises(ModelError):
         Tabulated(support=(0.0, 1.0), pmf_f=(0.5, 0.5), pmf_g=(1.0, 0.0))
+    with pytest.raises(ModelError, match="tabulated support is empty$"):
+        Tabulated(support=(), pmf_f=(), pmf_g=())
+    with pytest.raises(ModelError, match="tabulated support values must be distinct$"):
+        Tabulated(support=(0.0, 1.0, 0.0), pmf_f=(0.5, 0.3, 0.2), pmf_g=(0.2, 0.3, 0.5))
+    with pytest.raises(ModelError, match="pmf lengths must match the support$"):
+        Tabulated(support=(0.0, 1.0), pmf_f=(0.5, 0.5), pmf_g=(0.2, 0.3, 0.5))
 
 
 def test_tabulated_matches_bernoulli():
@@ -108,6 +116,8 @@ def test_tabulated_matches_bernoulli():
     assert tab.kl_divergences() == pytest.approx(bern.kl_divergences(), rel=1e-12)
     assert tab.llr(1.0) == pytest.approx(bern.llr(1.0), rel=1e-12)
     assert tab.llr(0.0) == pytest.approx(bern.llr(0.0), rel=1e-12)
+    with pytest.raises(ValueError, match="^observation 2.0 is outside the tabulated support$"):
+        tab.llr(2.0)
 
 
 

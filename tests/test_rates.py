@@ -41,21 +41,6 @@ class TestRateSingle:
         assert r.i_star == pytest.approx(1.4070784343255751, rel=1e-12)
         assert r.regime == "g"
 
-    def test_full_sweep_sums_both_divergences(self):
-        d_gf, d_fg = EXP_SLOW_FAST.kl_divergences()
-        r = rate_single(EXP_SLOW_FAST, 4, 4)
-        assert r.i_star == pytest.approx(d_gf + d_fg)
-
-    def test_picks_better_arm(self):
-        d_gf, d_fg = EXP_SLOW_FAST.kl_divergences()
-        # K=2 of 5: pinning the leader gives d_gf + d_fg/4, spreading 2 d_fg/4
-        r = rate_single(EXP_SLOW_FAST, 5, 2)
-        assert r.i_star == pytest.approx(max(d_gf + d_fg / 4, 2 * d_fg / 4))
-        assert r.regime == "f"
-        # swap the densities and the leader arm dominates
-        r = rate_single(Exponential(10.0, 0.5), 5, 2)
-        assert r.regime == "g"
-
     def test_validation(self):
         with pytest.raises(ValueError, match="^need at least two cells$"):
             rate_single(EXP_SLOW_FAST, 1, 1)
