@@ -390,6 +390,14 @@ def model_from_dict(spec: dict) -> ObservationModel:
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
     if any(isinstance(v, bool) for v in kwargs.values()):
         raise ModelError(f"{kind!r} model parameters must be numbers, not true/false")
+    for key, value in kwargs.items():
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, int):
+                try:
+                    float(v)
+                except OverflowError:
+                    raise ModelError(f"{kind!r} model {key} holds an integer too large "
+                                     f"for a float") from None
     try:
         return cls(**kwargs)
     except TypeError as exc:

@@ -68,7 +68,9 @@ the same engine on a grid of one cost.
 The results are bit-identical to running one trial at a time, one cost at
 a time, through the scalar step rules, ``SearchState`` and ``update``,
 whatever the worker count: ``_run_grid``'s process pool runs spans of
-whole trials at every cost. They leave the engine as one grid, a
+whole trials at every cost. Only a run with more than one worker starts
+that pool, and the first such run imports it, so a one-worker run loads
+none of ``multiprocessing``. The spans leave the engine as one grid, a
 ``TrialColumns`` whose columns hold one row per cost and one column per
 trial, which ``aggregate`` reduces row by row along the contiguous trial
 axis. NumPy sums pairwise along that axis only, so a row reduces exactly
@@ -83,10 +85,9 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -787,6 +788,22 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def __getattr__(name: str) -> Any:
+    """``sim.ProcessPoolExecutor``, imported on first use (PEP 562).
+
+    Only a multi-worker run needs the pool's modules (``multiprocessing``,
+    ``logging``, ``subprocess`` and more), so a one-worker run never loads
+    them. The class is not bound in the module: a pool set on the module in
+    its place (a test's recording pool, the layer tracer's timed one) is the
+    pool that ``_run_grid`` starts, and deleting it leaves the module as it
+    was before.
+    """
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -> TrialColumns:
     """All trials at every cost in ``costs``, as one grid: row j holds the
     trials at ``costs[j]``, in trial order.
@@ -795,14 +812,16 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
     every cost; per-trial seeding makes the output independent of the
     spans, so any worker count yields identical columns. The pool never
     holds more processes than there are spans or CPUs available to this
-    process.
+    process. The pool's class is ``sim.ProcessPoolExecutor``, which the
+    first multi-worker run imports.
     """
     if workers <= 1:
         chunks = _run_lockstep(cfg, costs, 0, cfg.trials)
     else:
         workers = min(workers, _available_cpus())
         spans = _spans(cfg.trials, workers * 4)
-        with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=min(workers, len(spans))) as pool:
             futures = [pool.submit(_run_lockstep, cfg, costs, lo, hi) for lo, hi in spans]
             chunks = [chunk for future in futures for chunk in future.result()]
     # Chunks come in trial order, and each one's columns are C-contiguous,

@@ -1,9 +1,10 @@
 """Property test: no config file or argv makes ``anomsearch`` raise.
 
 Over JSON config dicts and command lines (wrong types, extreme numbers,
-geometries around the ``chernoff_generic`` hypothesis cap, thresholds
-around the round budget) ``main()`` returns 0 (ran), 2 (config or usage
-error) or 3 (i/o error), and never lets an exception through.
+shipped presets with one key set to an extreme, geometries around the
+``chernoff_generic`` hypothesis cap, thresholds around the round budget)
+``main()`` returns 0 (ran), 2 (config or usage error) or 3 (i/o error),
+and never lets an exception through.
 
 Every example runs in-process with ``--workers 1``, so none starts a process
 pool, with at most 3 trials and ``--out`` under ``tmp_path``. The hypothesis
@@ -29,9 +30,13 @@ junk_value = st.one_of(
     st.booleans(), st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 junk = st.one_of(st.none(), junk_value)
-extreme = st.sampled_from([0, -1, 2 ** 31, 2 ** 63, 2 ** 64 + 1, 10 ** 30, 10 ** 400, -0.0,
-                           5e-324, 1e-300, 1e-17, 700.0, 745.2, 1e308, math.inf, -math.inf,
-                           math.nan])
+EXTREMES = [0, -1, 2 ** 31, 2 ** 63, 2 ** 64 + 1, 10 ** 30, 10 ** 400, -0.0, 5e-324, 1e-300,
+            1e-17, 700.0, 745.2, 1e308, math.inf, -math.inf, math.nan]
+extreme = st.sampled_from(EXTREMES)
+extreme_int = st.sampled_from([v for v in EXTREMES if isinstance(v, int)])
+# A number as JSON writes it: an integer or a float, each half the time.
+extreme_number = st.one_of(extreme_int,
+                           st.sampled_from([v for v in EXTREMES if isinstance(v, float)]))
 number = st.one_of(st.floats(-20.0, 20.0), st.floats(1e-6, 1.0), extreme)
 
 models = st.one_of(
@@ -105,6 +110,35 @@ def sane_configs(draw):
     return config
 
 
+@st.composite
+def preset_extremes(draw):
+    """A shipped preset, at most 3 trials, with one key set to a well-typed
+    extreme: an integer key to an integer from ``extreme``, a list to
+    distinct extremes (integers for ``fixed_hypothesis``), as many as the
+    preset's list holds (M for ``priors``), or one model parameter to an
+    extreme. Each of the three kinds of key is changed in a third of the
+    examples.
+
+    Every other key is valid, so the examples get past the type checks to
+    the resolver's casts and the checks after them.
+    """
+    config = {**PRESETS[draw(st.sampled_from(sorted(PRESETS)))], "trials": draw(st.integers(1, 3))}
+    key = draw(weighted(
+        st.sampled_from(["M", "K", "L", "seed", "true_target_count", "fixed_hypothesis"]),
+        st.sampled_from(["neg_log_c", "priors"]), st.just("model")))
+    if key == "model":
+        model = dict(config["model"])
+        model[draw(st.sampled_from(sorted(model.keys() - {"kind"})))] = draw(extreme_number)
+        config["model"] = model
+    elif key in ("neg_log_c", "priors", "fixed_hypothesis"):
+        size = len(config.get(key) or range(config["M"]))
+        entries = extreme_int if key == "fixed_hypothesis" else extreme_number
+        config[key] = draw(st.lists(entries, min_size=size, max_size=size, unique=True))
+    else:
+        config[key] = draw(extreme_int)
+    return config
+
+
 flag_values = st.one_of(st.integers(1, 12).map(str), extreme.map(str), st.text(max_size=3))
 flags = st.one_of(st.just([]), st.lists(st.one_of(
     st.tuples(st.sampled_from(["--M", "--K", "--L", "--seed", "--lambda-f", "--lambda-g"]),
@@ -144,9 +178,10 @@ def scaled_limits(monkeypatch):
     monkeypatch.setattr(sim, "_MAX_HYPOTHESES", CAP)
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(config=weighted(sane_configs(), sane_configs(), sane_configs(), wild_configs,
+                       preset_extremes(), preset_extremes(), preset_extremes(), preset_extremes(),
                        st.one_of(st.none(), st.lists(st.integers(), max_size=1))),
        flags=flags, budget_factor=st.one_of(st.none(), st.floats(0.5, 2.0)),
        out=st.sampled_from(["out", "blocker/out"]))

@@ -181,6 +181,14 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"kind": "exponential", "lambda_f": 1.0})  # missing lambda_g
     with pytest.raises(ModelError, match="bad parameters for 'tabulated' model: .*not iterable"):
         model_from_dict({"kind": "tabulated", "support": 5, "pmf_f": [1.0], "pmf_g": [1.0]})
+    # Integers that no float holds, named by their key.
+    for spec, key in (({"kind": "exponential", "lambda_f": 10 ** 400, "lambda_g": 1}, "lambda_f"),
+                      ({"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": 10 ** 400}, "sigma"),
+                      ({"kind": "tabulated", "support": [0, 1], "pmf_f": [0.5, 0.5],
+                        "pmf_g": [0.2, -10 ** 400]}, "pmf_g")):
+        with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} holds an integer "
+                                             f"too large for a float$"):
+            model_from_dict(spec)
 
 
 def draws(model, abnormal, seed, size):

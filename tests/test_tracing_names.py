@@ -6,11 +6,15 @@ only for it: the scalar step rules and ``SearchState``/``update``, which
 the lockstep engine vectorises, and the maximin LP and its KL table; the
 engine calls none of them. Installing the tracer fails as soon as ``src/``
 drops one of them, so this test does that and checks that ``restore`` puts
-every original back.
+every original back. It also checks that the tracer's timed pool replaces
+``sim.ProcessPoolExecutor``, which ``sim`` imports on first use, so that
+``--trace 1`` still times the pool of a multi-worker run, and that
+``restore`` leaves ``sim``'s namespace as it found it.
 """
 
 import importlib.util
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -45,11 +49,16 @@ def test_tracer_installs_and_restores_on_the_package(monkeypatch):
     modules = runner.program_modules()
     sim = modules["sim"]
     originals = {name: getattr(sim, name) for name in SIM_NAMES}
+    pool_bound = "ProcessPoolExecutor" in vars(sim)
     tracer = runner.tracing.Tracer()
     try:
         tracer.install(modules)
         wrapped = [name for name in SIM_NAMES if getattr(sim, name) is not originals[name]]
         assert wrapped == list(SIM_NAMES)
+        pool = sim.ProcessPoolExecutor
+        assert issubclass(pool, ProcessPoolExecutor) and pool is not ProcessPoolExecutor
     finally:
         tracer.restore()
     assert all(getattr(sim, name) is originals[name] for name in SIM_NAMES)
+    assert sim.ProcessPoolExecutor is ProcessPoolExecutor
+    assert ("ProcessPoolExecutor" in vars(sim)) == pool_bound
