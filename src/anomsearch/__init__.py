@@ -8,18 +8,17 @@ their asymptotic rate benchmarks, and a reproducible Monte Carlo engine
 live in separate modules; the ``anomsearch`` CLI drives preset
 experiments and writes plot-ready CSV.
 
-Each module's ``__all__`` is its public API; the package re-exports them.
+The package re-exports the ``__all__`` of ``models``, ``oracle``, ``rates``
+and ``sim``. The scalar reference rules of ``policies`` and ``state`` serve
+the tests and import from those modules only.
 """
 
-from . import models, oracle, policies, rates, sim, state
+from . import models, oracle, rates, sim
 from .models import *  # noqa: F401,F403
 from .oracle import *  # noqa: F401,F403
-from .policies import *  # noqa: F401,F403
 from .rates import *  # noqa: F401,F403
 from .sim import *  # noqa: F401,F403
-from .state import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *models.__all__, *oracle.__all__, *policies.__all__,
-           *rates.__all__, *sim.__all__, *state.__all__]
+__all__ = ["__version__", *models.__all__, *oracle.__all__, *rates.__all__, *sim.__all__]

@@ -354,7 +354,7 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
     threshold go to ``trials_<policy>.csv`` and the tail fit as soon as its
     grid is built, and no policy's grid outlives its turn."""
     rows: list[dict] = []
-    extra: dict[str, Any] | None = None if out is None else {"outputs": [], "diagnostics": {}}
+    extra: dict[str, Any] | None = None if out is None else {"diagnostics": {}}
     total = len(spec.policies) * len(spec.neg_log_c)
     start = time.monotonic()
     for policy in spec.policies:
@@ -381,7 +381,6 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
         if extra is not None:
             trials, name = sim._row(grid, -1), f"trials_{policy}.csv"
             _write_trial_csv(out / name, trials)
-            extra["outputs"].append(name)
             extra["diagnostics"][policy] = entry = {"per_trial_csv": name}
             if trials.tau1 is not None:
                 entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
@@ -432,7 +431,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
 
     outputs = ["results.csv", "summary.json"]
     if extra:
-        outputs.extend(extra.get("outputs", ()))
+        outputs.extend(entry["per_trial_csv"] for entry in extra["diagnostics"].values())
     manifest = {
         "config": spec.to_dict(),
         "version": __version__,
@@ -449,7 +448,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
         "warnings": _truncation_warnings(rows),
     }
     if extra:
-        summary.update({k: v for k, v in extra.items() if k != "outputs"})
+        summary.update(extra)
     _write(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     return manifest
 

@@ -1,6 +1,6 @@
 """Asymptotic rate constants and Bayes-risk lower bounds.
 
-The stopping rules in :mod:`anomsearch.policies` all trade observation cost
+The policies that :mod:`anomsearch.sim` runs all trade observation cost
 against error probability through a single constant: the rate at which the
 decisive log-likelihood gap grows per round. These helpers compute that
 constant for each scenario shape and turn it into the benchmark risk curve

@@ -70,7 +70,8 @@ a time, through the scalar step rules, ``SearchState`` and ``update``,
 whatever the worker count: ``_run_grid``'s process pool runs spans of
 whole trials at every cost. Only a run with more than one worker starts
 that pool, and the first such run imports it, so a one-worker run loads
-none of ``multiprocessing``. The spans leave the engine as one grid, a
+none of ``multiprocessing``, and no run loads the scalar step rules (see
+``_ON_FIRST_READ``). The spans leave the engine as one grid, a
 ``TrialColumns`` whose columns hold one row per cost and one column per
 trial, which ``aggregate`` reduces row by row along the contiguous trial
 axis. NumPy sums pairwise along that axis only, so a row reduces exactly
@@ -83,6 +84,7 @@ with ``_cells``.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 from dataclasses import dataclass, replace
@@ -95,18 +97,9 @@ from .models import ObservationModel, check_cost, check_geometry
 from .oracle import anomaly_hypotheses, anomaly_maximin
 from .rates import probing_plan
 from .stream import ChunkStream, _Draw
-# The maximin LP, its KL table, the scalar step rules and the SearchState
-# ledger they step: the engine never calls them, and sim keeps their names
-# so that layer tracing can wrap every solver, step rule and state operation.
+# The maximin LP, its KL table and the SearchState ledger: the engine never
+# calls them, and sim keeps them for layer tracing, like _ON_FIRST_READ.
 from .oracle import hypothesis_action_kl, maximin_action_distribution  # noqa: F401
-from .policies import (  # noqa: F401
-    chernoff_generic_step,
-    chernoff_step,
-    dgf_step,
-    dgfl_step,
-    seq_dgfl_step,
-    unknownl_step,
-)
 from .state import SearchState, update  # noqa: F401
 
 __all__ = [
@@ -788,20 +781,26 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def __getattr__(name: str) -> Any:
-    """``sim.ProcessPoolExecutor``, imported on first use (PEP 562).
+# Names that sim imports on first read and never binds (PEP 562): the
+# process pool, which only a multi-worker run needs, and the scalar step
+# rules, which layer tracing wraps, so a run loads neither multiprocessing
+# nor anomsearch.policies. A value set on the module in their place (a
+# test's recording pool, the tracer's wrappers) is what sim reads, and
+# deleting it leaves the module as it was. SearchState and update stay bound
+# above: perfbench's test_install_and_restore_leave_every_attribute_as_found
+# reads vars(sim)["update"].
+_ON_FIRST_READ = {
+    "ProcessPoolExecutor": "concurrent.futures",
+    **dict.fromkeys(("chernoff_generic_step", "chernoff_step", "dgf_step", "dgfl_step",
+                     "seq_dgfl_step", "unknownl_step"), ".policies"),
+}
 
-    Only a multi-worker run needs the pool's modules (``multiprocessing``,
-    ``logging``, ``subprocess`` and more), so a one-worker run never loads
-    them. The class is not bound in the module: a pool set on the module in
-    its place (a test's recording pool, the layer tracer's timed one) is the
-    pool that ``_run_grid`` starts, and deleting it leaves the module as it
-    was before.
-    """
-    if name != "ProcessPoolExecutor":
+
+def __getattr__(name: str) -> Any:
+    """A name of ``_ON_FIRST_READ``, imported from its module (PEP 562)."""
+    if name not in _ON_FIRST_READ:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
+    return getattr(importlib.import_module(_ON_FIRST_READ[name], __package__), name)
 
 
 def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -> TrialColumns:

@@ -17,11 +17,8 @@ from anomsearch import (
     ExperimentConfig,
     Exponential,
     Gaussian,
-    PolicyConfig,
     RateReport,
     anomaly_hypotheses,
-    dgf_step,
-    dgfl_step,
     hypothesis_action_kl,
     maximin_action_distribution,
     rate_multi,
@@ -31,7 +28,8 @@ from anomsearch import (
 )
 from anomsearch.cli import main
 from anomsearch.oracle import anomaly_maximin
-from anomsearch import SearchState
+from anomsearch.policies import PolicyConfig, dgf_step, dgfl_step
+from anomsearch.state import SearchState
 
 FIG2_MODEL = Exponential(0.5, 10.0)
 LN10 = math.log(10.0)

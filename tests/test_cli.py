@@ -215,8 +215,9 @@ class TestRunSpec:
         rows, extra = cli._run_spec(resolve_config(layer, {"diagnostics": True}), 1, None, out)
         assert seen == [("dgf", [], []), ("chernoff", ["trials_dgf.csv"], [True])]
         assert rows == plain
-        assert extra["outputs"] == ["trials_dgf.csv", "trials_chernoff.csv"]
         assert list(extra["diagnostics"]) == ["dgf", "chernoff"]
+        assert [entry["per_trial_csv"] for entry in extra["diagnostics"].values()] == [
+            "trials_dgf.csv", "trials_chernoff.csv"]
 
 
 class TestMainCommand:
@@ -761,10 +762,11 @@ class TestRendering:
 _SCIPY_LOADS = """
 import sys
 from anomsearch.cli import main
-print(sorted(m for m in sys.modules if m.startswith("scipy")), flush=True)
+print(sorted(m for m in sys.modules if m.startswith("scipy")),
+      "anomsearch.policies" in sys.modules, flush=True)
 code = main(["--M", "3", "--neg-log-c", "2", "--trials", "2", "--out", sys.argv[1]])
-print([m for m in ("concurrent.futures.process", "multiprocessing", "logging")
-       if m in sys.modules], flush=True)
+print([m for m in ("anomsearch.policies", "concurrent.futures.process", "multiprocessing",
+                   "logging") if m in sys.modules], flush=True)
 print("scipy" in sys.modules, code, flush=True)
 """
 
@@ -773,12 +775,14 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy.stats alone is about half a second of start-up and nothing needs
     # it; SciPy's top level is several milliseconds more, spent only to read
     # its version into the manifest, so the import loads no SciPy at all.
-    # Nor does a one-worker run load the process pool's modules.
+    # Nor does a one-worker run load the process pool's modules, or the
+    # scalar step rules of anomsearch.policies, which only the tests and the
+    # layer tracer read.
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", _SCIPY_LOADS, str(tmp_path)],
                          env=dict(os.environ, PYTHONPATH=str(src)),
                          capture_output=True, text=True, check=True).stdout
-    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[0] == "[] False"
     assert out.splitlines()[-2:] == ["[]", "True 0"]
     manifest = json.loads((tmp_path / "summary.json").read_text())["manifest"]
     assert manifest["environment"]["scipy"] == scipy.__version__

@@ -32,34 +32,35 @@ from anomsearch import (
     ExperimentConfig,
     Exponential,
     Gaussian,
-    PolicyConfig,
-    Probe,
-    SearchState,
-    Stop,
     Tabulated,
     TrialResult,
     anomaly_hypotheses,
     bayes_lower_bound,
+    hypothesis_action_kl,
+    maximin_action_distribution,
+    run_experiment,
+    run_trial,
+    run_trials,
+    unknownl_lower_bound,
+)
+from anomsearch import sim, stream
+from anomsearch.oracle import anomaly_maximin
+from anomsearch.policies import (
+    Declare,
+    PolicyConfig,
+    Probe,
+    Stop,
     chernoff_generic_step,
     chernoff_step,
     dgf_step,
     dgfl_step,
     generic_stop_margin,
-    hypothesis_action_kl,
-    maximin_action_distribution,
     ml_hypothesis,
-    run_experiment,
-    run_trial,
-    run_trials,
     seq_dgfl_step,
-    unknownl_lower_bound,
     unknownl_step,
 )
-from anomsearch import sim, stream
-from anomsearch.oracle import anomaly_maximin
-from anomsearch.policies import Declare
 from anomsearch.rates import probing_plan
-from anomsearch.state import update
+from anomsearch.state import SearchState, update
 
 STEPS = {"dgf": dgf_step, "chernoff": chernoff_step, "dgf_l": dgfl_step,
          "seq_dgf_l": seq_dgfl_step, "unknown_l": unknownl_step}

@@ -10,18 +10,15 @@ import re
 
 import pytest
 
-from anomsearch import (
-    Bernoulli,
-    Exponential,
-    Gaussian,
+from anomsearch import Bernoulli, Exponential, Gaussian, rate_multi
+from anomsearch.policies import (
     PolicyConfig,
-    SearchState,
     dgf_step,
     generic_stop_margin,
     ml_hypothesis,
-    rate_multi,
     seq_dgfl_step,
 )
+from anomsearch.state import SearchState
 
 # Exponential(0.5, 10): d_gf = 2.05 < d_fg/(M-1) = 4.0 at M=5, the
 # "knock down the normals" side. Swapping the rates flips the comparison.

@@ -1,12 +1,16 @@
 """The package's public names: exactly the union of its modules' ``__all__``.
 
-``anomsearch/__init__.py`` star-imports each module and concatenates their
-``__all__`` lists, so a name is public when its module lists it. These
-tests pin the resulting set, so adding a name to a module's ``__all__`` or
-dropping one shows up here.
+``anomsearch/__init__.py`` star-imports ``models``, ``oracle``, ``rates`` and
+``sim`` and concatenates their ``__all__`` lists, so a name is public when
+one of those modules lists it. These tests pin the resulting set, so adding
+a name to a module's ``__all__`` or dropping one shows up here. The scalar
+reference of ``policies`` and ``state`` is left out of the package, and its
+names import from their own modules only.
 """
 
 import importlib
+
+import pytest
 
 import anomsearch
 
@@ -18,10 +22,6 @@ PUBLIC_NAMES = {
     # oracle
     "HypothesisActionKL", "anomaly_hypotheses", "hypothesis_action_kl", "kl_quadrature",
     "maximin_action_distribution", "maximin_action_grid",
-    # policies
-    "Declare", "PolicyConfig", "Probe", "Stop", "chernoff_generic_step", "chernoff_step",
-    "dgf_step", "dgfl_step", "generic_stop_margin", "ml_hypothesis", "seq_dgfl_step",
-    "unknownl_step",
     # rates
     "RateReport", "bayes_lower_bound", "rate_multi", "rate_single", "relative_loss",
     "unknownl_lower_bound",
@@ -29,17 +29,17 @@ PUBLIC_NAMES = {
     "POLICY_NAMES", "AggregateMetrics", "DecayReport", "ExperimentConfig", "TrialColumns",
     "TrialResult", "aggregate", "run_experiment", "run_trial", "run_trials",
     "tau1_decay_diagnostic",
-    # state
-    "Declaration", "SearchState", "ranked_cells", "update",
 }
-MODULES = ("models", "oracle", "policies", "rates", "sim", "state")
+MODULES = ("models", "oracle", "rates", "sim")
+# Modules whose ``__all__`` the package leaves out.
+REFERENCE_MODULES = ("policies", "state")
 # Names that their modules define but leave out of ``__all__``.
 UNEXPORTED = (("models", "check_geometry"), ("policies", "PolicyAction"),
               ("sim", "POLICIES"), ("sim", "PolicyEntry"))
 
 
 def test_all_is_the_pinned_set_without_duplicates():
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 32
     assert set(anomsearch.__all__) == PUBLIC_NAMES
     assert len(anomsearch.__all__) == len(PUBLIC_NAMES)
 
@@ -71,3 +71,18 @@ def test_unexported_names_still_import_from_their_modules():
     for module, name in UNEXPORTED:
         assert name not in importlib.import_module(f"anomsearch.{module}").__all__
         assert not hasattr(anomsearch, name)
+
+
+def test_reference_names_import_from_their_own_modules_only():
+    seen = 0
+    for name in REFERENCE_MODULES:
+        module = importlib.import_module(f"anomsearch.{name}")
+        for reference in module.__all__:
+            assert not hasattr(anomsearch, reference), reference
+            with pytest.raises(ImportError):
+                exec(f"from anomsearch import {reference}", {})
+            namespace = {}
+            exec(f"from anomsearch.{name} import {reference}", namespace)
+            assert namespace[reference] is getattr(module, reference)
+            seen += 1
+    assert seen == 16

@@ -10,7 +10,6 @@ from anomsearch import (
     Exponential,
     Gaussian,
     ModelError,
-    PolicyConfig,
     RateReport,
     bayes_lower_bound,
     rate_multi,
@@ -18,6 +17,7 @@ from anomsearch import (
     relative_loss,
     unknownl_lower_bound,
 )
+from anomsearch.policies import PolicyConfig
 from anomsearch.rates import probing_regime
 
 EXP_SLOW_FAST = Exponential(0.5, 10.0)  # d_gf=2.0457..., d_fg=16.0042...

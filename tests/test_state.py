@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from anomsearch import Bernoulli, Exponential, SearchState, update
+from anomsearch import Bernoulli, Exponential
+from anomsearch.state import SearchState, update
 
 MODEL = Exponential(1.0, 4.0)
 
