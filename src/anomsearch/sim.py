@@ -58,12 +58,12 @@ declared cells only for a rule that declares them. A chunk holds at most
 allows at 8 bytes per cell and per probe, but never fewer than one
 trial's rows.
 
-A chunk reads its randomness through its ``ChunkStream`` in three steps:
-the truths when it starts, each round's policy draws before the rule
-steps, and, once the rows that end are dropped, the base variates of the
-rows that go on. How each step is drawn (blocks drawn ahead, or one round
-at a time) is ``stream``'s business. ``run_trials`` and ``run_trial`` are
-the same engine on a grid of one cost.
+A chunk reads its randomness through its ``ChunkStream`` in two steps:
+the truths when it starts, and in one call each round (``ChunkStream.round``)
+the policy draws and base variates of every live row. Every live row is
+stepped and updated; then one ``_LiveRows.keep`` drops the rows that ended.
+How a round is drawn (blocks ahead, or one round at a time) is ``stream``'s
+business. ``run_trials`` and ``run_trial`` are the same engine on a grid of one cost.
 
 The results are bit-identical to running one trial at a time, one cost at
 a time, through the scalar step rules, ``SearchState`` and ``update``,
@@ -402,6 +402,9 @@ def run_trial(
     the order the policy's step rule lists them. Hitting cfg.max_rounds
     truncates the trial: decision None, correct False, tau = max_rounds.
     """
+    if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)) or (
+            trial_index < 0):
+        raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
     chunk, = _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)
     return _trial_results(_row(chunk, 0), cfg.probes_per_round)[0]
 
@@ -462,13 +465,14 @@ class _LiveRows:
     ``last_declared`` is per chunk row, not per live row. ``thr`` is each
     live row's next threshold to reach, a float while every row has the
     same one. ``index`` holds each live row's chunk row, by which the
-    chunk's ``stream.ChunkStream`` draws for it."""
+    chunk's ``stream.ChunkStream`` draws for it, and ``at`` where it reads
+    its blocks of draws (``ChunkStream.places``), if any."""
 
     __slots__ = ("index", "rows", "offsets", "S", "law", "truth", "declared", "thr",
-                 "last_declared")
+                 "last_declared", "at")
 
     def __init__(self, law: np.ndarray, thr: float | np.ndarray, truth: np.ndarray | None,
-                 declares: bool) -> None:
+                 declares: bool, at: np.ndarray | None = None) -> None:
         count, m = law.shape
         self.index = self.rows = np.arange(count)
         self.offsets = self.rows[:, None] * m
@@ -478,6 +482,7 @@ class _LiveRows:
         self.declared = np.zeros((count, m), dtype=bool) if declares else None
         self.thr = thr
         self.last_declared = np.full(count, -1, dtype=np.int64)
+        self.at = at
 
     def keep(self, kept: np.ndarray) -> None:
         """Keep only the live rows at positions ``kept``, in order."""
@@ -491,6 +496,8 @@ class _LiveRows:
             self.declared = self.declared.take(kept, axis=0)
         if isinstance(self.thr, np.ndarray):
             self.thr = self.thr[kept]
+        if self.at is not None:
+            self.at = self.at.take(kept, axis=0)
 
 
 # ``PolicyEntry.rule`` builds a lockstep rule once per grid, from the config
@@ -633,7 +640,7 @@ def _lockstep_chunk(
     policy = POLICIES[cfg.policy]
     per_cost = policy.reads_threshold or width == 1
     count = n_trials * width if per_cost else n_trials
-    chunk = ChunkStream(cfg, trials, draws, count)
+    chunk = ChunkStream(cfg, trials, draws)
     truth = chunk.truth
     track_tau1 = _tracks_tau1(cfg)
     grid_truth = np.tile(truth, (width, 1)) if width > 1 else truth
@@ -658,11 +665,12 @@ def _lockstep_chunk(
     hits, keys, rounds, sizes, reached, breaks = [], [], [], [], [], []
     last_break = np.zeros(count, dtype=np.int64)
     live = _LiveRows(model.law(row_truth), thr, row_truth if track_tau1 else None,
-                     policy.reads_threshold)
-    policy_draws, base_variates, n = chunk.policy_draws, chunk.base_variates, 0
+                     policy.reads_threshold, chunk.places(count))
+    n = 0
     while True:
         # Only trials that have a live row draw.
-        margin, key, probe = rule(live, n, policy_draws(n, live.index))
+        drawn, base = chunk.round(n, live.index, live.at)
+        margin, key, probe = rule(live, n, drawn)
         reach = margin >= live.thr
         hit = reach.nonzero()[0]
         if hit.size:
@@ -683,13 +691,8 @@ def _lockstep_chunk(
             kept = (~done).nonzero()[0]
             if not kept.size or n >= cfg.max_rounds:
                 break
-            if kept.size < done.size:
-                live.keep(kept)
-                chunk.keep(kept)
-                probe = probe[kept]
         elif n >= cfg.max_rounds:
             break
-        base = base_variates(live.index)
         # Observations are drawn in ascending cell order within a round.
         flat = probe + live.offsets
         if k > 1:
@@ -704,6 +707,9 @@ def _lockstep_chunk(
             y = model.observations(law, base)
             # The traced trial is row 0, whose flat indices are its cells.
             trace.append((tuple(probe[0].tolist()), dict(zip(flat[0].tolist(), y[0].tolist()))))
+        # The rows that ended were stepped and updated with the rest; drop them.
+        if hit.size and kept.size < done.size:
+            live.keep(kept)
 
     # Each (cost, trial)'s record, ``records`` for one never reached.
     records = sum(sizes)

@@ -17,8 +17,8 @@ call ``default_rng``. The draws come in this order:
    uniform variate (``random``) scanned against the prior for target
    constraint ``one``, or a partial Fisher-Yates shuffle (one ``integers``
    call per target) for target subsets;
-2. each round, the policy's own draws first, then exactly one base variate
-   per observation, probed cells visited in ascending order. The round's
+2. each round, the policy's own draws first, then one base variate per
+   probe in ascending cell order, the round a trial ends in included. The round's
    draws follow a recipe fixed by the config alone: K base variates,
    preceded for ``chernoff`` by one ``integers`` call per cell of its
    random subset (bounds M - 1, M - 2, ...: K calls in the "f" regime,
@@ -53,19 +53,19 @@ they are unobservable. How a round is drawn follows from the recipe:
   come in blocks that ``_base_blocks`` draws ahead, one row per chunk
   trial in contract order, when the last block runs out; each live row
   reads its trial's from a place fixed when the chunk starts
-  (``ChunkStream.at``). A block holds ``_BLOCK_ROUNDS`` rounds, or as
+  (``ChunkStream.places``). A block holds ``_BLOCK_ROUNDS`` rounds, or as
   many as the chunk's trials fit in ``_BLOCK_BYTES`` and at least one,
   one array call per trial (``Generator`` array draws equal the same
   number of scalar draws).
 * A recipe that mixes methods, ``chernoff``'s subset picks (``integers``,
   which may use half of a cached 64-bit word) or ``chernoff_generic``'s
   uniform before a ziggurat base variate (Exponential, Gaussian), is
-  drawn one round at a time by ``_round_draws``, entry by entry for all
-  the drawing trials at once, straight into an array in row order: the d
-  policy draws of every live row before the rule steps, then, once the
-  rows that end are dropped, the K base variates of the rows that go on.
-  A trial that ends in a round draws no base variates in it. Such a rule
-  never reads the threshold, so it runs one row per trial.
+  drawn one round at a time by one ``_round_draws`` call, entry by entry
+  for all the drawing trials at once, straight into an array in row
+  order: the d policy draws and then the K base variates of every live
+  row, before the rule steps. A trial that ends in the round draws its
+  base variates too, which nothing reads. Such a rule never reads the
+  threshold, so it runs one row per trial.
 
 Every ``integers`` pick, the subset truth draw's and ``chernoff``'s, goes
 through the chunk's one ``_Picks``, which reads it off raw PCG64 words for
@@ -392,54 +392,46 @@ class ChunkStream:
 
     Built when the chunk starts, it builds the trials' generators and one
     ``_Picks`` over them and draws ``truth``, one mask row per trial. Then
-    each round the engine reads its live rows' policy draws
-    (:meth:`policy_draws`) before the rule steps and, once the rows that
-    end are dropped (:meth:`keep`, next to ``_LiveRows.keep``), the base
-    variates of the rows that go on (:meth:`base_variates`). The chunk has
-    ``rows`` rows, row r reading trial r % trials. For a recipe drawn
-    ahead, ``at`` holds where each live row reads its K base variates of a
-    block's first round in the flat draws of :func:`_base_blocks`; block
-    rows of trials without a live row are never read. A recipe drawn one
-    round at a time has no blocks, and ``at`` is None. ``cfg`` is the
-    run's ``sim.ExperimentConfig``.
+    each round the engine reads all of its live rows' draws in one call
+    (:meth:`round`). Chunk row r reads trial r % trials. For a recipe drawn
+    ahead, a row reads its blocks of :func:`_base_blocks` at places fixed
+    when the chunk starts (:meth:`places`), which the engine's live rows
+    keep (``sim._LiveRows.at``): the stream holds nothing per row. Block
+    rows of trials without a live row are never read. ``cfg`` is the run's
+    ``sim.ExperimentConfig``.
     """
 
-    def __init__(self, cfg, trials: range, draws: _Draw, rows: int) -> None:
+    def __init__(self, cfg, trials: range, draws: _Draw) -> None:
         model, k, d = cfg.model, cfg.probes_per_round, len(draws)
         self.picks = picks = _Picks(_trial_generators(cfg.seed, trials))
         self.truth = _draw_truths(cfg, picks)
-        self.draws, self.model, self.d, self.k, self.at = draws, model, d, k, None
+        self.model, self.d, self.width, self.rounds = model, d, d + k, None
+        self.recipe = draws + (model.base_variate,) * k
         # A recipe of the base variate's own method draws ahead, as many
-        # rounds as fit in _BLOCK_BYTES, and row r reads block row r % trials.
+        # rounds as fit in _BLOCK_BYTES.
         if all(draw is model.base_variate for draw in draws):
             self.rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_BYTES // (8 * len(trials) * (d + k))))
             self.lead = np.arange(-d, 0)
-            self.at = ((np.arange(rows) % len(trials) * self.rounds * (d + k))[:, None]
-                       + np.arange(d, d + k))
 
-    def policy_draws(self, n: int, index: np.ndarray) -> np.ndarray | None:
-        """Round ``n``'s policy draws for the live rows at chunk rows
-        ``index``, one row each, as floats (picks too); None if the recipe
-        has none."""
-        if self.at is None:
+    def places(self, rows: int) -> np.ndarray | None:
+        """Where each of ``rows`` chunk rows reads its K base variates of a
+        block's first round; None for a recipe drawn one round at a time."""
+        if self.rounds:
+            return ((np.arange(rows) % len(self.picks.rngs) * self.rounds * self.width)[:, None]
+                    + np.arange(self.d, self.width))
+
+    def round(self, n: int, index: np.ndarray,
+              at: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
+        """Round ``n``'s policy draws (None if the recipe has none; picks as
+        floats) and K base variates, one row each, for the live rows at chunk
+        rows ``index``, which read their blocks at ``at`` (:meth:`places`)."""
+        if at is None:
             # One row per trial, so a row's chunk index is its trial.
-            return _round_draws(self.draws, self.picks, index)
-        self.offset = offset = (n % self.rounds) * (self.d + self.k)
+            drawn = _round_draws(self.recipe, self.picks, index)
+            return drawn[:, :self.d], drawn[:, self.d:]
+        offset = (n % self.rounds) * self.width
         if not offset:
-            self.blocks = _base_blocks(self.model, self.picks, index, self.d + self.k, self.rounds)
-        if self.d:
-            # The round's d policy draws lie just before its base variates.
-            return self.blocks[self.at[:, :1] + (self.lead + offset)]
-
-    def base_variates(self, index: np.ndarray) -> np.ndarray:
-        """This round's K base variates for the live rows at chunk rows
-        ``index`` that go on past it, one row each."""
-        if self.at is None:
-            # Only trials that go on draw the round's base variates.
-            return _round_draws((self.model.base_variate,) * self.k, self.picks, index)
-        return self.blocks[self.offset:][self.at]
-
-    def keep(self, kept: np.ndarray) -> None:
-        """Keep only the live rows at positions ``kept``, in order."""
-        if self.at is not None:
-            self.at = self.at[kept]
+            self.blocks = _base_blocks(self.model, self.picks, index, self.width, self.rounds)
+        blocks = self.blocks[offset:]
+        # The round's d policy draws lie just before its base variates.
+        return blocks[at[:, :1] + self.lead] if self.d else None, blocks[at]

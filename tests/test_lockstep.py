@@ -295,8 +295,7 @@ def assert_one_round_draws(blocks, calls, config, draws, results):
     """A recipe that mixes methods skips the block machinery: a spy on
     ``stream._base_blocks`` saw no call, and the ``recording_round_draws``
     record holds, for each engine round, one call of the policy draws
-    ``draws`` over the trials still live, then, in each round but the last,
-    one call of the K base variates over the trials that go on past it,
+    ``draws`` followed by the K base variates over the trials still live,
     each entry drawn exactly once for each of the call's trials.
     ``results`` holds every cost's trials, cost-major."""
     assert blocks.call_count == 0
@@ -310,9 +309,7 @@ def assert_one_round_draws(blocks, calls, config, draws, results):
         return [t for t, end in enumerate(last) if end >= n]
 
     base = (config.model.base_variate,) * config.probes_per_round
-    expected = [(draws, live(0))]
-    for n in range(1, max(last) + 1):
-        expected += [(base, live(n)), (draws, live(n))]
+    expected = [(draws + base, live(n)) for n in range(max(last) + 1)]
     assert [(got, trials) for got, trials, _, _ in calls] == expected
     for got, trials, counts, shape in calls:
         assert counts == [0 if isinstance(draw, int) else len(trials) for draw in got]
@@ -828,8 +825,15 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
         blocks.append(sorted(set((live % config.trials).tolist())))
         return base_blocks(model, picks, live, width, rounds)
 
+    reads, read_round = [], stream.ChunkStream.round
+
+    def recording_round(self, n, index, at):
+        reads.append((n, index.tolist()))
+        return read_round(self, n, index, at)
+
     monkeypatch.setitem(sim.POLICIES, policy, dataclasses.replace(entry, rule=checked_rule))
     monkeypatch.setattr(sim._LiveRows, "keep", counted_keep)
+    monkeypatch.setattr(stream.ChunkStream, "round", recording_round)
     monkeypatch.setattr(stream, "_base_blocks", recording_blocks)
     monkeypatch.setattr(stream, "_round_draws", recording_round_draws(one_round))
     grid = sim._run_grid(config, config.costs)
@@ -841,17 +845,19 @@ def test_rows_that_end_far_apart_match_reference(policy, overrides, monkeypatch)
     assert stepped == [(n, [r for r, end in enumerate(row_last) if end >= n])
                        for n in range(max(row_last) + 1)]
     assert len(keeps) == len(set(row_last)) - 1
+    # The stream is read once per round, for exactly the rows that round steps.
+    assert reads == stepped
     # The trials that draw in round n are those with a live row: whose last
     # round is n or later.
     def drawing(n):
         return sorted({r % config.trials for r, end in enumerate(row_last) if end >= n})
 
     if one_round:
-        # Each round's policy draws, then the base variates of the trials
-        # that go on past it, that is, those that draw in the next round.
+        # Each round's policy draws and base variates, in one call over the
+        # trials that draw in it.
         assert blocks == []
         assert [trials for _, trials, _, _ in one_round] == [
-            drawing(n // 2 + n % 2) for n in range(2 * max(row_last) + 1)]
+            drawing(n) for n in range(max(row_last) + 1)]
     else:
         assert blocks == [drawing(n) for n in range(0, max(row_last) + 1, stream._BLOCK_ROUNDS)]
     assert bool(one_round) == (policy == "chernoff"

@@ -1,0 +1,56 @@
+"""``tools/round_cost.py --against`` gates byte identity by its exit status.
+
+The comparison itself takes minutes, so the test stubs ``compare`` with
+rows as it returns them and checks only how ``main`` reports them: exit 0
+when every row reads ``identical True``, 1 when any reads False, with and
+without ``--json``.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "round_cost.py"
+
+
+def load_round_cost(monkeypatch):
+    """tools/round_cost.py as a module; it puts src/ and perfbench/ on
+    sys.path, undone after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("round_cost", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def row(config, identical):
+    return {"config": config, "trials": 100, "this_ms": 1.0, "against_ms": 1.0, "ratio": 1.0,
+            "wins": 10, "seeds": 20, "identical": identical}
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+@pytest.mark.parametrize("identical, status", [((True, True), 0), ((True, False), 1),
+                                               ((False, False), 1)])
+def test_against_exits_1_when_any_row_differs(identical, status, as_json, monkeypatch, capsys):
+    tool = load_round_cost(monkeypatch)
+    rows = [row(name, same) for name, same in zip(("fig2_dgf", "dgf_l"), identical)]
+    compared = []
+
+    def fake_compare(against):
+        compared.append(against)
+        return rows
+
+    monkeypatch.setattr(tool, "compare", fake_compare)
+    argv = ["--against", "elsewhere"] + (["--json"] if as_json else [])
+    assert tool.main(argv) == status
+    assert compared == [Path("elsewhere")]
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out) == rows
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 1 + len(rows)
+        assert [line.split()[-1] for line in lines[1:]] == [str(same) for same in identical]

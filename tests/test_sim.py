@@ -164,6 +164,17 @@ class TestConfigValidation:
         assert cfg().priors == pytest.approx((0.25,) * 4)
 
 
+@pytest.mark.parametrize("trial_index", [-1, np.int64(-3), True, 1.0, "1"])
+def test_run_trial_rejects_a_trial_index_that_is_not_a_non_negative_integer(trial_index):
+    message = f"trial_index must be a non-negative integer, got {trial_index!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_trial(cfg(), 0.05, trial_index)
+
+
+def test_run_trial_takes_a_numpy_integer_trial_index():
+    assert run_trial(cfg(), 0.05, np.int64(3)) == run_trial(cfg(), 0.05, 3)
+
+
 def sprt_reference(config, cost, trial_index):
     """Independent two-cell full-observation replay of the probe loop."""
     model = config.model

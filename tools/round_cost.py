@@ -66,8 +66,10 @@ pass per seed on each side, the best of ``REPEATS``, the two sides back to
 back and alternating which goes first. It prints each side's median ms per
 pass, the ratio (the median over seeds of each seed's own pass time of this
 checkout over PATH's), the seeds on which this checkout was faster, and
-whether both sides gave bit-identical columns. Pairing each seed's two
-passes keeps a burst of machine noise out of the ratio unless it lands
+whether both sides gave bit-identical columns. It exits 1 if any row reads
+``identical False``, with or without ``--json``, and 0 otherwise, so it can
+gate a change that must keep every output bit for bit. Pairing each seed's
+two passes keeps a burst of machine noise out of the ratio unless it lands
 between them. What an identical copy reads: over four runs of 15 rows on a
 2-vCPU VM, ratios of 0.989-1.018 and 1.003 on average (the ratio of the two
 sides' medians read 0.966-1.170), and this checkout faster on 5-13 of the 20
@@ -361,16 +363,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.against is not None:
         rows = compare(args.against)
+        status = 0 if all(row["identical"] for row in rows) else 1
         if args.json:
             print(json.dumps(rows))
-            return 0
+            return status
         print(f"{'config':<23} {'trials':>6} {'this ms':>9} {'against ms':>10} {'ratio':>6} "
               f"{'wins':>7} {'identical':>9}")
         for row in rows:
             print(f"{row['config']:<23} {row['trials']:>6} {row['this_ms']:>9.3f} "
                   f"{row['against_ms']:>10.3f} {row['ratio']:>6.3f} "
                   f"{row['wins']:>3}/{row['seeds']:<3} {str(row['identical']):>9}")
-        return 0
+        return status
     rows = measure()
     if args.json:
         print(json.dumps(rows))
