@@ -388,10 +388,11 @@ def model_from_dict(spec: dict) -> ObservationModel:
     if cls is None:
         raise ModelError(f"unknown model kind {kind!r}; expected one of {sorted(_KINDS)}")
     kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    if any(isinstance(v, bool) for v in kwargs.values()):
-        raise ModelError(f"{kind!r} model parameters must be numbers, not true/false")
     for key, value in kwargs.items():
         for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ModelError(f"{kind!r} model {key} must be a number or a list of numbers, "
+                                 f"got {value!r}")
             if isinstance(v, int):
                 try:
                     float(v)

@@ -52,11 +52,11 @@ When a chunk starts, the model maps its truth mask to each cell's law
 itself), and the live rows carry that law in place of the truth. Each
 round gathers its probes' laws and computes only their LLRs
 (``model.llrs``); only a traced trial's round builds its observations.
-The live rows keep the truth itself only while tau1 is tracked, and
-declared cells only for a rule that declares them. A chunk holds at most
-``_CHUNK`` rows, and fewer where M + K is large: as many as ``_CHUNK_BYTES``
-allows at 8 bytes per cell and per probe, but never fewer than one
-trial's rows.
+The live rows keep declared cells only for a rule that declares them, and
+tau1 reads each round's key and margin (see ``_ranked_rule``). A chunk
+holds at most ``_CHUNK`` rows, and fewer where M + K is large: as many as
+``_CHUNK_BYTES`` allows at 8 bytes per cell and per probe, but never fewer
+than one trial's rows.
 
 A chunk reads its randomness through its ``ChunkStream`` in two steps:
 the truths when it starts, and in one call each round (``ChunkStream.round``)
@@ -460,25 +460,23 @@ class _LiveRows:
     """A chunk's live rows, compacted as rows end. ``S`` stays C-contiguous,
     so adding into ``S.ravel()`` writes through. ``law`` holds each cell's
     law (``model.law`` of the truth mask), which a round gathers for its
-    probes; ``truth``, the true cells, is kept only while tau1 is tracked,
-    and ``declared`` only for a rule that declares cells, else each is None.
+    probes and tau1 reads for the key; ``declared`` is kept only for a rule
+    that declares cells, else it is None.
     ``last_declared`` is per chunk row, not per live row. ``thr`` is each
     live row's next threshold to reach, a float while every row has the
     same one. ``index`` holds each live row's chunk row, by which the
     chunk's ``stream.ChunkStream`` draws for it, and ``at`` where it reads
     its blocks of draws (``ChunkStream.places``), if any."""
 
-    __slots__ = ("index", "rows", "offsets", "S", "law", "truth", "declared", "thr",
-                 "last_declared", "at")
+    __slots__ = ("index", "rows", "offsets", "S", "law", "declared", "thr", "last_declared", "at")
 
-    def __init__(self, law: np.ndarray, thr: float | np.ndarray, truth: np.ndarray | None,
-                 declares: bool, at: np.ndarray | None = None) -> None:
+    def __init__(self, law: np.ndarray, thr: float | np.ndarray, declares: bool,
+                 at: np.ndarray | None = None) -> None:
         count, m = law.shape
         self.index = self.rows = np.arange(count)
         self.offsets = self.rows[:, None] * m
         self.S = np.zeros((count, m))
         self.law = law
-        self.truth = truth
         self.declared = np.zeros((count, m), dtype=bool) if declares else None
         self.thr = thr
         self.last_declared = np.full(count, -1, dtype=np.int64)
@@ -490,8 +488,6 @@ class _LiveRows:
         self.rows, self.offsets = self.rows[:kept.size], self.offsets[:kept.size]
         self.S = self.S.take(kept, axis=0)
         self.law = self.law.take(kept, axis=0)
-        if self.truth is not None:
-            self.truth = self.truth.take(kept, axis=0)
         if self.declared is not None:
             self.declared = self.declared.take(kept, axis=0)
         if isinstance(self.thr, np.ndarray):
@@ -527,7 +523,9 @@ def _ranked_rule(cfg: ExperimentConfig, plan: _Plan,
     ``shuffle`` and K < M, ranks 2..M are first shuffled by partial
     Fisher-Yates, one ``integers`` call per cell that reaches the window, so
     the window holds the leader (in the "g" regime) plus a uniform subset of
-    the others."""
+    the others. At L = 1 the key is the top cell and the margin its lead over
+    the runner-up (rank 1 stays in place), so the true cell is strictly on top
+    exactly when it is the key and the margin is positive, as tau1 reads."""
     m, k, l, first = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, plan[1]
     bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
 
@@ -647,13 +645,13 @@ def _lockstep_chunk(
     # A row reaches ``levels`` thresholds in turn.
     if per_cost:
         # One row per (cost, trial), cost-major, each with its cost's threshold.
-        levels, row_truth = 1, grid_truth
+        levels, row_law = 1, model.law(grid_truth)
         thr = np.repeat(thresholds, n_trials) if width > 1 else thresholds[0]
     else:
         # One row per trial, climbing the thresholds in ascending order; past
         # the top, its next threshold is infinity. ``lane`` holds where each
         # (cost, trial), cost-major, sits among the levels, as trial * levels + level.
-        levels, row_truth = width, truth
+        levels, row_law = width, model.law(truth)
         ranks = np.argsort(thresholds, kind="stable")
         ladder = np.asarray(thresholds)[ranks]
         above = np.append(ladder, np.inf)
@@ -664,13 +662,17 @@ def _lockstep_chunk(
     # chunk rows, their keys, the round, and, on a ladder, the levels reached.
     hits, keys, rounds, sizes, reached, breaks = [], [], [], [], [], []
     last_break = np.zeros(count, dtype=np.int64)
-    live = _LiveRows(model.law(row_truth), thr, row_truth if track_tau1 else None,
-                     policy.reads_threshold, chunk.places(count))
+    true_law = model.law(np.True_) if track_tau1 else None
+    live = _LiveRows(row_law, thr, policy.reads_threshold, chunk.places(count))
     n = 0
     while True:
         # Only trials that have a live row draw.
         drawn, base = chunk.round(n, live.index, live.at)
         margin, key, probe = rule(live, n, drawn)
+        if track_tau1:
+            # The true cell is strictly on top after n rounds (``_ranked_rule``).
+            on_top = (live.law.ravel()[key[:, 0] + live.offsets[:, 0]] == true_law) & (margin > 0)
+            last_break[live.index[~on_top]] = n
         reach = margin >= live.thr
         hit = reach.nonzero()[0]
         if hit.size:
@@ -700,9 +702,6 @@ def _lockstep_chunk(
         law = live.law.ravel()[flat]
         live.S.ravel()[flat] += model.llrs(law, base)
         n += 1
-        if track_tau1:
-            S, true_cells = live.S, live.truth
-            last_break[live.index[((S >= S[true_cells][:, None]) & ~true_cells).any(axis=1)]] = n
         if trace is not None:
             y = model.observations(law, base)
             # The traced trial is row 0, whose flat indices are its cells.
@@ -849,8 +848,8 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     The reductions run along the trial axis of C-contiguous float copies
     of the columns, in trial order: that order fixes every bit of the
     result, so a row gives the same metrics as a grid of that row alone.
-    Means and sample standard deviations are the ufunc reductions that
-    ``np.mean`` and ``np.std(ddof=1)`` run, in their order, bit for bit.
+    Means are the ufunc reduction that ``np.mean`` runs, bit for bit, and
+    sample standard deviations are NumPy's own ``std(axis=1, ddof=1)``.
     """
     n = grid.tau.shape[1]
     if n == 0:
@@ -862,7 +861,7 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     costs = np.array(costs, dtype=float)
     risk_samples = errors + costs[:, None] * tau_ds
     if n >= 2:
-        sigma, spread = _std(taus), _std(risk_samples)
+        sigma, spread = taus.std(axis=1, ddof=1), risk_samples.std(axis=1, ddof=1)
     else:
         sigma = spread = np.zeros(costs.size)
     half = _Z_95 * sigma / math.sqrt(n)
@@ -876,15 +875,6 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
                  r_empirical=r_empirical, truncations=grid.truncated.sum(axis=1))
     return [AggregateMetrics(n, **dict(zip(stats, row)))
             for row in zip(*(value.tolist() for value in stats.values()))]
-
-
-def _std(rows: np.ndarray) -> np.ndarray:
-    """``rows.std(axis=1, ddof=1)`` bit for bit, in the steps of NumPy's ``_var``:
-    the row means, the deviations squared in place, their sums over n - 1."""
-    n = rows.shape[1]
-    x = rows - np.add.reduce(rows, axis=1, keepdims=True) / n
-    np.square(x, out=x)
-    return np.sqrt(np.add.reduce(x, axis=1) / (n - 1))
 
 
 def _quantiles(rows: np.ndarray, qs: Sequence[float]) -> list[np.ndarray]:

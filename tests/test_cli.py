@@ -503,11 +503,23 @@ class TestMainCommand:
         {"model": {"kind": "bernoulli", "p_f": 0.1, "p_g": -10 ** 400}},
         {"model": {"kind": "tabulated", "support": [0, 10 ** 400],
                    "pmf_f": [0.5, 0.5], "pmf_g": [0.2, 0.8]}},
+        # Model parameters that are not numbers.
+        {"model": {"kind": "tabulated", "support": "01", "pmf_f": [0.5, 0.5], "pmf_g": [0.1, 0.9]}},
+        {"model": {"kind": "tabulated", "support": [0, "1"],
+                   "pmf_f": [0.5, 0.5], "pmf_g": [0.1, 0.9]}},
+        {"model": {"kind": "tabulated", "support": [0, True],
+                   "pmf_f": [0.5, 0.5], "pmf_g": [0.1, 0.9]}},
+        {"model": {"kind": "tabulated", "support": [0, 1],
+                   "pmf_f": ["0.5", 0.5], "pmf_g": [0.1, 0.9]}},
+        {"model": {"kind": "bernoulli", "p_f": "0.1", "p_g": 0.9}},
+        {"model": {"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": None}},
     ], ids=["grid-number", "grid-string", "priors-number", "policies-number",
             "policies-item", "count-string", "support-number", "kind-list",
             "rate-bool", "cell-float", "flag-string", "not-utf8", "grid-huge-int",
             "priors-huge-int", "exponential-huge-int", "gaussian-huge-int",
-            "bernoulli-huge-int", "tabulated-huge-int"])
+            "bernoulli-huge-int", "tabulated-huge-int", "support-string",
+            "support-string-item", "support-bool-item", "pmf-string-item",
+            "probability-string", "sigma-null"])
     def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, content):
         config = tmp_path / "run.json"
         if isinstance(content, bytes):

@@ -934,7 +934,7 @@ def one_row(policy, model, m, k, l, t, sums, recipe=()):
     entry = sim.POLICIES[policy]
     rule, draws = entry.rule(config, plan_of(config))
     assert draws == recipe
-    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost), None,
+    live = sim._LiveRows(model.law(np.zeros((1, m), dtype=bool)), -math.log(cost),
                          entry.reads_threshold)
     live.S[0] = sums
     return PolicyConfig.for_model(model, m, k, cost, num_targets=l), rule, live

@@ -189,6 +189,19 @@ def test_model_from_dict_rejects_garbage():
         with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} holds an integer "
                                              f"too large for a float$"):
             model_from_dict(spec)
+    # Parameters that are not numbers (int or float, not bool) or lists of
+    # them, named by their key.
+    tabulated = {"kind": "tabulated", "support": [0, 1], "pmf_f": [0.5, 0.5], "pmf_g": [0.1, 0.9]}
+    for spec, key in ((dict(tabulated, support="01"), "support"),
+                      (dict(tabulated, support=[0, "1"]), "support"),
+                      (dict(tabulated, support=[0, True]), "support"),
+                      (dict(tabulated, pmf_f=["0.5", 0.5]), "pmf_f"),
+                      ({"kind": "bernoulli", "p_f": "0.1", "p_g": 0.9}, "p_f"),
+                      ({"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": None}, "sigma"),
+                      ({"kind": "exponential", "lambda_f": True, "lambda_g": 10.0}, "lambda_f")):
+        with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} must be a number "
+                                             f"or a list of numbers, got "):
+            model_from_dict(spec)
 
 
 def draws(model, abnormal, seed, size):

@@ -66,14 +66,18 @@ pass per seed on each side, the best of ``REPEATS``, the two sides back to
 back and alternating which goes first. It prints each side's median ms per
 pass, the ratio (the median over seeds of each seed's own pass time of this
 checkout over PATH's), the seeds on which this checkout was faster, and
-whether both sides gave bit-identical columns. It exits 1 if any row reads
-``identical False``, with or without ``--json``, and 0 otherwise, so it can
-gate a change that must keep every output bit for bit. Pairing each seed's
-two passes keeps a burst of machine noise out of the ratio unless it lands
-between them. What an identical copy reads: over four runs of 15 rows on a
-2-vCPU VM, ratios of 0.989-1.018 and 1.003 on average (the ratio of the two
-sides' medians read 0.966-1.170), and this checkout faster on 5-13 of the 20
-seeds, 8.9 on average rather than 10.
+whether both sides gave bit-identical columns. No benchmark config tracks
+tau1, so each side also runs each seed of a single-target config
+(``fig2_dgf``, ``fig2_chernoff``) once more with ``diagnostics=True``,
+untimed, and those columns, tau1 included, count towards ``identical``. It
+exits 1 if any row reads ``identical False``, with or without ``--json``,
+and 0 otherwise, so it can gate a change that must keep every output bit
+for bit. Pairing each seed's two passes keeps a burst of machine noise out
+of the ratio unless it lands between them. What an identical copy reads:
+over four runs of 15 rows on a 2-vCPU VM, ratios of 0.989-1.018 and 1.003
+on average (the ratio of the two sides' medians read 0.966-1.170), and
+this checkout faster on 5-13 of the 20 seeds, 8.9 on average rather than
+10.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ import json
 import statistics
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -334,9 +339,13 @@ def compare(against: Path) -> list[dict]:
             identical = True
             for seed in SEEDS:
                 cfgs = [config(name, trials, seed, package) for package in sides]
-                grids = [side.sim._run_grid(cfg, cfg.costs) for side, cfg in zip(sides, cfgs)]
-                identical &= all(a is None and b is None or np.array_equal(a, b)
-                                 for a, b in zip(*grids))
+                runs = [cfgs]
+                if sim.POLICIES[cfgs[0].policy].targets == "one":
+                    runs.append([replace(cfg, diagnostics=True) for cfg in cfgs])
+                for run in runs:
+                    grids = [side.sim._run_grid(cfg, cfg.costs) for side, cfg in zip(sides, run)]
+                    identical &= all(a is None and b is None or np.array_equal(a, b)
+                                     for a, b in zip(*grids))
                 for i in ((0, 1) if seed % 2 == 0 else (1, 0)):
                     engine = sides[i].sim
                     times[i].append(min(one_pass(cfgs[i], engine)[0] for _ in range(REPEATS)))
