@@ -51,6 +51,7 @@ from .models import (
     Gaussian,
     ModelError,
     ObservationModel,
+    as_floats,
     model_from_dict,
     model_to_dict,
 )
@@ -89,15 +90,13 @@ def _list_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
     return lambda value: isinstance(value, (list, tuple)) and all(test(v) for v in value)
 
 
-_numbers = _list_of(lambda v: _is_int(v) or isinstance(v, float))
-# What each key but "model" (model_from_dict checks that) must hold once
-# merged, and how to say so; only _NULLABLE keys may also be None.
+# What each key but "model", "neg_log_c" and "priors" (models.as_floats
+# checks those) must hold once merged, and how to say so; only _NULLABLE
+# keys may also be None.
 _KEY_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
     **{key: (_is_int, "an integer") for key in ("M", "K", "L", "trials", "seed")},
     "policies": (lambda v: isinstance(v, str) or _list_of(lambda p: isinstance(p, str))(v),
                  "a comma-separated string or a list of policy names"),
-    "neg_log_c": (_numbers, "a list of numbers"),
-    "priors": (_numbers, "null or a list of numbers"),
     "fixed_hypothesis": (_list_of(_is_int), "null or a list of cell indices"),
     "true_target_count": (_is_int, "null or an integer"),
     "diagnostics": (lambda v: isinstance(v, bool), "true or false"),
@@ -239,17 +238,16 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
         raise ConfigError("policies must not repeat")
 
     try:
+        for key in ("neg_log_c", "priors"):
+            if merged[key] is not None:
+                merged[key] = as_floats(key, merged[key], many=True)
         model = model_from_dict(merged["model"])
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
     merged.update(policies=policies, model=model)
-    for key, cast in (("neg_log_c", float), ("priors", float), ("fixed_hypothesis", int)):
-        if merged[key] is not None:
-            try:
-                merged[key] = tuple(cast(v) for v in merged[key])
-            except OverflowError:
-                raise ConfigError(f"{key} holds an integer too large for a float") from None
+    if merged["fixed_hypothesis"] is not None:
+        merged["fixed_hypothesis"] = tuple(int(v) for v in merged["fixed_hypothesis"])
     spec = RunSpec(**merged)
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every

@@ -31,8 +31,9 @@ Gaussian) it applies to arrays too, and ``llrs`` applies it to
 ``observations``; elsewhere ``llrs`` looks up the values ``llr`` returns.
 The engine computes only the LLRs; it builds observations only for a
 replayed trial's trace.
-Constructors reject parameters under which an extreme base variate gives
-an infinite observation or LLR.
+Constructors take only real numbers that a float can hold (lists of them
+for ``Tabulated``), never bools, and reject parameters under which an
+extreme base variate gives an infinite observation or LLR.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -87,6 +89,22 @@ def check_cost(cost: float) -> None:
                          f"[{sys.float_info.min}, 1), got {cost}")
 
 
+def as_floats(what: str, value: Any, many: bool = False) -> tuple[float, ...]:
+    """The number rule for parameters: ``value`` is a real number that a
+    float can hold, not a bool, or if ``many`` a list, tuple or 1-D array
+    of them. Returns them as floats; raises ModelError naming ``what``."""
+    listed = isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+    items = value if listed else (value,)
+    if listed != many or not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                 for v in items):
+        raise ModelError(f"{what} must be {'a list of numbers' if many else 'a number'}, "
+                         f"got {value!r}")
+    try:
+        return tuple(float(v) for v in items)
+    except OverflowError:
+        raise ModelError(f"{what} holds an integer too large for a float") from None
+
+
 def _require_informative(model: "ObservationModel") -> None:
     """Reject f and g too close to tell apart, infinite KL, and parameters
     under which the most extreme base variates (``base_range``) give an
@@ -108,17 +126,26 @@ def _require_informative(model: "ObservationModel") -> None:
 
 
 def _checked(post_init: Callable[[object], None]) -> Callable[[object], None]:
-    """Report arithmetic failures of a model constructor as ModelError.
+    """The one constructor frame of every model.
 
-    Extreme parameters overflow or leave the domain of the closed forms
-    (``(mu_g - mu_f) ** 2``, ``log(p_g / p_f)``); that is a bad model, not
-    a crash.
+    It applies :func:`as_floats` to each field and stores the tuple fields
+    as tuples of floats, runs the model's own setup and then requires an
+    informative model. Extreme parameters overflow or leave the domain of
+    the closed forms (``(mu_g - mu_f) ** 2``, ``log(p_g / p_f)``); those
+    arithmetic failures are reported as ModelError too: a bad model, not a
+    crash.
     """
 
     @functools.wraps(post_init)
     def checked(self) -> None:
+        for field in fields(self):
+            many = field.type.startswith("tuple")
+            floats = as_floats(f"{self.kind!r} model {field.name}", getattr(self, field.name), many)
+            if many:
+                object.__setattr__(self, field.name, floats)
         try:
             post_init(self)
+            _require_informative(self)
         except ModelError:
             raise
         except (ArithmeticError, ValueError) as exc:
@@ -146,7 +173,6 @@ class Exponential:
                                  f"{self.lambda_g:g}: their ratio overflows")
         object.__setattr__(self, "_log_ratio", math.log(self.lambda_g / self.lambda_f))
         object.__setattr__(self, "_rate_gap", self.lambda_g - self.lambda_f)
-        _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
         rate = self.lambda_g if abnormal else self.lambda_f
@@ -188,17 +214,17 @@ class Gaussian:
 
     @_checked
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ModelError("gaussian sigma must be positive")
         # llr(y) = a*y + b with a = (mu_g - mu_f)/sigma^2.
         var = self.sigma * self.sigma
+        if not (self.sigma > 0 and var > 0):
+            raise ModelError(f"gaussian sigma must be positive, with a square above 0, "
+                             f"got {self.sigma:g}")
         a = (self.mu_g - self.mu_f) / var
         b = (self.mu_f * self.mu_f - self.mu_g * self.mu_g) / (2.0 * var)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ModelError("gaussian means and sigma overflow the log-likelihood ratio")
         object.__setattr__(self, "_slope", a)
         object.__setattr__(self, "_offset", b)
-        _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
         mu = self.mu_g if abnormal else self.mu_f
@@ -243,7 +269,6 @@ class Bernoulli:
         object.__setattr__(self, "_llr_zero", math.log((1.0 - self.p_g) / (1.0 - self.p_f)))
         # llrs' table, indexed by the observation: LLRs of 0 and 1.
         object.__setattr__(self, "_llr_array", np.array([self._llr_zero, self._llr_one]))
-        _require_informative(self)
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
         p = self.p_g if abnormal else self.p_f
@@ -291,12 +316,7 @@ class Tabulated:
 
     @_checked
     def __post_init__(self) -> None:
-        support = tuple(float(v) for v in self.support)
-        pmf_f = tuple(float(p) for p in self.pmf_f)
-        pmf_g = tuple(float(p) for p in self.pmf_g)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "pmf_f", pmf_f)
-        object.__setattr__(self, "pmf_g", pmf_g)
+        support, pmf_f, pmf_g = self.support, self.pmf_f, self.pmf_g
         if not support:
             raise ModelError("tabulated support is empty")
         if len(set(support)) != len(support):
@@ -316,9 +336,10 @@ class Tabulated:
         # The batched form's tables, as arrays so that no call converts them.
         object.__setattr__(self, "_support_array", np.array(support))
         object.__setattr__(self, "_llr_array", np.array(llrs))
-        object.__setattr__(self, "_cum_f", _cumulative(pmf_f))
-        object.__setattr__(self, "_cum_g", _cumulative(pmf_g))
-        _require_informative(self)
+        # Right-open cumulative bins for inverse-cdf sampling; the final bin is
+        # pinned to 1 so a uniform draw of exactly 1-eps never falls off the end.
+        object.__setattr__(self, "_cum_f", np.append(np.cumsum(pmf_f[:-1]), 1.0))
+        object.__setattr__(self, "_cum_g", np.append(np.cumsum(pmf_g[:-1]), 1.0))
 
     def sample(self, abnormal: bool, rng: np.random.Generator) -> float:
         cum = self._cum_g if abnormal else self._cum_f
@@ -353,17 +374,6 @@ class Tabulated:
         return d_gf, d_fg
 
 
-def _cumulative(pmf: Sequence[float]) -> np.ndarray:
-    # Right-open cumulative bins for inverse-cdf sampling; the final bin is
-    # pinned to 1 so a uniform draw of exactly 1-eps never falls off the end.
-    total, out = 0.0, []
-    for p in pmf[:-1]:
-        total += p
-        out.append(total)
-    out.append(1.0)
-    return np.array(out)
-
-
 ObservationModel = Union[Exponential, Gaussian, Bernoulli, Tabulated]
 
 _KINDS = {cls.kind: cls for cls in (Exponential, Gaussian, Bernoulli, Tabulated)}
@@ -387,19 +397,7 @@ def model_from_dict(spec: dict) -> ObservationModel:
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ModelError(f"unknown model kind {kind!r}; expected one of {sorted(_KINDS)}")
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    for key, value in kwargs.items():
-        for v in value if isinstance(value, (list, tuple)) else (value,):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ModelError(f"{kind!r} model {key} must be a number or a list of numbers, "
-                                 f"got {value!r}")
-            if isinstance(v, int):
-                try:
-                    float(v)
-                except OverflowError:
-                    raise ModelError(f"{kind!r} model {key} holds an integer too large "
-                                     f"for a float") from None
     try:
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in spec.items() if k != "kind"})
     except TypeError as exc:
         raise ModelError(f"bad parameters for {kind!r} model: {exc}") from None

@@ -230,6 +230,22 @@ class TestMainCommand:
         assert main(["--preset", "verify"]) == 0
         assert capsys.readouterr().out.strip().endswith("all checks passed")
 
+    def test_verify_preset_reports_failures_and_exits_1(self, capsys, monkeypatch):
+        # A quadrature whose D(g||f) is off by 1e-3 fails one check per model.
+        quadrature = cli.kl_quadrature
+
+        def shifted(model):
+            d_gf, d_fg = quadrature(model)
+            return d_gf + 1e-3, d_fg
+
+        monkeypatch.setattr(cli, "kl_quadrature", shifted)
+        assert main(["--preset", "verify"]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        failed = [line for line in lines if line.startswith("FAIL quadrature d_gf ")]
+        assert len(failed) == 4
+        assert not any(line.startswith("FAIL") and line not in failed for line in lines)
+        assert lines[-1].startswith("4 check(s) failed: ['quadrature d_gf exponential(0.5, 10.0)'")
+
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         code, out = self.run_main(
             tmp_path, "--preset", "fig2", "--trials", "4", "--seed", "3")
@@ -403,11 +419,17 @@ class TestMainCommand:
          "--neg-log-c", "100", "--policy", "unknown_l", "--M", "3", "--L", "2"],
         ["--neg-log-c", "720"],  # c = exp(-720) is subnormal
         ["--neg-log-c=-1000"],  # c = exp(1000) overflows
+        # sigma ** 2 underflows to 0.0; no flag sets sigma, so a config file does
+        [{"model": {"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": 1e-200}}],
     ])
     def test_numeric_edge_cases_exit_2(self, tmp_path, capsys, monkeypatch, argv):
         def no_tables(*args):
             raise AssertionError("a rejected config must not build the hypothesis tables")
 
+        if isinstance(argv[0], dict):  # a config file's content
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(argv[0]))
+            argv = [str(config), *argv[1:]]
         monkeypatch.setattr(sim, "_generic_tables", no_tables)
         assert main([*argv, "--trials", "2", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -513,13 +535,18 @@ class TestMainCommand:
                    "pmf_f": ["0.5", 0.5], "pmf_g": [0.1, 0.9]}},
         {"model": {"kind": "bernoulli", "p_f": "0.1", "p_g": 0.9}},
         {"model": {"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": None}},
+        # A list where a number is due.
+        {"model": {"kind": "bernoulli", "p_f": [0.1], "p_g": 0.9}},
+        {"model": {"kind": "exponential", "lambda_f": [1, 2], "lambda_g": 10.0}},
+        {"model": {"kind": "gaussian", "mu_f": [0], "mu_g": 1}},
     ], ids=["grid-number", "grid-string", "priors-number", "policies-number",
             "policies-item", "count-string", "support-number", "kind-list",
             "rate-bool", "cell-float", "flag-string", "not-utf8", "grid-huge-int",
             "priors-huge-int", "exponential-huge-int", "gaussian-huge-int",
             "bernoulli-huge-int", "tabulated-huge-int", "support-string",
             "support-string-item", "support-bool-item", "pmf-string-item",
-            "probability-string", "sigma-null"])
+            "probability-string", "sigma-null", "probability-list", "rate-list",
+            "mean-list"])
     def test_wrong_typed_config_values_exit_2(self, tmp_path, capsys, content):
         config = tmp_path / "run.json"
         if isinstance(content, bytes):

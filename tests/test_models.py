@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from anomsearch import (
     Bernoulli,
@@ -74,6 +74,10 @@ def test_invalid_parameters_rejected():
         Exponential(-1.0, 2.0)
     with pytest.raises(ModelError):
         Gaussian(0.0, 1.0, 0.0)
+    # 1e-200 > 0, but its square is 0.0, a division by zero in the LLR.
+    with pytest.raises(ModelError, match="^gaussian sigma must be positive, with a square "
+                                         "above 0, got 1e-200$"):
+        Gaussian(0.0, 1.0, 1e-200)
     with pytest.raises(ModelError):
         Bernoulli(0.0, 0.5)
     with pytest.raises(ModelError):
@@ -179,7 +183,8 @@ def test_model_from_dict_rejects_garbage():
         model_from_dict({"lambda_f": 1.0})
     with pytest.raises(ModelError):
         model_from_dict({"kind": "exponential", "lambda_f": 1.0})  # missing lambda_g
-    with pytest.raises(ModelError, match="bad parameters for 'tabulated' model: .*not iterable"):
+    with pytest.raises(ModelError, match="^'tabulated' model support must be a list of numbers, "
+                                         "got 5$"):
         model_from_dict({"kind": "tabulated", "support": 5, "pmf_f": [1.0], "pmf_g": [1.0]})
     # Integers that no float holds, named by their key.
     for spec, key in (({"kind": "exponential", "lambda_f": 10 ** 400, "lambda_g": 1}, "lambda_f"),
@@ -189,8 +194,8 @@ def test_model_from_dict_rejects_garbage():
         with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} holds an integer "
                                              f"too large for a float$"):
             model_from_dict(spec)
-    # Parameters that are not numbers (int or float, not bool) or lists of
-    # them, named by their key.
+    # Parameters that are not numbers (real, not bool) or, for the tuple
+    # fields, lists of them, named by their key.
     tabulated = {"kind": "tabulated", "support": [0, 1], "pmf_f": [0.5, 0.5], "pmf_g": [0.1, 0.9]}
     for spec, key in ((dict(tabulated, support="01"), "support"),
                       (dict(tabulated, support=[0, "1"]), "support"),
@@ -198,10 +203,35 @@ def test_model_from_dict_rejects_garbage():
                       (dict(tabulated, pmf_f=["0.5", 0.5]), "pmf_f"),
                       ({"kind": "bernoulli", "p_f": "0.1", "p_g": 0.9}, "p_f"),
                       ({"kind": "gaussian", "mu_f": 0, "mu_g": 1, "sigma": None}, "sigma"),
-                      ({"kind": "exponential", "lambda_f": True, "lambda_g": 10.0}, "lambda_f")):
-        with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} must be a number "
-                                             f"or a list of numbers, got "):
+                      ({"kind": "exponential", "lambda_f": True, "lambda_g": 10.0}, "lambda_f"),
+                      ({"kind": "bernoulli", "p_f": [0.1], "p_g": 0.9}, "p_f"),
+                      ({"kind": "exponential", "lambda_f": [1, 2], "lambda_g": 10.0}, "lambda_f"),
+                      ({"kind": "gaussian", "mu_f": [0], "mu_g": 1}, "mu_f")):
+        with pytest.raises(ModelError, match=f"^'{spec['kind']}' model {key} must be a "
+                                             f"(number|list of numbers), got "):
             model_from_dict(spec)
+
+
+def test_constructors_apply_the_number_rule():
+    # Built directly, as from a dict: the message names the field.
+    for build, message in (
+            (lambda: Exponential([1], 2), "'exponential' model lambda_f must be a number, got [1]"),
+            (lambda: Bernoulli("0.1", 0.9), "'bernoulli' model p_f must be a number, got '0.1'"),
+            (lambda: Gaussian(0.0, 1.0, True), "'gaussian' model sigma must be a number, got True"),
+            (lambda: Exponential(1.0, 10 ** 400),
+             "'exponential' model lambda_g holds an integer too large for a float"),
+            (lambda: Tabulated(np.zeros((2, 1)), (0.5, 0.5), (0.1, 0.9)),
+             "'tabulated' model support must be a list of numbers, got array"),
+            (lambda: Tabulated((0.0, 1.0), (0.5, 0.5), 0.9),
+             "'tabulated' model pmf_g must be a list of numbers, got 0.9")):
+        with pytest.raises(ModelError) as info:
+            build()
+        assert str(info.value).startswith(message)
+    # NumPy scalars are numbers, and 1-D arrays lists of them.
+    assert Exponential(np.int64(1), 2.0).kl_divergences() == Exponential(1.0, 2.0).kl_divergences()
+    assert Gaussian(np.float64(0), 1.0) == Gaussian(0.0, 1.0)
+    assert Tabulated(np.array([0.0, 1.0]), np.array([0.5, 0.5]), [0.1, np.float64(0.9)]) == \
+        Tabulated((0.0, 1.0), (0.5, 0.5), (0.1, 0.9))
 
 
 def draws(model, abnormal, seed, size):
@@ -311,6 +341,25 @@ VALUES = st.one_of(
 def pmfs(draw, size):
     weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
     return [w / math.fsum(weights) for w in weights]
+
+
+@settings(deadline=None)
+@given(data=st.data(), size=st.integers(2, 39))
+def test_tabulated_bins_are_running_sums_ending_at_one(data, size):
+    # Inverse-cdf bins: the running Python sum of each pmf but its last
+    # entry, then 1.0. The engine and the lockstep references read the same
+    # bins, so only this pins them.
+    pmf_f, pmf_g = data.draw(pmfs(size)), data.draw(pmfs(size))
+    try:
+        model = Tabulated(tuple(range(size)), pmf_f, pmf_g)
+    except ModelError:  # pmfs too close to tell apart
+        reject()
+    for pmf, cum in ((pmf_f, model._cum_f), (pmf_g, model._cum_g)):
+        total, expected = 0.0, []
+        for p in pmf[:-1]:
+            total += p
+            expected.append(total)
+        assert cum.tolist() == expected + [1.0]
 
 
 @st.composite

@@ -75,12 +75,17 @@ class TestMaximin:
     # The LP's value and mixture against the closed forms are criterion 07's
     # and test_lockstep.py's test_closed_form_matches_the_lp.
     def test_grid_agrees_with_lp(self):
-        # both optima ([0, .5, .5] and [1, 0, 0]) sit exactly on a
-        # 0.01-pitch simplex grid
-        for model in (Exponential(0.5, 10.0), Exponential(10.0, 0.5)):
-            kl = hypothesis_action_kl(model, anomaly_hypotheses(3), 3)
+        # Every optimum sits exactly on its simplex grid: [0, .5, .5] and
+        # [1, 0, 0] on three cells, [1, 0, 0, 0] on four (whose scan skips
+        # the heads past the step count), and the one action's [1].
+        cases = [(hypothesis_action_kl(model, anomaly_hypotheses(m), m), step)
+                 for model, m, step in ((Exponential(0.5, 10.0), 3, 1e-2),
+                                        (Exponential(10.0, 0.5), 3, 1e-2),
+                                        (Exponential(10.0, 0.5), 4, 0.05))]
+        one_action = HypothesisActionKL(((0,), (1,)), np.array([[[0.0], [2.0]], [[3.0], [0.0]]]))
+        for kl, step in [*cases, (one_action, 1e-2)]:
             q_lp, v_lp = maximin_action_distribution(kl, 0)
-            q_gr, v_gr = maximin_action_grid(kl, 0, step=1e-2)
+            q_gr, v_gr = maximin_action_grid(kl, 0, step=step)
             assert v_gr == pytest.approx(v_lp, abs=1e-4)
             assert q_gr == pytest.approx(q_lp, abs=1e-2)
 
