@@ -25,7 +25,9 @@ this run does not write, such as its ``trials_*.csv``, are left alone.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
 preset runs the solver cross-checks instead of a simulation and exits 0
-only if every check passes (1 otherwise).
+only if every check passes (1 otherwise). A stdout closed before the last
+line is written, as by ``anomsearch --preset verify | head -2``, is an I/O
+error: the run exits 3 without a traceback.
 """
 
 from __future__ import annotations
@@ -589,6 +591,18 @@ def _flags_layer(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early. Point it at devnull so that the
+        # interpreter's last flush stays quiet, as Python's ``signal`` docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
+    return code
+
+
+def _main(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

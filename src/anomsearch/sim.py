@@ -525,9 +525,17 @@ def _ranked_rule(cfg: ExperimentConfig, plan: _Plan,
     the window holds the leader (in the "g" regime) plus a uniform subset of
     the others. At L = 1 the key is the top cell and the margin its lead over
     the runner-up (rank 1 stays in place), so the true cell is strictly on top
-    exactly when it is the key and the margin is positive, as tau1 reads."""
+    exactly when it is the key and the margin is positive, as tau1 reads.
+
+    A rule that shuffles builds one table per grid: each row's flat index
+    of its rank 2, which a round slices to its live rows. It is 1-D, since
+    the pick count reaches M - 1. Like every rule that does not read the
+    threshold, chernoff runs one row per trial, and a chunk holds at most
+    ``_CHUNK`` such rows (:func:`_run_lockstep`), so ``_CHUNK`` rows size it."""
     m, k, l, first = cfg.num_cells, cfg.probes_per_round, cfg.num_targets, plan[1]
     bounds = [m - 1 - i for i in range(first + k - 1)] if shuffle and k < m else []
+    if bounds:
+        rank2 = np.arange(_CHUNK) * m + 1
 
     def rank(live, n, picks):
         order = (-live.S).argsort(kind="stable")
@@ -536,9 +544,9 @@ def _ranked_rule(cfg: ExperimentConfig, plan: _Plan,
             # Shuffle ranks 2..M in place: order[:, 1:1 + i] then holds the
             # first i picks. Rank 1, chernoff's decision, stays in place. The
             # picks come as floats, exact below 2^32.
-            flat, start, picks = order.ravel(), live.offsets[:, 0] + 1, picks.astype(np.int64)
+            flat, start, picks = order.ravel(), rank2[:len(order)], picks.astype(np.int64)
             for i in range(len(bounds)):
-                at = start + i
+                at = start + i if i else start
                 to = at + picks[:, i]
                 flat[at], flat[to] = flat[to], flat[at]
         return pair[:, 0] - pair[:, 1], order[:, :l], order[:, first:first + k]
@@ -601,16 +609,27 @@ def _generic_rule(cfg: ExperimentConfig, plan: _Plan) -> tuple[_Rule, _Draw]:
     """chernoff_generic: score every target set of 1..L cells by adding its
     members' sums in order; the margin is the ML set's lead over its closest
     rival, the key the ML set's members, and the probe one cell drawn from
-    the ML set's mixture with one uniform variate."""
+    the ML set's mixture with one uniform variate.
+
+    The rule builds its tables once per grid, so a round does only the work
+    of its live rows: each set's first member, each set's j-th member from
+    the first set that has one (``starts[j]``), each as one contiguous
+    array, and each row's flat index of its first score, which a round
+    slices to its live rows. The rule does not read the threshold, so it
+    runs one row per trial, and a chunk holds at most ``_CHUNK`` such rows
+    (:func:`_run_lockstep`): ``_CHUNK`` rows size that last table."""
     members, starts, cum = _generic_tables(cfg.model, cfg.num_cells, cfg.num_targets)
+    columns = members.T.copy()
+    heads, tails = columns[0], [(starts[j], columns[j, starts[j]:]) for j in range(1, len(starts))]
+    shifts = np.arange(_CHUNK) * len(members)
 
     def generic(live, n, u):
-        S, rows = live.S, live.rows
-        scores = S.take(members[:, 0], axis=1)
-        for j in range(1, len(starts)):
-            scores[:, starts[j]:] += S.take(members[starts[j]:, j], axis=1)
+        S = live.S
+        scores = S.take(heads, axis=1)
+        for start, cells in tails:
+            scores[:, start:] += S.take(cells, axis=1)
         best = scores.argmax(axis=1)
-        flat, shift = scores.ravel(), rows * len(members)
+        flat, shift = scores.ravel(), shifts[:len(S)]
         at = best + shift
         top = flat[at]
         flat[at] = -np.inf

@@ -51,9 +51,11 @@ they are unobservable. How a round is drawn follows from the recipe:
   and for ``chernoff_generic`` on Bernoulli and Tabulated cells, whose
   base variate is a uniform like its one policy draw (d = 1). The rounds
   come in blocks that ``_base_blocks`` draws ahead, one row per chunk
-  trial in contract order, when the last block runs out; each live row
-  reads its trial's from a place fixed when the chunk starts
-  (``ChunkStream.places``). A block holds ``_BLOCK_ROUNDS`` rounds, or as
+  trial in contract order, when the last block runs out. Each live row
+  reads its trial's round, its d policy draws and then its K base
+  variates, from places fixed when the chunk starts
+  (``ChunkStream.places``), and one gather reads a round for all the live
+  rows. A block holds ``_BLOCK_ROUNDS`` rounds, or as
   many as the chunk's trials fit in ``_BLOCK_BYTES`` and at least one,
   one array call per trial (``Generator`` array draws equal the same
   number of scalar draws).
@@ -276,7 +278,7 @@ class _Picks:
             while np.count_nonzero(redo):
                 product[redo] = self.next32(trials[redo]) * scale
                 redo = (product & _MASK32) < threshold
-        return (product >> 32).astype(np.int64)
+        return (product >> 32).view(np.int64)
 
     def next32(self, trials: np.ndarray) -> np.ndarray:
         """Each trial's ``next_uint32``, as uint64: its cached half, else the
@@ -395,8 +397,10 @@ class ChunkStream:
     each round the engine reads all of its live rows' draws in one call
     (:meth:`round`). Chunk row r reads trial r % trials. For a recipe drawn
     ahead, a row reads its blocks of :func:`_base_blocks` at places fixed
-    when the chunk starts (:meth:`places`), which the engine's live rows
-    keep (``sim._LiveRows.at``): the stream holds nothing per row. Block
+    when the chunk starts (:meth:`places`), one per draw of a round: its d
+    policy draws, then its K base variates. The engine's live rows keep
+    them (``sim._LiveRows.at``), so the stream holds nothing per row, and
+    one gather reads a round. Block
     rows of trials without a live row are never read. ``cfg`` is the run's
     ``sim.ExperimentConfig``.
     """
@@ -411,14 +415,14 @@ class ChunkStream:
         # rounds as fit in _BLOCK_BYTES.
         if all(draw is model.base_variate for draw in draws):
             self.rounds = min(_BLOCK_ROUNDS, max(1, _BLOCK_BYTES // (8 * len(trials) * (d + k))))
-            self.lead = np.arange(-d, 0)
 
     def places(self, rows: int) -> np.ndarray | None:
-        """Where each of ``rows`` chunk rows reads its K base variates of a
-        block's first round; None for a recipe drawn one round at a time."""
+        """Where each of ``rows`` chunk rows reads all d + K draws of a block's
+        first round, its d policy draws and then its K base variates; None
+        for a recipe drawn one round at a time."""
         if self.rounds:
             return ((np.arange(rows) % len(self.picks.rngs) * self.rounds * self.width)[:, None]
-                    + np.arange(self.d, self.width))
+                    + np.arange(self.width))
 
     def round(self, n: int, index: np.ndarray,
               at: np.ndarray | None) -> tuple[np.ndarray | None, np.ndarray]:
@@ -432,6 +436,6 @@ class ChunkStream:
         offset = (n % self.rounds) * self.width
         if not offset:
             self.blocks = _base_blocks(self.model, self.picks, index, self.width, self.rounds)
-        blocks = self.blocks[offset:]
-        # The round's d policy draws lie just before its base variates.
-        return blocks[at[:, :1] + self.lead] if self.d else None, blocks[at]
+        # One gather reads the round's d policy draws and K base variates.
+        drawn = self.blocks[offset:][at]
+        return (drawn[:, :self.d], drawn[:, self.d:]) if self.d else (None, drawn)

@@ -873,3 +873,24 @@ def test_verification_suite_passes():
     report = buf.getvalue()
     assert "FAIL" not in report
     assert report.strip().endswith("all checks passed")
+
+
+@pytest.mark.parametrize("argv", [["--preset", "verify"],
+                                  ["--preset", "fig2", "--trials", "200", "--out", "{out}"]],
+                         ids=["verify", "run"])
+def test_closed_stdout_exits_3_without_a_traceback(argv, tmp_path):
+    # As in `anomsearch ... | head -0`: the reader is gone before the first line.
+    src = Path(__file__).resolve().parents[1] / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "anomsearch.cli",
+                               *(arg.format(out=tmp_path) for arg in argv)],
+                              stdout=write, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+    assert proc.returncode == 3
+    assert (tmp_path / "results.csv").exists() == (argv[1] == "fig2")

@@ -50,15 +50,13 @@ def check_rounds(recipe, model, k):
     # The single-target truth draw is one uniform per trial.
     truths = np.cumsum(cfg.priors).searchsorted([ref.random() for ref in refs], side="right")
     assert chunk.truth.argmax(axis=1).tolist() == truths.tolist()
-    index, at = np.arange(TRIALS), chunk.places(TRIALS)
-    drawn_ahead = all(draw is model.base_variate for draw in recipe)
-    assert (at is not None) == drawn_ahead
+    index, at, d = np.arange(TRIALS), chunk.places(TRIALS), len(recipe)
+    assert (at is not None) == all(draw is model.base_variate for draw in recipe)
     for n in range(ROUNDS):
         drawn, base = chunk.round(n, index, at)
         want = np.array([[scalar_draw(refs[t], draw) for draw in recipe]
                          + [scalar_draw(refs[t], model.base_variate) for _ in range(k)]
                          for t in index.tolist()])
-        d = len(recipe)
         assert base.shape == (index.size, k)
         assert np.array_equal(base, want[:, d:])
         if d:
