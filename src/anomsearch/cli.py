@@ -65,15 +65,10 @@ from .oracle import (
     maximin_action_distribution,
     maximin_action_grid,
 )
-from .rates import rate_multi, relative_loss, unknownl_lower_bound
-# Unused since rate_multi covers L = 1; kept so layer tracing can wrap it.
-from .rates import rate_single  # noqa: F401
-from .sim import (
-    POLICIES,
-    POLICY_NAMES,
-    ExperimentConfig,
-    TrialColumns,
-)
+from .rates import relative_loss
+# Unused since sim._benchmark chooses every bound; kept so layer tracing can wrap them.
+from .rates import rate_multi, rate_single, unknownl_lower_bound  # noqa: F401
+from .sim import POLICY_NAMES, ExperimentConfig, TrialColumns
 
 _LN10 = math.log(10.0)
 
@@ -220,9 +215,11 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     so the caller maps every validation failure to exit code 2, among them
     a grid whose trial outcomes would take more than ``sim._MAX_OUTCOME_BYTES``.
     So is a grid point whose trials would need more rounds to stop than the
-    round budget (``ExperimentConfig.max_rounds``), as :func:`_benchmark`
+    round budget (``ExperimentConfig.max_rounds``), as ``sim._benchmark``
     estimates them, or whose risk floor is below the least normal float,
-    where ``relative_loss`` would divide by zero or by a few bits.
+    where ``relative_loss`` would divide by zero or by a few bits. The budget
+    error is the sentence that ``sim.run_experiment`` warns with, followed by
+    advice; the library runs such a config, and this refuses it.
     """
     merged = _merge(layers)
     for key, (test, what) in _KEY_TYPES.items():
@@ -259,15 +256,11 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
             cfg = spec.experiment_config(policy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        _, lower_bound, per_unit = _benchmark(cfg)
-        for t, cost in zip(cfg.neg_log_c, cfg.costs):
-            rounds = t * per_unit
-            if rounds > cfg.max_rounds:
-                raise ConfigError(
-                    f"policy {policy!r}: at -log c = {t:g} a trial needs about {rounds:.3g} "
-                    f"rounds, more than the budget of {cfg.max_rounds}; use a larger cost "
-                    f"or a more informative model")
-            if not lower_bound(cost) >= sys.float_info.min:
+        bench = sim._benchmark(cfg)
+        for t, cost, over in zip(cfg.neg_log_c, cfg.costs, sim._over_budget(cfg, bench.per_unit)):
+            if over:
+                raise ConfigError(f"{over}; use a larger cost or a more informative model")
+            if not bench.floor(cost) >= sys.float_info.min:
                 raise ConfigError(f"policy {policy!r}: at -log c = {t:g} the risk floor is "
                                   f"below the least normal float {sys.float_info.min:.3g}; "
                                   f"use a larger cost or a less informative model")
@@ -308,33 +301,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _benchmark(cfg: ExperimentConfig) -> tuple[dict, Callable[[float], float], float]:
-    """The policy's summary rate entry, its risk floor as a function of the
-    cost, and its first-order rounds to stop per unit of -log c.
-
-    Target constraint ``up_to`` is measured against -ell c log c / D(g||f)
-    for the true count ell; every other against -c log c / I* of
-    ``rate_multi`` (``rate_single`` is its L = 1 case), and stops in about
-    (-log c) / I* rounds. Under ``up_to`` stopping also clears the M - ell
-    normal cells: the policy that probes from the maximin mixture
-    takes 1 / v rounds per unit, v the game's value at ell
-    (``anomaly_maximin``), and the other ell / D(g||f) + (M - ell) / D(f||g).
-    """
-    model = cfg.model
-    if POLICIES[cfg.policy].targets == "up_to":
-        m, ell = cfg.num_cells, cfg.true_target_count
-        d_gf, d_fg = model.kl_divergences()
-        per_unit = (1.0 / anomaly_maximin(d_gf, d_fg, m, cfg.num_targets, ell)[2]
-                    if POLICIES[cfg.policy].scores_hypotheses else ell / d_gf + (m - ell) / d_fg)
-        return ({"d_gf": d_gf, "d_fg": d_fg, "bound": "unknown_count",
-                 "true_target_count": ell},
-                lambda cost: unknownl_lower_bound(cost, ell, model), per_unit)
-    report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
-    return ({"d_gf": report.d_gf, "d_fg": report.d_fg, "i_star": report.i_star,
-             "regime": report.regime, "bound": "rate"},
-            report.lower_bound_at, 1.0 / report.i_star)
-
-
 def _truncation_warnings(rows: Sequence[Mapping[str, Any]]) -> list[str]:
     return [f"{row['policy']} at -log c = {row['neg_log_c']:g}: {row['truncations']} of "
             f"{row['trials']} trials hit the round budget and count as errors"
@@ -345,6 +311,17 @@ def run_spec(spec: RunSpec, workers: int = 1,
              progress: TextIO | None = None) -> list[dict]:
     """Execute every (policy, threshold) pair; returns plot-ready row dicts."""
     return _run_spec(spec, workers, progress)[0]
+
+
+def _say(out: TextIO | None, line: str) -> None:
+    """Print a progress line to ``out``, if given. Progress is only diagnostic,
+    so a pipe closed under it does not stop the run: ``out``'s descriptor is
+    pointed at ``os.devnull``, and later lines and the last flush go there."""
+    if out is not None:
+        try:
+            print(line, file=out, flush=True)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
 
 
 def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
@@ -359,15 +336,14 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
     start = time.monotonic()
     for policy in spec.policies:
         cfg = spec.experiment_config(policy)
-        _, lower_bound, _ = _benchmark(cfg)
+        floor = sim._benchmark(cfg).floor
         grid = sim._run_grid(cfg, cfg.costs, workers)
         # Through the module, so that layer tracing sees each aggregate call.
         for t, cost, m in zip(spec.neg_log_c, cfg.costs, sim.aggregate(grid, cfg.costs)):
-            if progress is not None:
-                print(f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau={m.mean_tau:.4g} "
-                      f"p_e={m.p_e:.3g} trials={m.trial_count} ({time.monotonic() - start:.1f}s)",
-                      file=progress, flush=True)
-            bound = lower_bound(cost)
+            _say(progress, f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau="
+                 f"{m.mean_tau:.4g} p_e={m.p_e:.3g} trials={m.trial_count} "
+                 f"({time.monotonic() - start:.1f}s)")
+            bound = floor(cost)
             rows.append({
                 "policy": policy, "M": spec.M, "K": spec.K, "L": spec.L,
                 "neg_log_c": t, "c": cost, "trials": m.trial_count,
@@ -384,8 +360,7 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
             extra["diagnostics"][policy] = entry = {"per_trial_csv": name}
             if trials.tau1 is not None:
                 entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
-            if progress is not None:
-                print(f"[diagnostics] {policy}: wrote {name}", file=progress, flush=True)
+            _say(progress, f"[diagnostics] {policy}: wrote {name}")
             del trials  # views, which would keep the grid alive
         del grid  # before the next policy's grid is built
     return rows, extra
@@ -442,7 +417,7 @@ def emit_results(rows: Sequence[Mapping[str, Any]], spec: RunSpec, out_dir: str 
     }
     summary = {
         "manifest": manifest,
-        "rates": {policy: _benchmark(spec.experiment_config(policy))[0]
+        "rates": {policy: sim._benchmark(spec.experiment_config(policy)).rates
                   for policy in spec.policies},
         "results": [dict(row) for row in rows],
         "warnings": _truncation_warnings(rows),

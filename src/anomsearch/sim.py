@@ -15,6 +15,13 @@ probes one cell per round, its lockstep rule and draw recipe, whether that
 rule reads the threshold, and whether it scores every candidate target
 set. ``POLICY_NAMES`` is its key order.
 Every check and dispatch reads the table instead of naming policies.
+``_benchmark``, next to the table, is the one function that reads its
+target constraint and set scoring to choose what a policy's runs are
+measured against: the summary's rate entry, the risk floor as a function
+of the cost, and the rounds to stop per unit of -log c. Where that
+estimate is over ``max_rounds`` at a grid point, ``_over_budget`` says so
+in one sentence: the command line's resolver refuses the config with it,
+and ``run_experiment`` runs it but warns with it.
 
 Engine
 ------
@@ -87,6 +94,7 @@ from __future__ import annotations
 import importlib
 import math
 import os
+import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Any, Callable, NamedTuple, Sequence
@@ -95,7 +103,7 @@ import numpy as np
 
 from .models import ObservationModel, check_cost, check_geometry
 from .oracle import anomaly_hypotheses, anomaly_maximin
-from .rates import probing_plan
+from .rates import probing_plan, rate_multi, unknownl_lower_bound
 from .stream import ChunkStream, _Draw
 # The maximin LP, its KL table and the SearchState ledger: the engine never
 # calls them, and sim keeps them for layer tracing, like _ON_FIRST_READ.
@@ -793,6 +801,49 @@ POLICIES: dict[str, PolicyEntry] = {
 POLICY_NAMES = tuple(POLICIES)
 
 
+class _Benchmark(NamedTuple):
+    """What a policy's runs are measured against: ``rates``, its entry in the
+    summary's ``rates`` block; ``floor``, its risk floor as a function of the
+    cost; ``per_unit``, its first-order rounds to stop per unit of -log c."""
+
+    rates: dict
+    floor: Callable[[float], float]
+    per_unit: float
+
+
+def _benchmark(cfg: ExperimentConfig) -> _Benchmark:
+    """The benchmark of ``cfg``'s policy; the one function that chooses it.
+
+    Target constraint ``up_to`` is measured against -ell c log c / D(g||f)
+    for the true count ell; every other against -c log c / I* of
+    ``rate_multi``, and stops in about (-log c) / I* rounds. Under ``up_to``
+    stopping also clears the M - ell normal cells: the policy that scores
+    every target set probes from the maximin mixture and takes 1 / v rounds
+    per unit, v the game's value at ell (``anomaly_maximin``), and the other
+    ell / D(g||f) + (M - ell) / D(f||g).
+    """
+    model = cfg.model
+    if POLICIES[cfg.policy].targets == "up_to":
+        m, ell = cfg.num_cells, cfg.true_target_count
+        d_gf, d_fg = model.kl_divergences()
+        per_unit = (1.0 / anomaly_maximin(d_gf, d_fg, m, cfg.num_targets, ell)[2]
+                    if POLICIES[cfg.policy].scores_hypotheses else ell / d_gf + (m - ell) / d_fg)
+        return _Benchmark(dict(d_gf=d_gf, d_fg=d_fg, bound="unknown_count", true_target_count=ell),
+                          lambda cost: unknownl_lower_bound(cost, ell, model), per_unit)
+    report = rate_multi(model, cfg.num_cells, cfg.probes_per_round, cfg.num_targets)
+    # The report's fields in their order, d_gf, d_fg, i_star and regime, then the bound.
+    return _Benchmark({**vars(report), "bound": "rate"}, report.lower_bound_at, 1.0 / report.i_star)
+
+
+def _over_budget(cfg: ExperimentConfig, per_unit: float) -> list[str | None]:
+    """Per point of ``cfg``'s grid, a sentence saying that a trial there needs
+    more rounds than ``cfg.max_rounds``, by the estimate ``per_unit`` of
+    :func:`_benchmark`; None where it needs no more."""
+    return [f"policy {cfg.policy!r}: at -log c = {t:g} a trial needs about {t * per_unit:.3g} "
+            f"rounds, more than the budget of {cfg.max_rounds}"
+            if t * per_unit > cfg.max_rounds else None for t in cfg.neg_log_c]
+
+
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
     parts = max(1, min(parts, total))
     bounds = [total * i // parts for i in range(parts + 1)]
@@ -916,7 +967,16 @@ def _quantiles(rows: np.ndarray, qs: Sequence[float]) -> list[np.ndarray]:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:
-    """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point."""
+    """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point.
+
+    It runs every config it is given, but warns, with one ``RuntimeWarning``
+    per grid point, where a trial would need more rounds than
+    ``cfg.max_rounds`` by :func:`_benchmark`'s estimate: there many trials
+    may be truncated and count as errors, and the command line's resolver
+    refuses the config with the same sentence.
+    """
+    for sentence in filter(None, _over_budget(cfg, _benchmark(cfg).per_unit)):
+        warnings.warn(sentence, RuntimeWarning, stacklevel=2)
     return list(zip(cfg.costs, aggregate(_run_grid(cfg, cfg.costs, workers), cfg.costs)))
 
 

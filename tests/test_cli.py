@@ -875,6 +875,28 @@ def test_verification_suite_passes():
     assert report.strip().endswith("all checks passed")
 
 
+def test_resolver_refuses_with_the_library_warning_and_advice(monkeypatch):
+    # A trial at -log c = 30 needs about 1.26e9 rounds on near-equal laws.
+    # Under a budget of 10 rounds, the library runs the config and warns,
+    # and the resolver refuses it with the same sentence and its advice.
+    layer = {"policies": "dgf", "M": 5, "K": 1, "neg_log_c": [30.0], "trials": 2,
+             "model": {"kind": "bernoulli", "p_f": 0.3, "p_g": 0.3001}}
+    experiment_config = cli.RunSpec.experiment_config
+    monkeypatch.setattr(cli.RunSpec, "experiment_config", lambda self, policy: dataclasses.replace(
+        experiment_config(self, policy), max_rounds=10))
+    config = sim.ExperimentConfig(num_cells=5, probes_per_round=1, policy="dgf",
+                                  model=model_from_dict(layer["model"]), neg_log_c=(30.0,),
+                                  trials=2, max_rounds=10)
+    with pytest.warns(RuntimeWarning) as record:
+        sim.run_experiment(config)
+    (warning,) = record
+    with pytest.raises(ConfigError) as refused:
+        resolve_config(layer)
+    assert str(refused.value) == (f"{warning.message}; use a larger cost or a more "
+                                  f"informative model")
+    assert str(warning.message).startswith("policy 'dgf': at -log c = 30 a trial needs about ")
+
+
 @pytest.mark.parametrize("argv", [["--preset", "verify"],
                                   ["--preset", "fig2", "--trials", "200", "--out", "{out}"]],
                          ids=["verify", "run"])
@@ -894,3 +916,24 @@ def test_closed_stdout_exits_3_without_a_traceback(argv, tmp_path):
     assert "Exception ignored" not in proc.stderr
     assert proc.returncode == 3
     assert (tmp_path / "results.csv").exists() == (argv[1] == "fig2")
+
+
+@pytest.mark.parametrize("flags", [[], ["--diagnostics"]], ids=["run", "diagnostics"])
+def test_closed_stderr_still_writes_the_run(flags, tmp_path):
+    # As in `anomsearch ... 2>&1 >/dev/null | head -0`: progress is only
+    # diagnostic, so a stderr with no reader must not stop the run.
+    src = Path(__file__).resolve().parents[1] / "src"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "anomsearch.cli", "--preset", "fig2",
+                               "--trials", "200", "--out", str(tmp_path), *flags],
+                              stdout=subprocess.PIPE, stderr=write, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)))
+    finally:
+        os.close(write)
+    assert proc.returncode == 0
+    names = ["results.csv", "summary.json", *(f"trials_{p}.csv" for p in ("dgf", "chernoff")
+                                              if flags)]
+    assert proc.stdout.splitlines() == [str(tmp_path / name) for name in names]
+    assert all((tmp_path / name).stat().st_size > 0 for name in names)

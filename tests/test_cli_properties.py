@@ -159,14 +159,14 @@ def _near_budget(config: dict, factor: float) -> dict:
     """``config`` with its grid moved to ``factor`` times the round budget.
 
     The estimated rounds grow linearly in -log c, at the slope the resolver
-    reads from ``cli._benchmark``. Configs that do not resolve at -log c = 1
+    reads from ``sim._benchmark``. Configs that do not resolve at -log c = 1
     come back unchanged.
     """
     try:
         spec = cli.resolve_config({**config, "neg_log_c": [1.0]})
     except cli.ConfigError:
         return config
-    per_unit = max(cli._benchmark(spec.experiment_config(p))[2] for p in spec.policies)
+    per_unit = max(sim._benchmark(spec.experiment_config(p)).per_unit for p in spec.policies)
     return {**config, "neg_log_c": [factor * BUDGET / per_unit]}
 
 

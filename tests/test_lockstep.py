@@ -19,6 +19,7 @@ import math
 import re
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -413,10 +414,14 @@ def test_grid_matches_per_cost_runs(policy, swap, data, kind, grid, chunk, block
                                     workers):
     # One pass over a whole grid, repeated and unsorted costs included,
     # must give each cost exactly the results of a run at that cost alone.
+    # Two workers run their spans on threads: the spans and their join are
+    # what a worker count changes, and the tests that start real pools cover
+    # pickling and processes.
     config = dataclasses.replace(data.draw(configs(policy, kind, swap)), neg_log_c=tuple(grid))
     expected = list(map(results_of, reference_grid(config)))
     with mock.patch.object(sim, "_CHUNK", chunk), \
-            mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds):
+            mock.patch.object(stream, "_BLOCK_ROUNDS", block_rounds), \
+            mock.patch.object(sim, "ProcessPoolExecutor", ThreadPoolExecutor, create=True):
         grid = sim._run_grid(config, config.costs, workers)
         assert grid_results(grid, config.probes_per_round) == expected
         assert [run_trials(config, cost) for cost in config.costs] == expected

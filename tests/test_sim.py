@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from anomsearch import (
     Exponential,
     TrialColumns,
     aggregate,
+    rate_single,
     run_experiment,
     run_trial,
     run_trials,
@@ -429,10 +431,38 @@ def test_truncation_floors_every_trial():
     # bridge a gap of 6 and every trial must hit the round cap
     config = cfg(num_cells=2, probes_per_round=1, model=Bernoulli(0.3, 0.7),
                  neg_log_c=(6.0,), trials=30, max_rounds=2, seed=1)
-    (_, m), = run_experiment(config)
+    with pytest.warns(RuntimeWarning, match="budget of 2"):
+        (_, m), = run_experiment(config)
     assert m.truncations == 30
     assert m.p_e == 1.0
     assert m.mean_tau == 2.0
+
+
+# Near-equal laws: a trial at -log c = 30 needs about 1.26e9 rounds. At the
+# default budget of 10^6 rounds, two trials of it ran for seconds only to be
+# truncated, and the command line's resolver refuses it.
+SLOW = dict(num_cells=5, probes_per_round=1, policy="dgf", model=Bernoulli(0.3, 0.3001), trials=2)
+
+
+# At -log c = 1e-7 the estimate is about 4 rounds, within the budget of 10.
+@pytest.mark.parametrize("grid", [(30.0,), (30.0, 1e-7, 31.0)], ids=["one", "three"])
+def test_library_run_over_the_round_budget_warns_once_per_point(grid):
+    config = ExperimentConfig(**SLOW, neg_log_c=grid, max_rounds=10)
+    i_star = rate_single(config.model, 5, 1).i_star
+    with pytest.warns(RuntimeWarning) as record:
+        (_, m), *_ = run_experiment(config)
+    assert [str(w.message) for w in record] == [
+        f"policy 'dgf': at -log c = {t:g} a trial needs about {t / i_star:.3g} rounds, "
+        f"more than the budget of 10" for t in grid if t > 1e-7]
+    assert "about 1.26e+09 rounds" in str(record[0].message)
+    assert {w.filename for w in record} == {__file__}  # the caller's line
+    assert m.truncations == 2  # it runs, and every trial is truncated
+
+
+def test_library_run_within_the_round_budget_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_experiment(cfg(neg_log_c=(1.0, 3.0), trials=20))
 
 
 class TestDecayDiagnostic:
