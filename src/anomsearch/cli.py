@@ -27,7 +27,9 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error. The ``verify``
 preset runs the solver cross-checks instead of a simulation and exits 0
 only if every check passes (1 otherwise). A stdout closed before the last
 line is written, as by ``anomsearch --preset verify | head -2``, is an I/O
-error: the run exits 3 without a traceback.
+error: the run exits 3 without a traceback. A closed stderr only silences
+progress and messages: the run still writes its files and exits with its
+own code.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ from .oracle import (
     maximin_action_distribution,
     maximin_action_grid,
 )
-from .rates import relative_loss
-# Unused since sim._benchmark chooses every bound; kept so layer tracing can wrap them.
-from .rates import rate_multi, rate_single, unknownl_lower_bound  # noqa: F401
+# Of these only relative_loss is called: sim._benchmark chooses every bound, so the
+# other three are no longer traced. They are bound here only because
+# perfbench/tracing.py wraps them by name and would not install without them.
+from .rates import rate_multi, rate_single, relative_loss, unknownl_lower_bound  # noqa: F401
 from .sim import POLICY_NAMES, ExperimentConfig, TrialColumns
 
 _LN10 = math.log(10.0)
@@ -313,15 +316,17 @@ def run_spec(spec: RunSpec, workers: int = 1,
     return _run_spec(spec, workers, progress)[0]
 
 
-def _say(out: TextIO | None, line: str) -> None:
-    """Print a progress line to ``out``, if given. Progress is only diagnostic,
-    so a pipe closed under it does not stop the run: ``out``'s descriptor is
-    pointed at ``os.devnull``, and later lines and the last flush go there."""
+def _say(out: TextIO | None, line: str) -> TextIO | None:
+    """Print ``line`` to ``out``, if given, and return ``out``, or None once a
+    pipe closed under it has refused the line. Progress and warnings are only
+    diagnostic, so a reader that has gone stops them, not the run; the caller
+    passes the result on and stops writing. ``out`` itself is left as it is."""
     if out is not None:
         try:
             print(line, file=out, flush=True)
         except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            return None
+    return out
 
 
 def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
@@ -340,9 +345,9 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
         grid = sim._run_grid(cfg, cfg.costs, workers)
         # Through the module, so that layer tracing sees each aggregate call.
         for t, cost, m in zip(spec.neg_log_c, cfg.costs, sim.aggregate(grid, cfg.costs)):
-            _say(progress, f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau="
-                 f"{m.mean_tau:.4g} p_e={m.p_e:.3g} trials={m.trial_count} "
-                 f"({time.monotonic() - start:.1f}s)")
+            progress = _say(progress, f"[{len(rows) + 1}/{total}] {policy} -log c={t:g}: mean_tau="
+                            f"{m.mean_tau:.4g} p_e={m.p_e:.3g} trials={m.trial_count} "
+                            f"({time.monotonic() - start:.1f}s)")
             bound = floor(cost)
             rows.append({
                 "policy": policy, "M": spec.M, "K": spec.K, "L": spec.L,
@@ -360,7 +365,7 @@ def _run_spec(spec: RunSpec, workers: int, progress: TextIO | None,
             extra["diagnostics"][policy] = entry = {"per_trial_csv": name}
             if trials.tau1 is not None:
                 entry["tau1_decay"] = dataclasses.asdict(sim._fit_tau1_decay(trials))
-            _say(progress, f"[diagnostics] {policy}: wrote {name}")
+            progress = _say(progress, f"[diagnostics] {policy}: wrote {name}")
             del trials  # views, which would keep the grid alive
         del grid  # before the next policy's grid is built
     return rows, extra
@@ -596,14 +601,14 @@ def _main(argv: Sequence[str] | None) -> int:
             try:
                 layers.append(_read_config_file(Path(args.config)))
             except OSError as exc:
-                print(f"error: cannot read config file {args.config}: {exc}", file=sys.stderr)
+                _say(sys.stderr, f"error: cannot read config file {args.config}: {exc}")
                 return 3
         layers.append(_flags_layer(args))
         spec = resolve_config(*layers)
         if args.workers < 1:
             raise ConfigError("--workers must be a positive integer")
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(sys.stderr, f"config error: {exc}")
         return 2
 
     out_dir = Path(args.out) if args.out else Path("anomsearch-out")
@@ -613,10 +618,10 @@ def _main(argv: Sequence[str] | None) -> int:
                                 out_dir if spec.diagnostics else None)
         manifest = emit_results(rows, spec, out_dir, extra=extra, workers=args.workers)
     except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
+        _say(sys.stderr, f"i/o error: {exc}")
         return 3
     for line in _truncation_warnings(rows):
-        print(f"warning: {line}", file=sys.stderr)
+        _say(sys.stderr, f"warning: {line}")
     for name in manifest["outputs"]:
         print(out_dir / name)
     return 0

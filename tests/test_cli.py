@@ -170,6 +170,22 @@ class TestRunSpec:
         assert len(lines) == 1
         assert lines[0].startswith("[1/1] dgf -log c=2:")
 
+    def test_progress_stops_after_a_closed_pipe_and_leaves_the_stream(self):
+        # A library caller's stream whose reader has gone: the run finishes,
+        # progress is tried once, and the stream is not closed or replaced.
+        class Gone(io.StringIO):
+            tries = 0
+
+            def write(self, text):
+                Gone.tries += 1
+                raise BrokenPipeError
+
+        spec = resolve_config(TINY, {"neg_log_c": [1.0, 2.0, 3.0]})
+        progress = Gone()
+        assert len(run_spec(spec, progress=progress)) == 3
+        assert Gone.tries == 1
+        assert not progress.closed
+
     def test_unknown_count_rows_use_declaration_bound(self):
         spec = resolve_config({
             "policies": ["unknown_l"], "M": 3, "K": 1, "L": 2,
@@ -918,22 +934,62 @@ def test_closed_stdout_exits_3_without_a_traceback(argv, tmp_path):
     assert (tmp_path / "results.csv").exists() == (argv[1] == "fig2")
 
 
-@pytest.mark.parametrize("flags", [[], ["--diagnostics"]], ids=["run", "diagnostics"])
-def test_closed_stderr_still_writes_the_run(flags, tmp_path):
-    # As in `anomsearch ... 2>&1 >/dev/null | head -0`: progress is only
-    # diagnostic, so a stderr with no reader must not stop the run.
+def _run_with_closed_stderr(code, stderr=None):
+    """Run ``code`` in a new interpreter whose stderr is ``stderr``, by default
+    a pipe with no reader, as in `anomsearch ... 2>&1 >/dev/null | head -0`."""
     src = Path(__file__).resolve().parents[1] / "src"
     read, write = os.pipe()
     os.close(read)
     try:
-        proc = subprocess.run([sys.executable, "-m", "anomsearch.cli", "--preset", "fig2",
-                               "--trials", "200", "--out", str(tmp_path), *flags],
-                              stdout=subprocess.PIPE, stderr=write, text=True,
+        return subprocess.run([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=write if stderr is None else stderr, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)))
     finally:
         os.close(write)
+
+
+# Run the files, then point fd 2 at a pipe with no reader: the reader has left
+# after the last progress line and before the `warning:` lines.
+_LEAVE_AFTER_THE_RUN = """
+import os
+emit = cli.emit_results
+def emit_results(*args, **kwargs):
+    manifest = emit(*args, **kwargs)
+    read, write = os.pipe()
+    os.close(read)
+    os.dup2(write, 2)
+    return manifest
+cli.emit_results = emit_results
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--diagnostics"]], ids=["run", "diagnostics"])
+@pytest.mark.parametrize("after_the_run", [False, True], ids=["closed", "left"])
+def test_closed_stderr_still_writes_the_run(after_the_run, flags, tmp_path):
+    # Progress, the diagnostics lines and the `warning:` lines after the run
+    # are only diagnostic, so a stderr with no reader must not stop the run.
+    # Every row reports truncations, so that each run ends in warnings.
+    argv = ["--preset", "fig2", "--trials", "200", "--out", str(tmp_path), *flags]
+    proc = _run_with_closed_stderr(
+        "from anomsearch import cli\n"
+        "cli._truncation_warnings = lambda rows: [str(row['neg_log_c']) for row in rows]\n"
+        + (_LEAVE_AFTER_THE_RUN if after_the_run else "")
+        + f"raise SystemExit(cli.main({argv!r}))",
+        subprocess.PIPE if after_the_run else None)
     assert proc.returncode == 0
     names = ["results.csv", "summary.json", *(f"trials_{p}.csv" for p in ("dgf", "chernoff")
                                               if flags)]
     assert proc.stdout.splitlines() == [str(tmp_path / name) for name in names]
     assert all((tmp_path / name).stat().st_size > 0 for name in names)
+    assert len(json.loads((tmp_path / "summary.json").read_text())["warnings"]) == 10
+    if after_the_run:  # every progress line was read, and no warning line
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 10 + 2 * len(flags)
+        assert lines[-1].startswith("[diagnostics] chernoff" if flags else "[10/10] chernoff")
+
+
+def test_closed_stderr_keeps_a_config_error_at_exit_2():
+    proc = _run_with_closed_stderr("from anomsearch import cli\n"
+                                   "raise SystemExit(cli.main(['--neg-log-c', '800']))")
+    assert proc.returncode == 2
+    assert proc.stdout == ""

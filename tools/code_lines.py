@@ -6,18 +6,15 @@ string token that is a whole statement, such as a module, class or function
 docstring. Blank lines and comment-only lines are left out too. A string or
 an expression that spans several lines counts each line it spans.
 
-Run from the repository root: ``python3 tools/code_lines.py [--json]``. It
-prints one row per module, largest first, and the totals; ``--json`` prints
-the same counts as one JSON object. It uses the standard library only and
-reads the modules next to this file, so a copy of this script in another
-checkout counts that checkout.
+Run ``python3 tools/code_lines.py``. It prints one row per module, largest
+first, and the totals. It uses the standard library only and reads the
+modules next to this file, so a copy of this script in another checkout
+counts that checkout.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
 import tokenize
 from pathlib import Path
 
@@ -46,24 +43,16 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(lines)
 
 
-def package_counts(package: Path = PACKAGE) -> dict[str, tuple[int, int]]:
-    """(physical, code) lines per module name of ``package``, largest first."""
+def package_counts() -> dict[str, tuple[int, int]]:
+    """(physical, code) lines per module name of the package, largest first."""
     counts = {path.stem: count(path.read_text(encoding="utf-8"))
-              for path in sorted(package.glob("*.py"))}
+              for path in sorted(PACKAGE.glob("*.py"))}
     return dict(sorted(counts.items(), key=lambda item: (-item[1][1], item[0])))
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args(argv)
+def main() -> int:
     counts = package_counts()
     total = tuple(sum(column) for column in zip(*counts.values()))
-    if args.json:
-        print(json.dumps({"modules": {name: {"physical": p, "code": c}
-                                      for name, (p, c) in counts.items()},
-                          "total": {"physical": total[0], "code": total[1]}}))
-        return 0
     print(f"{'module':<10} {'physical':>8} {'code':>6}")
     for name, (physical, code) in counts.items():
         print(f"{name:<10} {physical:>8} {code:>6}")
