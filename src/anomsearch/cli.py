@@ -44,7 +44,7 @@ import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Any, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -82,25 +82,6 @@ _CSV_COLUMNS = (
 )
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _list_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
-    return lambda value: isinstance(value, (list, tuple)) and all(test(v) for v in value)
-
-
-# What each key but "model", "neg_log_c" and "priors" (models.as_floats
-# checks those) must hold once merged, and how to say so; only _NULLABLE
-# keys may also be None.
-_KEY_TYPES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    **{key: (_is_int, "an integer") for key in ("M", "K", "L", "trials", "seed")},
-    "policies": (lambda v: isinstance(v, str) or _list_of(lambda p: isinstance(p, str))(v),
-                 "a comma-separated string or a list of policy names"),
-    "fixed_hypothesis": (_list_of(_is_int), "null or a list of cell indices"),
-    "true_target_count": (_is_int, "null or an integer"),
-    "diagnostics": (lambda v: isinstance(v, bool), "true or false"),
-}
 PRESETS: dict[str, dict[str, Any]] = {
     # Five-cell search, one probe per round, strongly informative exponentials.
     "fig2": {
@@ -213,9 +194,14 @@ def _merge(layers: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
 def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     """Merge config layers (later wins) and validate the result.
 
-    Raises ConfigError naming the offending field; geometry checks that the
-    simulator also enforces (K <= M and so on) are re-raised in the same way
-    so the caller maps every validation failure to exit code 2, among them
+    This parses and canonicalises: it refuses unknown keys, splits and
+    checks ``policies``, the one key the library lacks, and gives
+    ``neg_log_c``, ``priors``, ``model`` and ``fixed_hypothesis`` the forms
+    the manifest writes. ``ExperimentConfig`` checks: each key's type, by the
+    one number rule, and every bound. Raises ConfigError naming the offending
+    field; the config's own ValueErrors (a value of the wrong type, K > M and
+    so on) are re-raised in the same words so the caller maps every
+    validation failure to exit code 2, among them
     a grid whose trial outcomes would take more than ``sim._MAX_OUTCOME_BYTES``.
     So is a grid point whose trials would need more rounds to stop than the
     round budget (``ExperimentConfig.max_rounds``), as ``sim._benchmark``
@@ -225,15 +211,13 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     advice; the library runs such a config, and this refuses it.
     """
     merged = _merge(layers)
-    for key, (test, what) in _KEY_TYPES.items():
-        value = merged[key]
-        if not (test(value) or (value is None and key in _NULLABLE)):
-            raise ConfigError(f"{key} must be {what}, got {value!r}")
-
     policies = merged["policies"]
     if isinstance(policies, str):
         policies = [p.strip() for p in policies.split(",") if p.strip()]
-    policies = tuple(policies)
+    # ExperimentConfig checks each name, and the type of every other key.
+    if not (isinstance(policies, (list, tuple)) and all(isinstance(p, str) for p in policies)):
+        raise ConfigError(f"policies must be a comma-separated string or a list of policy "
+                          f"names, got {merged['policies']!r}")
     if not policies:
         raise ConfigError("policies must name at least one policy")
     if len(set(policies)) != len(policies):
@@ -247,9 +231,9 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
     except ModelError as exc:
         raise ConfigError(str(exc)) from None
 
-    merged.update(policies=policies, model=model)
-    if merged["fixed_hypothesis"] is not None:
-        merged["fixed_hypothesis"] = tuple(int(v) for v in merged["fixed_hypothesis"])
+    merged.update(policies=tuple(policies), model=model)
+    if isinstance(merged["fixed_hypothesis"], list):
+        merged["fixed_hypothesis"] = tuple(merged["fixed_hypothesis"])
     spec = RunSpec(**merged)
     # Surface geometry/threshold violations and runs that cannot finish
     # now rather than mid-run. ExperimentConfig names the policy in every

@@ -105,6 +105,12 @@ def as_floats(what: str, value: Any, many: bool = False) -> tuple[float, ...]:
         raise ModelError(f"{what} holds an integer too large for a float") from None
 
 
+def is_int(value: Any) -> bool:
+    """The number rule for counts, cells and seeds: an int or a NumPy integer,
+    never a bool (nor NumPy's bool, which is no NumPy integer)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_informative(model: "ObservationModel") -> None:
     """Reject f and g too close to tell apart, infinite KL, and parameters
     under which the most extreme base variates (``base_range``) give an

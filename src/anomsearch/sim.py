@@ -21,7 +21,8 @@ measured against: the summary's rate entry, the risk floor as a function
 of the cost, and the rounds to stop per unit of -log c. Where that
 estimate is over ``max_rounds`` at a grid point, ``_over_budget`` says so
 in one sentence: the command line's resolver refuses the config with it,
-and ``run_experiment`` runs it but warns with it.
+and ``run_experiment``, ``run_trials`` and ``tau1_decay_diagnostic`` run it
+but warn with it, each at the costs it runs (``_warn_over_budget``).
 
 Engine
 ------
@@ -101,7 +102,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .models import ObservationModel, check_cost, check_geometry
+from .models import ObservationModel, as_floats, check_cost, check_geometry, is_int
 from .oracle import anomaly_hypotheses, anomaly_maximin
 from .rates import probing_plan, rate_multi, unknownl_lower_bound
 from .stream import ChunkStream, _Draw
@@ -151,6 +152,10 @@ _MAX_CELLS = 10_000
 # chunks, so a run at the bound peaks near 2 GiB, a quarter of an 8 GB
 # machine; fig2 at 10^8 trials would build 14 GB.
 _MAX_OUTCOME_BYTES = 1 << 30
+# The fields that hold integers: each one's name on the command line, and its
+# least value where ``check_geometry`` does not bound it.
+_INTEGERS = {"num_cells": ("M", None), "probes_per_round": ("K", None), "num_targets": ("L", None),
+             "trials": ("trials", 1), "seed": ("seed", 0), "max_rounds": ("max_rounds", 1)}
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
 
@@ -170,6 +175,13 @@ class ExperimentConfig:
     target; None means uniform. ``fixed_hypothesis`` pins the ground truth
     to one target set instead of sampling it, for conditional error/delay
     measurements.
+
+    Every field's type but the model's is checked first, by the command
+    line's rule and in its words, the counts named M, K and L as there: the
+    integer fields (``fixed_hypothesis``'s cells, in a list or tuple) take
+    Python or NumPy integers, never bools, and hold them as Python ints;
+    ``neg_log_c`` and ``priors`` take what ``models.as_floats`` does, and
+    hold floats.
     """
 
     num_cells: int
@@ -187,8 +199,27 @@ class ExperimentConfig:
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
+        # The number rule first, under the command line's names for the fields.
+        for name, (key, least) in _INTEGERS.items():
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if least is not None and value < least:
+                raise ValueError(f"{key} must be {'positive' if least else 'non-negative'}, "
+                                 f"got {value}")
+            object.__setattr__(self, name, int(value))
+        fixed, ell = self.fixed_hypothesis, self.true_target_count
+        if not (fixed is None or isinstance(fixed, (list, tuple)) and all(map(is_int, fixed))):
+            raise ValueError(f"fixed_hypothesis must be null or a list of cell indices, "
+                             f"got {fixed!r}")
+        if not (ell is None or is_int(ell)):
+            raise ValueError(f"true_target_count must be null or an integer, got {ell!r}")
+        if not isinstance(self.diagnostics, bool):
+            raise ValueError(f"diagnostics must be true or false, got {self.diagnostics!r}")
+        grid = as_floats("neg_log_c", self.neg_log_c, many=True)
+        priors = None if self.priors is None else as_floats("priors", self.priors, many=True)
         m, k, l = self.num_cells, self.probes_per_round, self.num_targets
-        policy = POLICIES.get(self.policy)
+        policy = POLICIES.get(self.policy) if isinstance(self.policy, str) else None
         if policy is None:
             raise ValueError(f"unknown policy {self.policy!r}; choose one of {POLICY_NAMES}")
         check_geometry(m, k, l)
@@ -203,7 +234,6 @@ class ExperimentConfig:
             if count > _MAX_HYPOTHESES:
                 raise ValueError(f"policy {self.policy!r} scores every set of 1..{l} of {m} "
                                  f"cells, {count} sets; at most {_MAX_HYPOTHESES} are supported")
-        grid = tuple(float(t) for t in self.neg_log_c)
         if not grid:
             raise ValueError("neg_log_c grid must not be empty")
         if len(grid) > _CHUNK:
@@ -215,16 +245,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"-log c = {t}: {exc}") from None
         object.__setattr__(self, "neg_log_c", grid)
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
         # Each (cost, trial) pair keeps more than a byte, so this count is over
         # the outcome bound below, whose GiB figure would overflow a float.
         if self.trials > _MAX_OUTCOME_BYTES:
             raise ValueError(f"trials must be at most {_MAX_OUTCOME_BYTES}, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.max_rounds < 1:
-            raise ValueError(f"max_rounds must be positive, got {self.max_rounds}")
         size = len(grid) * self.trials * (2 * m + 18 + 8 * _tracks_tau1(self))
         if size > _MAX_OUTCOME_BYTES:
             raise ValueError(f"policy {self.policy!r}: {self.trials} trials at {len(grid)} costs "
@@ -232,7 +256,6 @@ class ExperimentConfig:
                              f"outcomes, more than {_MAX_OUTCOME_BYTES / 2**30:g} GiB; use fewer "
                              f"trials, a shorter -log c grid or fewer cells")
 
-        fixed = self.fixed_hypothesis
         if fixed is not None:
             fixed = tuple(sorted(int(c) for c in fixed))
             if len(set(fixed)) != len(fixed) or not fixed:
@@ -241,10 +264,9 @@ class ExperimentConfig:
                 raise ValueError(f"fixed_hypothesis cells must lie in [0, {m})")
             object.__setattr__(self, "fixed_hypothesis", fixed)
 
-        ell = self.true_target_count
         if ell is None:
             ell = l if fixed is None else len(fixed)
-            object.__setattr__(self, "true_target_count", ell)
+        object.__setattr__(self, "true_target_count", int(ell))
         if policy.targets != "up_to" and ell != l:
             raise ValueError(f"policy {self.policy!r} assumes L = {l} true targets, got {ell}")
         if not 1 <= ell <= l:
@@ -252,11 +274,10 @@ class ExperimentConfig:
         if fixed is not None and len(fixed) != ell:
             raise ValueError(f"fixed_hypothesis has {len(fixed)} cells but true_target_count is {ell}")
 
-        if self.priors is not None:
+        if priors is not None:
             if policy.targets != "one":
                 raise ValueError(f"priors apply to single-target policies only, "
                                  f"not to policy {self.policy!r}")
-            priors = tuple(float(p) for p in self.priors)
             if len(priors) != m:
                 raise ValueError(f"priors must have one entry per cell ({m}), got {len(priors)}")
             if any(not 0.0 < p < 1.0 for p in priors):
@@ -409,9 +430,10 @@ def run_trial(
     (probed_cells, observations) pair is appended per round, the cells in
     the order the policy's step rule lists them. Hitting cfg.max_rounds
     truncates the trial: decision None, correct False, tau = max_rounds.
+    Unlike the other runs it never warns of the round budget: it replays one
+    trial, and a truncated trial is worth replaying.
     """
-    if isinstance(trial_index, bool) or not isinstance(trial_index, (int, np.integer)) or (
-            trial_index < 0):
+    if not is_int(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
     chunk, = _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)
     return _trial_results(_row(chunk, 0), cfg.probes_per_round)[0]
@@ -835,13 +857,25 @@ def _benchmark(cfg: ExperimentConfig) -> _Benchmark:
     return _Benchmark({**vars(report), "bound": "rate"}, report.lower_bound_at, 1.0 / report.i_star)
 
 
-def _over_budget(cfg: ExperimentConfig, per_unit: float) -> list[str | None]:
-    """Per point of ``cfg``'s grid, a sentence saying that a trial there needs
-    more rounds than ``cfg.max_rounds``, by the estimate ``per_unit`` of
-    :func:`_benchmark`; None where it needs no more."""
+def _over_budget(cfg: ExperimentConfig, per_unit: float,
+                 grid: Sequence[float] | None = None) -> list[str | None]:
+    """Per point -log c of ``grid``, by default ``cfg``'s, a sentence saying
+    that a trial there needs more rounds than ``cfg.max_rounds``, by the
+    estimate ``per_unit`` of :func:`_benchmark`; None where it needs no more."""
     return [f"policy {cfg.policy!r}: at -log c = {t:g} a trial needs about {t * per_unit:.3g} "
             f"rounds, more than the budget of {cfg.max_rounds}"
-            if t * per_unit > cfg.max_rounds else None for t in cfg.neg_log_c]
+            if t * per_unit > cfg.max_rounds else None for t in grid or cfg.neg_log_c]
+
+
+def _warn_over_budget(cfg: ExperimentConfig, cost: float | None = None) -> None:
+    """One ``RuntimeWarning``, at the caller of the public function that calls
+    this, per point of ``cfg``'s grid, or at ``cost`` alone if given, where
+    :func:`_over_budget` finds a trial over the round budget."""
+    if cost is not None:
+        check_cost(cost)  # before its log
+    grid = None if cost is None else (-math.log(cost),)
+    for sentence in filter(None, _over_budget(cfg, _benchmark(cfg).per_unit, grid)):
+        warnings.warn(sentence, RuntimeWarning, stacklevel=3)
 
 
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
@@ -908,12 +942,15 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
 
 def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
     """All trials for one cost, in trial-index order; any worker count
-    yields the identical list (see :func:`_run_grid`)."""
+    yields the identical list (see :func:`_run_grid`). Warns as
+    :func:`run_experiment` does, at ``cost``."""
+    _warn_over_budget(cfg, cost)
     return _trial_results(_row(_run_grid(cfg, (cost,), workers), 0), cfg.probes_per_round)
 
 
 def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetrics]:
-    """Reduce each row of a grid of trials, run at ``costs``, to AggregateMetrics.
+    """Reduce each row of a grid of trials, run at ``costs``, one cost per row,
+    to AggregateMetrics.
 
     The reductions run along the trial axis of C-contiguous float copies
     of the columns, in trial order: that order fixes every bit of the
@@ -921,6 +958,8 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     Means are the ufunc reduction that ``np.mean`` runs, bit for bit, and
     sample standard deviations are NumPy's own ``std(axis=1, ddof=1)``.
     """
+    if len(costs) != len(grid.tau):
+        raise ValueError(f"need one cost per grid row, got {len(costs)} for {len(grid.tau)} rows")
     n = grid.tau.shape[1]
     if n == 0:
         raise ValueError("no trial results to aggregate")
@@ -975,8 +1014,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float,
     may be truncated and count as errors, and the command line's resolver
     refuses the config with the same sentence.
     """
-    for sentence in filter(None, _over_budget(cfg, _benchmark(cfg).per_unit)):
-        warnings.warn(sentence, RuntimeWarning, stacklevel=2)
+    _warn_over_budget(cfg)
     return list(zip(cfg.costs, aggregate(_run_grid(cfg, cfg.costs, workers), cfg.costs)))
 
 
@@ -985,9 +1023,11 @@ def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
 
     Only correct, non-truncated trials contribute: tau1 measures when the
     true cell's lead became permanent, which is undefined on error paths.
+    Warns as :func:`run_experiment` does, at ``cost``.
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
+    _warn_over_budget(cfg, cost)
     # One grid point, so that the outcome bound counts the one cost this runs.
     cfg = replace(cfg, diagnostics=True, neg_log_c=cfg.neg_log_c[:1])
     return _fit_tau1_decay(_row(_run_grid(cfg, (cost,)), 0))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import weakref
@@ -93,6 +94,28 @@ class TestResolveConfig:
         # geometry failures surface at resolve time, not mid-run
         with pytest.raises(ConfigError, match="probes per round"):
             resolve_config({"K": 9})
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("M", "five", "M must be an integer, got 'five'"),
+        ("K", 1.0, "K must be an integer, got 1.0"),
+        ("L", True, "L must be an integer, got True"),
+        ("trials", 20.0, "trials must be an integer, got 20.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("fixed_hypothesis", [1.5], "fixed_hypothesis must be null or a list of cell indices, "
+                                    "got (1.5,)"),
+        ("fixed_hypothesis", "0", "fixed_hypothesis must be null or a list of cell indices, "
+                                  "got '0'"),
+        ("true_target_count", 1.0, "true_target_count must be null or an integer, got 1.0"),
+        ("diagnostics", "yes", "diagnostics must be true or false, got 'yes'"),
+        ("policies", 5, "policies must be a comma-separated string or a list of policy names, "
+                        "got 5"),
+        ("policies", ["dgf", 1], "policies must be a comma-separated string or a list of "
+                                 "policy names, got ['dgf', 1]"),
+    ], ids=["M", "K", "L", "trials", "seed", "fixed_hypothesis-list", "fixed_hypothesis-str",
+            "true_target_count", "diagnostics", "policies-int", "policies-list"])
+    def test_one_bad_key_is_named_with_what_it_must_hold(self, key, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            resolve_config({key: value})
 
     def test_model_dict_is_canonicalized(self):
         spec = resolve_config({"model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}})

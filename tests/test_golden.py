@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of the shipped presets.
+"""Byte-for-byte golden outputs of the shipped presets and of five more engine paths.
 
 Each preset runs once as ``anomsearch --preset <name> --trials 300 --seed
 271828``. ``GOLDEN`` pins the SHA-256 of its ``results.csv``, taken from the
@@ -10,6 +10,14 @@ blocks of ``summary.json``; the manifest is left out, as it records a
 timestamp. Any change to the trial engines, the models' float arithmetic,
 the rate helpers or the output formats that moves a single bit fails here.
 
+``ENGINE_GOLDEN`` pins the ``results.csv`` of five configs that reach the
+engine paths no preset does: ``seq_dgf_l`` in each probing regime,
+Gaussian cells with non-uniform priors, Tabulated cells probed all at once
+(K = M), and ``dgf_l`` with several probes and targets. Each runs through
+``main`` from a config file at -log c = 2 and 4, with the presets' trials
+and seed; the digests were taken before the library checked its config's
+types.
+
 NumPy's policy (NEP 19) lets ``Generator`` streams change between releases,
 so the digests hold only under the NumPy version that produced them; on any
 other version the tests skip with "stream version changed".
@@ -17,6 +25,7 @@ other version the tests skip with "stream version changed".
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,23 +51,53 @@ SUMMARY_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module", params=sorted(GOLDEN))
-def preset(request, tmp_path_factory):
-    """The preset's name and output directory, run once for both digests."""
+ENGINE_CONFIGS = {
+    "seq_dgf_l_regime_g": {"policies": "seq_dgf_l", "M": 6, "K": 1, "L": 2,
+                           "model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.6}},
+    "seq_dgf_l_regime_f": {"policies": "seq_dgf_l", "M": 5, "K": 1, "L": 2,
+                           "model": {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}},
+    "dgf_gaussian_priors": {"policies": "dgf", "M": 4, "K": 2, "L": 1,
+                            "model": {"kind": "gaussian", "mu_f": 0.0, "mu_g": 1.0},
+                            "priors": [0.4, 0.3, 0.2, 0.1]},
+    "chernoff_tabulated_k_is_m": {"policies": "chernoff", "M": 3, "K": 3, "L": 1,
+                                  "model": {"kind": "tabulated", "support": [0.0, 1.0, 2.0],
+                                            "pmf_f": [0.5, 0.3, 0.2],
+                                            "pmf_g": [0.2, 0.3, 0.5]}},
+    "dgf_l_bernoulli": {"policies": "dgf_l", "M": 8, "K": 3, "L": 2,
+                        "model": {"kind": "bernoulli", "p_f": 0.1, "p_g": 0.4}},
+}
+ENGINE_GOLDEN = {
+    "seq_dgf_l_regime_g": "5c91f75b486b6ebe727520557aba0d0443edbecfb9bd29447c13ddd2be8e134c",
+    "seq_dgf_l_regime_f": "c7a5261ec2dfaeb5167d1aa0f3f9af226481daa72484b2a0429832adb97472ab",
+    "dgf_gaussian_priors": "82270c43217392b8a3fef7fff6f0466169a004aa81d5b0824c1c4cc8458bb2e4",
+    "chernoff_tabulated_k_is_m": "9d44578f99eaa703785701731659e99d59f8d8012db30196d9be0bd716032bd8",
+    "dgf_l_bernoulli": "a75a2233f8988b9cea6ebd36d079a3dd742e8b8d517c155d6b6aea6be98c83c9",
+}
+
+
+def run_main(args, out):
+    """``main`` on ``args``, writing to ``out``; skips off the pinned NumPy."""
     if np.__version__ != PINNED_NUMPY:
         pytest.skip(f"stream version changed: digests pinned under NumPy {PINNED_NUMPY}, "
                     f"running {np.__version__}")
+    assert main([*args, "--trials", str(TRIALS), "--seed", str(SEED), "--out", str(out)]) == 0
+
+
+def results_digest(out: Path) -> str:
+    return hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module", params=sorted(GOLDEN))
+def preset(request, tmp_path_factory):
+    """The preset's name and output directory, run once for both digests."""
     out = tmp_path_factory.mktemp(request.param)
-    code = main(["--preset", request.param, "--trials", str(TRIALS), "--seed", str(SEED),
-                 "--out", str(out)])
-    assert code == 0
+    run_main(["--preset", request.param], out)
     return request.param, out
 
 
 def test_preset_results_match_pinned_digest(preset):
     name, out = preset
-    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]
+    assert results_digest(out) == GOLDEN[name]
 
 
 def test_preset_summary_matches_pinned_digest(preset):
@@ -67,3 +106,11 @@ def test_preset_summary_matches_pinned_digest(preset):
     blob = json.dumps({"rates": summary["rates"], "results": summary["results"]},
                       sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == SUMMARY_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_CONFIGS))
+def test_engine_path_results_match_pinned_digest(name, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**ENGINE_CONFIGS[name], "neg_log_c": [2.0, 4.0]}))
+    run_main([str(config)], tmp_path / "out")
+    assert results_digest(tmp_path / "out") == ENGINE_GOLDEN[name]

@@ -166,6 +166,52 @@ class TestConfigValidation:
         assert cfg().priors == pytest.approx((0.25,) * 4)
 
 
+# Each field given a value of the wrong type, and the whole message: the
+# command line's words, under its names for the counts (M, K and L).
+WRONG_TYPES = {
+    "M-float": (dict(num_cells=5.0), "M must be an integer, got 5.0"),
+    "K-float": (dict(probes_per_round=1.0), "K must be an integer, got 1.0"),
+    "L-bool": (dict(num_targets=True), "L must be an integer, got True"),
+    "trials-bool": (dict(trials=True), "trials must be an integer, got True"),
+    "trials-float": (dict(trials=20.0), "trials must be an integer, got 20.0"),
+    "seed-float": (dict(seed=1.5), "seed must be an integer, got 1.5"),
+    "max_rounds-float": (dict(max_rounds=2.5), "max_rounds must be an integer, got 2.5"),
+    "fixed-float-cell": (dict(fixed_hypothesis=(1.5,)),
+                         "fixed_hypothesis must be null or a list of cell indices, got (1.5,)"),
+    "fixed-str": (dict(fixed_hypothesis="0"),
+                  "fixed_hypothesis must be null or a list of cell indices, got '0'"),
+    "true_count-float": (dict(true_target_count=1.0),
+                         "true_target_count must be null or an integer, got 1.0"),
+    "diagnostics-str": (dict(diagnostics="yes"), "diagnostics must be true or false, got 'yes'"),
+    "policy-list": (dict(policy=["dgf"]),
+                    f"unknown policy ['dgf']; choose one of {sim.POLICY_NAMES}"),
+    "neg_log_c-scalar": (dict(neg_log_c=2.0), "neg_log_c must be a list of numbers, got 2.0"),
+    "priors-strings": (dict(num_cells=5, priors=("0.2",) * 5),
+                       f"priors must be a list of numbers, got {('0.2',) * 5!r}"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_config_refuses_a_value_of_the_wrong_type_by_its_field(overrides, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cfg(**overrides)
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    given = dict(num_cells=np.uint8(4), probes_per_round=np.int32(1), num_targets=np.int8(2),
+                 trials=np.int64(40), seed=np.uint64(7), max_rounds=np.int16(200),
+                 fixed_hypothesis=(np.int64(3), np.intp(1)), true_target_count=np.int8(2))
+    numpy_ints = cfg(policy="unknown_l", **given)
+    python_ints = cfg(policy="unknown_l", **{key: int(value) if np.isscalar(value) else
+                                             tuple(map(int, value))
+                                             for key, value in given.items()})
+    assert numpy_ints == python_ints
+    for key in given:
+        value = getattr(numpy_ints, key)
+        assert all(type(v) is int for v in (value if isinstance(value, tuple) else (value,)))
+    assert run_experiment(numpy_ints) == run_experiment(python_ints)
+
+
 @pytest.mark.parametrize("trial_index", [-1, np.int64(-3), True, 1.0, "1"])
 def test_run_trial_rejects_a_trial_index_that_is_not_a_non_negative_integer(trial_index):
     message = f"trial_index must be a non-negative integer, got {trial_index!r}"
@@ -322,6 +368,16 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(self.columns(), [0.01])
 
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_needs_one_cost_per_grid_row(self, trials):
+        config = cfg(neg_log_c=(1.0, 2.0, 3.0), trials=trials)
+        grid = sim._run_grid(config, config.costs)
+        for costs in (config.costs[:1], config.costs * 2):
+            message = f"need one cost per grid row, got {len(costs)} for 3 rows"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                aggregate(grid, costs)
+        assert len(aggregate(grid, config.costs)) == 3
+
     @pytest.mark.parametrize("n", [1, 1000])
     def test_grid_rows_reduce_as_one_row_grids(self, n):
         # NumPy sums pairwise, in blocks of 128, along the contiguous axis
@@ -463,6 +519,26 @@ def test_library_run_within_the_round_budget_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_experiment(cfg(neg_log_c=(1.0, 3.0), trials=20))
+        run_trials(cfg(trials=20), 0.05)
+        tau1_decay_diagnostic(cfg(trials=20), 0.05)
+
+
+# Each runs one cost, and warns at that cost, whatever the config's grid:
+# -log c = 30 is over the budget of 10 and 1e-7 within it.
+@pytest.mark.parametrize("grid", [(30.0,), (1e-7,)], ids=["over", "within"])
+@pytest.mark.parametrize("run", [run_trials, tau1_decay_diagnostic],
+                         ids=["run_trials", "tau1_decay_diagnostic"])
+def test_single_cost_run_warns_at_the_cost_it_runs(run, grid):
+    config = ExperimentConfig(**SLOW, neg_log_c=grid, max_rounds=10)
+    with pytest.warns(RuntimeWarning) as record:
+        run(config, math.exp(-30.0))
+    assert [str(w.message) for w in record] == [
+        "policy 'dgf': at -log c = 30 a trial needs about 1.26e+09 rounds, "
+        "more than the budget of 10"]
+    assert record[0].filename == __file__
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(replace(config, neg_log_c=(30.0,)), math.exp(-1e-7))
 
 
 class TestDecayDiagnostic:
