@@ -130,6 +130,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+# The ExperimentConfig field of each config key that the command line renames:
+# the inverse of sim._CLI_NAMES.
+_FIELDS = {key: field for field, key in sim._CLI_NAMES.items()}
+
+
 @dataclasses.dataclass(frozen=True)
 class RunSpec:
     """Resolved run-level configuration: one model/geometry, many policies.
@@ -138,7 +143,10 @@ class RunSpec:
     and their defaults fill every key no layer sets. A key whose default is
     None accepts null; null for any other key keeps its default. ``model``
     is the built model; :meth:`to_dict`, and so the manifest, writes its
-    kind-tagged dict.
+    kind-tagged dict. Every key but ``policies`` sets the ``ExperimentConfig``
+    field of the same name, or for M, K and L the field that ``sim``'s one
+    table, ``_CLI_NAMES``, gives that name, so :meth:`experiment_config`
+    names no field.
     """
 
     policies: tuple[str, ...] = POLICY_NAMES[:1]  # the policy table's first entry
@@ -159,20 +167,8 @@ class RunSpec:
         return {**vars(self), "model": model_to_dict(self.model)}
 
     def experiment_config(self, policy: str) -> ExperimentConfig:
-        return ExperimentConfig(
-            num_cells=self.M,
-            probes_per_round=self.K,
-            policy=policy,
-            model=self.model,
-            neg_log_c=self.neg_log_c,
-            trials=self.trials,
-            seed=self.seed,
-            num_targets=self.L,
-            true_target_count=self.true_target_count,
-            priors=self.priors,
-            fixed_hypothesis=self.fixed_hypothesis,
-            diagnostics=self.diagnostics,
-        )
+        fields = {_FIELDS.get(k, k): v for k, v in vars(self).items() if k != "policies"}
+        return ExperimentConfig(policy=policy, **fields)
 
 
 _DEFAULTS = RunSpec().to_dict()

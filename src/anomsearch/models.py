@@ -81,9 +81,13 @@ def check_geometry(m: int, k: int, l: int) -> None:
 def check_cost(cost: float) -> None:
     """Require an observation cost that is a normal float below 1.
 
+    A cost is a real number, by the number rule of :func:`as_floats`: a bool,
+    a string or None is refused by its type before any range check.
     Subnormal costs carry too few bits to tell nearby thresholds -log c
     apart, so they are refused along with 0, 1, NaN and out-of-range costs.
     """
+    if isinstance(cost, bool) or not isinstance(cost, numbers.Real):
+        raise ValueError(f"observation cost must be a real number, got {cost!r}")
     if not sys.float_info.min <= cost < 1.0:
         raise ValueError(f"observation cost must be a normal float in "
                          f"[{sys.float_info.min}, 1), got {cost}")

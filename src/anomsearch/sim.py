@@ -98,7 +98,7 @@ import os
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence, get_args
 
 import numpy as np
 
@@ -152,10 +152,13 @@ _MAX_CELLS = 10_000
 # chunks, so a run at the bound peaks near 2 GiB, a quarter of an 8 GB
 # machine; fig2 at 10^8 trials would build 14 GB.
 _MAX_OUTCOME_BYTES = 1 << 30
-# The fields that hold integers: each one's name on the command line, and its
-# least value where ``check_geometry`` does not bound it.
-_INTEGERS = {"num_cells": ("M", None), "probes_per_round": ("K", None), "num_targets": ("L", None),
-             "trials": ("trials", 1), "seed": ("seed", 0), "max_rounds": ("max_rounds", 1)}
+# The fields that the command line names differently: its keys M, K and L.
+# Every other config key is the name of its field.
+_CLI_NAMES = {"num_cells": "M", "probes_per_round": "K", "num_targets": "L"}
+# The fields that hold integers, each with its least value where
+# ``check_geometry`` does not bound it.
+_INTEGERS = {"num_cells": None, "probes_per_round": None, "num_targets": None,
+             "trials": 1, "seed": 0, "max_rounds": 1}
 _Z_95 = 1.959963984540054  # float(scipy.stats.norm.ppf(0.975))
 
 
@@ -176,12 +179,12 @@ class ExperimentConfig:
     to one target set instead of sampling it, for conditional error/delay
     measurements.
 
-    Every field's type but the model's is checked first, by the command
-    line's rule and in its words, the counts named M, K and L as there: the
+    Every field's type is checked first, by the command line's rule and in
+    its words, the counts named M, K and L as there (``_CLI_NAMES``): the
     integer fields (``fixed_hypothesis``'s cells, in a list or tuple) take
     Python or NumPy integers, never bools, and hold them as Python ints;
     ``neg_log_c`` and ``priors`` take what ``models.as_floats`` does, and
-    hold floats.
+    hold floats; ``model`` is an instance of one of the model classes.
     """
 
     num_cells: int
@@ -200,8 +203,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         # The number rule first, under the command line's names for the fields.
-        for name, (key, least) in _INTEGERS.items():
-            value = getattr(self, name)
+        for name, least in _INTEGERS.items():
+            key, value = _CLI_NAMES.get(name, name), getattr(self, name)
             if not is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if least is not None and value < least:
@@ -216,6 +219,8 @@ class ExperimentConfig:
             raise ValueError(f"true_target_count must be null or an integer, got {ell!r}")
         if not isinstance(self.diagnostics, bool):
             raise ValueError(f"diagnostics must be true or false, got {self.diagnostics!r}")
+        if not isinstance(self.model, get_args(ObservationModel)):
+            raise ValueError(f"model must be an observation model, got {self.model!r}")
         grid = as_floats("neg_log_c", self.neg_log_c, many=True)
         priors = None if self.priors is None else as_floats("priors", self.priors, many=True)
         m, k, l = self.num_cells, self.probes_per_round, self.num_targets
@@ -950,7 +955,7 @@ def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[Tri
 
 def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetrics]:
     """Reduce each row of a grid of trials, run at ``costs``, one cost per row,
-    to AggregateMetrics.
+    to AggregateMetrics. Each cost must pass ``models.check_cost``.
 
     The reductions run along the trial axis of C-contiguous float copies
     of the columns, in trial order: that order fixes every bit of the
@@ -960,6 +965,8 @@ def aggregate(grid: TrialColumns, costs: Sequence[float]) -> list[AggregateMetri
     """
     if len(costs) != len(grid.tau):
         raise ValueError(f"need one cost per grid row, got {len(costs)} for {len(grid.tau)} rows")
+    for cost in costs:
+        check_cost(cost)
     n = grid.tau.shape[1]
     if n == 0:
         raise ValueError("no trial results to aggregate")

@@ -176,6 +176,32 @@ class TestPresets:
 
 
 class TestRunSpec:
+    def test_keys_are_the_library_fields_through_one_table(self):
+        # max_rounds is the one field only the library sets.
+        renamed = {key: field for field, key in sim._CLI_NAMES.items()}
+        keys = {renamed.get(key.name, key.name) for key in dataclasses.fields(cli.RunSpec)}
+        fields = {field.name for field in dataclasses.fields(sim.ExperimentConfig)}
+        assert keys - {"policies"} == fields - {"policy", "max_rounds"}
+
+    # Between them the two specs set every key to a value other than its
+    # default: priors need a single-target policy, L above 1 a multi-target one.
+    @pytest.mark.parametrize("policy, spec, by_hand", [
+        ("dgf", dict(M=4, K=2, model=cli.Bernoulli(0.2, 0.7), neg_log_c=(2.0, 3.5), trials=9,
+                     seed=5, priors=(0.4, 0.3, 0.2, 0.1), fixed_hypothesis=(2,),
+                     true_target_count=1, diagnostics=True),
+         dict(num_cells=4, probes_per_round=2, num_targets=1, model=cli.Bernoulli(0.2, 0.7),
+              neg_log_c=(2.0, 3.5), trials=9, seed=5, priors=(0.4, 0.3, 0.2, 0.1),
+              fixed_hypothesis=(2,), true_target_count=1, diagnostics=True)),
+        ("dgf_l", dict(M=6, K=2, L=2, model=cli.Gaussian(0.0, 1.0), neg_log_c=(1.5,), trials=11,
+                       seed=0, fixed_hypothesis=(1, 4), true_target_count=2, diagnostics=True),
+         dict(num_cells=6, probes_per_round=2, num_targets=2, model=cli.Gaussian(0.0, 1.0),
+              neg_log_c=(1.5,), trials=11, seed=0, priors=None, fixed_hypothesis=(1, 4),
+              true_target_count=2, diagnostics=True)),
+    ], ids=["single-target", "multi-target"])
+    def test_experiment_config_sets_each_field_from_its_key(self, policy, spec, by_hand):
+        got = cli.RunSpec(policies=(policy,), **spec).experiment_config(policy)
+        assert got == sim.ExperimentConfig(policy=policy, **by_hand)
+
     def test_row_bookkeeping(self):
         spec = resolve_config(TINY)
         progress = io.StringIO()

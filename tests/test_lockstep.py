@@ -35,6 +35,7 @@ from anomsearch import (
     Gaussian,
     Tabulated,
     TrialResult,
+    aggregate,
     anomaly_hypotheses,
     bayes_lower_bound,
     hypothesis_action_kl,
@@ -42,6 +43,7 @@ from anomsearch import (
     run_experiment,
     run_trial,
     run_trials,
+    tau1_decay_diagnostic,
     unknownl_lower_bound,
 )
 from anomsearch import sim, stream
@@ -631,7 +633,10 @@ COST_CONFIG = ExperimentConfig(num_cells=3, probes_per_round=1, policy="dgf",
                                model=Exponential(0.5, 10.0), neg_log_c=(2.0,), trials=3)
 COST_ENTRY_POINTS = {
     "ExperimentConfig": lambda t: dataclasses.replace(COST_CONFIG, neg_log_c=(t,)),
+    "run_trial": lambda cost: run_trial(COST_CONFIG, cost, 0),
     "run_trials": lambda cost: run_trials(COST_CONFIG, cost),
+    "tau1_decay_diagnostic": lambda cost: tau1_decay_diagnostic(COST_CONFIG, cost),
+    "aggregate": lambda cost: aggregate(sim._run_grid(COST_CONFIG, COST_CONFIG.costs), (cost,)),
     "PolicyConfig.for_model": lambda cost: PolicyConfig.for_model(COST_CONFIG.model, 5, 1, cost),
     "bayes_lower_bound": lambda cost: bayes_lower_bound(cost, 4.0),
     "unknownl_lower_bound": lambda cost: unknownl_lower_bound(cost, 1, COST_CONFIG.model),
@@ -653,6 +658,16 @@ def test_engine_rejects_costs_outside_unit_interval(name):
                 f"observation cost must be a normal float in [{sys.float_info.min}, 1)")):
             entry(value)
     entry(accepted)
+
+
+# The cost rule refuses by type, before its range check, what is no real
+# number or is a bool.
+@pytest.mark.parametrize("name", [name for name in COST_ENTRY_POINTS if name != "ExperimentConfig"])
+def test_entry_points_refuse_a_cost_that_is_no_number(name):
+    for value in ("0.1", True, None):
+        message = f"observation cost must be a real number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            COST_ENTRY_POINTS[name](value)
 
 
 # chernoff_generic on M=4, L=2 cells of each model family. Its recipe is one

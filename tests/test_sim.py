@@ -197,6 +197,18 @@ def test_config_refuses_a_value_of_the_wrong_type_by_its_field(overrides, messag
         cfg(**overrides)
 
 
+# A model that is no instance of a model class; refused by type before the
+# geometry, which num_cells=1 breaks.
+@pytest.mark.parametrize("model", [
+    "x", None, {"kind": "exponential", "lambda_f": 0.5, "lambda_g": 10.0}, Exponential,
+], ids=["str", "none", "dict", "class"])
+def test_config_refuses_a_model_that_is_no_model_instance(model):
+    message = f"model must be an observation model, got {model!r}"
+    for overrides in ({}, dict(num_cells=1)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cfg(model=model, **overrides)
+
+
 def test_config_takes_numpy_integers_as_python_ints():
     given = dict(num_cells=np.uint8(4), probes_per_round=np.int32(1), num_targets=np.int8(2),
                  trials=np.int64(40), seed=np.uint64(7), max_rounds=np.int16(200),
