@@ -240,7 +240,8 @@ def resolve_config(*layers: Mapping[str, Any]) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         bench = sim._benchmark(cfg)
-        for t, cost, over in zip(cfg.neg_log_c, cfg.costs, sim._over_budget(cfg, bench.per_unit)):
+        overs = sim._over_budget(cfg, bench.per_unit, cfg.neg_log_c)
+        for t, cost, over in zip(cfg.neg_log_c, cfg.costs, overs):
             if over:
                 raise ConfigError(f"{over}; use a larger cost or a more informative model")
             if not bench.floor(cost) >= sys.float_info.min:
@@ -292,7 +293,14 @@ def _truncation_warnings(rows: Sequence[Mapping[str, Any]]) -> list[str]:
 
 def run_spec(spec: RunSpec, workers: int = 1,
              progress: TextIO | None = None) -> list[dict]:
-    """Execute every (policy, threshold) pair; returns plot-ready row dicts."""
+    """Execute every (policy, threshold) pair; returns plot-ready row dicts.
+
+    Each policy's grid runs through ``sim._run_grid``, which checks
+    ``workers`` by the integer rule before any trial and, as for
+    ``sim.run_experiment``, warns once per grid point over the round budget.
+    A spec from :func:`resolve_config` is never over it; one built by hand
+    may be.
+    """
     return _run_spec(spec, workers, progress)[0]
 
 

@@ -21,8 +21,8 @@ measured against: the summary's rate entry, the risk floor as a function
 of the cost, and the rounds to stop per unit of -log c. Where that
 estimate is over ``max_rounds`` at a grid point, ``_over_budget`` says so
 in one sentence: the command line's resolver refuses the config with it,
-and ``run_experiment``, ``run_trials`` and ``tau1_decay_diagnostic`` run it
-but warn with it, each at the costs it runs (``_warn_over_budget``).
+and ``_run_grid``, the one door into the engine of every grid run, runs it
+but warns with it, at the costs it runs.
 
 Engine
 ------
@@ -435,11 +435,16 @@ def run_trial(
     (probed_cells, observations) pair is appended per round, the cells in
     the order the policy's step rule lists them. Hitting cfg.max_rounds
     truncates the trial: decision None, correct False, tau = max_rounds.
-    Unlike the other runs it never warns of the round budget: it replays one
-    trial, and a truncated trial is worth replaying.
+    It is the one run that does not go through :func:`_run_grid`: it checks
+    its own cost, and refuses a ``trace`` that is neither None nor a list,
+    before its first round. Nor does it ever warn of the round budget: it
+    replays one trial, and a truncated trial is worth replaying.
     """
     if not is_int(trial_index) or trial_index < 0:
         raise ValueError(f"trial_index must be a non-negative integer, got {trial_index!r}")
+    check_cost(cost)
+    if not (trace is None or isinstance(trace, list)):
+        raise ValueError(f"trace must be None or a list, got {trace!r}")
     chunk, = _run_lockstep(cfg, (cost,), trial_index, trial_index + 1, trace)
     return _trial_results(_row(chunk, 0), cfg.probes_per_round)[0]
 
@@ -475,12 +480,11 @@ def _run_lockstep(
 
     A chunk holds at most _CHUNK rows (see :func:`_lockstep_chunk`), and at
     most as many as _CHUNK_BYTES allows for M + K, unless one trial has more
-    rows. ``trace`` follows :func:`run_trial` and needs a single trial at a
-    single cost.
+    rows. Each cost has passed ``models.check_cost`` (:func:`_run_grid`,
+    :func:`run_trial`). ``trace`` follows :func:`run_trial` and needs a
+    single trial at a single cost.
     """
     policy = POLICIES[cfg.policy]
-    for cost in costs:
-        check_cost(cost)
     thresholds = [-math.log(cost) for cost in costs]
     # The plan does not depend on the cost; only the threshold does.
     rule, draws = policy.rule(cfg, probing_plan(*cfg.model.kl_divergences(), cfg.num_cells,
@@ -862,25 +866,13 @@ def _benchmark(cfg: ExperimentConfig) -> _Benchmark:
     return _Benchmark({**vars(report), "bound": "rate"}, report.lower_bound_at, 1.0 / report.i_star)
 
 
-def _over_budget(cfg: ExperimentConfig, per_unit: float,
-                 grid: Sequence[float] | None = None) -> list[str | None]:
-    """Per point -log c of ``grid``, by default ``cfg``'s, a sentence saying
-    that a trial there needs more rounds than ``cfg.max_rounds``, by the
-    estimate ``per_unit`` of :func:`_benchmark`; None where it needs no more."""
+def _over_budget(cfg: ExperimentConfig, per_unit: float, grid: Sequence[float]) -> list[str | None]:
+    """Per point -log c of ``grid`` a sentence saying that a trial there
+    needs more rounds than ``cfg.max_rounds``, by the estimate ``per_unit`` of
+    :func:`_benchmark`; None where it needs no more."""
     return [f"policy {cfg.policy!r}: at -log c = {t:g} a trial needs about {t * per_unit:.3g} "
             f"rounds, more than the budget of {cfg.max_rounds}"
-            if t * per_unit > cfg.max_rounds else None for t in grid or cfg.neg_log_c]
-
-
-def _warn_over_budget(cfg: ExperimentConfig, cost: float | None = None) -> None:
-    """One ``RuntimeWarning``, at the caller of the public function that calls
-    this, per point of ``cfg``'s grid, or at ``cost`` alone if given, where
-    :func:`_over_budget` finds a trial over the round budget."""
-    if cost is not None:
-        check_cost(cost)  # before its log
-    grid = None if cost is None else (-math.log(cost),)
-    for sentence in filter(None, _over_budget(cfg, _benchmark(cfg).per_unit, grid)):
-        warnings.warn(sentence, RuntimeWarning, stacklevel=3)
+            if t * per_unit > cfg.max_rounds else None for t in grid]
 
 
 def _spans(total: int, parts: int) -> list[tuple[int, int]]:
@@ -921,6 +913,15 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
     """All trials at every cost in ``costs``, as one grid: row j holds the
     trials at ``costs[j]``, in trial order.
 
+    The one door into the engine for every run of a grid: ``run_experiment``,
+    ``run_trials``, ``tau1_decay_diagnostic`` and ``cli.run_spec``. Before any
+    trial it checks each cost by ``models.check_cost``, then ``workers`` by
+    the number rule (``models.is_int``; a count below 1 means one process).
+    Then it issues one ``RuntimeWarning`` per cost whose trials need more
+    than ``cfg.max_rounds`` rounds by :func:`_over_budget`, at the -log c the
+    engine runs, and runs them anyway. The warning points two frames up, at
+    the line that called the public runner.
+
     With workers > 1 one process pool runs spans of trials, each span at
     every cost; per-trial seeding makes the output independent of the
     spans, so any worker count yields identical columns. The pool never
@@ -928,6 +929,13 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
     process. The pool's class is ``sim.ProcessPoolExecutor``, which the
     first multi-worker run imports.
     """
+    for cost in costs:
+        check_cost(cost)
+    if not is_int(workers):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
+    over = _over_budget(cfg, _benchmark(cfg).per_unit, [-math.log(cost) for cost in costs])
+    for sentence in filter(None, over):
+        warnings.warn(sentence, RuntimeWarning, stacklevel=3)
     if workers <= 1:
         chunks = _run_lockstep(cfg, costs, 0, cfg.trials)
     else:
@@ -947,9 +955,8 @@ def _run_grid(cfg: ExperimentConfig, costs: Sequence[float], workers: int = 1) -
 
 def run_trials(cfg: ExperimentConfig, cost: float, workers: int = 1) -> list[TrialResult]:
     """All trials for one cost, in trial-index order; any worker count
-    yields the identical list (see :func:`_run_grid`). Warns as
-    :func:`run_experiment` does, at ``cost``."""
-    _warn_over_budget(cfg, cost)
+    yields the identical list. :func:`_run_grid` checks ``cost`` and
+    ``workers``, and warns as for :func:`run_experiment`, at ``cost``."""
     return _trial_results(_row(_run_grid(cfg, (cost,), workers), 0), cfg.probes_per_round)
 
 
@@ -1015,13 +1022,14 @@ def _quantiles(rows: np.ndarray, qs: Sequence[float]) -> list[np.ndarray]:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[tuple[float, AggregateMetrics]]:
     """Run the full neg_log_c grid in one pass; one (cost, AggregateMetrics) per point.
 
-    It runs every config it is given, but warns, with one ``RuntimeWarning``
-    per grid point, where a trial would need more rounds than
-    ``cfg.max_rounds`` by :func:`_benchmark`'s estimate: there many trials
-    may be truncated and count as errors, and the command line's resolver
-    refuses the config with the same sentence.
+    ``workers`` must be an integer, checked before any trial; below 1 means
+    one process. It runs every config it is given, but warns, with one
+    ``RuntimeWarning`` per grid point, where a trial would need more rounds
+    than ``cfg.max_rounds`` by :func:`_benchmark`'s estimate: there many
+    trials may be truncated and count as errors, and the command line's
+    resolver refuses the config with the same sentence. Both are
+    :func:`_run_grid`'s, the door of every grid run.
     """
-    _warn_over_budget(cfg)
     return list(zip(cfg.costs, aggregate(_run_grid(cfg, cfg.costs, workers), cfg.costs)))
 
 
@@ -1030,11 +1038,11 @@ def tau1_decay_diagnostic(cfg: ExperimentConfig, cost: float) -> DecayReport:
 
     Only correct, non-truncated trials contribute: tau1 measures when the
     true cell's lead became permanent, which is undefined on error paths.
-    Warns as :func:`run_experiment` does, at ``cost``.
+    :func:`_run_grid` checks ``cost`` before any trial, and warns as for
+    :func:`run_experiment`, at ``cost``.
     """
     if POLICIES[cfg.policy].targets != "one":
         raise ValueError("last-passage diagnostic applies to single-target policies")
-    _warn_over_budget(cfg, cost)
     # One grid point, so that the outcome bound counts the one cost this runs.
     cfg = replace(cfg, diagnostics=True, neg_log_c=cfg.neg_log_c[:1])
     return _fit_tau1_decay(_row(_run_grid(cfg, (cost,)), 0))

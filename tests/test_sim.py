@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anomsearch import sim, stream
+from anomsearch import cli, sim, stream
 from anomsearch import (
     AggregateMetrics,
     Bernoulli,
@@ -318,6 +318,24 @@ class TestDeterminism:
         assert sorted(seeds) == [(config.seed, t) for t in range(config.trials)]
         assert len(pools) == (workers > 1)
 
+    @pytest.mark.parametrize("run", ["run_experiment", "run_trials"])
+    def test_workers_follow_the_number_rule(self, monkeypatch, run):
+        # A count that is no integer is refused before any pool starts; a
+        # NumPy integer runs as the int it equals.
+        sizes = []
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", recording_pool(sizes))
+        monkeypatch.setattr(sim, "_available_cpus", lambda: 2)
+        config = cfg(trials=20, neg_log_c=(1.0, 3.0))
+        go = {"run_experiment": run_experiment,
+              "run_trials": lambda config, workers: run_trials(config, config.costs[1], workers)}[run]
+        for workers in ("2", None, 1.5, 2.5, True):
+            message = f"workers must be an integer, got {workers!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                go(config, workers)
+        assert sizes == []
+        assert go(config, np.int64(2)) == go(config, 2) == go(config, 1)
+        assert sizes == [2, 2]
+
 
 class TestAggregate:
     @staticmethod
@@ -494,6 +512,16 @@ def test_tau1_bounded_by_tau_on_correct_trials():
     assert seen > 100
 
 
+def test_run_trial_refuses_a_trace_that_is_no_list(monkeypatch):
+    # Refused before the first round: the engine, here None, is never reached.
+    monkeypatch.setattr(sim, "_run_lockstep", None)
+    config = cfg(trials=1)
+    for trace in ((), {}, "trace"):
+        message = f"trace must be None or a list, got {trace!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_trial(config, config.costs[0], 0, trace)
+
+
 def test_truncation_floors_every_trial():
     # per-round LLR steps are bounded by log(7/3), so two rounds can never
     # bridge a gap of 6 and every trial must hit the round cap
@@ -512,19 +540,40 @@ def test_truncation_floors_every_trial():
 SLOW = dict(num_cells=5, probes_per_round=1, policy="dgf", model=Bernoulli(0.3, 0.3001), trials=2)
 
 
+def spec_run(config, monkeypatch):
+    """The first point's truncations of ``cli.run_spec`` on a RunSpec of
+    ``config``'s fields, built by hand, as the resolver refuses a config over
+    the budget, and run under ``config``'s budget."""
+    experiment_config = cli.RunSpec.experiment_config
+    monkeypatch.setattr(cli.RunSpec, "experiment_config", lambda spec, policy: replace(
+        experiment_config(spec, policy), max_rounds=config.max_rounds))
+    spec = cli.RunSpec(policies=(config.policy,), M=config.num_cells, K=config.probes_per_round,
+                       model=config.model, neg_log_c=config.neg_log_c, trials=config.trials)
+    return cli.run_spec(spec)[0]["truncations"]
+
+
+# Every run of a whole grid, each returning its first point's truncations.
+GRID_RUNS = {
+    "run_experiment": lambda config, monkeypatch: run_experiment(config)[0][1].truncations,
+    "run_spec": spec_run,
+}
+
+
 # At -log c = 1e-7 the estimate is about 4 rounds, within the budget of 10.
 @pytest.mark.parametrize("grid", [(30.0,), (30.0, 1e-7, 31.0)], ids=["one", "three"])
-def test_library_run_over_the_round_budget_warns_once_per_point(grid):
+def test_library_run_over_the_round_budget_warns_once_per_point(grid, monkeypatch):
     config = ExperimentConfig(**SLOW, neg_log_c=grid, max_rounds=10)
     i_star = rate_single(config.model, 5, 1).i_star
-    with pytest.warns(RuntimeWarning) as record:
-        (_, m), *_ = run_experiment(config)
-    assert [str(w.message) for w in record] == [
-        f"policy 'dgf': at -log c = {t:g} a trial needs about {t / i_star:.3g} rounds, "
-        f"more than the budget of 10" for t in grid if t > 1e-7]
-    assert "about 1.26e+09 rounds" in str(record[0].message)
-    assert {w.filename for w in record} == {__file__}  # the caller's line
-    assert m.truncations == 2  # it runs, and every trial is truncated
+    for name, run in GRID_RUNS.items():
+        with pytest.warns(RuntimeWarning) as record:
+            truncations = run(config, monkeypatch)
+        assert [str(w.message) for w in record] == [
+            f"policy 'dgf': at -log c = {t:g} a trial needs about {t / i_star:.3g} rounds, "
+            f"more than the budget of 10" for t in grid if t > 1e-7], name
+        assert "about 1.26e+09 rounds" in str(record[0].message)
+        if name == "run_experiment":  # run_spec's warnings point into cli
+            assert {w.filename for w in record} == {__file__}  # the caller's line
+        assert truncations == 2  # it runs, and every trial is truncated
 
 
 def test_library_run_within_the_round_budget_does_not_warn():
@@ -542,6 +591,11 @@ def test_library_run_within_the_round_budget_does_not_warn():
                          ids=["run_trials", "tau1_decay_diagnostic"])
 def test_single_cost_run_warns_at_the_cost_it_runs(run, grid):
     config = ExperimentConfig(**SLOW, neg_log_c=grid, max_rounds=10)
+    # A cost that is no number is refused before any warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^observation cost must be a real number, got None$"):
+            run(config, None)
     with pytest.warns(RuntimeWarning) as record:
         run(config, math.exp(-30.0))
     assert [str(w.message) for w in record] == [
